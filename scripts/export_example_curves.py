@@ -15,6 +15,7 @@ from pathlib import Path
 from legendrelab import (certification_verdict, entry, firm_modulus,
                          total_convexity_modulus)
 from legendrelab.report_io import write_json, write_modulus_csv
+from legendrelab.tolerances import DEFAULT_TOLS
 
 
 def main(out_dir: str) -> int:
@@ -25,7 +26,7 @@ def main(out_dir: str) -> int:
     e1 = entry("fourth_root_well")
     f1 = e1.build()
     g = f1.grid
-    min_r = 1.75 * g.max_spacing
+    min_r = DEFAULT_TOLS.cert_min_radius(g.max_spacing)
 
     curves = {
         "fourth_root_well_center_firm":

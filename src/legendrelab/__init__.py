@@ -1,10 +1,10 @@
 """legendrelab: a desk-scale convex-duality workbench on box grids.
 
-Discrete Legendre-Fenchel conjugation (brute-force oracle and a hull-based
-fast transform), Fenchel-Young subgradient estimation, shell-infimum moduli
-of firm subdifferentiability / total convexity / well-posedness, a
-convexity-hierarchy classifier, and relative-projection experiments on
-grid sets.
+Discrete Legendre-Fenchel conjugation (brute-force oracle and a separable
+max-plus fast transform, O(n*m) per axis), Fenchel-Young subgradient
+estimation, shell-infimum moduli of firm subdifferentiability / total
+convexity / well-posedness, a convexity-hierarchy classifier, and
+relative-projection experiments on grid sets.
 """
 
 from .catalog import CatalogEntry, entries, entry, make_set

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import ConjugateResult, biconjugate, conjugate_fast
+from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
-from .moduli import (certification_verdict, firm_modulus, total_convexity_modulus,
-                     wellposedness_modulus)
+from .moduli import (_tie_eps, certification_verdict, firm_modulus,
+                     total_convexity_modulus, wellposedness_modulus)
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 
@@ -147,7 +147,8 @@ class ClassificationReport:
 
 
 class _Session:
-    """Shared per-classification state: tilted clusters, moduli, verdict bits."""
+    """Shared per-classification state: f** and f*, tilted clusters, moduli,
+    verdict bits."""
 
     def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice,
                  tols: Tolerances):
@@ -155,11 +156,10 @@ class _Session:
         self.dual_grid = dual_grid
         self.norm = norm
         self.tols = tols
-        self.conj = conjugate_fast(f, dual_grid)
+        self.bic = biconjugate(f, dual_grid, tols=tols)
+        self.conj = self.bic.star
         self._clusters: dict[int, np.ndarray] = {}
-        self._cluster_eps: dict[int, float] = {}
-        self.min_cert_radius = (tols.cert_start_steps * f.grid.max_spacing
-                                - 0.25 * f.grid.max_spacing)
+        self.min_cert_radius = tols.cert_min_radius(f.grid.max_spacing)
         self.cell = f.grid.cell_diagonal(norm) * tols.cell_diag_factor
         self.disclaimers: set[str] = set()
 
@@ -170,11 +170,8 @@ class _Session:
         s = self.dual_grid.point(dual_flat)
         tilted = self.f.tilted(s)
         m = float(tilted.min())
-        coord = max(abs(lo) + abs(hi) for lo, hi in self.f.grid.bounds)
-        eps = self.tols.eps_fp * (1.0 + abs(m) + float(np.abs(s).sum()) * coord)
-        cl = np.flatnonzero(tilted <= m + eps)
+        cl = np.flatnonzero(tilted <= m + _tie_eps(self.f, s, m, self.tols))
         self._clusters[dual_flat] = cl
-        self._cluster_eps[dual_flat] = eps
         return cl
 
     def cluster_diameter(self, dual_flat: int) -> float:
@@ -230,7 +227,7 @@ def classify(f: GridFunction, dual_grid: Grid,
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
 
-    bic = biconjugate(f, dual_grid, tols=tols)
+    bic = ses.bic
     verdicts["convex_lsc"] = Verdict(
         bic.consistent,
         f"max |f** - f| = {bic.max_gap:.3g} vs tol {bic.tol_bicon:.3g}",
@@ -437,7 +434,6 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
     modulus at (minimizer, tilt) has a positive envelope certificate.
     """
     ses = _Session(f, dual_grid, norm, tols)
-    bic = biconjugate(f, dual_grid, tols=tols)
     ti = np.flatnonzero(ses.conj.trusted_interior())
     if duals is None:
         duals = [int(i) for i in _evenly(ti, n_probes)]
@@ -466,4 +462,4 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
         mod_firm = firm_modulus(f, rep.minimizer, s, norm=norm, tols=tols)
         c, _, _ = certification_verdict(mod_firm, tols, ses.min_cert_radius)
         probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat), a, b, c))
-    return AgreementReport(f.name, tuple(probes), bic.consistent)
+    return AgreementReport(f.name, tuple(probes), ses.bic.consistent)

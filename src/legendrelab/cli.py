@@ -28,6 +28,7 @@ from .report_io import (read_constraint_set, read_grid_function, write_json,
                         write_grid_function, write_indices, write_mask,
                         write_modulus_csv)
 from .experiments import EXPERIMENT_NAMES, run_experiments
+from .tolerances import DEFAULT_TOLS
 
 DEFAULT_DUAL_SPEC = "-3,3,201"
 
@@ -127,7 +128,7 @@ def _cmd_modulus(args) -> int:
             mod = firm_modulus(f, x, _parse_point(args.subgradient), radii=radii)
         else:
             mod = total_convexity_modulus(f, x, radii=radii)
-        min_r = 1.75 * f.grid.max_spacing
+        min_r = DEFAULT_TOLS.cert_min_radius(f.grid.max_spacing)
         pos, _, note = certification_verdict(mod, min_radius=min_r)
         verdict = f"certificate_positive={pos}" + (f" ({note})" if note else "")
     write_modulus_csv(mod, args.out)

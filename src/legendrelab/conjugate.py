@@ -3,9 +3,11 @@
 Two routes compute ``f*(s) = max_x (<x, s> - f(x))`` over the primal grid:
 
 * ``conjugate_brute`` evaluates the maximum directly (the reference oracle);
-* ``conjugate_fast`` runs the monotone-slope transform on the lower convex
-  hull of each 1D slice, composing two passes in 2D with a sign flip in
-  between. Values agree with brute force to floating-point reassociation.
+* ``conjugate_fast`` runs a separable max-plus transform: one broadcast
+  maximum per axis, O(n*m) for n primal and m dual points on that axis,
+  composing two passes in 2D with a sign flip in between. Values agree
+  with brute force to floating-point reassociation; the argmax takes the
+  first maximizing index along each axis, as brute force does.
 
 A dual point is *trusted* when some maximizer lies strictly inside the
 primal grid; untrusted values are boundary-clamped truncation artifacts and
@@ -23,6 +25,7 @@ from .grids import Grid, GridFunction
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 _BRUTE_CHUNK = 256
+_MAXPLUS_BLOCK = 1 << 16   # scratch elements per max-plus block
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,101 +91,57 @@ def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     return ConjugateResult(dual_fn, trusted, arg, f.grid, method="brute")
 
 
-def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the strict lower convex hull of points sorted by x."""
-    stack: list[int] = []
-    for i in range(len(x)):
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return stack
-
-
-def _conj_1d(xs: np.ndarray, fv: np.ndarray, ss: np.ndarray
+def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
-    """One monotone-slope pass; returns (values, argmax index into xs).
+    """Row-wise max-plus product ``max_k (ss[j] * xs[k] - F[r, k])``.
 
-    Out-of-domain (non-finite) entries are skipped; with an empty domain the
-    values are -inf and the argmax is -1.
+    Returns (values, first-index argmax into xs), both shaped (rows, len(ss)).
+    Dual points are processed in blocks of about ``_MAXPLUS_BLOCK`` scratch
+    elements. An empty primal slice gives values -inf and argmax -1.
     """
-    finite = np.isfinite(fv)
-    if not finite.any():
-        return (np.full(ss.shape, -np.inf), np.full(ss.shape, -1, dtype=np.int64))
-    orig = np.flatnonzero(finite)
-    xf = xs[orig]
-    yf = fv[orig]
-    hull = _lower_hull(xf, yf)
-    ho = orig[np.asarray(hull, dtype=np.int64)]
-    if len(hull) == 1:
-        arg = np.full(ss.shape, ho[0], dtype=np.int64)
-    else:
-        hx = xs[ho]
-        hy = fv[ho]
-        slopes = (hy[1:] - hy[:-1]) / (hx[1:] - hx[:-1])
-        j = np.searchsorted(slopes, ss, side="left")
-        arg = ho[j]
-    return ss * xs[arg] - fv[arg], arg
+    rows = F.shape[0]
+    if F.size == 0:
+        return (np.full((rows, ss.size), -np.inf),
+                np.full((rows, ss.size), -1, dtype=np.int64))
+    step = max(1, _MAXPLUS_BLOCK // F.size)
+    arg = np.concatenate(
+        [(np.multiply.outer(ss[lo:lo + step], xs) - F[:, None, :]).argmax(axis=2)
+         for lo in range(0, ss.size, step)], axis=1)
+    return ss * xs[arg] - np.take_along_axis(F, arg, axis=1), arg
 
 
 def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
-    """Hull-based transform; matches conjugate_brute to ~1e-12 relative.
+    """Separable max-plus transform; matches conjugate_brute to ~1e-12 relative.
 
-    Trust is decided by re-running each pass restricted to interior primal
-    points: a dual point is trusted exactly when the interior maximum
-    reaches the full maximum.
+    2D runs one pass per axis with a sign flip in between. Trust is decided
+    by re-running the passes on interior primal points only: a dual point is
+    trusted exactly when the interior maximum reaches the full maximum.
     """
     if f.grid.dim == 1:
         xs = f.grid.axes[0]
         ss = dual_grid.axes[0]
-        vals, arg = _conj_1d(xs, f.flat, ss)
-        iv, _ = _conj_1d(xs[1:-1], f.flat[1:-1], ss)
+        fv = f.flat[None, :]
+        vals, arg = _maxplus(xs, fv, ss)
+        iv, _ = _maxplus(xs[1:-1], fv[:, 1:-1], ss)
         trusted = iv >= vals
-        dual_fn = GridFunction(dual_grid, vals.reshape(dual_grid.shape),
-                               name=f.name + "*")
-        return ConjugateResult(dual_fn, trusted, arg, f.grid, method="fast")
-
-    if f.grid.dim != 2:
+        vals, arg, trusted = vals[0], arg[0], trusted[0]
+    elif f.grid.dim == 2:
+        x1, x2 = f.grid.axes
+        s1, s2 = dual_grid.axes
+        fv = f.values
+        g, a2 = _maxplus(x2, fv, s2)                  # (n1, m2)
+        v, a1 = _maxplus(x1, -g.T, s1)                # (m2, m1)
+        g_int, _ = _maxplus(x2[1:-1], fv[1:-1, 1:-1], s2)
+        iv, _ = _maxplus(x1[1:-1], -g_int.T, s1)
+        trusted = (iv >= v).T.ravel()
+        cols = np.arange(s2.size)[:, None]
+        arg = (a1 * f.grid.counts[1] + a2[a1, cols]).T.ravel()
+        vals = v.T.ravel()
+    else:
         raise NotImplementedError("conjugate_fast supports dim 1 and 2")
-
-    x1s, x2s = f.grid.axes
-    s1s, s2s = dual_grid.axes
-    n1 = f.grid.counts[0]
-    m1, m2 = dual_grid.counts
-    fvals = f.values
-
-    # pass 1: partial conjugate in x2 per primal row, full and interior-x2
-    g = np.empty((n1, m2))
-    a2 = np.empty((n1, m2), dtype=np.int64)
-    g_int = np.empty((n1, m2))
-    a2_int = np.empty((n1, m2), dtype=np.int64)
-    for i in range(n1):
-        g[i], a2[i] = _conj_1d(x2s, fvals[i], s2s)
-        vi, ai = _conj_1d(x2s[1:-1], fvals[i, 1:-1], s2s)
-        g_int[i], a2_int[i] = vi, np.where(ai >= 0, ai + 1, -1)
-
-    # pass 2: conjugate in x1 per dual column, with the sign flip
-    out = np.empty((m1, m2))
-    argmax = np.empty((m1, m2), dtype=np.int64)
-    trusted = np.empty((m1, m2), dtype=bool)
-    n2 = f.grid.counts[1]
-    for j in range(m2):
-        h = -g[:, j]
-        vals, a1 = _conj_1d(x1s, h, s1s)
-        out[:, j] = vals
-        argmax[:, j] = a1 * n2 + a2[a1, j]
-        h_int = -g_int[1:-1, j]
-        iv, _ = _conj_1d(x1s[1:-1], h_int, s1s)
-        trusted[:, j] = iv >= vals
-
-    dual_fn = GridFunction(dual_grid, out.reshape(dual_grid.shape),
+    dual_fn = GridFunction(dual_grid, vals.reshape(dual_grid.shape),
                            name=f.name + "*")
-    return ConjugateResult(dual_fn, trusted.ravel(), argmax.ravel(),
-                           f.grid, method="fast")
+    return ConjugateResult(dual_fn, trusted, arg, f.grid, method="fast")
 
 
 def conjugate(f: GridFunction, dual_grid: Grid, method: str = "fast") -> ConjugateResult:
@@ -202,10 +161,7 @@ class BiconjugateResult:
     consistent: bool          # f** == f on trusted domain points, up to tol
     tol_bicon: float
     max_gap: float            # max |f** - f| over trusted domain points
-
-    @property
-    def convex_lsc_consistent(self) -> bool:
-        return self.consistent
+    star: ConjugateResult     # the first conjugate f* on the dual grid
 
 
 def bicon_tolerance(f: GridFunction, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -228,4 +184,5 @@ def biconjugate(f: GridFunction, dual_grid: Grid,
     else:
         max_gap = 0.0
     fn = GridFunction(f.grid, second.dual.values, name=f.name + "**")
-    return BiconjugateResult(fn, second.trusted, bool(max_gap <= tol), tol, max_gap)
+    return BiconjugateResult(fn, second.trusted, bool(max_gap <= tol), tol,
+                             max_gap, star)

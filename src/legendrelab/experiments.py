@@ -42,10 +42,6 @@ class ExperimentResult:
     artifacts: list[Path]
 
 
-def _cert_min_radius(grid) -> float:
-    return DEFAULT_TOLS.cert_start_steps * grid.max_spacing - 0.25 * grid.max_spacing
-
-
 def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
     """Fourth-root well: Hessian formulas, the zero modulus along the edge,
     and the hierarchy verdicts (firmly subdifferentiable but not totally
@@ -73,8 +69,8 @@ def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
 
     center = g.index_of_nearest([0.0, 0.0])
     m_center = firm_modulus(f, center, [0.0, 0.0])
-    center_pos, _, _ = certification_verdict(m_center, DEFAULT_TOLS,
-                                             _cert_min_radius(g))
+    center_pos, _, _ = certification_verdict(
+        m_center, DEFAULT_TOLS, DEFAULT_TOLS.cert_min_radius(g.max_spacing))
 
     report = classify(f, e.dual_grid)
     truth = report.truth()
@@ -112,11 +108,10 @@ def run_ex2(out_dir: Path, seed: int = 42) -> ExperimentResult:
     corner = g.index_of_nearest([1.0, 1.0])
 
     m_corner = total_convexity_modulus(f, corner)
-    corner_pos, _, _ = certification_verdict(m_corner, DEFAULT_TOLS,
-                                             _cert_min_radius(g))
+    min_r = DEFAULT_TOLS.cert_min_radius(g.max_spacing)
+    corner_pos, _, _ = certification_verdict(m_corner, DEFAULT_TOLS, min_r)
     m_firm = firm_modulus(f, corner, [1.05, 1.05])
-    firm_pos, _, _ = certification_verdict(m_firm, DEFAULT_TOLS,
-                                           _cert_min_radius(g))
+    firm_pos, _, _ = certification_verdict(m_firm, DEFAULT_TOLS, min_r)
 
     report = classify(f, e.dual_grid)
     truth = report.truth()

@@ -70,6 +70,21 @@ def _tie_eps(f: GridFunction, s: np.ndarray, ref: float,
     return tols.eps_fp * (1.0 + abs(ref) + float(np.abs(s).sum()) * coord)
 
 
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Indices of the strict lower convex hull of points sorted by x."""
+    stack: list[int] = []
+    for i in range(len(x)):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross <= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    return stack
+
+
 def _shell_minima(gaps: np.ndarray, shells: Sequence[Shell],
                   feasible: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -282,18 +297,17 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
             f"need at least 2 finite samples, have {ts.size}")
     px = np.concatenate([[0.0], ts])
     py = np.concatenate([[0.0], vs])
-    from .conjugate import _lower_hull
     hull = _lower_hull(px, py)
     kx = px[hull]
     ky = py[hull]
     env = np.interp(ts, kx, ky)
-    floor = tols.eps_fp * (1.0 + ts)
+    floor = tols.delta0(ts)
     ok = env > floor
     positive = bool(ok.all())
     failure = None
     if not positive:
         for t, v in zip(kx[1:], ky[1:]):
-            if v <= tols.eps_fp * (1.0 + t):
+            if v <= tols.delta0(t):
                 failure = float(t)
                 break
         if failure is None:
@@ -392,8 +406,8 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     radii_a, values, empty, wit = _shell_minima(gaps, shells, feasible)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s))
-    min_r = tols.cert_start_steps * grid.max_spacing - 0.25 * grid.max_spacing
-    pos, cert, note = certification_verdict(mod, tols, min_radius=min_r)
+    pos, cert, note = certification_verdict(
+        mod, tols, min_radius=tols.cert_min_radius(grid.max_spacing))
     report = WellposednessReport(tuple(float(c) for c in s), x_hat, mval,
                                  int(cluster.size), diameter, unique,
                                  boundary_descent, pos, cert, note)
@@ -439,7 +453,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
         return CoercivityReport(False, x_hat, "no usable outer shells")
     vals = values[outer]
     ts = radii[outer]
-    floor = tols.eps_fp * (1.0 + ts)
+    floor = tols.delta0(ts)
     if not (vals > floor).all():
         t_bad = float(ts[~(vals > floor)][0])
         return CoercivityReport(False, x_hat,

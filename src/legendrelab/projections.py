@@ -162,7 +162,7 @@ def _tie_tilt(u: np.ndarray, v: np.ndarray, fu: float, fv: float) -> np.ndarray:
 
 
 def _far_pairs(S: ConstraintSet, limit: int = 24) -> list[tuple[int, int]]:
-    """Member pairs of近-maximal separation, from a capped subsample."""
+    """Member pairs of near-maximal separation, from a capped subsample."""
     mem = S.members
     if mem.size > 400:
         sel = np.unique(np.linspace(0, mem.size - 1, 400).astype(int))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import ConjugateResult, conjugate_fast
+from .conjugate import ConjugateResult, biconjugate
 from .errors import NoAdmissibleStepError, PointOutsideDomainError
 from .grids import Grid, GridFunction, NormChoice
 from .tolerances import DEFAULT_TOLS, Tolerances
@@ -172,19 +172,19 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid,
     minimum is attained away from the primal boundary); the subdifferential
     of f* is estimated through gaps of the double conjugate.
     """
-    star = conjugate_fast(f, dual_grid)
-    second = conjugate_fast(star.dual, f.grid)
+    bic = biconjugate(f, dual_grid, tols=tols)
+    star = bic.star
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
 
     pts = f.grid.points
     duals = dual_grid.points
     x_norms = norm.length(pts)
-    fss = second.dual.flat
+    fss = bic.function.flat
     h_d = dual_grid.max_spacing
     dom_sub = np.zeros(dual_grid.size, dtype=bool)
     chunk = 256
-    usable = second.trusted & np.isfinite(fss)
+    usable = bic.trusted & np.isfinite(fss)
     for lo in range(0, dual_grid.size, chunk):
         hi = min(lo + chunk, dual_grid.size)
         gaps = (star.dual.flat[lo:hi, None] + fss[None, :]

@@ -38,8 +38,19 @@ class Tolerances:
     cell_diag_factor: float = 1.01
 
     def delta0(self, t: float) -> float:
-        """Positivity floor separating genuine zeros from rounding dust."""
+        """Positivity floor separating genuine zeros from rounding dust.
+
+        Elementwise when ``t`` is an array of radii.
+        """
         return self.eps_fp * (1.0 + t)
+
+    def cert_min_radius(self, h: float) -> float:
+        """Smallest shell radius certification uses on a grid of step ``h``.
+
+        A quarter step below ``cert_start_steps * h``, so rounding never
+        drops the first certified shell.
+        """
+        return self.cert_start_steps * h - 0.25 * h
 
 
 DEFAULT_TOLS = Tolerances()

@@ -35,6 +35,12 @@ def _rel_close(a, b):
     return np.abs(a - b) <= REL_TOL * (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
+def _assert_argmax_attains(res, f, d, i):
+    arg = res.argmax
+    attained = (f.grid.points[arg] * d.points).sum(axis=1) - f.flat[arg]
+    assert _rel_close(attained, res.dual.flat).all(), i
+
+
 def test_criterion_01_conjugation_oracle_equivalence():
     """Fast transform equals the brute-force oracle on random functions."""
     t0 = time.monotonic()
@@ -53,6 +59,7 @@ def test_criterion_01_conjugation_oracle_equivalence():
         tr = brute.trusted
         assert _rel_close(fast.dual.flat[tr], brute.dual.flat[tr]).all(), i
         assert (fast.trusted == brute.trusted).all(), i
+        _assert_argmax_attains(fast, f, d, i)
     for i in range(10):
         g = ll.grid_2d(-2.0, 2.0, 101)
         d = ll.grid_2d(-3.0, 3.0, 101)
@@ -62,6 +69,7 @@ def test_criterion_01_conjugation_oracle_equivalence():
         tr = brute.trusted
         assert _rel_close(fast.dual.flat[tr], brute.dual.flat[tr]).all(), i
         assert (fast.trusted == brute.trusted).all(), i
+        _assert_argmax_attains(fast, f, d, i)
     elapsed = time.monotonic() - t0
     assert elapsed < ORACLE_BUDGET_S
     _ok("criterion 1: conjugation oracle equivalence",
@@ -172,7 +180,7 @@ def test_criterion_05_example2_reproduction():
     corner = g.index_of_nearest([1.0, 1.0])
     firm = ll.firm_modulus(f, corner, [1.05, 1.05])
     pos, cert, _ = ll.certification_verdict(
-        firm, min_radius=1.75 * g.max_spacing)
+        firm, min_radius=DEFAULT_TOLS.cert_min_radius(g.max_spacing))
     assert pos and cert is not None and cert.positive
     _ok("criterion 5: sqrt well reproduction",
         "corner witness; positive-orthant firm certificate positive")

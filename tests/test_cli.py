@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -122,10 +123,11 @@ def test_verify_paper_determinism_small(tmp_path):
 
 
 def test_ll_threads_env_accepted(tmp_path):
+    package_root = str(Path(ll.__file__).resolve().parent.parent)
     proc = run_cli(["verify-paper", "--experiment", "domain-chain",
                     "--out", str(tmp_path / "o")],
                    env={"LL_THREADS": "1", "PATH": "/usr/bin:/bin",
-                        "HOME": "/root"})
+                        "HOME": "/root", "PYTHONPATH": package_root})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 

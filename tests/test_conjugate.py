@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
+from legendrelab.catalog import entry
 from legendrelab.generators import random_grid_function
 
 from conftest import brute_conjugate_values
@@ -82,13 +83,19 @@ def test_fast_equals_brute_random_1d(seed, n, m, inf_frac):
     brute = ll.conjugate_brute(f, d)
     assert rel_close(fast.dual.flat, brute.dual.flat).all()
     assert (fast.trusted == brute.trusted).all()
-    # argmax may differ only inside exact tie sets
-    diff = np.flatnonzero(fast.argmax != brute.argmax)
-    for j in diff:
-        s = d.point(j)
-        va = float(g.points[fast.argmax[j]] @ s - f.flat[fast.argmax[j]])
-        vb = float(g.points[brute.argmax[j]] @ s - f.flat[brute.argmax[j]])
-        assert rel_close(va, vb)
+    assert (fast.argmax == brute.argmax).all()
+
+
+@pytest.mark.parametrize("eid", ["halfsq", "affine"])
+def test_fast_argmax_first_index_on_catalog_ties(eid):
+    """Exact ties resolve to the first maximizing index, as in brute force."""
+    e = entry(eid)
+    f = e.build()
+    fast = ll.conjugate_fast(f, e.dual_grid)
+    brute = ll.conjugate_brute(f, e.dual_grid)
+    assert rel_close(fast.dual.flat, brute.dual.flat).all()
+    assert (fast.trusted == brute.trusted).all()
+    assert (fast.argmax == brute.argmax).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -101,6 +108,24 @@ def test_fast_equals_brute_random_2d(seed):
     brute = ll.conjugate_brute(f, d)
     assert rel_close(fast.dual.flat, brute.dual.flat).all()
     assert (fast.trusted == brute.trusted).all()
+    attained = (g.points[fast.argmax] * d.points).sum(axis=1) - f.flat[fast.argmax]
+    assert rel_close(attained, fast.dual.flat).all()
+
+
+@pytest.mark.parametrize("grid", [ll.grid_1d(-1.0, 1.0, 2),
+                                  ll.Grid(((-1.0, 1.0), (-1.0, 1.0)), (2, 7)),
+                                  ll.Grid(((-1.0, 1.0), (-1.0, 1.0)), (7, 2))],
+                         ids=["1d", "2d_rows", "2d_cols"])
+def test_two_point_axis_has_no_trusted_duals(grid):
+    """A 2-point axis has no interior, so nothing is trusted."""
+    rng = np.random.default_rng(3)
+    f = ll.GridFunction(grid, rng.uniform(-1.0, 1.0, grid.shape))
+    d = ll.Grid(((-2.0, 2.0),) * grid.dim, (9,) * grid.dim)
+    fast = ll.conjugate_fast(f, d)
+    brute = ll.conjugate_brute(f, d)
+    assert rel_close(fast.dual.flat, brute.dual.flat).all()
+    assert not fast.trusted.any()
+    assert not brute.trusted.any()
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,10 +8,11 @@ from legendrelab.catalog import entry
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
                                 NotASubgradientError)
 from legendrelab.moduli import Modulus
+from legendrelab.tolerances import DEFAULT_TOLS
 
 
 def cert_start(grid):
-    return 1.75 * grid.max_spacing
+    return DEFAULT_TOLS.cert_min_radius(grid.max_spacing)
 
 
 def at_radius(m, t):
