@@ -18,8 +18,9 @@ import numpy as np
 
 from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
-from .moduli import (_tie_eps, certification_verdict, firm_modulus,
+from .moduli import (_tie_cluster, certification_verdict, firm_modulus,
                      total_convexity_modulus, wellposedness_modulus)
+from .subdiff import subgradients
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 
@@ -168,9 +169,7 @@ class _Session:
         if got is not None:
             return got
         s = self.dual_grid.point(dual_flat)
-        tilted = self.f.tilted(s)
-        m = float(tilted.min())
-        cl = np.flatnonzero(tilted <= m + _tie_eps(self.f, s, m, self.tols))
+        _, _, cl = _tie_cluster(self.f, self.f.tilted(s), s, self.tols)
         self._clusters[dual_flat] = cl
         return cl
 
@@ -180,17 +179,9 @@ class _Session:
         return float(self.norm.length(coords.max(axis=0) - coords.min(axis=0)))
 
     def witness_duals(self, x_flat: int, cap: int) -> list[int]:
-        """Trusted duals whose tilted tie cluster contains x, by gap order."""
-        fx = self.f.value_at(x_flat)
-        if not np.isfinite(fx):
-            return []
-        x = self.f.grid.point(x_flat)
-        gaps = fx + self.conj.dual.flat - self.dual_grid.points @ x
-        s_norms = self.norm.dual.length(self.dual_grid.points)
-        taus = (self.tols.tau_c * self.f.grid.max_spacing
-                * (1.0 + s_norms + self.f.local_slope(x_flat)))
-        cand = np.flatnonzero(self.conj.trusted & (gaps <= taus))
-        cand = cand[np.argsort(gaps[cand], kind="stable")]
+        """Trusted duals whose tilted tie cluster contains x (a domain
+        point), by gap order."""
+        cand = subgradients(self.f, self.conj, x_flat, self.norm, self.tols).members
         out = []
         for s_flat in cand:
             if np.isin(x_flat, self.cluster(int(s_flat))):
@@ -216,14 +207,16 @@ class _Session:
         return pos, note
 
 
-def classify(f: GridFunction, dual_grid: Grid,
-             plan: SamplePlan | None = None,
+def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
              norm: NormChoice = NormChoice.L2,
              tols: Tolerances = DEFAULT_TOLS) -> ClassificationReport:
-    """Place a grid function in the convexity hierarchy, with witnesses."""
+    """Place a grid function in the convexity hierarchy, with witnesses.
+
+    ``samples`` caps the primal and the dual points of the default sample
+    plan, which is built from the session's own conjugate.
+    """
     ses = _Session(f, dual_grid, norm, tols)
-    if plan is None:
-        plan = default_sample_plan(f, ses.conj)
+    plan = default_sample_plan(f, ses.conj, max_primal=samples, max_dual=samples)
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import SET_NAMES, entry, make_set
-from .classify import classify, default_sample_plan
+from .classify import classify
 from .conjugate import conjugate
 from .errors import LegendreLabError
 from .grids import Grid, GridFunction
@@ -96,10 +96,7 @@ def _cmd_conjugate(args) -> int:
 def _cmd_classify(args) -> int:
     f = _load_function(args)
     dual = _dual_grid_for(args, f)
-    from .conjugate import conjugate_fast
-    plan = default_sample_plan(f, conjugate_fast(f, dual),
-                               max_primal=args.samples, max_dual=args.samples)
-    report = classify(f, dual, plan=plan)
+    report = classify(f, dual, samples=args.samples)
     if args.out:
         write_json(report.to_dict(), args.out)
     print(f"classification of {f.name or 'input'} (chain_ok={report.chain_ok}):")

@@ -64,10 +64,29 @@ class Gamma0Certificate:
                 "n_finite": self.n_finite, "eps": self.eps}
 
 
-def _tie_eps(f: GridFunction, s: np.ndarray, ref: float,
-             tols: Tolerances) -> float:
+def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray,
+                 tols: Tolerances) -> tuple[float, float, np.ndarray]:
+    """Minimum of a tilted objective, its tie slack, and the flat indices
+    within that slack of the minimum (ascending)."""
+    mval = float(values.min())
     coord = max(abs(lo) + abs(hi) for lo, hi in f.grid.bounds)
-    return tols.eps_fp * (1.0 + abs(ref) + float(np.abs(s).sum()) * coord)
+    eps = tols.eps_fp * (1.0 + abs(mval) + float(np.abs(s).sum()) * coord)
+    return mval, eps, np.flatnonzero(values <= mval + eps)
+
+
+def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
+                  level: float) -> bool:
+    """Whether some cluster member on the grid edge has its inward
+    neighbor above ``level`` (the objective descends off the grid)."""
+    for c in cluster:
+        multi = grid.unravel_index(int(c))
+        for ax in range(grid.dim):
+            if multi[ax] in (0, grid.counts[ax] - 1):
+                inward = list(multi)
+                inward[ax] += 1 if multi[ax] == 0 else -1
+                if values[grid.ravel_index(inward)] > level:
+                    return True
+    return False
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
@@ -378,9 +397,7 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     finite = np.isfinite(cand)
     if not finite.any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    mval = float(cand.min())
-    eps = _tie_eps(f, s, mval, tols)
-    cluster = np.flatnonzero(cand <= mval + eps)
+    mval, eps, cluster = _tie_cluster(f, cand, s, tols)
     x_hat = int(cluster[0])
 
     coords = grid.points[cluster]
@@ -389,18 +406,8 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     cell = grid.cell_diagonal(norm) * tols.cell_diag_factor
     unique = diameter <= cell
 
-    on_edge = ~grid.interior_flat[cluster]
-    boundary_descent = False
-    if on_edge.all():
-        for c in cluster:
-            multi = grid.unravel_index(int(c))
-            for ax in range(grid.dim):
-                if multi[ax] in (0, grid.counts[ax] - 1):
-                    inward = list(multi)
-                    inward[ax] += 1 if multi[ax] == 0 else -1
-                    nb = grid.ravel_index(inward)
-                    if cand[nb] > mval + eps:
-                        boundary_descent = True
+    boundary_descent = (not grid.interior_flat[cluster].any()
+                        and _edge_descent(grid, cand, cluster, mval + eps))
     gaps = cand - cand[x_hat]
     shells = _ladder(grid, x_hat, norm, radii)
     radii_a, values, empty, wit = _shell_minima(gaps, shells, feasible)
@@ -428,23 +435,13 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
     A minimum sitting on the grid edge with outward descent is a truncation
     artifact of a non-coercive function and fails immediately.
     """
-    zero = np.zeros(f.grid.dim)
-    tilted = f.flat
-    mval = float(tilted.min())
-    eps = _tie_eps(f, zero, mval, tols)
-    cluster = np.flatnonzero(tilted <= mval + eps)
-    x_hat = int(cluster[0])
-
     grid = f.grid
-    for c in cluster:
-        multi = grid.unravel_index(int(c))
-        for ax in range(grid.dim):
-            if multi[ax] in (0, grid.counts[ax] - 1):
-                inward = list(multi)
-                inward[ax] += 1 if multi[ax] == 0 else -1
-                if tilted[grid.ravel_index(inward)] > mval + eps:
-                    return CoercivityReport(False, x_hat,
-                                            "minimum on grid edge with outward descent")
+    tilted = f.flat
+    mval, eps, cluster = _tie_cluster(f, tilted, np.zeros(grid.dim), tols)
+    x_hat = int(cluster[0])
+    if _edge_descent(grid, tilted, cluster, mval + eps):
+        return CoercivityReport(False, x_hat,
+                                "minimum on grid edge with outward descent")
 
     shells = shell_ladder(grid, x_hat, norm=norm)
     radii, values, empty, _ = _shell_minima(tilted - mval, shells)

@@ -2,15 +2,16 @@
 
 Includes the strong-Tchebychev probe test, the farthest-point experiment
 (f = -||.||^2/2), and the convexity detector (f = ||.||^2/2). Universal
-"for every tilt" claims are always reported as "no failure over N probes";
-witness searches escalate from low-discrepancy probes to exact tie tilts
-built from pairs of set members, then to bisection along median rays.
+"for every tilt" claims are always reported as "no failure over N probes".
+All three run one staged witness search over one probe budget: Halton
+probes, exact tie tilts from member pairs (from one midpoint-convexity pass,
+or far pairs), then jittered tie tilts and bisection toward the tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -97,15 +98,18 @@ def solve_relative_projection(f: GridFunction, S: ConstraintSet,
                                  rep.min_value, rep.strong, rep, mod)
 
 
-def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None,
-                       max_violations: int = 200
+MAX_VIOLATIONS = 200
+
+
+def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
                        ) -> tuple[bool, list[tuple[int, int]]]:
     """Discrete midpoint convexity of the member set.
 
     For each member pair, some grid point obtained by per-axis floor/ceil
     rounding of the half-sum of indices must belong to the set (rounding to
     a single nearest point would reject convex continuum sets whose edges
-    alias across cells).
+    alias across cells). At most ``MAX_VIOLATIONS`` violating pairs are
+    returned.
     """
     mask = S.mask if domain is None else (S.mask & domain)
     mem = np.flatnonzero(mask)
@@ -134,7 +138,7 @@ def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None,
         keep = (bad_i + lo) < bad_j
         for a, b in zip(bad_i[keep], bad_j[keep]):
             ok_all = False
-            if len(violations) < max_violations:
+            if len(violations) < MAX_VIOLATIONS:
                 violations.append((int(mem[a + lo]), int(mem[b])))
     return ok_all, violations
 
@@ -243,7 +247,38 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     return None
 
 
-def _witness_candidates(f: GridFunction, S: ConstraintSet,
+def _search(f: GridFunction, S: ConstraintSet, budget: _Budget,
+            norm: NormChoice, tols: Tolerances,
+            *stages: Iterable[np.ndarray]) -> ProjectionCertificate | None:
+    """Probe the tilts of each stage in order; the first witness, or None."""
+    for stage in stages:
+        for s in stage:
+            cert = _probe(f, S, s, budget, norm, tols)
+            if _is_witness(cert):
+                return cert
+    return None
+
+
+def _refine(f: GridFunction, S: ConstraintSet, pairs: list[tuple[int, int]],
+            seed: int, budget: _Budget, norm: NormChoice,
+            tols: Tolerances) -> ProjectionCertificate | None:
+    """Last stage: per member pair, 8 tie tilts plus Gaussian noise of one
+    grid step (one generator across all pairs), then bisection from the
+    exact tie tilt."""
+    rng = np.random.default_rng(seed)
+    for a, b in pairs:
+        base = _tie_tilt(f.grid.point(a), f.grid.point(b),
+                         f.value_at(a), f.value_at(b))
+        jittered = (base + rng.normal(scale=S.grid.max_spacing, size=base.shape)
+                    for _ in range(8))
+        found = (_search(f, S, budget, norm, tols, jittered)
+                 or _bisect_for_tie(f, S, base, budget, norm, tols))
+        if found is not None:
+            return found
+    return None
+
+
+def _witness_candidates(f: GridFunction,
                         pairs: list[tuple[int, int]]) -> list[np.ndarray]:
     out = []
     for a, b in pairs:
@@ -255,10 +290,10 @@ def _witness_candidates(f: GridFunction, S: ConstraintSet,
     return out
 
 
-def _violation_pairs_by_depth(S: ConstraintSet, f: GridFunction,
+def _violation_pairs_by_depth(S: ConstraintSet,
+                              violations: list[tuple[int, int]],
                               limit: int = 40) -> list[tuple[int, int]]:
     """Midpoint-convexity violations, deepest midpoints first."""
-    _, violations = midpoint_convexity(S, domain=f.domain_flat)
     if not violations:
         return []
     pts = S.grid.points
@@ -279,7 +314,6 @@ class TchebychevReport:
     witness_tilt: tuple[float, ...] | None
     witness: ProjectionCertificate | None
     midpoint_convex: bool             # of S ∩ dom f
-    budget_exhausted: bool = False
 
     @property
     def verdict(self) -> str:
@@ -307,8 +341,7 @@ def _is_witness(cert: ProjectionCertificate) -> bool:
 def tchebychev_test(f: GridFunction, S: ConstraintSet,
                     n_probes: int = 200, seed: int = 42,
                     norm: NormChoice = NormChoice.L2,
-                    tols: Tolerances = DEFAULT_TOLS,
-                    escalate: bool = True) -> TchebychevReport:
+                    tols: Tolerances = DEFAULT_TOLS) -> TchebychevReport:
     """Probe for a tilt whose relative projection on S is not strong.
 
     Runs low-discrepancy probes plus exact tie tilts built from member
@@ -322,19 +355,15 @@ def tchebychev_test(f: GridFunction, S: ConstraintSet,
     """
     if not (S.mask & f.domain_flat).any():
         raise InfeasibleProblemError("S does not meet dom f")
-    mp_ok, _ = midpoint_convexity(S, domain=f.domain_flat)
+    mp_ok, violations = midpoint_convexity(S, domain=f.domain_flat)
     budget = _Budget(max(10 * n_probes, 2000))
-    lo, hi = probe_box(f)
-    probes = list(_halton_probes(lo, hi, n_probes, seed))
-    if escalate:
-        probes += _witness_candidates(f, S, _violation_pairs_by_depth(S, f))
-    ran = 0
-    for s in probes:
-        cert = _probe(f, S, np.asarray(s, dtype=float), budget, norm, tols)
-        ran += 1
-        if _is_witness(cert):
-            return TchebychevReport(False, ran, cert.tilt, cert, mp_ok)
-    return TchebychevReport(True, ran, None, None, mp_ok)
+    pairs = _violation_pairs_by_depth(S, violations)
+    cert = _search(f, S, budget, norm, tols,
+                   _halton_probes(*probe_box(f), n_probes, seed),
+                   _witness_candidates(f, pairs))
+    if cert is None:
+        return TchebychevReport(True, budget.used, None, None, mp_ok)
+    return TchebychevReport(False, budget.used, cert.tilt, cert, mp_ok)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,36 +396,21 @@ def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
     """
     f = _neg_half_sq(S.grid)
     budget = _Budget(max(10 * n_probes, 2000))
-    lo, hi = probe_box(f)
+    halton = _halton_probes(*probe_box(f), n_probes, seed)
     if S.size == 1:
-        for s in _halton_probes(lo, hi, n_probes, seed):
-            cert = _probe(f, S, s, budget, norm, tols)
-            if _is_witness(cert):
-                return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
-        return FarthestVerdict("SINGLETON-CONSISTENT", None, None, budget.used)
-
-    for s in _witness_candidates(f, S, _far_pairs(S)):
-        cert = _probe(f, S, s, budget, norm, tols)
-        if _is_witness(cert):
-            return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
-    for s in _halton_probes(lo, hi, n_probes, seed):
-        cert = _probe(f, S, s, budget, norm, tols)
-        if _is_witness(cert):
-            return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
-    rng = np.random.default_rng(seed)
-    for a, b in _far_pairs(S, limit=8):
-        base = _tie_tilt(f.grid.point(a), f.grid.point(b),
-                         f.value_at(a), f.value_at(b))
-        for _ in range(8):
-            jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
-            cert = _probe(f, S, base + jitter, budget, norm, tols)
-            if _is_witness(cert):
-                return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
-        found = _bisect_for_tie(f, S, base, budget, norm, tols)
-        if found is not None:
-            return FarthestVerdict("WITNESS", found.tilt, found, budget.used)
-    raise BudgetExhaustedError(
-        f"no farthest-point witness for {S.name!r} within {budget.limit} probes")
+        cert = _search(f, S, budget, norm, tols, halton)
+        if cert is None:
+            return FarthestVerdict("SINGLETON-CONSISTENT", None, None, budget.used)
+    else:
+        pairs = _far_pairs(S)
+        cert = (_search(f, S, budget, norm, tols,
+                        _witness_candidates(f, pairs), halton)
+                or _refine(f, S, pairs[:8], seed, budget, norm, tols))
+        if cert is None:
+            raise BudgetExhaustedError(
+                f"no farthest-point witness for {S.name!r} after "
+                f"{budget.used} of {budget.limit} probes")
+    return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,30 +437,15 @@ def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
     """Variational convexity test: every nearest-point problem on a convex
     set is strongly posed; a nonconvex set betrays itself by a tie."""
     f = _half_sq(S.grid)
-    mp_ok, _ = midpoint_convexity(S)
+    mp_ok, violations = midpoint_convexity(S)
     budget = _Budget(max(10 * n_probes, 2000))
-    lo, hi = probe_box(f)
-    for s in _halton_probes(lo, hi, n_probes, seed):
-        cert = _probe(f, S, s, budget, norm, tols)
-        if _is_witness(cert):
-            return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
-    for s in _witness_candidates(f, S, _violation_pairs_by_depth(S, f)):
-        cert = _probe(f, S, s, budget, norm, tols)
-        if _is_witness(cert):
-            return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
-    if mp_ok:
-        return DetectorVerdict("CONVEX-CONSISTENT", None, None, mp_ok, budget.used)
-    rng = np.random.default_rng(seed)
-    for a, b in _violation_pairs_by_depth(S, f, limit=8):
-        base = _tie_tilt(f.grid.point(a), f.grid.point(b),
-                         f.value_at(a), f.value_at(b))
-        for _ in range(8):
-            cert = _probe(f, S, base + rng.normal(scale=S.grid.max_spacing,
-                                                  size=base.shape),
-                          budget, norm, tols)
-            if _is_witness(cert):
-                return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
-        found = _bisect_for_tie(f, S, base, budget, norm, tols)
-        if found is not None:
-            return DetectorVerdict("NONCONVEX", found.tilt, found, mp_ok, budget.used)
-    return DetectorVerdict("UNRESOLVED", None, None, mp_ok, budget.used)
+    pairs = _violation_pairs_by_depth(S, violations)
+    cert = _search(f, S, budget, norm, tols,
+                   _halton_probes(*probe_box(f), n_probes, seed),
+                   _witness_candidates(f, pairs))
+    if cert is None and not mp_ok:
+        cert = _refine(f, S, pairs[:8], seed, budget, norm, tols)
+    if cert is not None:
+        return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
+    return DetectorVerdict("CONVEX-CONSISTENT" if mp_ok else "UNRESOLVED",
+                           None, None, mp_ok, budget.used)

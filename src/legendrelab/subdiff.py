@@ -26,7 +26,7 @@ def tau_sub(f: GridFunction, x_flat: int, s: Sequence[float],
     """Gap threshold for accepting s as a subgradient at x."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     s_norm = float(norm.dual.length(s))
-    return tols.tau_c * f.grid.max_spacing * (1.0 + s_norm + f.local_slope(x_flat))
+    return tols.gap_threshold(f.grid.max_spacing, s_norm, f.local_slope(x_flat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +66,7 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
     x = f.grid.point(x_flat)
     gaps = fx + f_star.dual.flat - dg.points @ x
     s_norms = norm.dual.length(dg.points)
-    taus = tols.tau_c * f.grid.max_spacing * (1.0 + s_norms + f.local_slope(x_flat))
+    taus = tols.gap_threshold(f.grid.max_spacing, s_norms, f.local_slope(x_flat))
     sel = f_star.trusted & (gaps <= taus)
     idx = np.flatnonzero(sel)
     order = np.argsort(gaps[idx], kind="stable")
@@ -190,7 +190,7 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid,
         gaps = (star.dual.flat[lo:hi, None] + fss[None, :]
                 - duals[lo:hi] @ pts.T)
         slopes = np.array([star.dual.local_slope(i) for i in range(lo, hi)])
-        taus = tols.tau_c * h_d * (1.0 + x_norms[None, :] + slopes[:, None])
+        taus = tols.gap_threshold(h_d, x_norms[None, :], slopes[:, None])
         dom_sub[lo:hi] = ((gaps <= taus) & usable[None, :]).any(axis=1)
 
     lhs = dom_mj | int_dom

@@ -17,7 +17,7 @@ class Tolerances:
         eps_fp: absolute floating-point slack on catalog scales.
         rel_fast: relative tolerance for fast-vs-brute conjugate equality.
         tau_c: scale factor in the subgradient gap threshold
-            ``tau = tau_c * h * (1 + |s|_dual + local_slope)``.
+            (``gap_threshold``).
         k_dd: number of admissible steps probed by directional derivatives.
         bicon_c: factor in ``tol_bicon = bicon_c * h_max * lipschitz_hat``.
         cert_start_steps: certification ignores shell radii below this many
@@ -51,6 +51,14 @@ class Tolerances:
         drops the first certified shell.
         """
         return self.cert_start_steps * h - 0.25 * h
+
+    def gap_threshold(self, h: float, dual_norm: float, slope: float) -> float:
+        """Largest Fenchel-Young gap a subgradient may show on a grid of
+        step ``h``: ``tau_c * h * (1 + dual_norm + slope)``.
+
+        Elementwise when ``dual_norm`` or ``slope`` are arrays.
+        """
+        return self.tau_c * h * (1.0 + dual_norm + slope)
 
 
 DEFAULT_TOLS = Tolerances()

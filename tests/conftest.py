@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import legendrelab as ll
+
+PACKAGE_ROOT = str(Path(ll.__file__).resolve().parent.parent)
+
+
+def cli_env() -> dict:
+    """Environment for ``python -m legendrelab`` subprocesses: the imported
+    package's root leads PYTHONPATH, so they run from a plain checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture

@@ -20,6 +20,8 @@ from legendrelab.generators import (random_convex_1d, random_grid_function)
 from legendrelab.report_io import read_json
 from legendrelab.tolerances import DEFAULT_TOLS
 
+from conftest import cli_env
+
 REL_TOL = 1e-12       # fast-vs-brute relative equality
 FY_FLOOR = -1e-9      # Fenchel-Young gap floor
 HESS_TOL = 1e-6       # closed-form Hessian agreement
@@ -237,11 +239,13 @@ def test_criterion_09_farthest_point_experiment():
     v = ll.farthest_point_experiment(make_set("singleton", g),
                                      n_probes=200, seed=42)
     assert v.kind == "SINGLETON-CONSISTENT"
+    assert v.probes_used == 200
     found = {}
     for name in ("pair", "segment", "circle", "square"):
         v = ll.farthest_point_experiment(make_set(name, g), n_probes=200,
                                          seed=42)
         assert v.kind == "WITNESS", name
+        assert v.probes_used == 1, name     # the farthest pair's tie tilt
         found[name] = v.witness_tilt
     _ok("criterion 9: farthest-point experiment",
         f"singleton consistent; witnesses for {sorted(found)}")
@@ -251,11 +255,16 @@ def test_criterion_10_convexity_detector():
     g = ll.grid_2d(-2.0, 2.0, 101)
     all_sets = ("box", "disk", "half_plane", "hexagon", "segment",
                 "annulus", "crescent", "two_point")
+    # Halton probes first; a convex set spends exactly those, a nonconvex
+    # one stops at its first witness (two_point: the first Halton probe)
+    probes = {"box": 200, "disk": 200, "half_plane": 200, "hexagon": 200,
+              "segment": 200, "annulus": 217, "crescent": 202, "two_point": 1}
     kinds = {}
     for name in all_sets:
         v = ll.convexity_detector(make_set(name, g), n_probes=200, seed=42)
         kinds[name] = v.kind
         assert v.agreement, name
+        assert v.probes_used == probes[name], name
     for name in ("box", "disk", "half_plane", "hexagon", "segment"):
         assert kinds[name] == "CONVEX-CONSISTENT", name
     for name in ("annulus", "crescent", "two_point"):
@@ -289,7 +298,7 @@ def test_criterion_12_determinism_and_budget(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "legendrelab", "verify-paper",
              "--experiment", "all", "--seed", "42", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "PASS  overall" in proc.stdout
         manifests.append(read_json(out / "manifest.json"))

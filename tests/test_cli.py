@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -9,8 +8,11 @@ import legendrelab as ll
 from legendrelab import report_io as rio
 from legendrelab.cli import main, parse_grid_spec
 
+from conftest import PACKAGE_ROOT, cli_env
+
 
 def run_cli(args, **kw):
+    kw.setdefault("env", cli_env())
     return subprocess.run([sys.executable, "-m", "legendrelab", *args],
                           capture_output=True, text=True, **kw)
 
@@ -61,6 +63,24 @@ def test_classify_subcommand(tmp_path, capsys):
     assert doc["verdicts"]["essentially_strictly_convex"]["verdict"] is False
     text = capsys.readouterr().out
     assert "chain_ok=True" in text
+
+
+def test_classify_subcommand_conjugates_twice(monkeypatch, capsys):
+    """The --samples plan reuses the classification's own f*: one f* and
+    one f**, no extra conjugation."""
+    conj_mod = sys.modules["legendrelab.conjugate"]
+    calls = []
+    fast = conj_mod.conjugate_fast
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fast(*args, **kwargs)
+
+    monkeypatch.setattr(conj_mod, "conjugate_fast", counting)
+    code = main(["classify", "--catalog", "halfsq", "--samples", "12"])
+    assert code == 0
+    assert len(calls) == 2
+    assert "chain_ok=True" in capsys.readouterr().out
 
 
 def test_modulus_subcommand(tmp_path):
@@ -123,11 +143,10 @@ def test_verify_paper_determinism_small(tmp_path):
 
 
 def test_ll_threads_env_accepted(tmp_path):
-    package_root = str(Path(ll.__file__).resolve().parent.parent)
     proc = run_cli(["verify-paper", "--experiment", "domain-chain",
                     "--out", str(tmp_path / "o")],
                    env={"LL_THREADS": "1", "PATH": "/usr/bin:/bin",
-                        "HOME": "/root", "PYTHONPATH": package_root})
+                        "HOME": "/root", "PYTHONPATH": PACKAGE_ROOT})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 

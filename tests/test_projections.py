@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import legendrelab as ll
+from legendrelab import projections
 from legendrelab.catalog import make_set
-from legendrelab.errors import InfeasibleProblemError
+from legendrelab.errors import BudgetExhaustedError, InfeasibleProblemError
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,59 @@ def test_detector_nonconvex_sets(grid, name):
     assert v.kind == "NONCONVEX"
     assert v.agreement
     assert v.witness is not None
+
+
+def bernoulli_set(seed):
+    """Seeded 5% Bernoulli mask on a 41x41 grid over [-2, 2]^2."""
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    mask = np.random.default_rng(seed).random(g.size) < 0.05
+    return ll.ConstraintSet(g, mask, f"bernoulli{seed}")
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    """Results of every bisection the searches run, in call order."""
+    out = []
+    bisect = projections._bisect_for_tie
+
+    def recording(*args, **kwargs):
+        out.append(bisect(*args, **kwargs))
+        return out[-1]
+
+    monkeypatch.setattr(projections, "_bisect_for_tie", recording)
+    return out
+
+
+def test_farthest_witness_found_by_bisection(bisections):
+    """Far-pair ties (24), Halton probes (200) and the first pair's 8
+    jittered ties all miss; the first bisection ray finds the tie."""
+    v = ll.farthest_point_experiment(bernoulli_set(4), n_probes=200, seed=42)
+    assert v.kind == "WITNESS"
+    assert v.probes_used == 262
+    assert len(bisections) == 1 and bisections[0] is v.witness
+    assert not v.witness.strong
+    assert np.allclose(v.witness_tilt, [-0.23589854134292798,
+                                        -0.05000000310114716], atol=1e-12)
+
+
+def test_farthest_budget_exhausted_reports_probes_spent(bisections):
+    """All 8 refine pairs fail: 224 + 8 x (8 jittered + 64 bisection)."""
+    with pytest.raises(BudgetExhaustedError, match="after 800 of 2000 probes"):
+        ll.farthest_point_experiment(bernoulli_set(0), n_probes=200, seed=42)
+    assert len(bisections) == 8 and all(b is None for b in bisections)
+
+
+def test_detector_unresolved_when_ties_sit_on_grid_edge(bisections):
+    """Both points on the bottom grid edge: every tie is an edge artifact,
+    so the search runs Halton, the violation tie, jitter and one bisection
+    (200 + 1 + 8 + 64 probes) and stays unresolved."""
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    S = ll.ConstraintSet.from_points(g, [(-2.0, -2.0), (2.0, -2.0)], "edge")
+    v = ll.convexity_detector(S, n_probes=200, seed=42)
+    assert v.kind == "UNRESOLVED"
+    assert v.probes_used == 273
+    assert not v.midpoint_convex and not v.agreement
+    assert bisections == [None]
 
 
 def test_constraint_set_from_points_snaps(grid):
