@@ -5,7 +5,19 @@ max-plus fast transform, O(n*m) per axis), Fenchel-Young subgradient
 estimation, shell-infimum moduli of firm subdifferentiability / total
 convexity / well-posedness, a convexity-hierarchy classifier, and
 relative-projection experiments on grid sets.
+
+``LL_THREADS=<n>`` caps the BLAS and OpenMP thread pools. The cap is set
+here, before any submodule imports numpy, because the pools are sized when
+numpy loads; it has no effect if numpy was imported first, and it never
+overrides a thread variable that is already set.
 """
+
+import os as _os
+
+if _os.environ.get("LL_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["LL_THREADS"])
 
 from .catalog import CatalogEntry, entries, entry, make_set
 from .classify import (ClassificationReport, SamplePlan, classify,
@@ -18,7 +30,7 @@ from .errors import (BudgetExhaustedError, EmptyDomainError,
                      IoFailureError, LegendreLabError, NoAdmissibleStepError,
                      NotASubgradientError, PointOutsideDomainError,
                      SchemaViolationError)
-from .grids import (Grid, GridFunction, NormChoice, Shell,
+from .grids import (Grid, GridFunction, NormChoice, Shell, ShellLadder,
                     build_grid_function, grid_1d, grid_2d, shell,
                     shell_ladder)
 from .moduli import (CoercivityReport, Gamma0Certificate, Modulus,

@@ -2,20 +2,20 @@
 
 Subcommands: conjugate, classify, modulus, project, tchebychev,
 verify-paper. Exit codes: 0 all checked properties hold, 1 a property
-failed, 2 usage error. Set LL_THREADS to cap BLAS thread pools.
+failed, 2 usage error. Set LL_THREADS to cap BLAS thread pools (applied
+when the package is imported, see ``legendrelab``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .catalog import SET_NAMES, entry, make_set
+from .catalog import SET_NAMES, CatalogEntry, entry, make_set
 from .classify import classify
 from .conjugate import conjugate
 from .errors import LegendreLabError
@@ -33,42 +33,62 @@ from .tolerances import DEFAULT_TOLS
 DEFAULT_DUAL_SPEC = "-3,3,201"
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LL_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+class UsageError(ValueError):
+    """Malformed command-line input; ``main`` reports it and returns 2."""
 
 
 def parse_grid_spec(spec: str) -> Grid:
     """Parse 'lb,ub,n' per axis, axes joined by ';'."""
-    bounds = []
-    counts = []
-    for axis in spec.split(";"):
-        lo, hi, n = axis.split(",")
-        bounds.append((float(lo), float(hi)))
-        counts.append(int(n))
-    return Grid(tuple(bounds), tuple(counts))
+    try:
+        bounds = []
+        counts = []
+        for axis in spec.split(";"):
+            lo, hi, n = axis.split(",")
+            bounds.append((float(lo), float(hi)))
+            counts.append(int(n))
+        return Grid(tuple(bounds), tuple(counts))
+    except ValueError as err:
+        raise UsageError(f"bad grid spec {spec!r} (want 'lb,ub,n' per "
+                         f"axis, joined by ';'): {err}") from None
 
 
-def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(c) for c in text.split(",")])
+def _parse_floats(text: str, option: str) -> list[float]:
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{option} wants comma-separated numbers, "
+                         f"got {text!r}") from None
+
+
+def _parse_point(text: str, grid: Grid, option: str) -> np.ndarray:
+    """A point or dual vector with one finite coordinate per grid axis."""
+    point = np.array(_parse_floats(text, option))
+    if point.size != grid.dim or not np.isfinite(point).all():
+        raise UsageError(f"{option} wants {grid.dim} finite "
+                         f"coordinate(s), got {text!r}")
+    return point
+
+
+def _catalog_entry(entry_id: str) -> CatalogEntry:
+    try:
+        return entry(entry_id)
+    except KeyError as err:
+        raise UsageError(err.args[0]) from None
 
 
 def _load_function(args) -> GridFunction:
     if args.catalog:
-        return entry(args.catalog).build()
+        return _catalog_entry(args.catalog).build()
     if args.input:
         return read_grid_function(args.input)
-    raise SystemExit("one of --catalog or --input is required")
+    raise UsageError("one of --catalog or --input is required")
 
 
 def _dual_grid_for(args, f: GridFunction) -> Grid:
     if args.dual_grid:
         return parse_grid_spec(args.dual_grid)
     if args.catalog:
-        return entry(args.catalog).dual_grid
+        return _catalog_entry(args.catalog).dual_grid
     return parse_grid_spec(";".join([DEFAULT_DUAL_SPEC] * f.grid.dim))
 
 
@@ -108,21 +128,27 @@ def _cmd_classify(args) -> int:
 
 def _cmd_modulus(args) -> int:
     f = _load_function(args)
-    radii = ([float(t) for t in args.radii.split(",")] if args.radii else None)
+    radii = None
+    if args.radii:
+        radii = _parse_floats(args.radii, "--radii")
+        if not all(0.0 < t < np.inf for t in radii):
+            raise UsageError("--radii wants positive finite radii, "
+                             f"got {args.radii!r}")
     if args.kind == "wellposed":
         if not args.subgradient:
-            raise SystemExit("--subgradient supplies the tilt for --kind wellposed")
-        s = _parse_point(args.subgradient)
+            raise UsageError("--subgradient supplies the tilt for --kind wellposed")
+        s = _parse_point(args.subgradient, f.grid, "--subgradient")
         mod, rep = wellposedness_modulus(f, s, radii=radii)
         verdict = f"strong={rep.strong} minimizer={f.grid.point(rep.minimizer)}"
     else:
         if not args.at:
-            raise SystemExit("--at is required for firm/total moduli")
-        x = f.grid.index_of_nearest(_parse_point(args.at))
+            raise UsageError("--at is required for firm/total moduli")
+        x = f.grid.index_of_nearest(_parse_point(args.at, f.grid, "--at"))
         if args.kind == "firm":
             if not args.subgradient:
-                raise SystemExit("--subgradient is required for --kind firm")
-            mod = firm_modulus(f, x, _parse_point(args.subgradient), radii=radii)
+                raise UsageError("--subgradient is required for --kind firm")
+            mod = firm_modulus(f, x, _parse_point(args.subgradient, f.grid,
+                                                  "--subgradient"), radii=radii)
         else:
             mod = total_convexity_modulus(f, x, radii=radii)
         min_r = DEFAULT_TOLS.cert_min_radius(f.grid.max_spacing)
@@ -136,7 +162,8 @@ def _cmd_modulus(args) -> int:
 def _cmd_project(args) -> int:
     f = entry(args.f).build() if args.f in _catalog_ids() else read_grid_function(args.f)
     S = _load_set(args.set, f.grid)
-    cert = solve_relative_projection(f, S, _parse_point(args.tilt))
+    s = _parse_point(args.tilt, f.grid, "--tilt")
+    cert = solve_relative_projection(f, S, s)
     payload = {
         "kind": "projection_certificate",
         "function": cert.function, "constraint": cert.constraint,
@@ -272,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except LegendreLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

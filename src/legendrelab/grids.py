@@ -2,14 +2,21 @@
 
 Values are plain float64 arrays where ``+inf`` is the out-of-domain
 sentinel. ``-inf`` and ``nan`` are never stored; constructors reject them.
+
+A shell ladder is a window of a band stencil: the band of a grid point
+about a center depends only on their index offset, so one stencil over the
+doubled index lattice, built once per (grid, norm, step), holds the band
+of every offset, and the ladder about any center is the slice of it that
+covers the grid, sorted once by band.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,8 +62,8 @@ class Grid:
         if len(self.bounds) != len(self.counts) or not self.bounds:
             raise ValueError("bounds and counts must be nonempty and same length")
         for (lo, hi), n in zip(self.bounds, self.counts):
-            if not lo < hi:
-                raise ValueError(f"need lb < ub per axis, got [{lo}, {hi}]")
+            if not (lo < hi and hi - lo < INF):
+                raise ValueError(f"need finite lb < ub per axis, got [{lo}, {hi}]")
             if n < 2:
                 raise ValueError(f"need at least 2 points per axis, got {n}")
 
@@ -70,7 +77,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @cached_property
     def spacing(self) -> tuple[float, ...]:
@@ -220,19 +227,27 @@ class GridFunction:
                 best = max(best, float(np.abs(d[ok]).max()) / self.grid.spacing[ax])
         return best
 
+    @cached_property
+    def local_slopes(self) -> np.ndarray:
+        """Flat array of ``local_slope`` at every grid point."""
+        fin = np.isfinite(self.values)
+        best = np.zeros(self.grid.shape)
+        for ax, coords in enumerate(self.grid.axes):
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            step = np.diff(coords).reshape((-1,) + (1,) * (self.grid.dim - ax - 1))
+            with np.errstate(invalid="ignore"):
+                q = np.abs(np.diff(self.values, axis=ax)) / step
+            q[~(fin[lo] & fin[hi])] = 0.0     # a pair leaving dom f has no slope
+            np.maximum(best[lo], q, out=best[lo])
+            np.maximum(best[hi], q, out=best[hi])
+        flat = best.ravel()
+        flat.flags.writeable = False
+        return flat
+
     def local_slope(self, flat: int) -> float:
         """Largest one-step slope magnitude at a point, over in-domain neighbors."""
-        fx = self.value_at(flat)
-        if not np.isfinite(fx):
-            return 0.0
-        best = 0.0
-        x = self.grid.point(flat)
-        for nb in self.grid.neighbors(flat):
-            fn = self.value_at(nb)
-            if np.isfinite(fn):
-                step = float(NormChoice.LINF.length(self.grid.point(nb) - x))
-                best = max(best, abs(fn - fx) / step)
-        return best
+        return float(self.local_slopes[int(flat)])
 
     def tilted(self, s: Sequence[float]) -> np.ndarray:
         """Flat array of f(x) - <x, s>."""
@@ -284,8 +299,30 @@ class Shell:
         return self.members.size == 0
 
 
-def distances_from(grid: Grid, center: int, norm: NormChoice = NormChoice.L2) -> np.ndarray:
-    return norm.length(grid.points - grid.point(center))
+@dataclass(frozen=True, eq=False)
+class ShellLadder:
+    """Shells about one center, their members stored back to back:
+    shell k holds ``members[starts[k]:starts[k + 1]]``, ascending."""
+
+    grid: Grid
+    center: int
+    norm: NormChoice
+    radii: np.ndarray      # one per shell
+    half_width: float
+    members: np.ndarray    # flat indices, shell by shell
+    starts: np.ndarray     # len(radii) + 1 offsets into members
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    def __getitem__(self, k: int) -> Shell:
+        k = range(len(self))[k]
+        return Shell(self.grid, self.center, float(self.radii[k]),
+                     self.half_width, self.norm,
+                     self.members[self.starts[k]:self.starts[k + 1]])
+
+    def __iter__(self) -> Iterator[Shell]:
+        return (self[k] for k in range(len(self)))
 
 
 def shell(grid: Grid, center: int, radius: float,
@@ -300,35 +337,54 @@ def shell(grid: Grid, center: int, radius: float,
     if radius <= 0:
         raise ValueError("shell radius must be positive")
     w = grid.max_spacing / 2.0 if half_width is None else float(half_width)
-    d = distances_from(grid, center, norm)
+    d = norm.length(grid.points - grid.point(center))
     sel = (np.abs(d - radius) <= w) & (d > 0)
     return Shell(grid, int(center), float(radius), w, norm,
                  members=np.flatnonzero(sel))
 
 
+# Stencils kept at once; the largest in use (401^2 int16) is about 320 KB.
+_STENCIL_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_STENCIL_CACHE_SIZE)
+def _band_stencil(grid: Grid, norm: NormChoice, step: float) -> np.ndarray:
+    """Band ``floor(|offset * spacing| / step + 1/2)`` of every index offset.
+
+    Axis i runs over offsets -(n_i - 1) .. n_i - 1, so offset 0 sits at
+    index n_i - 1. ``int16`` (for numpy's radix argsort) unless the largest
+    band does not fit.
+    """
+    offsets = np.meshgrid(*(np.arange(1 - n, n) * h
+                            for n, h in zip(grid.counts, grid.spacing)),
+                          indexing="ij")
+    band = np.floor(norm.length(np.stack(offsets, axis=-1)) / step + 0.5)
+    small = band.max() <= np.iinfo(np.int16).max
+    out = band.astype(np.int16 if small else np.int32)
+    out.flags.writeable = False
+    return out
+
+
 def shell_ladder(grid: Grid, center: int,
                  norm: NormChoice = NormChoice.L2,
                  step: float | None = None,
-                 max_radius: float | None = None) -> list[Shell]:
+                 max_radius: float | None = None) -> ShellLadder:
     """Disjoint shells at radii step, 2*step, ... covering the whole grid.
 
     Every grid point other than the center lands in exactly one band (the
-    nearest multiple of ``step``).
+    nearest multiple of ``step``); points within half a step of the center
+    land in none.
     """
     step = grid.max_spacing if step is None else float(step)
-    d = distances_from(grid, center, norm)
-    if max_radius is None:
-        max_radius = float(d.max())
-    kmax = max(int(np.floor(max_radius / step + 0.5)), 1)
-    band = np.floor(d / step + 0.5).astype(int)
-    order = np.argsort(band, kind="stable")
-    bands_sorted = band[order]
-    shells = []
-    lo = np.searchsorted(bands_sorted, 1, side="left")
-    for k in range(1, kmax + 1):
-        hi = np.searchsorted(bands_sorted, k, side="right")
-        members = np.sort(order[lo:hi])
-        members = members[members != center]
-        shells.append(Shell(grid, int(center), k * step, step / 2.0, norm, members))
-        lo = hi
-    return shells
+    multi = grid.unravel_index(center)
+    window = _band_stencil(grid, norm, step)[
+        tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(grid.counts, multi))]
+    bands = window.ravel()
+    order = np.argsort(bands, kind="stable")
+    ranked = bands[order]
+    kmax = int(ranked[-1] if max_radius is None
+               else np.floor(max_radius / step + 0.5))
+    starts = np.searchsorted(ranked, np.arange(1, max(kmax, 1) + 2))
+    return ShellLadder(grid, int(center), norm, np.arange(1, len(starts)) * step,
+                       step / 2.0, order[starts[0]:starts[-1]],
+                       starts - starts[0])

@@ -19,7 +19,8 @@ import numpy as np
 from .conjugate import conjugate_value
 from .errors import (InfeasibleProblemError, InsufficientDataError,
                      NotASubgradientError, PointOutsideDomainError)
-from .grids import Grid, GridFunction, NormChoice, Shell, shell_ladder
+from .grids import (Grid, GridFunction, NormChoice, ShellLadder, shell,
+                    shell_ladder)
 from .subdiff import tau_sub
 from .tolerances import DEFAULT_TOLS, Tolerances
 
@@ -104,34 +105,48 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
     return stack
 
 
-def _shell_minima(gaps: np.ndarray, shells: Sequence[Shell],
+def _shell_minima(gaps: np.ndarray, ladder: ShellLadder,
                   feasible: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    radii = np.array([sh.radius for sh in shells])
-    values = np.full(len(shells), math.inf)
-    empty = np.zeros(len(shells), dtype=bool)
-    witnesses = np.full(len(shells), -1, dtype=np.int64)
-    for i, sh in enumerate(shells):
-        mem = sh.members
-        if feasible is not None:
-            mem = mem[feasible[mem]]
-        if mem.size == 0:
-            empty[i] = True
-            continue
-        vals = gaps[mem]
-        j = int(np.argmin(vals))
-        values[i] = vals[j]
-        if np.isfinite(vals[j]):
-            witnesses[i] = mem[j]
-    return radii, values, empty, witnesses
+    """Per shell: the least gap over feasible members, whether no member
+    is feasible, and the first member attaining a finite least gap (-1
+    if none), as one grouped pass over the ladder's members."""
+    mem = ladder.members
+    starts = ladder.starts[:-1]
+    vals = gaps[mem]
+    empty = starts == ladder.starts[1:]
+    # reduceat needs every start to name an element, so the per-member
+    # arrays get one neutral pad for empty shells at the end of the ladder
+    if feasible is not None:
+        ok = feasible[mem]
+        vals = np.where(ok, vals, math.inf)
+        empty |= ~np.logical_or.reduceat(np.append(ok, False), starts)
+    values = np.full(len(ladder), math.inf)
+    witnesses = np.full(len(ladder), -1, dtype=np.int64)
+    if empty.all():
+        return ladder.radii, values, empty, witnesses
+    filled = np.flatnonzero(~empty)
+    seg_min = np.minimum.reduceat(np.append(vals, math.inf), starts)
+    hits = np.flatnonzero(vals == np.repeat(seg_min, np.diff(ladder.starts)))
+    first = hits[np.searchsorted(hits, starts[filled])]
+    values[filled] = vals[first]
+    found = np.isfinite(vals[first])
+    witnesses[filled[found]] = mem[first[found]]
+    return ladder.radii, values, empty, witnesses
 
 
 def _ladder(grid: Grid, center: int, norm: NormChoice,
-            radii: Sequence[float] | None) -> list[Shell]:
+            radii: Sequence[float] | None) -> ShellLadder:
     if radii is None:
         return shell_ladder(grid, center, norm=norm)
-    from .grids import shell as _shell
-    return [_shell(grid, center, float(t), norm=norm) for t in radii]
+    shells = [shell(grid, center, float(t), norm=norm) for t in radii]
+    sizes = [sh.members.size for sh in shells]
+    return ShellLadder(grid, int(center), norm,
+                       np.array([sh.radius for sh in shells]),
+                       grid.max_spacing / 2.0,
+                       np.concatenate([np.empty(0, np.int64),
+                                       *(sh.members for sh in shells)]),
+                       np.cumsum([0, *sizes]))
 
 
 def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
@@ -156,8 +171,8 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
             f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
     tilted = f.tilted(s)
     gaps = tilted - tilted[x_flat]
-    shells = _ladder(f.grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, shells, feasible)
+    ladder = _ladder(f.grid, x_flat, norm, radii)
+    radii_a, values, empty, wit = _shell_minima(gaps, ladder, feasible)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
                    tilt=tuple(float(c) for c in s))
 
@@ -296,8 +311,8 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     gaps = np.full(n, math.inf)
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
-    shells = _ladder(grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, shells)
+    ladder = _ladder(grid, x_flat, norm, radii)
+    radii_a, values, empty, wit = _shell_minima(gaps, ladder)
     return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm)
 
 
@@ -409,8 +424,8 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     boundary_descent = (not grid.interior_flat[cluster].any()
                         and _edge_descent(grid, cand, cluster, mval + eps))
     gaps = cand - cand[x_hat]
-    shells = _ladder(grid, x_hat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, shells, feasible)
+    ladder = _ladder(grid, x_hat, norm, radii)
+    radii_a, values, empty, wit = _shell_minima(gaps, ladder, feasible)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s))
     pos, cert, note = certification_verdict(
@@ -443,8 +458,8 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
         return CoercivityReport(False, x_hat,
                                 "minimum on grid edge with outward descent")
 
-    shells = shell_ladder(grid, x_hat, norm=norm)
-    radii, values, empty, _ = _shell_minima(tilted - mval, shells)
+    ladder = shell_ladder(grid, x_hat, norm=norm)
+    radii, values, empty, _ = _shell_minima(tilted - mval, ladder)
     outer = (~empty) & (radii > radii[-1] / 2.0)
     if not outer.any():
         return CoercivityReport(False, x_hat, "no usable outer shells")

@@ -39,7 +39,12 @@ def _decode_value(v: Any, where: str) -> float:
     if v == _INF_TOKEN:
         return math.inf
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        try:
+            x = float(v)
+        except OverflowError:      # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
     raise SchemaViolationError(f"bad value {v!r} in {where}")
 
 
@@ -97,14 +102,27 @@ def _parse_grid_header(doc: dict, where: str) -> Grid:
     for key in ("dim", "bounds", "counts"):
         if key not in doc:
             raise SchemaViolationError(f"{where}: missing key {key!r}")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
-    counts = tuple(int(n) for n in doc["counts"])
+    try:
+        bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
+        counts = tuple(int(n) for n in doc["counts"])
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SchemaViolationError(
+            f"{where}: malformed bounds or counts: {err}") from None
     if len(bounds) != doc["dim"] or len(counts) != doc["dim"]:
         raise SchemaViolationError(f"{where}: header lengths disagree with dim")
     try:
         return Grid(bounds, counts)
     except ValueError as err:
         raise SchemaViolationError(f"{where}: {err}") from err
+
+
+def _read_document(path: str | Path, kind: str) -> dict:
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise SchemaViolationError(f"{path}: kind is not {kind}")
+    if not isinstance(doc.get("name", ""), str):
+        raise SchemaViolationError(f"{path}: name is not a string")
+    return doc
 
 
 def write_grid_function(f: GridFunction, path: str | Path,
@@ -116,9 +134,7 @@ def write_grid_function(f: GridFunction, path: str | Path,
 
 
 def read_grid_function(path: str | Path) -> GridFunction:
-    doc = read_json(path)
-    if doc.get("kind") != "grid_function":
-        raise SchemaViolationError(f"{path}: kind is not grid_function")
+    doc = _read_document(path, "grid_function")
     grid = _parse_grid_header(doc, str(path))
     values = doc.get("values")
     if not isinstance(values, list) or len(values) != grid.size:
@@ -138,9 +154,7 @@ def write_mask(grid: Grid, mask: np.ndarray, path: str | Path,
 
 
 def read_mask(path: str | Path) -> tuple[Grid, np.ndarray, str]:
-    doc = read_json(path)
-    if doc.get("kind") != "grid_mask":
-        raise SchemaViolationError(f"{path}: kind is not grid_mask")
+    doc = _read_document(path, "grid_mask")
     grid = _parse_grid_header(doc, str(path))
     values = doc.get("values")
     if not isinstance(values, list) or len(values) != grid.size:
@@ -185,11 +199,17 @@ def read_modulus_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if not lines or lines[0] != "t,value,empty":
         raise SchemaViolationError(f"{path}: missing modulus CSV header")
     ts, vs, es = [], [], []
-    for ln in lines[1:]:
-        t, v, e = ln.split(",")
-        ts.append(float(t))
-        vs.append(math.inf if v == _INF_TOKEN else float(v))
-        es.append(bool(int(e)))
+    for row, ln in enumerate(lines[1:], start=2):
+        try:
+            t, v, e = ln.split(",")
+            if e not in ("0", "1"):
+                raise ValueError(f"empty flag {e!r} is not 0 or 1")
+            ts.append(float(t))
+            vs.append(math.inf if v == _INF_TOKEN else float(v))
+        except ValueError as err:
+            raise SchemaViolationError(
+                f"{path}: line {row} is not a 't,value,empty' row: {err}") from None
+        es.append(e == "1")
     return np.array(ts), np.array(vs), np.array(es, dtype=bool)
 
 

@@ -189,7 +189,7 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid,
         hi = min(lo + chunk, dual_grid.size)
         gaps = (star.dual.flat[lo:hi, None] + fss[None, :]
                 - duals[lo:hi] @ pts.T)
-        slopes = np.array([star.dual.local_slope(i) for i in range(lo, hi)])
+        slopes = star.dual.local_slopes[lo:hi]
         taus = tols.gap_threshold(h_d, x_norms[None, :], slopes[:, None])
         dom_sub[lo:hi] = ((gaps <= taus) & usable[None, :]).any(axis=1)
 

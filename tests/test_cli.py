@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import legendrelab as ll
 from legendrelab import report_io as rio
@@ -27,6 +29,47 @@ def test_parse_grid_spec():
 def test_usage_error_exits_2():
     proc = run_cli(["conjugate", "--method", "nope", "--out", "/tmp/x"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["conjugate", "--catalog", "halfsq", "--dual-grid=-3,3"],
+                 id="dual-grid-missing-count"),
+    pytest.param(["conjugate", "--catalog", "halfsq", "--dual-grid=-3,3,many"],
+                 id="dual-grid-bad-count"),
+    pytest.param(["conjugate", "--catalog", "halfsq", "--dual-grid", "3,-3,11"],
+                 id="dual-grid-reversed"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "zero"], id="at-not-a-number"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "0,0"], id="at-wrong-dimension"),
+    pytest.param(["modulus", "--catalog", "abs", "--kind", "wellposed",
+                  "--subgradient", "1;2"], id="subgradient-not-a-number"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "firm",
+                  "--at", "0", "--subgradient", "nan"], id="subgradient-nan"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "0", "--radii", "0.5,half"], id="radii-not-a-number"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "0", "--radii", "0.5,-1"], id="radii-negative"),
+    pytest.param(["modulus", "--kind", "total", "--at", "0"], id="no-function"),
+    pytest.param(["classify", "--catalog", "no_such_entry"],
+                 id="unknown-catalog"),
+    pytest.param(["project", "--f", "halfsq2", "--set", "square", "--tilt", "2"],
+                 id="tilt-wrong-dimension"),
+])
+def test_usage_errors_exit_2_with_message(argv, tmp_path, capsys):
+    if argv[0] != "classify":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_unknown_catalog_exits_2_without_traceback():
+    proc = run_cli(["classify", "--catalog", "no_such_entry"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown catalog entry")
+    assert "Traceback" not in proc.stderr
 
 
 def test_conjugate_subcommand(tmp_path):
@@ -149,6 +192,24 @@ def test_ll_threads_env_accepted(tmp_path):
                         "HOME": "/root", "PYTHONPATH": PACKAGE_ROOT})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from Linux procfs")
+def test_ll_threads_caps_threads_at_import():
+    env = {k: v for k, v in cli_env().items() if k not in THREAD_VARS}
+    env["LL_THREADS"] = "1"
+    code = ("import legendrelab\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('Threads:')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_catalog_listing(capsys):

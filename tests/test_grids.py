@@ -127,3 +127,109 @@ def test_with_mask_builds_indicator_sum():
     fm = f.with_mask(keep)
     assert np.isfinite(fm.flat[2])
     assert np.isinf(fm.flat[0])
+
+
+# -- band-stencil shell ladders ------------------------------------------
+
+ANISO = ll.grid_2d(-2.0, 2.0, 7, -1.0, 3.0, 5)
+
+
+@st.composite
+def grid_and_center(draw):
+    """1D-3D grids (square and anisotropic) with a center that is often on
+    an edge or a corner."""
+    dim = draw(st.integers(1, 3))
+    top = (40, 15, 7)[dim - 1]
+    bounds, counts, multi = [], [], []
+    for _ in range(dim):
+        lo = draw(st.sampled_from([-2.0, -1.0, 0.0, 0.5]))
+        bounds.append((lo, lo + draw(st.sampled_from([1.0, 2.0, 3.0, 4.0]))))
+        n = draw(st.integers(2, top))
+        counts.append(n)
+        multi.append(draw(st.one_of(st.sampled_from([0, n - 1]),
+                                    st.integers(0, n - 1))))
+    grid = ll.Grid(tuple(bounds), tuple(counts))
+    return grid, grid.ravel_index(multi)
+
+
+def pointwise_band(grid, center, flat, norm, step):
+    """The band of one grid point, from its index offset to the center."""
+    offset = (np.array(grid.unravel_index(flat))
+              - np.array(grid.unravel_index(center)))
+    length = float(norm.length(offset * np.array(grid.spacing)))
+    return math.floor(length / step + 0.5)
+
+
+def check_ladder(grid, center, norm):
+    ladder = ll.shell_ladder(grid, center, norm=norm)
+    step = grid.max_spacing
+    bands = {flat: pointwise_band(grid, center, flat, norm, step)
+             for flat in range(grid.size)}
+    assert len(ladder) == max(max(bands.values()), 1)
+    assert np.array_equal(ladder.radii, np.arange(1, len(ladder) + 1) * step)
+    for k, sh in enumerate(ladder, start=1):
+        assert sh.radius == k * step and sh.half_width == step / 2.0
+        assert (np.diff(sh.members) > 0).all()
+        assert all(bands[int(m)] == k for m in sh.members)
+    # the bands partition the points at least half a step from the center
+    away = [flat for flat, b in bands.items() if b >= 1]
+    assert center not in away
+    assert sorted(ladder.members.tolist()) == away
+    assert ladder.members.size == len(away)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gc=grid_and_center(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_ladder_bands_match_pointwise_offsets(gc, norm):
+    check_ladder(*gc, norm)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("multi", [(0, 0), (6, 4), (0, 4), (3, 0), (3, 2), (6, 1)])
+def test_ladder_on_anisotropic_grid_edges_and_corners(norm, multi):
+    check_ladder(ANISO, ANISO.ravel_index(multi), norm)
+
+
+def test_ladder_sequence_api():
+    g = ll.grid_2d(-1.0, 1.0, 9)
+    ladder = ll.shell_ladder(g, g.index_of_nearest([0.0, 0.0]))
+    shells = list(ladder)
+    assert len(shells) == len(ladder)
+    assert ladder[-1].radius == shells[-1].radius
+    assert np.array_equal(ladder[0].members, shells[0].members)
+    with pytest.raises(IndexError):
+        ladder[len(ladder)]
+    short = ll.shell_ladder(g, ladder.center, max_radius=0.5)
+    assert len(short) == 2
+    assert all(np.array_equal(a.members, b.members)
+               for a, b in zip(short, ladder))
+
+
+def local_slope_loop(f, flat):
+    """Reference: the largest one-step slope over in-domain neighbors."""
+    fx = f.value_at(flat)
+    if not np.isfinite(fx):
+        return 0.0
+    best = 0.0
+    x = f.grid.point(flat)
+    for nb in f.grid.neighbors(flat):
+        fn = f.value_at(nb)
+        if np.isfinite(fn):
+            step = float(ll.NormChoice.LINF.length(f.grid.point(nb) - x))
+            best = max(best, abs(fn - fx) / step)
+    return best
+
+
+@pytest.mark.parametrize("grid", [
+    ll.grid_1d(-1.0, 1.0, 31), ll.grid_2d(-2.0, 2.0, 21), ANISO,
+    ll.Grid(((0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)), (5, 4, 6))],
+    ids=["1d", "2d", "2d-aniso", "3d"])
+def test_local_slopes_equal_per_point_loop(grid):
+    rng = np.random.default_rng(grid.size)
+    vals = rng.normal(size=grid.size) * 3.0
+    vals[rng.random(grid.size) < 0.2] = math.inf
+    vals[0] = 0.0
+    f = ll.GridFunction(grid, vals)
+    want = np.array([local_slope_loop(f, i) for i in range(grid.size)])
+    assert f.local_slopes.tobytes() == want.tobytes()
+    assert all(f.local_slope(i) == want[i] for i in range(grid.size))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import legendrelab as ll
+from legendrelab import moduli
 from legendrelab.catalog import entry
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
                                 NotASubgradientError)
@@ -279,3 +282,94 @@ def test_moduli_respect_norm_choice():
     v, _ = at_radius(m_inf, 0.5)
     # linf shell of radius t contains the axis points at distance t
     assert 0 < v <= 0.5 * 0.5 ** 2 + 1e-9
+
+
+# -- grouped shell minima --------------------------------------------------
+
+def shell_minima_loop(gaps, shells, feasible=None):
+    """Reference: one shell at a time, the first argmin of the feasible
+    members' gaps; a witness only where that minimum is finite."""
+    radii = np.array([sh.radius for sh in shells])
+    values = np.full(len(shells), math.inf)
+    empty = np.zeros(len(shells), dtype=bool)
+    witnesses = np.full(len(shells), -1, dtype=np.int64)
+    for i, sh in enumerate(shells):
+        mem = sh.members
+        if feasible is not None:
+            mem = mem[feasible[mem]]
+        if mem.size == 0:
+            empty[i] = True
+            continue
+        vals = gaps[mem]
+        j = int(np.argmin(vals))
+        values[i] = vals[j]
+        if np.isfinite(vals[j]):
+            witnesses[i] = mem[j]
+    return radii, values, empty, witnesses
+
+
+def assert_bitwise_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+GRIDS = [ll.grid_1d(-1.0, 1.0, 23), ll.grid_2d(-2.0, 2.0, 7, -1.0, 3.0, 5),
+         ll.grid_2d(-1.0, 1.0, 15),
+         ll.Grid(((0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)), (5, 4, 6))]
+
+
+@st.composite
+def minima_case(draw):
+    grid = draw(st.sampled_from(GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = draw(st.one_of(st.sampled_from([0, grid.size - 1]),
+                            st.integers(0, grid.size - 1)))
+    # few distinct values, signed zeros and +inf make ties and all-inf shells
+    palette = np.array([-1.0, -0.0, 0.0, 0.5, math.inf])
+    gaps = np.where(rng.random(grid.size) < draw(st.floats(0.0, 1.0)),
+                    palette[rng.integers(0, palette.size, grid.size)],
+                    rng.normal(size=grid.size))
+    density = draw(st.sampled_from([None, 0.0, 0.05, 0.3, 0.9, 1.0]))
+    feasible = None if density is None else rng.random(grid.size) < density
+    return grid, center, gaps, feasible
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=minima_case(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_grouped_shell_minima_equal_per_shell_loop(case, norm):
+    grid, center, gaps, feasible = case
+    ladder = ll.shell_ladder(grid, center, norm=norm)
+    assert_bitwise_equal(moduli._shell_minima(gaps, ladder, feasible),
+                         shell_minima_loop(gaps, list(ladder), feasible))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=minima_case(),
+       radii=st.lists(st.floats(0.01, 3.0), min_size=0, max_size=6))
+def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
+    grid, center, gaps, feasible = case
+    ladder = moduli._ladder(grid, center, ll.NormChoice.L2, radii)
+    shells = [ll.shell(grid, center, t) for t in radii]
+    assert len(ladder) == len(shells)
+    assert all(np.array_equal(a.members, b.members)
+               for a, b in zip(ladder, shells))
+    assert_bitwise_equal(moduli._shell_minima(gaps, ladder, feasible),
+                         shell_minima_loop(gaps, shells, feasible))
+
+
+def test_grouped_minima_edge_cases():
+    """Empty shells at the end, all-+inf shells and an all-infeasible grid."""
+    g = ll.grid_2d(-1.0, 1.0, 9)
+    c = 0
+    ladder = ll.shell_ladder(g, c, max_radius=4.0)     # empty tail shells
+    assert np.diff(ladder.starts)[-1] == 0
+    gaps = np.where(np.arange(g.size) % 3 == 0, math.inf, 1.0)
+    gaps[ladder[0].members] = math.inf                 # an all-+inf shell
+    for feasible in (None, np.zeros(g.size, dtype=bool),
+                     np.arange(g.size) >= g.size - 2):
+        got = moduli._shell_minima(gaps, ladder, feasible)
+        assert_bitwise_equal(got, shell_minima_loop(gaps, list(ladder),
+                                                    feasible))
+    _, values, empty, wit = moduli._shell_minima(gaps, ladder)
+    assert not empty[0] and values[0] == math.inf and wit[0] == -1

@@ -162,3 +162,99 @@ def test_header_with_bad_counts_rejected(tmp_path):
         "counts": [1], "values": [0.0]}))
     with pytest.raises(SchemaViolationError):
         rio.read_grid_function(path)
+
+
+# -- malformed artifacts raise SchemaViolationError only ------------------
+
+_DROP = object()
+_ATOMS = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
+                   st.floats(), st.text(max_size=5),
+                   st.sampled_from(["inf", "-inf", "nan", "1e999", "2", "-1.5"]))
+_JSON = st.recursive(_ATOMS, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(st.text(max_size=4), kids, max_size=3)), max_leaves=8)
+_HEADER_VALUES = st.one_of(
+    st.just(_DROP), _JSON,
+    st.lists(st.lists(_ATOMS, max_size=3), max_size=3),   # bounds-like
+    st.lists(_ATOMS, max_size=3))                          # counts-like
+
+
+def _header_doc(kind):
+    values = [False] * 6 if kind == "grid_mask" else [0.0, "inf", 1.5] * 2
+    return {"kind": kind, "dim": 2, "bounds": [[-1.0, 1.0], [0.0, 2.0]],
+            "counts": [3, 2], "name": "f", "values": values}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["grid_function", "grid_mask"]),
+       key=st.sampled_from(["dim", "bounds", "counts", "kind", "name"]),
+       value=_HEADER_VALUES)
+def test_mutated_header_raises_only_schema_violation(tmp_path_factory, kind,
+                                                      key, value):
+    doc = _header_doc(kind)
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path_factory.mktemp("hdr") / "doc.json"
+    path.write_text(json.dumps(doc))
+    read = rio.read_grid_function if kind == "grid_function" else rio.read_mask
+    try:
+        read(path)
+    except SchemaViolationError:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=_JSON)
+def test_any_json_document_raises_only_schema_violation(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    for read in (rio.read_grid_function, rio.read_mask):
+        try:
+            read(path)
+        except SchemaViolationError:
+            pass
+
+
+_CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(
+    _CSV_TEXT,
+    st.text(alphabet="0123456789.,-+einfa_ ", max_size=14),
+    st.tuples(st.sampled_from(["0.25", "x", "", "nan", "1e999"]),
+              st.sampled_from(["inf", "0.5", "", "-0.0", "inff"]),
+              st.sampled_from(["0", "1", "2", "", "true", " 1"])
+              ).map(",".join)), max_size=4),
+       at=st.integers(0, 4))
+def test_mutated_modulus_rows_raise_only_schema_violation(tmp_path_factory,
+                                                          rows, at):
+    lines = ["0.1,0.005,0", "0.2,inf,1"]
+    lines[at:at] = rows
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_text("\n".join(["t,value,empty", *lines]) + "\n")
+    try:
+        ts, vs, es = rio.read_modulus_csv(path)
+    except SchemaViolationError:
+        return
+    assert ts.shape == vs.shape == es.shape and es.dtype == bool
+
+
+@pytest.mark.parametrize("change", [
+    {"counts": [2**62, 2**62], "values": []},       # size overflows int64
+    {"bounds": [[-1e308, 1e308], [0.0, 2.0]]},      # infinite spacing
+    {"bounds": [["-inf", 1.0], [0.0, 2.0]]},
+    {"counts": ["three", 2]},
+    {"bounds": [[0.0], [0.0, 2.0]]},
+    {"values": [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]},
+    {"values": [0.0, 10**400, 0.0, 0.0, 0.0, 0.0]},
+], ids=["size-overflow", "infinite-spacing", "infinite-bound", "text-count",
+        "short-bound", "nan-value", "huge-int-value"])
+def test_header_edge_cases_rejected(tmp_path, change):
+    doc = {**_header_doc("grid_function"), **change}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolationError):
+        rio.read_grid_function(path)
