@@ -147,6 +147,14 @@ class ClassificationReport:
         }
 
 
+# Candidates with a gap above this many tie slacks are outside their
+# cluster. The gap and the cluster test round f(x) - <x, s> and the conjugate
+# differently, but only by ulps of terms bounded by the slack's own scale
+# (|f*(s)| and |s|_1 times the grid extent), far below its eps_fp floor, so
+# a doubled slack cannot be crossed by rounding.
+_TIE_SCREEN = 2.0
+
+
 class _Session:
     """Shared per-classification state: f** and f*, tilted clusters, moduli,
     verdict bits."""
@@ -180,11 +188,22 @@ class _Session:
 
     def witness_duals(self, x_flat: int, cap: int) -> list[int]:
         """Trusted duals whose tilted tie cluster contains x (a domain
-        point), by gap order."""
-        cand = subgradients(self.f, self.conj, x_flat, self.norm, self.tols).members
+        point), by gap order.
+
+        The Fenchel-Young gap of a candidate s is ``tilted_s(x) + f*(s)``,
+        and f*(s) is minus the tilted minimum, so x ties that minimum only
+        if its gap is within the tie slack; the cluster test runs only on
+        candidates within ``_TIE_SCREEN`` slacks.
+        """
+        sub = subgradients(self.f, self.conj, x_flat, self.norm, self.tols)
+        duals = self.dual_grid.points[sub.members]
+        slack = self.tols.tie_slack(-self.conj.dual.flat[sub.members],
+                                    np.abs(duals).sum(axis=1), self.f.grid.bounds)
         out = []
-        for s_flat in cand:
-            if np.isin(x_flat, self.cluster(int(s_flat))):
+        for s_flat in sub.members[sub.gaps <= _TIE_SCREEN * slack]:
+            cl = self.cluster(int(s_flat))
+            at = int(np.searchsorted(cl, x_flat))
+            if at < cl.size and cl[at] == x_flat:
                 out.append(int(s_flat))
                 if len(out) >= cap:
                     break

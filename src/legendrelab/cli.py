@@ -143,7 +143,11 @@ def _cmd_modulus(args) -> int:
     else:
         if not args.at:
             raise UsageError("--at is required for firm/total moduli")
-        x = f.grid.index_of_nearest(_parse_point(args.at, f.grid, "--at"))
+        at = _parse_point(args.at, f.grid, "--at")
+        if not all(lo <= c <= hi for c, (lo, hi) in zip(at, f.grid.bounds)):
+            raise UsageError(f"--at {args.at!r} lies outside the grid "
+                             f"{list(f.grid.bounds)}")
+        x = f.grid.index_of_nearest(at)
         if args.kind == "firm":
             if not args.subgradient:
                 raise UsageError("--subgradient is required for --kind firm")

@@ -70,8 +70,7 @@ def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray,
     """Minimum of a tilted objective, its tie slack, and the flat indices
     within that slack of the minimum (ascending)."""
     mval = float(values.min())
-    coord = max(abs(lo) + abs(hi) for lo, hi in f.grid.bounds)
-    eps = tols.eps_fp * (1.0 + abs(mval) + float(np.abs(s).sum()) * coord)
+    eps = tols.tie_slack(mval, float(np.abs(s).sum()), f.grid.bounds)
     return mval, eps, np.flatnonzero(values <= mval + eps)
 
 

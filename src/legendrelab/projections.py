@@ -6,6 +6,12 @@ Includes the strong-Tchebychev probe test, the farthest-point experiment
 All three run one staged witness search over one probe budget: Halton
 probes, exact tie tilts from member pairs (from one midpoint-convexity pass,
 or far pairs), then jittered tie tilts and bisection toward the tie.
+
+Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
+of a member pair depend only on its index sum, so one FFT self-convolution
+of the mask gives every reachable sum and each is checked once. Member
+pairs are enumerated, in (i, j) order, only when some sum fails, to list
+the violating pairs.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.stats import qmc
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
@@ -99,6 +106,7 @@ def solve_relative_projection(f: GridFunction, S: ConstraintSet,
 
 
 MAX_VIOLATIONS = 200
+_PAIR_BLOCK = 1 << 18      # member pairs per block when violations are listed
 
 
 def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
@@ -108,39 +116,47 @@ def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
     For each member pair, some grid point obtained by per-axis floor/ceil
     rounding of the half-sum of indices must belong to the set (rounding to
     a single nearest point would reject convex continuum sets whose edges
-    alias across cells). At most ``MAX_VIOLATIONS`` violating pairs are
-    returned.
+    alias across cells). The midpoints depend on a pair only through its
+    index sum, so every reachable sum (one FFT self-convolution of the mask)
+    is checked once; pairs are enumerated only when some sum fails, and at
+    most ``MAX_VIOLATIONS`` violating pairs are returned, in (i, j) order.
     """
     mask = S.mask if domain is None else (S.mask & domain)
     mem = np.flatnonzero(mask)
     if mem.size <= 1:
         return True, []
-    grid = S.grid
-    shape = np.asarray(grid.shape, dtype=np.int64)
-    strides = np.ones(grid.dim, dtype=np.int64)
-    for ax in range(grid.dim - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * shape[ax + 1]
-    multi = np.stack(np.unravel_index(mem, grid.shape), axis=1)
+    shape = S.grid.shape
+    box = mask.reshape(shape)
+    lattice = tuple(2 * n - 1 for n in shape)
+    fast = [sfft.next_fast_len(n, real=True) for n in lattice]
+    spec = sfft.rfftn(box.astype(float), fast)
+    pair_counts = sfft.irfftn(spec * spec, fast)[tuple(map(slice, lattice))]
+    # The counts are integers and the FFT's rounding error is of order
+    # |S| * log(lattice size) ulps, far below the half a count that
+    # separates a reachable sum from an unreachable one.
+    reached = pair_counts > 0.5
+    hit = np.zeros(lattice, dtype=bool)
+    for bits in range(1 << len(shape)):
+        hit |= box[np.ix_(*[(np.arange(n) + ((bits >> ax) & 1)) // 2
+                            for ax, n in enumerate(lattice)])]
+    failed = (reached & ~hit).ravel()
+    if not failed.any():
+        return True, []
+
+    # Members as flat lattice indices: a pair's index sum is then the sum
+    # of its two keys.
+    keys = np.ravel_multi_index(np.unravel_index(mem, shape), lattice)
     violations: list[tuple[int, int]] = []
-    ok_all = True
-    chunk = max(1, int(2_000_000 // max(mem.size, 1)))
+    chunk = max(1, _PAIR_BLOCK // mem.size)
     for lo in range(0, mem.size, chunk):
         hi = min(lo + chunk, mem.size)
-        sums = multi[lo:hi, None, :] + multi[None, :, :]
-        floor = sums // 2
-        ceil = (sums + 1) // 2
-        hit = np.zeros(sums.shape[:2], dtype=bool)
-        for bits in range(1 << grid.dim):
-            cand = np.where([(bits >> ax) & 1 for ax in range(grid.dim)],
-                            ceil, floor)
-            hit |= mask[cand @ strides]
-        bad_i, bad_j = np.nonzero(~hit)
+        bad_i, bad_j = np.nonzero(failed[keys[lo:hi, None] + keys[None, :]])
         keep = (bad_i + lo) < bad_j
-        for a, b in zip(bad_i[keep], bad_j[keep]):
-            ok_all = False
-            if len(violations) < MAX_VIOLATIONS:
-                violations.append((int(mem[a + lo]), int(mem[b])))
-    return ok_all, violations
+        violations.extend(zip(mem[bad_i[keep] + lo].tolist(),
+                              mem[bad_j[keep]].tolist()))
+        if len(violations) >= MAX_VIOLATIONS:
+            break
+    return False, violations[:MAX_VIOLATIONS]
 
 
 def _halton_probes(box_lo: np.ndarray, box_hi: np.ndarray, n: int,

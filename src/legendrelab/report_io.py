@@ -98,22 +98,34 @@ def _grid_header(grid: Grid, norm: NormChoice | None = None) -> dict:
     return head
 
 
+def _is_json_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_json_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_grid_header(doc: dict, where: str) -> Grid:
     for key in ("dim", "bounds", "counts"):
         if key not in doc:
             raise SchemaViolationError(f"{where}: missing key {key!r}")
-    try:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in doc["bounds"])
-        counts = tuple(int(n) for n in doc["counts"])
-    except (TypeError, ValueError, OverflowError) as err:
+    dim, bounds, counts = doc["dim"], doc["bounds"], doc["counts"]
+    if not (_is_json_int(dim) and isinstance(counts, list)
+            and all(map(_is_json_int, counts))):
+        raise SchemaViolationError(f"{where}: dim and counts must be integers")
+    if not (isinstance(bounds, list)
+            and all(isinstance(b, list) and len(b) == 2
+                    and all(map(_is_json_number, b)) for b in bounds)):
         raise SchemaViolationError(
-            f"{where}: malformed bounds or counts: {err}") from None
-    if len(bounds) != doc["dim"] or len(counts) != doc["dim"]:
+            f"{where}: bounds must be [lo, hi] pairs of numbers")
+    if len(bounds) != dim or len(counts) != dim:
         raise SchemaViolationError(f"{where}: header lengths disagree with dim")
     try:
-        return Grid(bounds, counts)
-    except ValueError as err:
-        raise SchemaViolationError(f"{where}: {err}") from err
+        return Grid(tuple((float(lo), float(hi)) for lo, hi in bounds),
+                    tuple(counts))
+    except (ValueError, OverflowError) as err:
+        raise SchemaViolationError(f"{where}: {err}") from None
 
 
 def _read_document(path: str | Path, kind: str) -> dict:

@@ -60,5 +60,16 @@ class Tolerances:
         """
         return self.tau_c * h * (1.0 + dual_norm + slope)
 
+    def tie_slack(self, min_value, tilt_l1, bounds) -> float:
+        """Slack within which a tilted value ties the tilted minimum
+        ``min_value``: ``eps_fp * (1 + |min_value| + tilt_l1 * coord)``, with
+        ``tilt_l1`` the l1 norm of the tilt and ``coord`` the largest
+        ``|lo| + |hi|`` over the grid ``bounds``.
+
+        Elementwise when ``min_value`` or ``tilt_l1`` are arrays.
+        """
+        coord = max(abs(lo) + abs(hi) for lo, hi in bounds)
+        return self.eps_fp * (1.0 + abs(min_value) + tilt_l1 * coord)
+
 
 DEFAULT_TOLS = Tolerances()

@@ -3,8 +3,10 @@ import pytest
 
 import legendrelab as ll
 from legendrelab.catalog import entries, entry
-from legendrelab.classify import CHAIN
-from legendrelab.generators import random_convex_1d, random_convex_2d
+from legendrelab.classify import CHAIN, _Session, default_sample_plan
+from legendrelab.generators import (random_convex_1d, random_convex_2d,
+                                    random_grid_function)
+from legendrelab.tolerances import DEFAULT_TOLS
 
 
 def test_halfsq2_all_verdicts_true():
@@ -163,3 +165,53 @@ def test_report_serialization_round_trip(tmp_path):
     assert set(doc["verdicts"]) == set(rep.verdicts)
     assert doc["chain_ok"] == rep.chain_ok
     assert list(CHAIN)[0] in doc["verdicts"]
+
+
+def _witness_duals_per_candidate(ses, x_flat, cap):
+    """The per-candidate loop that ``witness_duals`` replaced, kept as its
+    oracle: every gap-sorted subgradient candidate is tested against its
+    full tie cluster."""
+    cand = ll.subgradients(ses.f, ses.conj, x_flat, ses.norm, ses.tols).members
+    out = []
+    for s_flat in cand:
+        if np.isin(x_flat, ses.cluster(int(s_flat))):
+            out.append(int(s_flat))
+            if len(out) >= cap:
+                break
+    return out
+
+
+def _domain_probes(f, ses, k):
+    plan = default_sample_plan(f, ses.conj)
+    dom = np.flatnonzero(f.domain_flat)
+    extra = dom[np.linspace(0, dom.size - 1, min(k, dom.size)).astype(int)]
+    return [int(x) for x in dict.fromkeys([*plan.primal, *extra.tolist()])]
+
+
+@pytest.mark.parametrize("eid", [e.id for e in entries()])
+def test_witness_duals_equal_per_candidate_loop_on_catalog(eid):
+    e = entry(eid)
+    f = e.build()
+    ses = _Session(f, e.dual_grid, ll.NormChoice.L2, DEFAULT_TOLS)
+    for x in _domain_probes(f, ses, 12):
+        assert ses.witness_duals(x, 8) == _witness_duals_per_candidate(ses, x, 8)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_witness_duals_equal_per_candidate_loop_on_random(dim, seed):
+    """Rough functions with +inf holes, every candidate compared (no cap)."""
+    rng = np.random.default_rng(100 + seed)
+    if dim == 1:
+        g, d = ll.grid_1d(-2, 2, 61), ll.grid_1d(-4, 4, 81)
+    else:
+        g, d = ll.grid_2d(-2, 2, 15), ll.grid_2d(-3, 3, 19)
+    f = random_grid_function(rng, g, inf_frac=0.15)
+    norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
+    ses = _Session(f, d, norm, DEFAULT_TOLS)
+    found = 0
+    for x in np.flatnonzero(f.domain_flat):
+        got = ses.witness_duals(int(x), 10**6)
+        assert got == _witness_duals_per_candidate(ses, int(x), 10**6)
+        found += len(got)
+    assert found > 0

@@ -65,6 +65,34 @@ def test_usage_errors_exit_2_with_message(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("catalog,kind,at", [
+    ("halfsq", "total", "100"),
+    ("halfsq", "total", "-2.5"),
+    ("halfsq", "firm", "2.0001"),
+    ("halfsq2", "total", "0,3"),
+])
+def test_at_outside_grid_exits_2(catalog, kind, at, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["modulus", "--catalog", catalog, "--kind", kind, "--at", at,
+            "--out", str(out)]
+    if kind == "firm":
+        argv += ["--subgradient", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --at") and "outside the grid" in err
+    assert not out.exists()
+
+
+def test_at_on_grid_edge_and_far_tilt_accepted(tmp_path):
+    lo, hi = ll.entry("halfsq").build().grid.bounds[0]
+    for at in (lo, hi):
+        assert main(["modulus", "--catalog", "halfsq", "--kind", "total",
+                     "--at", str(at), "--out", str(tmp_path / "m.csv")]) == 0
+    # Tilts are dual points: they need not lie in the primal grid.
+    assert main(["modulus", "--catalog", "halfsq", "--kind", "wellposed",
+                 "--subgradient", "5", "--out", str(tmp_path / "w.csv")]) == 0
+
+
 def test_unknown_catalog_exits_2_without_traceback():
     proc = run_cli(["classify", "--catalog", "no_such_entry"])
     assert proc.returncode == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import legendrelab as ll
 from legendrelab import projections
@@ -103,6 +105,80 @@ def test_midpoint_convexity_catalog_sets(grid):
     for name in ("annulus", "crescent", "two_point"):
         ok, violations = ll.midpoint_convexity(make_set(name, grid))
         assert not ok and violations, name
+
+
+def _midpoint_convexity_pairwise(S, domain=None):
+    """The all-pairs sweep that ``midpoint_convexity`` replaced, kept as its
+    oracle: every member pair tests its 2^d floor/ceil midpoints."""
+    mask = S.mask if domain is None else (S.mask & domain)
+    mem = np.flatnonzero(mask)
+    if mem.size <= 1:
+        return True, []
+    grid = S.grid
+    shape = np.asarray(grid.shape, dtype=np.int64)
+    strides = np.ones(grid.dim, dtype=np.int64)
+    for ax in range(grid.dim - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * shape[ax + 1]
+    multi = np.stack(np.unravel_index(mem, grid.shape), axis=1)
+    violations = []
+    ok_all = True
+    chunk = max(1, int(2_000_000 // max(mem.size, 1)))
+    for lo in range(0, mem.size, chunk):
+        hi = min(lo + chunk, mem.size)
+        sums = multi[lo:hi, None, :] + multi[None, :, :]
+        floor = sums // 2
+        ceil = (sums + 1) // 2
+        hit = np.zeros(sums.shape[:2], dtype=bool)
+        for bits in range(1 << grid.dim):
+            cand = np.where([(bits >> ax) & 1 for ax in range(grid.dim)],
+                            ceil, floor)
+            hit |= mask[cand @ strides]
+        bad_i, bad_j = np.nonzero(~hit)
+        keep = (bad_i + lo) < bad_j
+        for a, b in zip(bad_i[keep], bad_j[keep]):
+            ok_all = False
+            if len(violations) < projections.MAX_VIOLATIONS:
+                violations.append((int(mem[a + lo]), int(mem[b])))
+    return ok_all, violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_midpoint_convexity_equals_pairwise_sweep(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    cap = {1: 80, 2: 18, 3: 7}[dim]
+    counts = tuple(data.draw(st.lists(st.integers(2, cap), min_size=dim,
+                                      max_size=dim), label="counts"))
+    grid = ll.Grid(tuple((-1.0, 1.0) for _ in counts), counts)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    density = data.draw(st.floats(0.02, 0.99), label="density")
+    mask = rng.random(grid.size) < density
+    mask[rng.integers(grid.size)] = True
+    domain = None
+    if data.draw(st.booleans(), label="with_domain"):
+        domain = rng.random(grid.size) < data.draw(st.floats(0.3, 1.0))
+    S = ll.ConstraintSet(grid, mask)
+    assert (ll.midpoint_convexity(S, domain)
+            == _midpoint_convexity_pairwise(S, domain))
+
+
+def test_midpoint_convexity_truncates_like_pairwise_sweep(grid):
+    """Catalog sets and sets with far more than MAX_VIOLATIONS violating
+    pairs give the oracle's verdict and its first pairs in (i, j) order."""
+    rng = np.random.default_rng(7)
+    sparse = ll.ConstraintSet(grid, rng.random(grid.size) < 0.05, "sparse")
+    two_blobs = ll.ConstraintSet(
+        grid, (np.abs(np.abs(grid.points[:, 0]) - 1.5) < 0.3)
+        & (np.abs(grid.points[:, 1]) < 0.3), "two_blobs")
+    sets = [make_set(name, grid) for name in
+            ("box", "half_plane", "segment", "annulus", "crescent",
+             "two_point")] + [sparse, two_blobs]
+    for S in sets:
+        got = ll.midpoint_convexity(S)
+        assert got == _midpoint_convexity_pairwise(S), S.name
+    for S in (sparse, two_blobs):
+        assert len(ll.midpoint_convexity(S)[1]) == projections.MAX_VIOLATIONS
 
 
 def test_tchebychev_convex_polygon_passes(grid, halfsq2):

@@ -155,6 +155,24 @@ def test_certificate_and_reports_serialize(tmp_path):
     assert doc["records"]  # keyed by dual index
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_written_headers_round_trip(tmp_path, dim):
+    g = ll.grid_1d(-2, 2, 5) if dim == 1 else ll.grid_2d(-1, 1, 3, 0, 2, 4)
+    f = ll.GridFunction(g, np.arange(g.size, dtype=float).reshape(g.shape))
+    rio.write_grid_function(f, tmp_path / "f.json")
+    back = rio.read_grid_function(tmp_path / "f.json")
+    assert back.grid == g and np.array_equal(back.flat, f.flat)
+    mask = np.arange(g.size) % 2 == 0
+    rio.write_mask(g, mask, tmp_path / "m.json")
+    grid, got, _ = rio.read_mask(tmp_path / "m.json")
+    assert grid == g and np.array_equal(got, mask)
+    # Integer bounds are JSON numbers too.
+    doc = json.loads((tmp_path / "f.json").read_text())
+    doc["bounds"] = [[int(lo), int(hi)] for lo, hi in doc["bounds"]]
+    (tmp_path / "g.json").write_text(json.dumps(doc))
+    assert rio.read_grid_function(tmp_path / "g.json").grid == g
+
+
 def test_header_with_bad_counts_rejected(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({
@@ -250,8 +268,19 @@ def test_mutated_modulus_rows_raise_only_schema_violation(tmp_path_factory,
     {"bounds": [[0.0], [0.0, 2.0]]},
     {"values": [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]},
     {"values": [0.0, 10**400, 0.0, 0.0, 0.0, 0.0]},
+    {"counts": [3.0, 2]},
+    {"counts": [3.7, 2]},
+    {"counts": [True, 2]},
+    {"dim": 2.0},
+    {"dim": True, "bounds": [[-1.0, 1.0]], "counts": [3],
+     "values": [0.0, 0.0, 0.0]},
+    {"bounds": [["-1", "1"], [0.0, 2.0]]},
+    {"bounds": [[False, True], [0.0, 2.0]]},
+    {"bounds": [[-10**400, 1.0], [0.0, 2.0]]},
 ], ids=["size-overflow", "infinite-spacing", "infinite-bound", "text-count",
-        "short-bound", "nan-value", "huge-int-value"])
+        "short-bound", "nan-value", "huge-int-value", "float-count",
+        "fractional-count", "bool-count", "float-dim", "bool-dim",
+        "text-bounds", "bool-bounds", "huge-int-bound"])
 def test_header_edge_cases_rejected(tmp_path, change):
     doc = {**_header_doc("grid_function"), **change}
     path = tmp_path / "doc.json"

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
-from legendrelab.catalog import entry
+from legendrelab.catalog import entries, entry
 from legendrelab.errors import NoAdmissibleStepError, PointOutsideDomainError
-from legendrelab.generators import random_convex_1d
+from legendrelab.generators import random_convex_1d, random_grid_function
+from legendrelab.tolerances import DEFAULT_TOLS, Tolerances
 
 
 def test_abs_subgradients_at_zero(absval_1d, dual_fine_1d):
@@ -170,3 +171,74 @@ def test_domain_chain_exp_boundary():
     s = e.dual_grid.points[:, 0]
     assert not r.dom_mj[s <= 0.0].any()
     assert r.dom_mj[(s >= 0.2) & (s <= 3.0)].all()
+
+
+def _domain_chain_full_pass(f, dual_grid, norm=ll.NormChoice.L2,
+                            tols=DEFAULT_TOLS):
+    """The chunked pass over every dual row that ``domain_chain_check``
+    replaced, kept as its oracle."""
+    bic = ll.biconjugate(f, dual_grid, tols=tols)
+    star = bic.star
+    dom_mj = star.trusted.copy()
+    int_dom = star.trusted_interior()
+    pts = f.grid.points
+    duals = dual_grid.points
+    x_norms = norm.length(pts)
+    fss = bic.function.flat
+    h_d = dual_grid.max_spacing
+    dom_sub = np.zeros(dual_grid.size, dtype=bool)
+    chunk = 256
+    usable = bic.trusted & np.isfinite(fss)
+    for lo in range(0, dual_grid.size, chunk):
+        hi = min(lo + chunk, dual_grid.size)
+        gaps = (star.dual.flat[lo:hi, None] + fss[None, :]
+                - duals[lo:hi] @ pts.T)
+        slopes = star.dual.local_slopes[lo:hi]
+        taus = tols.gap_threshold(h_d, x_norms[None, :], slopes[:, None])
+        dom_sub[lo:hi] = ((gaps <= taus) & usable[None, :]).any(axis=1)
+    violations = np.flatnonzero((dom_mj | int_dom) & ~dom_sub)
+    return bic, (dom_mj, int_dom, dom_sub, violations)
+
+
+def _assert_same_report(r, want):
+    for name, arr in zip(("dom_mj", "int_dom_conj", "dom_sub_conj",
+                          "violations"), want):
+        got = getattr(r, name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+@pytest.mark.parametrize("eid", [e.id for e in entries()])
+def test_domain_chain_equals_full_pass_on_catalog(eid):
+    e = entry(eid)
+    f = e.build()
+    _, want = _domain_chain_full_pass(f, e.dual_grid)
+    _assert_same_report(ll.domain_chain_check(f, e.dual_grid), want)
+
+
+def test_domain_chain_equals_full_pass_on_random_nonconvex():
+    """Rough functions with +inf holes whose slopes outrun a narrow dual
+    grid: the maximizers of many dual rows are not usable points of f**, so
+    the full pass decides those rows, both ways once the threshold is tight."""
+    grids = [(ll.grid_1d(-2, 2, 81), ll.grid_1d(-1, 1, 9)),
+             (ll.grid_2d(-2, 2, 17), ll.grid_2d(-1, 1, 7)),
+             (ll.grid_1d(-2, 2, 41), ll.grid_1d(-3, 3, 5)),
+             (ll.grid_2d(-2, 2, 13), ll.grid_2d(-3, 3, 5))]
+    rows = left = 0
+    decided = {True: 0, False: 0}
+    for seed in range(12):
+        g, d = grids[seed % 4]
+        f = random_grid_function(np.random.default_rng(seed), g, inf_frac=0.2)
+        norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
+        for tols in (DEFAULT_TOLS, Tolerances(tau_c=0.01)):
+            bic, want = _domain_chain_full_pass(f, d, norm, tols)
+            _assert_same_report(ll.domain_chain_check(f, d, norm, tols), want)
+            k = bic.star.argmax
+            usable = bic.trusted & np.isfinite(bic.function.flat)
+            unscreened = (k < 0) | ~usable[k]
+            rows += d.size
+            left += int(unscreened.sum())
+            for verdict in (True, False):
+                decided[verdict] += int((unscreened
+                                         & (want[2] == verdict)).sum())
+    assert left > 0.1 * rows
+    assert decided[True] > 0 and decided[False] > 0
