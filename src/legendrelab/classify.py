@@ -157,7 +157,8 @@ _TIE_SCREEN = 2.0
 
 class _Session:
     """Shared per-classification state: f** and f*, tilted clusters, moduli,
-    verdict bits."""
+    verdict bits. Tie clusters and total-convexity verdicts are memoized per
+    dual and per primal point."""
 
     def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice,
                  tols: Tolerances):
@@ -168,6 +169,7 @@ class _Session:
         self.bic = biconjugate(f, dual_grid, tols=tols)
         self.conj = self.bic.star
         self._clusters: dict[int, np.ndarray] = {}
+        self._totals: dict[int, tuple[bool, str]] = {}
         self.min_cert_radius = tols.cert_min_radius(f.grid.max_spacing)
         self.cell = f.grid.cell_diagonal(norm) * tols.cell_diag_factor
         self.disclaimers: set[str] = set()
@@ -218,11 +220,15 @@ class _Session:
         return pos, note
 
     def total_positive(self, x_flat: int) -> tuple[bool, str]:
+        got = self._totals.get(x_flat)
+        if got is not None:
+            return got
         mod = total_convexity_modulus(self.f, x_flat, norm=self.norm,
                                       tols=self.tols)
         pos, _, note = certification_verdict(mod, self.tols, self.min_cert_radius)
         if note:
             self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
+        self._totals[x_flat] = pos, note
         return pos, note
 
 

@@ -5,7 +5,9 @@ certificates.
 Each modulus samples, per shell radius t, the infimum of a gap over the
 discrete shell about a base point. A function of t belongs to the forcing
 class when its lower convex envelope through the origin stays above the
-positivity floor ``delta0(t)`` at every sampled radius.
+positivity floor ``delta0(t)`` at every sampled radius; the certificate
+decides this from the samples and the least chord slope through the
+origin, without building the envelope.
 """
 
 from __future__ import annotations
@@ -50,18 +52,17 @@ class Modulus:
 
 @dataclass(frozen=True)
 class Gamma0Certificate:
-    """Lower convex envelope through (0, 0) and its positivity verdict."""
+    """Positivity verdict of the lower convex envelope through (0, 0),
+    with a sampled radius at which the envelope fails (None if positive)."""
 
     positive: bool
     failure_radius: float | None
-    knots: tuple[tuple[float, float], ...]
     n_finite: int
     eps: float
 
     def to_dict(self) -> dict:
         return {"kind": "gamma0_certificate", "positive": self.positive,
                 "failure_radius": self.failure_radius,
-                "knots": [[t, v] for t, v in self.knots],
                 "n_finite": self.n_finite, "eps": self.eps}
 
 
@@ -87,21 +88,6 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
                 if values[grid.ravel_index(inward)] > level:
                     return True
     return False
-
-
-def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the strict lower convex hull of points sorted by x."""
-    stack: list[int] = []
-    for i in range(len(x)):
-        while len(stack) >= 2:
-            a, b = stack[-2], stack[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return stack
 
 
 def _shell_minima(gaps: np.ndarray, ladder: ShellLadder,
@@ -234,27 +220,6 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
         return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
                                     grid.shape)
 
-    # per-axis signed quotients q[ax][sign] with admissible-step counts
-    axis_q = np.full((dim, 2), math.inf)
-    axis_cnt = np.zeros((dim, 2), dtype=int)
-    for ax in range(dim):
-        for si, sg in enumerate((1, -1)):
-            vals = {}
-            for k in range(1, k_dd + 1):
-                pos = base.copy()
-                pos[ax] += sg * k
-                if not (0 <= pos[ax] < shape[ax]):
-                    break
-                fu = fv[grid.ravel_index(pos)]
-                if np.isfinite(fu):
-                    vals[k] = (fu - fx) / (k * spacing[ax])
-            axis_cnt[ax, si] = len(vals)
-            if vals:
-                est = min(vals.values())
-                if 1 in vals and 2 in vals:
-                    est = min(est, 2.0 * vals[1] - vals[2])
-                axis_q[ax, si] = est
-
     multi = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
     offsets = multi - base[None, :]
     g = np.gcd.reduce(np.abs(offsets), axis=1)
@@ -281,6 +246,16 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     both = adm[0] & adm[1]
     fprime_ray[both] = np.minimum(fprime_ray[both],
                                   2.0 * quot[0][both] - quot[1][both])
+
+    # per-axis signed quotients q[ax][sign] and admissible-step counts: the
+    # ray of the neighbour base + sign e_ax is the axis itself (inf and no
+    # admissible step where that neighbour is off the grid)
+    steps = np.eye(dim, dtype=np.int64)
+    nbrs = base + np.stack([steps, -steps], axis=1)      # (axis, sign, dim)
+    on_grid = ((nbrs >= 0) & (nbrs < shape)).all(axis=2)
+    at = flat_of(nbrs.reshape(-1, dim)).reshape(dim, 2)
+    axis_q = np.where(on_grid, fprime_ray[at], math.inf)
+    axis_cnt = np.where(on_grid, adm[:, at].sum(axis=0), 0)
 
     # axis decomposition bookkeeping
     sgn_idx = (offsets < 0).astype(int)          # 0 -> +, 1 -> -
@@ -316,11 +291,12 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
 
 
 def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certificate:
-    """Lower convex envelope of the finite samples, anchored at (0, 0).
+    """Whether the lower convex envelope of the finite samples, anchored at
+    (0, 0), clears ``delta0(t)`` at every sampled radius.
 
-    Positive when the envelope clears ``delta0(t)`` at every sampled
-    radius; the failure radius is the first envelope knot at which the
-    margin is lost (falling back to the first failing sample).
+    The failure radius is the first sample at or below ``delta0``, or, when
+    every sample clears it, the smallest sampled radius; the envelope is at
+    or below the floor there in both cases.
     """
     sel = m.finite_mask()
     ts = m.radii[sel]
@@ -328,25 +304,23 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
     if ts.size < 2:
         raise InsufficientDataError(
             f"need at least 2 finite samples, have {ts.size}")
-    px = np.concatenate([[0.0], ts])
-    py = np.concatenate([[0.0], vs])
-    hull = _lower_hull(px, py)
-    kx = px[hull]
-    ky = py[hull]
-    env = np.interp(ts, kx, ky)
-    floor = tols.delta0(ts)
-    ok = env > floor
-    positive = bool(ok.all())
-    failure = None
-    if not positive:
-        for t, v in zip(kx[1:], ky[1:]):
-            if v <= tols.delta0(t):
-                failure = float(t)
-                break
-        if failure is None:
-            failure = float(ts[~ok][0])
-    knots = tuple((float(a), float(b)) for a, b in zip(kx, ky))
-    return Gamma0Certificate(positive, failure, knots, int(ts.size), tols.eps_fp)
+    # The envelope lies below every sample, so each sample must clear the
+    # floor. Its first piece is the chord from the origin of least slope
+    # min(v/t), and every later piece is a chord between two samples. The
+    # floor is affine, so on a chord the envelope clears it at every radius
+    # once it clears it at both ends: at the samples, and, on the first
+    # piece, at the smallest sampled radius t0 (the origin sits below it).
+    # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
+    # cannot move it across the floor.
+    low = np.flatnonzero(~(vs > tols.delta0(ts)))
+    if low.size:
+        return Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
+                                 tols.eps_fp)
+    t0 = float(ts[0])
+    first = min(float(vs[0]), t0 * float((vs[1:] / ts[1:]).min()))
+    positive = bool(first > tols.delta0(t0))
+    return Gamma0Certificate(positive, None if positive else t0,
+                             int(ts.size), tols.eps_fp)
 
 
 def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS,
@@ -371,7 +345,11 @@ def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS,
 
 @dataclass(frozen=True, eq=False)
 class WellposednessReport:
-    """Minimizer bookkeeping and the strong-minimum verdict for one tilt."""
+    """Minimizer bookkeeping and the strong-minimum verdict for one tilt.
+
+    ``boundary_descent`` is set only without a feasible set: a grid set is
+    the whole feasible set, so its edge truncates nothing.
+    """
 
     tilt: tuple[float, ...]
     minimizer: int
@@ -420,7 +398,10 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     cell = grid.cell_diagonal(norm) * tols.cell_diag_factor
     unique = diameter <= cell
 
-    boundary_descent = (not grid.interior_flat[cluster].any()
+    # a feasible set is the whole problem, so only an unconstrained minimum
+    # can be a truncation artifact of the grid edge
+    boundary_descent = (feasible is None
+                        and not grid.interior_flat[cluster].any()
                         and _edge_descent(grid, cand, cluster, mval + eps))
     gaps = cand - cand[x_hat]
     ladder = _ladder(grid, x_hat, norm, radii)

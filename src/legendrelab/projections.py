@@ -228,7 +228,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     """Walk the tilt away from its minimizer until the argmin jumps, then
     bisect toward the crossing; at the crossing two branches tie."""
     cert0 = _probe(f, S, s0, budget, norm, tols)
-    if _is_witness(cert0):
+    if not cert0.strong:
         return cert0
     x0 = np.asarray(cert0.minimizer_point)
     direction = s0 - x0
@@ -243,7 +243,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     for k in range(1, 17):
         lam = extent * k / 4.0
         cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
-        if _is_witness(cert):
+        if not cert.strong:
             return cert
         if cert.minimizer != cert_lo.minimizer:
             lam_hi = lam
@@ -254,7 +254,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     for _ in range(iters):
         lam = (lam_lo + lam_hi) / 2.0
         cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
-        if _is_witness(cert):
+        if not cert.strong:
             return cert
         if cert.minimizer == cert_lo.minimizer:
             lam_lo = lam
@@ -270,7 +270,7 @@ def _search(f: GridFunction, S: ConstraintSet, budget: _Budget,
     for stage in stages:
         for s in stage:
             cert = _probe(f, S, s, budget, norm, tols)
-            if _is_witness(cert):
+            if not cert.strong:
                 return cert
     return None
 
@@ -340,18 +340,11 @@ class TchebychevReport:
 
 def probe_box(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     """Default tilt sampling box: the primal bounds shrunk by a 10% margin
-    per side (tilts near or past the box push minimizers onto the grid
-    edge, where certificates are truncation artifacts)."""
+    per side."""
     lo = np.array([b[0] for b in f.grid.bounds])
     hi = np.array([b[1] for b in f.grid.bounds])
     pad = 0.1 * (hi - lo)
     return lo + pad, hi - pad
-
-
-def _is_witness(cert: ProjectionCertificate) -> bool:
-    """A probe disproves strong posedness only away from the grid edge;
-    a boundary-flagged minimizer is a truncation artifact, not a tie."""
-    return not cert.strong and not cert.report.boundary_descent
 
 
 def tchebychev_test(f: GridFunction, S: ConstraintSet,

@@ -156,6 +156,93 @@ def test_wellposedness_infeasible():
         ll.wellposedness_modulus(f, [0.0], feasible=feasible)
 
 
+# -- gamma0 certificate against the built envelope -------------------------
+
+def lower_hull(x, y):
+    """Indices of the strict lower convex hull of points sorted by x."""
+    stack = []
+    for i in range(len(x)):
+        while len(stack) >= 2:
+            a, b = stack[-2], stack[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross <= 0.0:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    return stack
+
+
+def envelope_oracle(ts, vs, tols=DEFAULT_TOLS):
+    """Reference: build the lower convex envelope of the samples through
+    (0, 0) and interpolate it at every sampled radius. Returns whether it
+    clears delta0 everywhere, the envelope and the floor."""
+    px = np.concatenate([[0.0], ts])
+    py = np.concatenate([[0.0], vs])
+    hull = lower_hull(px, py)
+    env = np.interp(ts, px[hull], py[hull])
+    floor = tols.delta0(ts)
+    return bool((env > floor).all()), env, floor
+
+
+@st.composite
+def gamma0_curve(draw):
+    """Sampled curves: growth, values within a few delta0 of the floor
+    (exactly on it too), zero samples and lines near the floor's slope,
+    with some samples masked out as +inf or empty shells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1 / 3]))
+    ts = np.sort(rng.choice(np.arange(1, 400), n, replace=False)) * step
+    floor = DEFAULT_TOLS.delta0(ts)
+    kind = draw(st.sampled_from(["growth", "near_floor", "on_floor",
+                                 "zeros", "near_slope"]))
+    if kind == "growth":
+        vs = rng.normal(size=n) ** 2 * ts
+    elif kind == "near_floor":
+        vs = floor * (1.0 + rng.uniform(-3.0, 3.0, n))
+    elif kind == "on_floor":
+        vs = np.where(rng.random(n) < 0.5, floor,
+                      np.nextafter(floor, math.inf))
+    elif kind == "zeros":
+        vs = np.where(rng.random(n) < 0.2, 0.0,
+                      floor * (1.0 + rng.uniform(0.0, 3.0, n)))
+    else:
+        slope = rng.uniform(0.5, 3.0) * DEFAULT_TOLS.eps_fp
+        vs = slope * ts + floor * rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.3)
+    hidden = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    empty = hidden & (rng.random(n) < 0.5)
+    vs = np.where(hidden, math.inf, vs)
+    return ts, vs, empty
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve=gamma0_curve())
+def test_certify_gamma0_equals_envelope_oracle(curve):
+    ts, vs, empty = curve
+    m = Modulus("firm", 0, ts, vs, empty, np.full(ts.size, -1),
+                ll.NormChoice.L2)
+    sel = m.finite_mask()
+    if sel.sum() < 2:
+        with pytest.raises(InsufficientDataError):
+            ll.certify_gamma0(m)
+        return
+    cert = ll.certify_gamma0(m)
+    t, v = ts[sel], vs[sel]
+    positive, env, floor = envelope_oracle(t, v)
+    assert cert.positive is positive
+    assert cert.n_finite == t.size
+    if positive:
+        assert cert.failure_radius is None
+        return
+    # the first sample at or below the floor, else the smallest radius;
+    # the built envelope fails there
+    low = ~(v > floor)
+    assert cert.failure_radius == (t[low][0] if low.any() else t[0])
+    k = int(np.flatnonzero(t == cert.failure_radius)[0])
+    assert env[k] <= floor[k]
+
+
 def test_certify_gamma0_quadratic_samples():
     ts = np.linspace(0.1, 1.0, 10)
     m = Modulus("firm", 0, ts, 0.5 * ts * ts, np.zeros(10, bool),
@@ -197,9 +284,11 @@ def test_firm_modulus_well_certificate_positive_on_unit_interval():
     f = e.build()
     m = ll.firm_modulus(f, f.grid.index_of_nearest([0.0, 0.0]), [0.0, 0.0])
     pos, cert, _ = ll.certification_verdict(m, min_radius=cert_start(f.grid))
-    assert pos
-    env = np.array(cert.knots)
-    assert (env[env[:, 0] > 0][:, 1] > 0).all()
+    assert pos and cert.positive
+    mm = m.restricted(cert_start(f.grid))
+    sel = mm.finite_mask()
+    positive, env, _ = envelope_oracle(mm.radii[sel], mm.values[sel])
+    assert positive and (env > 0).all()
 
 
 @pytest.mark.parametrize("eid,expected", [
@@ -373,3 +462,126 @@ def test_grouped_minima_edge_cases():
                                                     feasible))
     _, values, empty, wit = moduli._shell_minima(gaps, ladder)
     assert not empty[0] and values[0] == math.inf and wit[0] == -1
+
+
+# -- total convexity against the per-axis loop ------------------------------
+
+def total_convexity_per_axis_loop(f, x_flat, norm, tols=DEFAULT_TOLS):
+    """Reference: the total-convexity modulus with its per-axis quotients
+    gathered by a loop over both directions of every axis (no ray arrays)."""
+    fx = f.value_at(x_flat)
+    grid = f.grid
+    shape = np.asarray(grid.shape, dtype=np.int64)
+    dim = grid.dim
+    n = grid.size
+    base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
+    spacing = np.asarray(grid.spacing)
+    fv = f.flat
+    k_dd = tols.k_dd
+
+    def flat_of(pos):
+        return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
+                                    grid.shape)
+
+    # per-axis signed quotients q[ax][sign] with admissible-step counts
+    axis_q = np.full((dim, 2), math.inf)
+    axis_cnt = np.zeros((dim, 2), dtype=int)
+    for ax in range(dim):
+        for si, sg in enumerate((1, -1)):
+            vals = {}
+            for k in range(1, k_dd + 1):
+                pos = base.copy()
+                pos[ax] += sg * k
+                if not (0 <= pos[ax] < shape[ax]):
+                    break
+                fu = fv[grid.ravel_index(pos)]
+                if np.isfinite(fu):
+                    vals[k] = (fu - fx) / (k * spacing[ax])
+            axis_cnt[ax, si] = len(vals)
+            if vals:
+                est = min(vals.values())
+                if 1 in vals and 2 in vals:
+                    est = min(est, 2.0 * vals[1] - vals[2])
+                axis_q[ax, si] = est
+
+    multi = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
+    offsets = multi - base[None, :]
+    g = np.gcd.reduce(np.abs(offsets), axis=1)
+    g_safe = np.where(g == 0, 1, g)
+    m0 = offsets // g_safe[:, None]
+
+    # ray quotients over the first k_dd multiples of the primitive step
+    step_len = norm.length(m0 * spacing[None, :])
+    step_len[g == 0] = 1.0
+    quot = np.full((k_dd, n), math.inf)
+    adm = np.zeros((k_dd, n), dtype=bool)
+    for k in range(1, k_dd + 1):
+        pos = base[None, :] + k * m0
+        ok = (pos >= 0).all(axis=1) & (pos < shape[None, :]).all(axis=1)
+        vals = fv[flat_of(pos)]
+        good = ok & np.isfinite(vals)
+        adm[k - 1] = good
+        quot[k - 1][good] = (vals[good] - fx) / (k * step_len[good])
+
+    ks = np.arange(1, k_dd + 1)
+    closer_ray = (adm & (ks[:, None] < np.minimum(g, k_dd + 1)[None, :])).any(axis=0)
+    ray_ok = (g >= 2) & closer_ray
+    fprime_ray = quot.min(axis=0)
+    both = adm[0] & adm[1]
+    fprime_ray[both] = np.minimum(fprime_ray[both],
+                                  2.0 * quot[0][both] - quot[1][both])
+
+    # axis decomposition bookkeeping
+    sgn_idx = (offsets < 0).astype(int)          # 0 -> +, 1 -> -
+    ax_ids = np.arange(dim)
+    needed = offsets != 0
+    n_axes = needed.sum(axis=1)
+    cnt_needed = axis_cnt[ax_ids[None, :], sgn_idx]
+    cnt_opposite = axis_cnt[ax_ids[None, :], 1 - sgn_idx]
+    q_needed = axis_q[ax_ids[None, :], sgn_idx]
+    delta_phys = np.abs(offsets) * spacing[None, :]
+    q_safe = np.where(needed & np.isfinite(q_needed), q_needed, 0.0)
+    decomp = (delta_phys * q_safe).sum(axis=1)
+
+    single_cnt = np.where(needed, cnt_needed, 0).sum(axis=1)
+    dec_ok = np.where(
+        n_axes == 1,
+        single_cnt >= 2,
+        (~needed | ((cnt_needed >= 2) & (cnt_opposite >= 1))).all(axis=1))
+    dec_ok &= n_axes >= 1
+
+    dist = norm.length(grid.points - grid.point(x_flat))
+    dist_safe = np.where(g == 0, 1.0, dist)
+    bound_ray = np.where(ray_ok, dist_safe * fprime_ray, math.inf)
+    bound_dec = np.where(dec_ok, decomp, math.inf)
+    slope_term = np.minimum(bound_ray, bound_dec)
+    usable = (ray_ok | dec_ok) & (g > 0) & np.isfinite(fv)
+    gaps = np.full(n, math.inf)
+    gaps[usable] = fv[usable] - fx - slope_term[usable]
+
+    ladder = ll.shell_ladder(grid, x_flat, norm=norm)
+    radii_a, values, empty, wit = moduli._shell_minima(gaps, ladder)
+    return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm)
+
+
+def domain_probe_points(f):
+    """Corner, edge and centre of the index box spanned by dom f, each
+    snapped to the nearest domain point (in 1D the edge is the far end)."""
+    dom = np.flatnonzero(f.domain_flat)
+    idx = np.stack(np.unravel_index(dom, f.grid.shape), axis=1)
+    lo, hi = idx.min(axis=0), idx.max(axis=0)
+    mid = (lo + hi) // 2
+    picks = (lo, np.concatenate([hi[:1], mid[1:]]), mid)
+    return [int(dom[np.abs(idx - p).sum(axis=1).argmin()]) for p in picks]
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries()])
+def test_total_convexity_equals_per_axis_loop_on_catalog(eid, norm):
+    f = entry(eid).build()
+    for x in domain_probe_points(f):
+        got = ll.total_convexity_modulus(f, x, norm=norm)
+        want = total_convexity_per_axis_loop(f, x, norm)
+        assert_bitwise_equal((got.radii, got.values, got.empty, got.witnesses),
+                             (want.radii, want.values, want.empty,
+                              want.witnesses))

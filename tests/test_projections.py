@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab import projections
 from legendrelab.catalog import make_set
-from legendrelab.errors import BudgetExhaustedError, InfeasibleProblemError
+from legendrelab.errors import InfeasibleProblemError
 
 
 @pytest.fixture(scope="module")
@@ -287,24 +287,59 @@ def test_farthest_witness_found_by_bisection(bisections):
                                         -0.05000000310114716], atol=1e-12)
 
 
-def test_farthest_budget_exhausted_reports_probes_spent(bisections):
-    """All 8 refine pairs fail: 224 + 8 x (8 jittered + 64 bisection)."""
-    with pytest.raises(BudgetExhaustedError, match="after 800 of 2000 probes"):
-        ll.farthest_point_experiment(bernoulli_set(0), n_probes=200, seed=42)
-    assert len(bisections) == 8 and all(b is None for b in bisections)
+def test_farthest_witness_when_ties_sit_on_grid_edge(bisections):
+    """The first far-pair tie tilt ties two members on the grid edge. A
+    constraint set is the whole feasible set, so that tie is a witness at
+    once: 1 probe, no bisection."""
+    S = bernoulli_set(0)
+    v = ll.farthest_point_experiment(S, n_probes=200, seed=42)
+    assert v.kind == "WITNESS"
+    assert v.probes_used == 1
+    assert bisections == []
+    assert v.witness.report.multiplicity == 2 and not v.witness.strong
+    assert not S.grid.interior_flat[v.witness.minimizer]
 
 
-def test_detector_unresolved_when_ties_sit_on_grid_edge(bisections):
-    """Both points on the bottom grid edge: every tie is an edge artifact,
-    so the search runs Halton, the violation tie, jitter and one bisection
-    (200 + 1 + 8 + 64 probes) and stays unresolved."""
+def test_detector_nonconvex_when_ties_sit_on_grid_edge(bisections):
+    """Both points on the bottom grid edge: no certificate is discarded as
+    an edge artifact, so the first Halton probe, whose certificate has a
+    single finite shell sample, is already not strong."""
     g = ll.grid_2d(-2.0, 2.0, 41)
     S = ll.ConstraintSet.from_points(g, [(-2.0, -2.0), (2.0, -2.0)], "edge")
     v = ll.convexity_detector(S, n_probes=200, seed=42)
-    assert v.kind == "UNRESOLVED"
-    assert v.probes_used == 273
-    assert not v.midpoint_convex and not v.agreement
-    assert bisections == [None]
+    assert v.kind == "NONCONVEX"
+    assert v.probes_used == 1
+    assert not v.midpoint_convex and v.agreement
+    assert bisections == []
+
+
+@pytest.fixture(scope="module")
+def halfsq2_41():
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    return ll.build_grid_function(g, lambda p: 0.5 * (p * p).sum(axis=1),
+                                  name="halfsq2", vectorized=True)
+
+
+def test_tchebychev_fails_on_grid_edge_pair(halfsq2_41):
+    S = ll.ConstraintSet.from_points(halfsq2_41.grid,
+                                     [(-2.0, -2.0), (2.0, -2.0)], "edge")
+    rep = ll.tchebychev_test(halfsq2_41, S, n_probes=200, seed=42)
+    assert not rep.midpoint_convex
+    assert not rep.passed and not rep.witness.strong
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tchebychev_fails_on_random_grid_edge_subsets(halfsq2_41, seed):
+    """2-5 random points of the grid edge, none midpoint convex."""
+    g = halfsq2_41.grid
+    rng = np.random.default_rng(seed)
+    edge = np.flatnonzero(~g.interior_flat)
+    mask = np.zeros(g.size, dtype=bool)
+    mask[rng.choice(edge, int(rng.integers(2, 6)), replace=False)] = True
+    rep = ll.tchebychev_test(halfsq2_41, ll.ConstraintSet(g, mask, "edge"),
+                             n_probes=200, seed=seed)
+    assert not rep.midpoint_convex
+    assert not rep.passed and not rep.witness.strong
 
 
 def test_constraint_set_from_points_snaps(grid):
