@@ -8,8 +8,9 @@ process running ``legendrelab verify-paper --experiment all --seed 42``,
 whose wall time is taken from outside. The tree order flips every round,
 so drift on a shared machine hits both sides alike. The JSON written to
 ``--out`` holds the machine (CPU count and model, Python, numpy and scipy
-versions, git HEAD, load averages) and, per tree, the median, quartiles
-and raw runs of both timings plus the sha256 of the verify-paper manifest.
+versions, scipy null when it is not installed, git HEAD, load averages)
+and, per tree, the median, quartiles and raw runs of both timings plus
+the sha256 of the verify-paper manifest.
 
     python scripts/bench.py --rounds 10 --out BENCH.json base=../base/src src
 """
@@ -82,13 +83,16 @@ def _cpu_model() -> str | None:
 
 def _machine() -> dict:
     import numpy
-    import scipy
+    try:    # scipy is a test-only dependency; the package runs without it
+        import scipy
+    except ImportError:
+        scipy = None
 
     status = _git("status", "--porcelain", "--untracked-files=no")
     return {"nproc": os.cpu_count(), "cpu": _cpu_model(),
             "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": None if scipy is None else scipy.__version__,
             "git_head": _git("rev-parse", "HEAD"),
             "git_dirty": None if status is None else bool(status),
             "loadavg": list(os.getloadavg())}

@@ -69,6 +69,12 @@ def _parse_point(text: str, grid: Grid, option: str) -> np.ndarray:
     return point
 
 
+def _at_least(value: int, least: int, option: str) -> int:
+    if value < least:
+        raise UsageError(f"{option} must be at least {least}, got {value}")
+    return value
+
+
 def _catalog_entry(entry_id: str) -> CatalogEntry:
     try:
         return entry(entry_id)
@@ -116,7 +122,7 @@ def _cmd_conjugate(args) -> int:
 def _cmd_classify(args) -> int:
     f = _load_function(args)
     dual = _dual_grid_for(args, f)
-    report = classify(f, dual, samples=args.samples)
+    report = classify(f, dual, samples=_at_least(args.samples, 1, "--samples"))
     if args.out:
         write_json(report.to_dict(), args.out)
     print(f"classification of {f.name or 'input'} (chain_ok={report.chain_ok}):")
@@ -175,7 +181,6 @@ def _cmd_project(args) -> int:
         "value": cert.value, "strong": cert.strong,
         "multiplicity": cert.report.multiplicity,
         "certificate_positive": cert.report.certificate_positive,
-        "boundary_flag": cert.report.boundary_descent,
         "modulus": {"t": list(cert.modulus.radii),
                     "value": list(cert.modulus.values),
                     "empty": [bool(b) for b in cert.modulus.empty]},
@@ -190,7 +195,8 @@ def _cmd_project(args) -> int:
 def _cmd_tchebychev(args) -> int:
     f = entry(args.f).build() if args.f in _catalog_ids() else read_grid_function(args.f)
     S = _load_set(args.set, f.grid)
-    rep = tchebychev_test(f, S, n_probes=args.probes, seed=args.seed)
+    rep = tchebychev_test(f, S, n_probes=_at_least(args.probes, 1, "--probes"),
+                          seed=_at_least(args.seed, 0, "--seed"))
     payload = {
         "kind": "tchebychev_report", "function": f.name, "set": S.name,
         "passed": rep.passed, "verdict": rep.verdict, "n_probes": rep.n_probes,
@@ -217,7 +223,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    passed, results = run_experiments(args.experiment, args.out, seed=args.seed)
+    passed, results = run_experiments(args.experiment, args.out,
+                                      seed=_at_least(args.seed, 0, "--seed"))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
     print(f"{'PASS' if passed else 'FAIL'}  overall "

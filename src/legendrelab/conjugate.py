@@ -172,11 +172,10 @@ def bicon_tolerance(f: GridFunction, tols: Tolerances = DEFAULT_TOLS) -> float:
 
 
 def biconjugate(f: GridFunction, dual_grid: Grid,
-                tols: Tolerances = DEFAULT_TOLS,
-                method: str = "fast") -> BiconjugateResult:
+                tols: Tolerances = DEFAULT_TOLS) -> BiconjugateResult:
     """Double conjugation f**; flags whether f was already convex lsc."""
-    star = conjugate(f, dual_grid, method=method)
-    second = conjugate(star.dual, f.grid, method=method)
+    star = conjugate_fast(f, dual_grid)
+    second = conjugate_fast(star.dual, f.grid)
     tol = bicon_tolerance(f, tols)
     compare = second.trusted & f.domain_flat
     if compare.any():

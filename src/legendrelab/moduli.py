@@ -137,8 +137,7 @@ def _ladder(grid: Grid, center: int, norm: NormChoice,
 def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
                  radii: Sequence[float] | None = None,
                  norm: NormChoice = NormChoice.L2,
-                 tols: Tolerances = DEFAULT_TOLS,
-                 feasible: np.ndarray | None = None) -> Modulus:
+                 tols: Tolerances = DEFAULT_TOLS) -> Modulus:
     """Shell infima of f(u) - f(x) - <u - x, s> for a subgradient s at x.
 
     Raises NotASubgradientError when the Fenchel-Young gap of (x, s)
@@ -157,7 +156,7 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
     tilted = f.tilted(s)
     gaps = tilted - tilted[x_flat]
     ladder = _ladder(f.grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, ladder, feasible)
+    radii_a, values, empty, wit = _shell_minima(gaps, ladder)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
                    tilt=tuple(float(c) for c in s))
 

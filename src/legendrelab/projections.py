@@ -3,9 +3,10 @@
 Includes the strong-Tchebychev probe test, the farthest-point experiment
 (f = -||.||^2/2), and the convexity detector (f = ||.||^2/2). Universal
 "for every tilt" claims are always reported as "no failure over N probes".
-All three run one staged witness search over one probe budget: Halton
-probes, exact tie tilts from member pairs (from one midpoint-convexity pass,
-or far pairs), then jittered tie tilts and bisection toward the tie.
+All three wrap one witness-search engine: Halton probes and exact tie
+tilts from member pairs (midpoint-convexity violations or far pairs) in the
+caller's order, then jittered tie tilts and bisection toward the tie, from
+a budget of exactly what those stages can spend.
 
 Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
 of a member pair depend only on its index sum, so one FFT self-convolution
@@ -16,12 +17,12 @@ the violating pairs.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.stats import qmc
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
 from .grids import Grid, GridFunction, NormChoice, build_grid_function
@@ -128,9 +129,13 @@ def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
     shape = S.grid.shape
     box = mask.reshape(shape)
     lattice = tuple(2 * n - 1 for n in shape)
-    fast = [sfft.next_fast_len(n, real=True) for n in lattice]
-    spec = sfft.rfftn(box.astype(float), fast)
-    pair_counts = sfft.irfftn(spec * spec, fast)[tuple(map(slice, lattice))]
+    # Power-of-two lengths: numpy's FFT is slow on lengths with large prime
+    # factors, such as 2 * 101 - 1 = 201.
+    padded = [1 << (n - 1).bit_length() for n in lattice]
+    axes = tuple(range(len(shape)))
+    spec = np.fft.rfftn(box.astype(float), padded, axes=axes)
+    pair_counts = np.fft.irfftn(spec * spec, padded,
+                                axes=axes)[tuple(map(slice, lattice))]
     # The counts are integers and the FFT's rounding error is of order
     # |S| * log(lattice size) ulps, far below the half a count that
     # separates a reachable sum from an unreachable one.
@@ -161,8 +166,22 @@ def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
 
 def _halton_probes(box_lo: np.ndarray, box_hi: np.ndarray, n: int,
                    seed: int) -> np.ndarray:
-    sampler = qmc.Halton(d=box_lo.size, scramble=True, seed=seed)
-    u = sampler.random(n)
+    """n Owen-scrambled Halton points (Owen, arXiv:1706.02808) in the box,
+    bitwise equal to ``scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed).random(n)``: one digit permutation per base-b digit that a
+    double resolves (b**-k > 2**-54), the digits summed lowest first."""
+    rng = np.random.default_rng(seed)
+    primes = itertools.islice((p for p in itertools.count(2)
+                               if all(p % q for q in range(2, p))), box_lo.size)
+    u = np.zeros((n, box_lo.size))
+    for axis, b in enumerate(primes):
+        perms = np.tile(np.arange(b), (math.ceil(54 / math.log2(b)) - 1, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        q, scale = np.arange(n), 1.0 / b
+        for perm in perms:
+            u[:, axis] += perm[q % b] * scale
+            q, scale = q // b, scale / b
     return box_lo[None, :] + u * (box_hi - box_lo)[None, :]
 
 
@@ -182,27 +201,17 @@ def _tie_tilt(u: np.ndarray, v: np.ndarray, fu: float, fv: float) -> np.ndarray:
 
 
 def _far_pairs(S: ConstraintSet, limit: int = 24) -> list[tuple[int, int]]:
-    """Member pairs of near-maximal separation, from a capped subsample."""
+    """Member pairs of near-maximal separation, from a capped subsample:
+    farthest first, equal separations in descending (i, j) order."""
     mem = S.members
     if mem.size > 400:
         sel = np.unique(np.linspace(0, mem.size - 1, 400).astype(int))
         mem = mem[sel]
     pts = S.grid.points[mem]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    flat_order = np.argsort(d2, axis=None, kind="stable")[::-1]
-    out = []
-    seen = set()
-    for f_idx in flat_order:
-        i, j = np.unravel_index(f_idx, d2.shape)
-        if i >= j or d2[i, j] <= 0:
-            continue
-        key = (int(mem[i]), int(mem[j]))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-        if len(out) >= limit:
-            break
-    return out
+    i, j = np.triu_indices(mem.size, k=1)
+    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    top = np.argsort(d2, kind="stable")[::-1][:limit]
+    return list(zip(mem[i[top]].tolist(), mem[j[top]].tolist()))
 
 
 class _Budget:
@@ -222,25 +231,28 @@ def _probe(f: GridFunction, S: ConstraintSet, s: np.ndarray, budget: _Budget,
     return solve_relative_projection(f, S, s, norm=norm, tols=tols)
 
 
+_WALK_STEPS = 16       # quarter-extent steps of the walk before bisection
+_BISECTIONS = 60
+_REFINED_PAIRS = 8     # leading pairs the refine stage works on
+_JITTERS = 8           # jittered tie tilts per refined pair
+_REFINE_PROBES = _JITTERS + 1 + _WALK_STEPS + _BISECTIONS
+
+
 def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
-                    budget: _Budget, norm: NormChoice, tols: Tolerances,
-                    iters: int = 60) -> ProjectionCertificate | None:
+                    budget: _Budget, norm: NormChoice,
+                    tols: Tolerances) -> ProjectionCertificate | None:
     """Walk the tilt away from its minimizer until the argmin jumps, then
     bisect toward the crossing; at the crossing two branches tie."""
     cert0 = _probe(f, S, s0, budget, norm, tols)
     if not cert0.strong:
         return cert0
     x0 = np.asarray(cert0.minimizer_point)
-    direction = s0 - x0
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0:
-        direction = np.ones_like(s0)
-        nrm = float(np.linalg.norm(direction))
-    direction /= nrm
+    direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
+    direction = direction / np.linalg.norm(direction)
     extent = max(hi - lo for lo, hi in f.grid.bounds)
     lam_lo, cert_lo = 0.0, cert0
     lam_hi = None
-    for k in range(1, 17):
+    for k in range(1, _WALK_STEPS + 1):
         lam = extent * k / 4.0
         cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
         if not cert.strong:
@@ -251,7 +263,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
         lam_lo = lam
     if lam_hi is None:
         return None
-    for _ in range(iters):
+    for _ in range(_BISECTIONS):
         lam = (lam_lo + lam_hi) / 2.0
         cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
         if not cert.strong:
@@ -263,47 +275,40 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     return None
 
 
-def _search(f: GridFunction, S: ConstraintSet, budget: _Budget,
-            norm: NormChoice, tols: Tolerances,
-            *stages: Iterable[np.ndarray]) -> ProjectionCertificate | None:
-    """Probe the tilts of each stage in order; the first witness, or None."""
-    for stage in stages:
-        for s in stage:
-            cert = _probe(f, S, s, budget, norm, tols)
-            if not cert.strong:
-                return cert
-    return None
-
-
-def _refine(f: GridFunction, S: ConstraintSet, pairs: list[tuple[int, int]],
-            seed: int, budget: _Budget, norm: NormChoice,
-            tols: Tolerances) -> ProjectionCertificate | None:
-    """Last stage: per member pair, 8 tie tilts plus Gaussian noise of one
-    grid step (one generator across all pairs), then bisection from the
-    exact tie tilt."""
-    rng = np.random.default_rng(seed)
-    for a, b in pairs:
-        base = _tie_tilt(f.grid.point(a), f.grid.point(b),
-                         f.value_at(a), f.value_at(b))
-        jittered = (base + rng.normal(scale=S.grid.max_spacing, size=base.shape)
-                    for _ in range(8))
-        found = (_search(f, S, budget, norm, tols, jittered)
-                 or _bisect_for_tie(f, S, base, budget, norm, tols))
-        if found is not None:
-            return found
-    return None
-
-
 def _witness_candidates(f: GridFunction,
                         pairs: list[tuple[int, int]]) -> list[np.ndarray]:
-    out = []
-    for a, b in pairs:
-        u = f.grid.point(a)
-        v = f.grid.point(b)
-        fu, fv = f.value_at(a), f.value_at(b)
-        if np.isfinite(fu) and np.isfinite(fv):
-            out.append(_tie_tilt(u, v, fu, fv))
-    return out
+    """Exact tie tilts of the pairs whose two values are finite."""
+    return [_tie_tilt(f.grid.point(a), f.grid.point(b), f.value_at(a), f.value_at(b))
+            for a, b in pairs if np.isfinite(f.flat[[a, b]]).all()]
+
+
+def _witness_search(f: GridFunction, S: ConstraintSet,
+                    stages: list[Sequence[np.ndarray]],
+                    refine_pairs: list[tuple[int, int]], seed: int,
+                    norm: NormChoice, tols: Tolerances
+                    ) -> tuple[ProjectionCertificate | None, _Budget]:
+    """The first probe whose projection on S is not strong (or None), and
+    the budget, sized to exactly what the stages below can spend.
+
+    Probes the tilts of each stage in order, then refines the leading
+    pairs: per pair, tie tilts plus Gaussian noise of one grid step (one
+    generator across all pairs), then bisection from the exact tie tilt
+    (None when it finds no tie).
+    """
+    bases = _witness_candidates(f, refine_pairs[:_REFINED_PAIRS])
+    budget = _Budget(sum(map(len, stages)) + _REFINE_PROBES * len(bases))
+
+    def tries():
+        for s in itertools.chain(*stages):
+            yield _probe(f, S, s, budget, norm, tols)
+        rng = np.random.default_rng(seed)
+        for base in bases:
+            for _ in range(_JITTERS):
+                jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
+                yield _probe(f, S, base + jitter, budget, norm, tols)
+            yield _bisect_for_tie(f, S, base, budget, norm, tols)
+
+    return next((c for c in tries() if c is not None and not c.strong), None), budget
 
 
 def _violation_pairs_by_depth(S: ConstraintSet,
@@ -365,11 +370,10 @@ def tchebychev_test(f: GridFunction, S: ConstraintSet,
     if not (S.mask & f.domain_flat).any():
         raise InfeasibleProblemError("S does not meet dom f")
     mp_ok, violations = midpoint_convexity(S, domain=f.domain_flat)
-    budget = _Budget(max(10 * n_probes, 2000))
     pairs = _violation_pairs_by_depth(S, violations)
-    cert = _search(f, S, budget, norm, tols,
-                   _halton_probes(*probe_box(f), n_probes, seed),
-                   _witness_candidates(f, pairs))
+    cert, budget = _witness_search(
+        f, S, [_halton_probes(*probe_box(f), n_probes, seed),
+               _witness_candidates(f, pairs)], [], seed, norm, tols)
     if cert is None:
         return TchebychevReport(True, budget.used, None, None, mp_ok)
     return TchebychevReport(False, budget.used, cert.tilt, cert, mp_ok)
@@ -383,14 +387,10 @@ class FarthestVerdict:
     probes_used: int
 
 
-def _neg_half_sq(grid: Grid) -> GridFunction:
-    return build_grid_function(grid, lambda p: -0.5 * (p * p).sum(axis=-1),
-                               name="-0.5|x|^2", vectorized=True)
-
-
-def _half_sq(grid: Grid) -> GridFunction:
-    return build_grid_function(grid, lambda p: 0.5 * (p * p).sum(axis=-1),
-                               name="0.5|x|^2", vectorized=True)
+def _half_sq(grid: Grid, sign: float) -> GridFunction:
+    """sign * ||x||^2 / 2: +1 for the detector, -1 for the farthest search."""
+    return build_grid_function(grid, lambda p: sign * 0.5 * (p * p).sum(axis=-1),
+                               name=f"{sign * 0.5:g}|x|^2", vectorized=True)
 
 
 def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
@@ -403,23 +403,19 @@ def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
     witness (farthest points from the midpoint of a far pair tie exactly).
     Raises BudgetExhaustedError when a multi-point set defeats the search.
     """
-    f = _neg_half_sq(S.grid)
-    budget = _Budget(max(10 * n_probes, 2000))
-    halton = _halton_probes(*probe_box(f), n_probes, seed)
+    f = _half_sq(S.grid, -1.0)
+    pairs = _far_pairs(S)
+    cert, budget = _witness_search(
+        f, S, [_witness_candidates(f, pairs),
+               _halton_probes(*probe_box(f), n_probes, seed)],
+        pairs, seed, norm, tols)
+    if cert is not None:
+        return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
     if S.size == 1:
-        cert = _search(f, S, budget, norm, tols, halton)
-        if cert is None:
-            return FarthestVerdict("SINGLETON-CONSISTENT", None, None, budget.used)
-    else:
-        pairs = _far_pairs(S)
-        cert = (_search(f, S, budget, norm, tols,
-                        _witness_candidates(f, pairs), halton)
-                or _refine(f, S, pairs[:8], seed, budget, norm, tols))
-        if cert is None:
-            raise BudgetExhaustedError(
-                f"no farthest-point witness for {S.name!r} after "
-                f"{budget.used} of {budget.limit} probes")
-    return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
+        return FarthestVerdict("SINGLETON-CONSISTENT", None, None, budget.used)
+    raise BudgetExhaustedError(
+        f"no farthest-point witness for {S.name!r} after "
+        f"{budget.used} of {budget.limit} probes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,15 +441,12 @@ def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
                        tols: Tolerances = DEFAULT_TOLS) -> DetectorVerdict:
     """Variational convexity test: every nearest-point problem on a convex
     set is strongly posed; a nonconvex set betrays itself by a tie."""
-    f = _half_sq(S.grid)
+    f = _half_sq(S.grid, 1.0)
     mp_ok, violations = midpoint_convexity(S)
-    budget = _Budget(max(10 * n_probes, 2000))
     pairs = _violation_pairs_by_depth(S, violations)
-    cert = _search(f, S, budget, norm, tols,
-                   _halton_probes(*probe_box(f), n_probes, seed),
-                   _witness_candidates(f, pairs))
-    if cert is None and not mp_ok:
-        cert = _refine(f, S, pairs[:8], seed, budget, norm, tols)
+    cert, budget = _witness_search(
+        f, S, [_halton_probes(*probe_box(f), n_probes, seed),
+               _witness_candidates(f, pairs)], pairs, seed, norm, tols)
     if cert is not None:
         return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
     return DetectorVerdict("CONVEX-CONSISTENT" if mp_ok else "UNRESOLVED",

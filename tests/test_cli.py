@@ -65,6 +65,33 @@ def test_usage_errors_exit_2_with_message(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,option", [
+    pytest.param(["tchebychev", "--f", "halfsq2", "--set", "disk",
+                  "--probes", "-3"], "--probes", id="probes-negative"),
+    pytest.param(["tchebychev", "--f", "halfsq2", "--set", "disk",
+                  "--probes", "0"], "--probes", id="probes-zero"),
+    pytest.param(["tchebychev", "--f", "halfsq2", "--set", "disk",
+                  "--seed", "-1"], "--seed", id="tchebychev-seed-negative"),
+    pytest.param(["verify-paper", "--experiment", "cor4", "--seed", "-1"],
+                 "--seed", id="verify-paper-seed-negative"),
+    pytest.param(["classify", "--catalog", "abs", "--samples", "-2"],
+                 "--samples", id="samples-negative"),
+    pytest.param(["classify", "--catalog", "abs", "--samples", "0"],
+                 "--samples", id="samples-zero"),
+])
+def test_bad_counts_and_seeds_exit_2(argv, option, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be at least")
+    assert not out.exists()
+
+
+def test_smallest_counts_and_seed_accepted(capsys):
+    assert main(["tchebychev", "--f", "halfsq2", "--set", "disk",
+                 "--probes", "1", "--seed", "0"]) == 0
+    assert main(["classify", "--catalog", "abs", "--samples", "1"]) == 0
+
+
 @pytest.mark.parametrize("catalog,kind,at", [
     ("halfsq", "total", "100"),
     ("halfsq", "total", "-2.5"),
@@ -183,6 +210,10 @@ def test_project_subcommand(tmp_path):
     assert code == 0
     doc = rio.read_json(out)
     assert doc["strong"] is True
+    assert set(doc) == {"kind", "function", "constraint", "tilt",
+                        "minimizer_point", "value", "strong", "multiplicity",
+                        "certificate_positive", "modulus"}
+    assert set(doc["modulus"]) == {"t", "value", "empty"}
 
 
 def test_tchebychev_subcommand(tmp_path):
@@ -238,6 +269,16 @@ def test_ll_threads_caps_threads_at_import():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency."""
+    code = ("import sys, legendrelab, legendrelab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_catalog_listing(capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 import legendrelab as ll
 from legendrelab import projections
-from legendrelab.catalog import make_set
+from legendrelab.catalog import SET_NAMES, make_set
 from legendrelab.errors import InfeasibleProblemError
+from legendrelab.tolerances import DEFAULT_TOLS
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,122 @@ def test_midpoint_convexity_truncates_like_pairwise_sweep(grid):
         assert got == _midpoint_convexity_pairwise(S), S.name
     for S in (sparse, two_blobs):
         assert len(ll.midpoint_convexity(S)[1]) == projections.MAX_VIOLATIONS
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 200, 300])
+def test_halton_probes_equal_scipy_halton(d, n):
+    """The numpy Owen-scrambled Halton reproduces scipy's bit for bit."""
+    from scipy.stats import qmc
+
+    for seed in [*range(50), 11, 42, 2026, 123456789]:
+        want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+        got = projections._halton_probes(np.zeros(d), np.ones(d), n, seed)
+        assert np.array_equal(got, want), seed
+
+
+def far_pairs_loop(S, limit=24):
+    """The per-index loop that ``_far_pairs`` replaced, kept as its oracle."""
+    mem = S.members
+    if mem.size > 400:
+        sel = np.unique(np.linspace(0, mem.size - 1, 400).astype(int))
+        mem = mem[sel]
+    pts = S.grid.points[mem]
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    flat_order = np.argsort(d2, axis=None, kind="stable")[::-1]
+    out = []
+    seen = set()
+    for f_idx in flat_order:
+        i, j = np.unravel_index(f_idx, d2.shape)
+        if i >= j or d2[i, j] <= 0:
+            continue
+        key = (int(mem[i]), int(mem[j]))
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+        if len(out) >= limit:
+            break
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_far_pairs_equal_loop(data):
+    """Random masks, sparse to dense (ties in distance are common on a
+    grid), with and without the 400-member subsample."""
+    dim = data.draw(st.integers(1, 2), label="dim")
+    n = data.draw(st.integers(2, {1: 600, 2: 30}[dim]), label="n")
+    grid = ll.Grid(tuple((-1.0, 1.0) for _ in range(dim)), (n,) * dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    mask = rng.random(grid.size) < data.draw(st.floats(0.0, 1.0))
+    mask[rng.integers(grid.size)] = True
+    S = ll.ConstraintSet(grid, mask)
+    limit = data.draw(st.sampled_from([1, 8, 24, 1000]), label="limit")
+    assert projections._far_pairs(S, limit) == far_pairs_loop(S, limit)
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every probe budget the searches create, wrapped the way the
+    benchmark's layer metrics wrap ``_Budget.__init__(self, limit)``."""
+    out = []
+    init = projections._Budget.__init__
+
+    def recording(self, limit):
+        init(self, limit)
+        out.append(self)
+
+    monkeypatch.setattr(projections._Budget, "__init__", recording)
+    return out
+
+
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_search_budgets_are_true_bounds(grid, budgets, name):
+    """A budget is exactly what the search's stages can spend: no search
+    spends past it, and a convex set's detector spends all of it. Limits
+    are 200 Halton probes, one probe per tie tilt (up to 40 violations or
+    24 far pairs) and 85 per refined pair (up to 8)."""
+    S = make_set(name, grid)
+    v = ll.convexity_detector(S, n_probes=200, seed=42)
+    ll.farthest_point_experiment(S, n_probes=200, seed=42)
+    detector, farthest = budgets
+    assert detector.used <= detector.limit
+    assert farthest.used <= farthest.limit
+    if v.kind == "CONVEX-CONSISTENT":
+        assert detector.used == detector.limit == 200
+    small = {"singleton": 200, "pair": 200 + 1 + 85, "two_point": 200 + 1 + 85}
+    many = 200 + 40 + 8 * 85 if v.kind == "NONCONVEX" else 200
+    assert detector.limit == small.get(name, many)
+    assert farthest.limit == small.get(name, 200 + 24 + 8 * 85)
+
+
+def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
+    """With every probe strong and no tie on any bisection ray, the refine
+    stage probes 8 jittered tie tilts per pair, all drawn from one
+    generator, from a budget of 85 probes per pair."""
+    tilts = []
+
+    def strong_probe(f, S, s, budget, norm, tols):
+        budget.spend()
+        tilts.append(s)
+        return SimpleNamespace(strong=True)
+
+    monkeypatch.setattr(projections, "_probe", strong_probe)
+    monkeypatch.setattr(projections, "_bisect_for_tie", lambda *args: None)
+    S = make_set("annulus", grid)
+    f = projections._half_sq(grid, 1.0)
+    pairs = [(int(S.members[0]), int(S.members[-1])),
+             (int(S.members[1]), int(S.members[-2]))]
+    cert, budget = projections._witness_search(f, S, [], pairs, 11,
+                                               ll.NormChoice.L2, DEFAULT_TOLS)
+    assert cert is None
+    assert (budget.used, budget.limit) == (16, 2 * 85)
+    rng = np.random.default_rng(11)
+    want = [base + rng.normal(scale=grid.max_spacing, size=2)
+            for base in projections._witness_candidates(f, pairs)
+            for _ in range(8)]
+    assert np.array_equal(np.array(tilts), np.array(want))
 
 
 def test_tchebychev_convex_polygon_passes(grid, halfsq2):
