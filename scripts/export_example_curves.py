@@ -15,7 +15,6 @@ from pathlib import Path
 from legendrelab import (certification_verdict, entry, firm_modulus,
                          total_convexity_modulus)
 from legendrelab.report_io import write_json, write_modulus_csv
-from legendrelab.tolerances import DEFAULT_TOLS
 
 
 def main(out_dir: str) -> int:
@@ -26,7 +25,6 @@ def main(out_dir: str) -> int:
     e1 = entry("fourth_root_well")
     f1 = e1.build()
     g = f1.grid
-    min_r = DEFAULT_TOLS.cert_min_radius(g.max_spacing)
 
     curves = {
         "fourth_root_well_center_firm":
@@ -44,7 +42,7 @@ def main(out_dir: str) -> int:
 
     for name, mod in curves.items():
         write_modulus_csv(mod, out / f"{name}.csv")
-        pos, _, note = certification_verdict(mod, min_radius=min_r)
+        pos, _, note = certification_verdict(mod)
         rows[name] = {"certificate_positive": pos, "note": note}
         print(f"{name:38s} positive={pos}")
     write_json({"kind": "curve_summary", "curves": rows}, out / "summary.json")

@@ -412,6 +412,8 @@ def make_set(name: str, grid: Grid) -> ConstraintSet:
     ``circle`` is a 12-point cloud on exact lattice Pythagorean triples so
     every member has identical norm (the tie at the center tilt is exact).
     """
+    if name not in SET_NAMES:
+        raise KeyError(f"unknown set {name!r}; known: {SET_NAMES}")
     pts = grid.points
     x, y = pts[:, 0], pts[:, 1]
     h = grid.max_spacing
@@ -451,8 +453,7 @@ def make_set(name: str, grid: Grid) -> ConstraintSet:
         r2 = x * x + y * y
         mask = (r2 >= 0.5 ** 2) & (r2 <= 1.0)
         return ConstraintSet(grid, mask, name)
-    if name == "crescent":
-        outer = x * x + y * y <= 1.2 ** 2
-        bite = (x - 0.5) ** 2 + y * y < 0.8 ** 2
-        return ConstraintSet(grid, outer & ~bite, name)
-    raise KeyError(f"unknown set {name!r}; known: {SET_NAMES}")
+    # the one name left is "crescent"
+    outer = x * x + y * y <= 1.2 ** 2
+    bite = (x - 0.5) ** 2 + y * y < 0.8 ** 2
+    return ConstraintSet(grid, outer & ~bite, name)

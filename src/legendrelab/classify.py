@@ -24,14 +24,18 @@ from .subdiff import subgradients
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 
+# Segment half-steps, witness duals per point, and jump duals per plan.
+_SEGMENT_STEPS = (2, 5, 11)
+_MAX_WITNESS_DUALS = 8
+_MAX_JUMP_DUALS = 24
+
+
 @dataclass(frozen=True)
 class SamplePlan:
-    """Primal points, dual points, and symmetric-segment half-steps to test."""
+    """Primal and dual points to test."""
 
     primal: tuple[int, ...]
     dual: tuple[int, ...]
-    segment_steps: tuple[int, ...] = (2, 5, 11)
-    max_witness_duals: int = 8
 
 
 def _evenly(idx: np.ndarray, k: int) -> np.ndarray:
@@ -41,8 +45,7 @@ def _evenly(idx: np.ndarray, k: int) -> np.ndarray:
     return idx[sel]
 
 
-def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult,
-                       cap: int = 24) -> list[int]:
+def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult) -> list[int]:
     """Trusted dual pairs across which the tilted minimizer jumps.
 
     A jump much wider than one cell per dual step betrays a flat piece of
@@ -73,13 +76,13 @@ def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult,
         for k in (i, j):
             if k not in picked:
                 picked.append(k)
-        if len(picked) >= cap:
+        if len(picked) >= _MAX_JUMP_DUALS:
             break
     return picked
 
 
 def default_sample_plan(f: GridFunction, conj: ConjugateResult,
-                        max_primal: int = 36, max_dual: int = 36) -> SamplePlan:
+                        samples: int = 36) -> SamplePlan:
     """Deterministic plan: domain extremes (corners and edge midpoints of the
     effective domain) plus evenly spaced fill; trusted duals spread evenly,
     augmented with the zero tilt and every tilt where the minimizer jumps."""
@@ -94,7 +97,7 @@ def default_sample_plan(f: GridFunction, conj: ConjugateResult,
             special.append(int(members[members.size // 2]))
             special.append(int(members[0]))
             special.append(int(members[-1]))
-    fill = _evenly(dom, max(max_primal - len(special), 0))
+    fill = _evenly(dom, max(samples - len(special), 0))
     primal = tuple(dict.fromkeys([*special, *map(int, fill)]))
 
     trusted = np.flatnonzero(conj.trusted)
@@ -102,7 +105,7 @@ def default_sample_plan(f: GridFunction, conj: ConjugateResult,
     zero = conj.dual_grid.index_of_nearest(np.zeros(conj.dual_grid.dim))
     if conj.trusted[zero]:
         dual_special.append(int(zero))
-    fill_d = _evenly(trusted, max(max_dual - len(dual_special), 8))
+    fill_d = _evenly(trusted, max(samples - len(dual_special), 8))
     dual = tuple(dict.fromkeys([*dual_special, *map(int, fill_d)]))
     return SamplePlan(primal=primal, dual=dual)
 
@@ -170,8 +173,7 @@ class _Session:
         self.conj = self.bic.star
         self._clusters: dict[int, np.ndarray] = {}
         self._totals: dict[int, tuple[bool, str]] = {}
-        self.min_cert_radius = tols.cert_min_radius(f.grid.max_spacing)
-        self.cell = f.grid.cell_diagonal(norm) * tols.cell_diag_factor
+        self.cell = tols.cell_limit(f.grid, norm)
         self.disclaimers: set[str] = set()
 
     def cluster(self, dual_flat: int) -> np.ndarray:
@@ -214,7 +216,7 @@ class _Session:
     def firm_positive(self, x_flat: int, s_flat: int) -> tuple[bool, str]:
         s = self.dual_grid.point(s_flat)
         mod = firm_modulus(self.f, x_flat, s, norm=self.norm, tols=self.tols)
-        pos, _, note = certification_verdict(mod, self.tols, self.min_cert_radius)
+        pos, _, note = certification_verdict(mod, self.tols)
         if note:
             self.disclaimers.add(f"firm certificate at {x_flat}: {note}")
         return pos, note
@@ -225,7 +227,7 @@ class _Session:
             return got
         mod = total_convexity_modulus(self.f, x_flat, norm=self.norm,
                                       tols=self.tols)
-        pos, _, note = certification_verdict(mod, self.tols, self.min_cert_radius)
+        pos, _, note = certification_verdict(mod, self.tols)
         if note:
             self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
         self._totals[x_flat] = pos, note
@@ -241,7 +243,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
     plan, which is built from the session's own conjugate.
     """
     ses = _Session(f, dual_grid, norm, tols)
-    plan = default_sample_plan(f, ses.conj, max_primal=samples, max_dual=samples)
+    plan = default_sample_plan(f, ses.conj, samples)
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
 
@@ -289,7 +291,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
 
     # pointwise tests over the sampled effective domain
     dom_points = [x for x in plan.primal if f.domain_flat[x]]
-    witness_map = {x: ses.witness_duals(x, plan.max_witness_duals)
+    witness_map = {x: ses.witness_duals(x, _MAX_WITNESS_DUALS)
                    for x in dom_points}
     subdiff_points = [x for x in dom_points if witness_map[x]]
 
@@ -352,7 +354,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
         for ax in range(grid.dim):
             e = np.zeros(grid.dim, dtype=np.int64)
             e[ax] = 1
-            for k in plan.segment_steps:
+            for k in _SEGMENT_STEPS:
                 lo = base - k * e
                 hi = base + k * e
                 if (lo < 0).any() or (hi >= shape).any():
@@ -362,7 +364,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
                 if not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
                     continue
                 n_segments += 1
-                eps = tols.eps_fp * (1.0 + abs(fx))
+                eps = tols.delta0(abs(fx))
                 if fx >= 0.5 * (fv[u] + fv[v]) - eps and strict_wit is None:
                     strict_wit = {"midpoint": grid_point_dict(grid, x),
                                   "endpoints": [grid_point_dict(grid, u),
@@ -478,6 +480,6 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
         b = (diam <= diam_limit) and ratio_ok
 
         mod_firm = firm_modulus(f, rep.minimizer, s, norm=norm, tols=tols)
-        c, _, _ = certification_verdict(mod_firm, tols, ses.min_cert_radius)
+        c, _, _ = certification_verdict(mod_firm, tols)
         probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat), a, b, c))
     return AgreementReport(f.name, tuple(probes), ses.bic.consistent)

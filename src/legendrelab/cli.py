@@ -28,7 +28,6 @@ from .report_io import (read_constraint_set, read_grid_function, write_json,
                         write_grid_function, write_indices, write_mask,
                         write_modulus_csv)
 from .experiments import EXPERIMENT_NAMES, run_experiments
-from .tolerances import DEFAULT_TOLS
 
 DEFAULT_DUAL_SPEC = "-3,3,201"
 
@@ -98,10 +97,21 @@ def _dual_grid_for(args, f: GridFunction) -> Grid:
     return parse_grid_spec(";".join([DEFAULT_DUAL_SPEC] * f.grid.dim))
 
 
-def _load_set(name_or_path: str, grid: Grid) -> ConstraintSet:
-    if name_or_path in SET_NAMES:
-        return make_set(name_or_path, grid)
-    return read_constraint_set(name_or_path)
+def _named_or_file(name_or_path: str, build, read):
+    """``build(name)`` for a known name, else ``read(path)`` for an
+    existing file; anything else is a usage error naming the known names."""
+    try:
+        return build(name_or_path)
+    except KeyError as err:
+        if not Path(name_or_path).exists():
+            raise UsageError(err.args[0]) from None
+    return read(name_or_path)
+
+
+def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
+    f = _named_or_file(args.f, lambda n: entry(n).build(), read_grid_function)
+    return f, _named_or_file(args.set, lambda n: make_set(n, f.grid),
+                             read_constraint_set)
 
 
 def _cmd_conjugate(args) -> int:
@@ -161,8 +171,7 @@ def _cmd_modulus(args) -> int:
                                                   "--subgradient"), radii=radii)
         else:
             mod = total_convexity_modulus(f, x, radii=radii)
-        min_r = DEFAULT_TOLS.cert_min_radius(f.grid.max_spacing)
-        pos, _, note = certification_verdict(mod, min_radius=min_r)
+        pos, _, note = certification_verdict(mod)
         verdict = f"certificate_positive={pos}" + (f" ({note})" if note else "")
     write_modulus_csv(mod, args.out)
     print(f"{args.kind} modulus -> {args.out}; {verdict}")
@@ -170,8 +179,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    f = entry(args.f).build() if args.f in _catalog_ids() else read_grid_function(args.f)
-    S = _load_set(args.set, f.grid)
+    f, S = _project_inputs(args)
     s = _parse_point(args.tilt, f.grid, "--tilt")
     cert = solve_relative_projection(f, S, s)
     payload = {
@@ -193,8 +201,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_tchebychev(args) -> int:
-    f = entry(args.f).build() if args.f in _catalog_ids() else read_grid_function(args.f)
-    S = _load_set(args.set, f.grid)
+    f, S = _project_inputs(args)
     rep = tchebychev_test(f, S, n_probes=_at_least(args.probes, 1, "--probes"),
                           seed=_at_least(args.seed, 0, "--seed"))
     payload = {
@@ -234,11 +241,6 @@ def _cmd_verify_paper(args) -> int:
         first = next(r.name for r in results if not r.passed)
         print(f"first failing experiment: {first}", file=sys.stderr)
     return 0 if passed else 1
-
-
-def _catalog_ids() -> set[str]:
-    from .catalog import _REGISTRY
-    return set(_REGISTRY)
 
 
 def build_parser() -> argparse.ArgumentParser:

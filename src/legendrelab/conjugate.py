@@ -167,8 +167,8 @@ class BiconjugateResult:
 def bicon_tolerance(f: GridFunction, tols: Tolerances = DEFAULT_TOLS) -> float:
     """First-order conjugation error bound: 4 * h_max * Lipschitz estimate."""
     scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
-    floor = tols.eps_fp * (1.0 + scale)
-    return max(tols.bicon_c * f.grid.max_spacing * f.lipschitz_hat(), floor)
+    return max(tols.bicon_c * f.grid.max_spacing * f.lipschitz_hat(),
+               tols.delta0(scale))
 
 
 def biconjugate(f: GridFunction, dual_grid: Grid,

@@ -64,13 +64,12 @@ def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
     edge = g.index_of_nearest([0.0, 1.0])
     m_edge = total_convexity_modulus(f, edge)
     in_unit = (m_edge.radii > 0) & (m_edge.radii <= 1.0) & ~m_edge.empty
-    floor = np.array([DEFAULT_TOLS.delta0(t) for t in m_edge.radii])
+    floor = DEFAULT_TOLS.delta0(m_edge.radii)
     edge_zero = bool((m_edge.values[in_unit] <= floor[in_unit]).all())
 
     center = g.index_of_nearest([0.0, 0.0])
     m_center = firm_modulus(f, center, [0.0, 0.0])
-    center_pos, _, _ = certification_verdict(
-        m_center, DEFAULT_TOLS, DEFAULT_TOLS.cert_min_radius(g.max_spacing))
+    center_pos, _, _ = certification_verdict(m_center)
 
     report = classify(f, e.dual_grid)
     truth = report.truth()
@@ -108,10 +107,9 @@ def run_ex2(out_dir: Path, seed: int = 42) -> ExperimentResult:
     corner = g.index_of_nearest([1.0, 1.0])
 
     m_corner = total_convexity_modulus(f, corner)
-    min_r = DEFAULT_TOLS.cert_min_radius(g.max_spacing)
-    corner_pos, _, _ = certification_verdict(m_corner, DEFAULT_TOLS, min_r)
+    corner_pos, _, _ = certification_verdict(m_corner)
     m_firm = firm_modulus(f, corner, [1.05, 1.05])
-    firm_pos, _, _ = certification_verdict(m_firm, DEFAULT_TOLS, min_r)
+    firm_pos, _, _ = certification_verdict(m_firm)
 
     report = classify(f, e.dual_grid)
     truth = report.truth()

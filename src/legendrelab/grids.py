@@ -128,9 +128,6 @@ class Grid:
     def point(self, flat: int) -> np.ndarray:
         return self.points[int(flat)]
 
-    def is_interior(self, flat: int) -> bool:
-        return bool(self.interior_flat[int(flat)])
-
     def index_of_nearest(self, point: Sequence[float]) -> int:
         """Flat index of the grid point closest to ``point`` (per-axis rounding)."""
         multi = []
@@ -217,15 +214,8 @@ class GridFunction:
         return float(self.flat[int(flat)])
 
     def lipschitz_hat(self) -> float:
-        """Largest finite-difference slope between adjacent domain points."""
-        best = 0.0
-        for ax in range(self.grid.dim):
-            with np.errstate(invalid="ignore"):
-                d = np.diff(self.values, axis=ax)
-            ok = np.isfinite(d)
-            if ok.any():
-                best = max(best, float(np.abs(d[ok]).max()) / self.grid.spacing[ax])
-        return best
+        """Largest one-step slope between adjacent domain points."""
+        return float(self.local_slopes.max())
 
     @cached_property
     def local_slopes(self) -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import conjugate_value
 from .errors import (InfeasibleProblemError, InsufficientDataError,
                      NotASubgradientError, PointOutsideDomainError)
 from .grids import (Grid, GridFunction, NormChoice, ShellLadder, shell,
@@ -39,6 +38,7 @@ class Modulus:
     witnesses: np.ndarray          # flat index achieving the infimum, -1 if none
     norm: NormChoice
     tilt: tuple[float, ...] | None = None
+    spacing: float = 0.0           # grid step of the samples; 0 if unknown
 
     def finite_mask(self) -> np.ndarray:
         return (~self.empty) & np.isfinite(self.values)
@@ -47,7 +47,8 @@ class Modulus:
         keep = self.radii >= min_radius
         return Modulus(self.kind, self.center, self.radii[keep],
                        self.values[keep], self.empty[keep],
-                       self.witnesses[keep], self.norm, self.tilt)
+                       self.witnesses[keep], self.norm, self.tilt,
+                       self.spacing)
 
 
 @dataclass(frozen=True)
@@ -147,18 +148,18 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
     if not np.isfinite(fx):
         raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    fstar, _ = conjugate_value(f, s)
-    gap = fx + fstar - float(f.grid.point(x_flat) @ s)
+    tilted = f.tilted(s)
+    # f*(s) is minus the tilted minimum
+    gap = fx - float(tilted.min()) - float(f.grid.point(x_flat) @ s)
     tau = tau_sub(f, x_flat, s, norm, tols)
     if gap > tau:
         raise NotASubgradientError(
             f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
-    tilted = f.tilted(s)
     gaps = tilted - tilted[x_flat]
     ladder = _ladder(f.grid, x_flat, norm, radii)
     radii_a, values, empty, wit = _shell_minima(gaps, ladder)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
-                   tilt=tuple(float(c) for c in s))
+                   tilt=tuple(float(c) for c in s), spacing=f.grid.max_spacing)
 
 
 def uniform_firm_modulus(f: GridFunction, x_flat: int,
@@ -180,7 +181,7 @@ def uniform_firm_modulus(f: GridFunction, x_flat: int,
     base = mods[0]
     return Modulus("uniform_firm", base.center, base.radii, values,
                    base.empty, np.full(base.radii.shape, -1, dtype=np.int64),
-                   norm, tilt=None)
+                   norm, spacing=base.spacing)
 
 
 def total_convexity_modulus(f: GridFunction, x_flat: int,
@@ -286,7 +287,8 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
 
     ladder = _ladder(grid, x_flat, norm, radii)
     radii_a, values, empty, wit = _shell_minima(gaps, ladder)
-    return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm)
+    return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm,
+                   spacing=grid.max_spacing)
 
 
 def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certificate:
@@ -322,17 +324,17 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
                              int(ts.size), tols.eps_fp)
 
 
-def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS,
-                          min_radius: float = 0.0
+def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS
                           ) -> tuple[bool, Gamma0Certificate | None, str]:
     """Positivity verdict with the grid-scale edge cases resolved.
 
-    Shells below ``min_radius`` are ignored (sub-resolution). When no
-    usable shell carries a finite sample the domain is confined inside the
-    smallest shell, which forces convergence trivially, so the verdict is
-    vacuously positive.
+    Shells below ``cert_min_radius`` of the curve's grid step are ignored
+    (sub-resolution; a curve with no recorded step keeps every shell).
+    When no usable shell carries a finite sample the domain is confined
+    inside the smallest shell, which forces convergence trivially, so the
+    verdict is vacuously positive.
     """
-    mm = m.restricted(min_radius) if min_radius > 0 else m
+    mm = m.restricted(tols.cert_min_radius(m.spacing)) if m.spacing > 0 else m
     n_finite = int(mm.finite_mask().sum())
     if n_finite == 0:
         return True, None, "vacuous: no domain point in any usable shell"
@@ -394,8 +396,7 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     coords = grid.points[cluster]
     diag = coords.max(axis=0) - coords.min(axis=0)
     diameter = float(norm.length(diag))
-    cell = grid.cell_diagonal(norm) * tols.cell_diag_factor
-    unique = diameter <= cell
+    unique = diameter <= tols.cell_limit(grid, norm)
 
     # a feasible set is the whole problem, so only an unconstrained minimum
     # can be a truncation artifact of the grid edge
@@ -406,9 +407,8 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     ladder = _ladder(grid, x_hat, norm, radii)
     radii_a, values, empty, wit = _shell_minima(gaps, ladder, feasible)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
-                  tilt=tuple(float(c) for c in s))
-    pos, cert, note = certification_verdict(
-        mod, tols, min_radius=tols.cert_min_radius(grid.max_spacing))
+                  tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
+    pos, cert, note = certification_verdict(mod, tols)
     report = WellposednessReport(tuple(float(c) for c in s), x_hat, mval,
                                  int(cluster.size), diameter, unique,
                                  boundary_descent, pos, cert, note)
@@ -452,7 +452,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
     fin = np.isfinite(vals)
     vf = vals[fin]
     if vf.size >= 2:
-        slack = tols.eps_fp * (1.0 + float(np.abs(vf).max()))
+        slack = tols.delta0(float(np.abs(vf).max()))
         if not (np.diff(vf) >= -slack).all():
             return CoercivityReport(False, x_hat,
                                     "outer shell minima are not monotone")

@@ -38,11 +38,14 @@ class Tolerances:
     cell_diag_factor: float = 1.01
 
     def delta0(self, t: float) -> float:
-        """Positivity floor separating genuine zeros from rounding dust.
-
-        Elementwise when ``t`` is an array of radii.
-        """
+        """Rounding floor at magnitude ``t``, separating genuine zeros from
+        rounding dust; elementwise when ``t`` is an array."""
         return self.eps_fp * (1.0 + t)
+
+    def cell_limit(self, grid, norm) -> float:
+        """Widest tie cluster that counts as a single minimizer at grid
+        resolution: ``cell_diag_factor`` grid cell diagonals in ``norm``."""
+        return grid.cell_diagonal(norm) * self.cell_diag_factor
 
     def cert_min_radius(self, h: float) -> float:
         """Smallest shell radius certification uses on a grid of step ``h``.

@@ -181,8 +181,7 @@ def test_criterion_05_example2_reproduction():
 
     corner = g.index_of_nearest([1.0, 1.0])
     firm = ll.firm_modulus(f, corner, [1.05, 1.05])
-    pos, cert, _ = ll.certification_verdict(
-        firm, min_radius=DEFAULT_TOLS.cert_min_radius(g.max_spacing))
+    pos, cert, _ = ll.certification_verdict(firm)
     assert pos and cert is not None and cert.positive
     _ok("criterion 5: sqrt well reproduction",
         "corner witness; positive-orthant firm certificate positive")

@@ -298,3 +298,47 @@ def test_conjugate_2d_input_default_dual(tmp_path):
     assert main(["conjugate", "--input", str(src), "--out", str(out)]) == 0
     star = rio.read_grid_function(out.with_suffix(".fstar.json"))
     assert star.grid.dim == 2 and star.grid.counts == (201, 201)
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    pytest.param(["project", "--f", "halfsq3", "--set", "box", "--tilt", "0,0"],
+                 "unknown catalog entry 'halfsq3'", id="project-unknown-f"),
+    pytest.param(["project", "--f", "halfsq2", "--set", "boxx", "--tilt", "0,0"],
+                 "unknown set 'boxx'", id="project-unknown-set"),
+    pytest.param(["tchebychev", "--f", "halfsq3", "--set", "box"],
+                 "unknown catalog entry 'halfsq3'", id="tchebychev-unknown-f"),
+    pytest.param(["tchebychev", "--f", "halfsq2", "--set", "boxx"],
+                 "unknown set 'boxx'", id="tchebychev-unknown-set"),
+])
+def test_unknown_function_or_set_exits_2(argv, unknown, tmp_path, capsys):
+    """A --f or --set value that names nothing and is no file is a usage
+    error that lists the known names."""
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {unknown}") and "known:" in err
+    assert not out.exists()
+
+
+def test_project_reads_function_and_set_files(tmp_path):
+    """Names that are not catalog ids or set names still load as files."""
+    f = ll.entry("halfsq2").build()
+    rio.write_grid_function(f, tmp_path / "f.json")
+    rio.write_mask(f.grid, ll.make_set("box", f.grid).mask, tmp_path / "S.json")
+    out = tmp_path / "cert.json"
+    assert main(["project", "--f", str(tmp_path / "f.json"),
+                 "--set", str(tmp_path / "S.json"), "--tilt", "2,2",
+                 "--out", str(out)]) == 0
+    assert rio.read_json(out)["strong"] is True
+
+
+def test_mask_file_with_one_dimensional_function(tmp_path):
+    """A mask file is read as a file whatever the function's dimension:
+    the set name check comes before any 2D set is built."""
+    f = ll.entry("halfsq").build()
+    mask = np.abs(f.grid.points[:, 0]) <= 0.5
+    rio.write_mask(f.grid, mask, tmp_path / "S.json")
+    out = tmp_path / "cert.json"
+    assert main(["project", "--f", "halfsq", "--set", str(tmp_path / "S.json"),
+                 "--tilt", "2", "--out", str(out)]) == 0
+    assert rio.read_json(out)["minimizer_point"] == [0.5]

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
-from legendrelab.catalog import entry
-from legendrelab.generators import random_grid_function
+from legendrelab.catalog import entries, entry
+from legendrelab.generators import (random_convex_1d, random_convex_2d,
+                                    random_grid_function)
+from legendrelab.tolerances import DEFAULT_TOLS
 
 from conftest import brute_conjugate_values
 
@@ -239,3 +241,59 @@ def test_heavy_inf_two_dimensional_rows():
     brute = ll.conjugate_brute(f, d)
     assert rel_close(fast.dual.flat, brute.dual.flat).all()
     assert (fast.trusted == brute.trusted).all()
+
+
+def lipschitz_per_axis_loop(f):
+    """The earlier ``lipschitz_hat``: the largest finite difference per axis
+    over that axis's nominal spacing, one axis at a time."""
+    best = 0.0
+    for ax in range(f.grid.dim):
+        with np.errstate(invalid="ignore"):
+            d = np.diff(f.values, axis=ax)
+        ok = np.isfinite(d)
+        if ok.any():
+            best = max(best, float(np.abs(d[ok]).max()) / f.grid.spacing[ax])
+    return best
+
+
+def bicon_cases():
+    """The catalog plus 200 seeded random functions, rough or convex, in
+    1D and 2D, with and without +inf holes."""
+    for e in entries():
+        yield e.id, e.build(), e.dual_grid
+    rng = np.random.default_rng(8)
+    for k in range(200):
+        if k % 2 == 0:
+            g = ll.grid_1d(-2.0, 2.0, int(rng.integers(20, 160)))
+            d = ll.grid_1d(-4.0, 4.0, int(rng.integers(20, 160)))
+        else:
+            g = ll.grid_2d(-1.5, 1.5, int(rng.integers(6, 30)))
+            d = ll.grid_2d(-3.0, 3.0, int(rng.integers(6, 30)))
+        if k % 4 < 2:
+            f = random_grid_function(rng, g, inf_frac=float(rng.choice([0.0, 0.1, 0.3])))
+        elif g.dim == 1:
+            f = random_convex_1d(rng, g, strongly=bool(k % 8 < 4), boxed=bool(k % 3))
+        else:
+            f = random_convex_2d(rng, g, strongly=bool(k % 8 < 4))
+        yield f"random{k}", f, d
+
+
+def test_bicon_tolerance_matches_per_axis_slope_loop():
+    """``lipschitz_hat`` reads the cached one-step slopes, which divide by
+    coordinate differences rather than the nominal spacing h. A coordinate
+    lo + k h rounds twice, by at most one ulp of the grid extent in all, so
+    a coordinate step is h up to two such ulps: tol_bicon moves by that
+    relative amount plus a few roundings, and no consistency verdict
+    moves."""
+    eps = np.finfo(float).eps
+    for name, f, d in bicon_cases():
+        assert f.lipschitz_hat() == float(f.local_slopes.max()), name
+        bic = ll.biconjugate(f, d)
+        scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
+        want = max(DEFAULT_TOLS.bicon_c * f.grid.max_spacing
+                   * lipschitz_per_axis_loop(f),
+                   DEFAULT_TOLS.eps_fp * (1.0 + scale))
+        extent = max(abs(lo) + abs(hi) for lo, hi in f.grid.bounds)
+        rel = 2 * np.spacing(extent) / min(f.grid.spacing) + 8 * eps
+        assert abs(bic.tol_bicon - want) <= rel * want, name
+        assert bic.consistent == (bic.max_gap <= want), name

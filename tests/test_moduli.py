@@ -31,7 +31,7 @@ def test_firm_modulus_quadratic(halfsq_1d):
     for t in (0.2, 0.5, 1.0):
         v, _ = at_radius(m, t)
         assert abs(v - 0.5 * t * t) <= t * h
-    pos, cert, _ = ll.certification_verdict(m, min_radius=cert_start(g))
+    pos, cert, _ = ll.certification_verdict(m)
     assert pos and cert.positive
 
 
@@ -43,7 +43,7 @@ def test_firm_modulus_abs_equality_side(absval_1d):
         v, wit = at_radius(m, t)
         assert abs(v) <= 1e-12
         assert np.isclose(g.point(wit)[0], t)
-    pos, _, _ = ll.certification_verdict(m, min_radius=cert_start(g))
+    pos, _, _ = ll.certification_verdict(m)
     assert not pos
 
 
@@ -70,7 +70,7 @@ def test_firm_modulus_well_center_positive():
         assert v > 0
     sel = (m.radii > 0) & (m.radii < 1.0)
     assert (m.values[sel] > 0).all()
-    pos, _, _ = ll.certification_verdict(m, min_radius=cert_start(g))
+    pos, _, _ = ll.certification_verdict(m)
     assert pos
 
 
@@ -283,7 +283,7 @@ def test_firm_modulus_well_certificate_positive_on_unit_interval():
     e = entry("fourth_root_well")
     f = e.build()
     m = ll.firm_modulus(f, f.grid.index_of_nearest([0.0, 0.0]), [0.0, 0.0])
-    pos, cert, _ = ll.certification_verdict(m, min_radius=cert_start(f.grid))
+    pos, cert, _ = ll.certification_verdict(m)
     assert pos and cert.positive
     mm = m.restricted(cert_start(f.grid))
     sel = mm.finite_mask()
@@ -585,3 +585,77 @@ def test_total_convexity_equals_per_axis_loop_on_catalog(eid, norm):
         assert_bitwise_equal((got.radii, got.values, got.empty, got.witnesses),
                              (want.radii, want.values, want.empty,
                               want.witnesses))
+
+
+def verdict_cut_by_caller(m, min_radius):
+    """``certification_verdict`` as it was when each caller passed
+    ``min_radius = cert_min_radius(h)`` for its grid step h."""
+    mm = m.restricted(min_radius) if min_radius > 0 else m
+    n_finite = int(mm.finite_mask().sum())
+    if n_finite == 0:
+        return True, None, "vacuous: no domain point in any usable shell"
+    if n_finite == 1:
+        return False, None, "insufficient finite samples (1)"
+    cert = ll.certify_gamma0(mm)
+    return cert.positive, cert, ""
+
+
+def catalog_curves(f, dual_grid, radii):
+    """Firm, uniform-firm, total and well-posedness curves at a few tilts s
+    and their conjugate maximizers x (a subgradient pair)."""
+    conj = ll.conjugate_fast(f, dual_grid)
+    for s_flat in np.linspace(0, dual_grid.size - 1, 5).astype(int)[1:-1]:
+        s = dual_grid.point(int(s_flat))
+        x = int(conj.argmax[s_flat])
+        yield ll.firm_modulus(f, x, s, radii=radii)
+        yield ll.uniform_firm_modulus(f, x, [s], radii=radii)
+        yield ll.total_convexity_modulus(f, x, radii=radii)
+        yield ll.wellposedness_modulus(f, s, radii=radii)[0]
+
+
+@pytest.mark.parametrize("explicit_radii", [False, True],
+                         ids=["ladder", "explicit-radii"])
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries()])
+def test_certification_cut_from_recorded_spacing(eid, explicit_radii):
+    """Each built curve records its grid step, and the verdict equals the
+    one made with the cut its callers used to pass."""
+    e = entry(eid)
+    f = e.build()
+    h = f.grid.max_spacing
+    radii = list(h * np.array([0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0])) \
+        if explicit_radii else None
+    for m in catalog_curves(f, e.dual_grid, radii):
+        assert m.spacing == h
+        assert m.restricted(cert_start(f.grid)).spacing == h
+        got = ll.certification_verdict(m)
+        assert got == verdict_cut_by_caller(m, cert_start(f.grid)), m.kind
+
+
+def test_hand_built_curve_keeps_every_shell():
+    """A curve built by hand records no step, so nothing is cut; recording
+    one cuts below cert_min_radius of it."""
+    ts = np.array([0.01, 0.02, 0.5, 1.0, 1.5])
+    vs = np.array([0.0, 0.0, 0.2, 0.5, 0.9])
+    m = Modulus("firm", 0, ts, vs, np.zeros(5, bool), np.full(5, -1),
+                ll.NormChoice.L2)
+    assert m.spacing == 0.0
+    got = ll.certification_verdict(m)
+    assert got == verdict_cut_by_caller(m, 0.0)
+    assert not got[0]
+    stepped = Modulus("firm", 0, ts, vs, np.zeros(5, bool), np.full(5, -1),
+                      ll.NormChoice.L2, spacing=0.02)
+    got = ll.certification_verdict(stepped)
+    assert got == verdict_cut_by_caller(stepped, DEFAULT_TOLS.cert_min_radius(0.02))
+    assert got[0]
+
+
+def test_recorded_spacing_cuts_split_minimizer_zero():
+    """Tilting halfsq to a midpoint between nodes splits the minimizer over
+    two nodes, a zero at radius one step; the cut from the curve's own step
+    drops it, as the callers' explicit cut did."""
+    f = entry("halfsq").build()
+    h = f.grid.max_spacing
+    m, rep = ll.wellposedness_modulus(f, [0.3 + h / 2])
+    assert rep.multiplicity == 2 and rep.certificate_positive
+    assert ll.certification_verdict(m) == verdict_cut_by_caller(m, cert_start(f.grid))
+    assert not verdict_cut_by_caller(m, 0.0)[0]
