@@ -30,6 +30,7 @@ from .report_io import (read_constraint_set, read_grid_function, write_json,
 from .experiments import EXPERIMENT_NAMES, run_experiments
 
 DEFAULT_DUAL_SPEC = "-3,3,201"
+MAX_BRUTE_PAIRS = 250_000_000  # ~1 s per 10^8 pairs; catalog grids need 121^4
 
 
 class UsageError(ValueError):
@@ -110,6 +111,9 @@ def _named_or_file(name_or_path: str, build, read):
 
 def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
     f = _named_or_file(args.f, lambda n: entry(n).build(), read_grid_function)
+    if args.set in SET_NAMES and f.grid.dim != 2:
+        raise UsageError(f"named set {args.set!r} is 2D but {args.f!r} has "
+                         f"dim {f.grid.dim}; pass a mask file instead")
     return f, _named_or_file(args.set, lambda n: make_set(n, f.grid),
                              read_constraint_set)
 
@@ -117,6 +121,10 @@ def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
 def _cmd_conjugate(args) -> int:
     f = _load_function(args)
     dual = _dual_grid_for(args, f)
+    if args.method == "brute" and f.grid.size * dual.size > MAX_BRUTE_PAIRS:
+        raise UsageError(f"--method brute would compare {f.grid.size} x "
+                         f"{dual.size} points, above {MAX_BRUTE_PAIRS}; use "
+                         "--method fast or smaller grids")
     res = conjugate(f, dual, method=args.method)
     out = Path(args.out)
     write_grid_function(res.dual, out.with_suffix(".fstar.json"))

@@ -7,7 +7,9 @@ A shell ladder is a window of a band stencil: the band of a grid point
 about a center depends only on their index offset, so one stencil over the
 doubled index lattice, built once per (grid, norm, step), holds the band
 of every offset, and the ladder about any center is the slice of it that
-covers the grid, sorted once by band.
+covers the grid, sorted once by band. A member-windowed ladder reads and
+sorts only the bands of a given set of points (say the members of a
+constraint set), keeping the whole grid's radii.
 """
 
 from __future__ import annotations
@@ -358,23 +360,29 @@ def _band_stencil(grid: Grid, norm: NormChoice, step: float) -> np.ndarray:
 def shell_ladder(grid: Grid, center: int,
                  norm: NormChoice = NormChoice.L2,
                  step: float | None = None,
-                 max_radius: float | None = None) -> ShellLadder:
+                 max_radius: float | None = None,
+                 within: np.ndarray | None = None) -> ShellLadder:
     """Disjoint shells at radii step, 2*step, ... covering the whole grid.
 
     Every grid point other than the center lands in exactly one band (the
     nearest multiple of ``step``); points within half a step of the center
-    land in none.
+    land in none. With ``within`` (ascending flat indices) only those
+    points are ranked: the radii stay those of the whole grid, and shell k
+    holds the members of the full shell k that lie in ``within``.
     """
     step = grid.max_spacing if step is None else float(step)
     multi = grid.unravel_index(center)
     window = _band_stencil(grid, norm, step)[
         tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(grid.counts, multi))]
-    bands = window.ravel()
-    order = np.argsort(bands, kind="stable")
-    ranked = bands[order]
-    kmax = int(ranked[-1] if max_radius is None
+    # a band grows with every |offset| component, so the largest is at a corner
+    corners = window[tuple(slice(None, None, n - 1) for n in grid.counts)]
+    kmax = int(corners.max() if max_radius is None
                else np.floor(max_radius / step + 0.5))
-    starts = np.searchsorted(ranked, np.arange(1, max(kmax, 1) + 2))
+    bands = window.ravel() if within is None else window.ravel()[within]
+    order = np.argsort(bands, kind="stable")
+    starts = np.searchsorted(bands[order], np.arange(1, max(kmax, 1) + 2))
+    if within is not None:
+        order = within[order]
     return ShellLadder(grid, int(center), norm, np.arange(1, len(starts)) * step,
                        step / 2.0, order[starts[0]:starts[-1]],
                        starts - starts[0])

@@ -91,27 +91,22 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
     return False
 
 
-def _shell_minima(gaps: np.ndarray, ladder: ShellLadder,
-                  feasible: np.ndarray | None = None
+def _shell_minima(gaps: np.ndarray, ladder: ShellLadder
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per shell: the least gap over feasible members, whether no member
-    is feasible, and the first member attaining a finite least gap (-1
-    if none), as one grouped pass over the ladder's members."""
+    """Per shell: the least gap over its members, whether it has none, and
+    the first member attaining a finite least gap (-1 if none), as one
+    grouped pass over the ladder's members."""
     mem = ladder.members
     starts = ladder.starts[:-1]
     vals = gaps[mem]
     empty = starts == ladder.starts[1:]
-    # reduceat needs every start to name an element, so the per-member
-    # arrays get one neutral pad for empty shells at the end of the ladder
-    if feasible is not None:
-        ok = feasible[mem]
-        vals = np.where(ok, vals, math.inf)
-        empty |= ~np.logical_or.reduceat(np.append(ok, False), starts)
     values = np.full(len(ladder), math.inf)
     witnesses = np.full(len(ladder), -1, dtype=np.int64)
     if empty.all():
         return ladder.radii, values, empty, witnesses
     filled = np.flatnonzero(~empty)
+    # reduceat needs every start to name an element, so the members get
+    # one neutral pad for empty shells at the end of the ladder
     seg_min = np.minimum.reduceat(np.append(vals, math.inf), starts)
     hits = np.flatnonzero(vals == np.repeat(seg_min, np.diff(ladder.starts)))
     first = hits[np.searchsorted(hits, starts[filled])]
@@ -122,17 +117,18 @@ def _shell_minima(gaps: np.ndarray, ladder: ShellLadder,
 
 
 def _ladder(grid: Grid, center: int, norm: NormChoice,
-            radii: Sequence[float] | None) -> ShellLadder:
+            radii: Sequence[float] | None,
+            within: np.ndarray | None = None) -> ShellLadder:
     if radii is None:
-        return shell_ladder(grid, center, norm=norm)
-    shells = [shell(grid, center, float(t), norm=norm) for t in radii]
-    sizes = [sh.members.size for sh in shells]
+        return shell_ladder(grid, center, norm=norm, within=within)
+    shells = [shell(grid, center, float(t), norm=norm).members for t in radii]
+    if within is not None:
+        shells = [np.intersect1d(m, within, assume_unique=True) for m in shells]
     return ShellLadder(grid, int(center), norm,
-                       np.array([sh.radius for sh in shells]),
+                       np.array([float(t) for t in radii]),
                        grid.max_spacing / 2.0,
-                       np.concatenate([np.empty(0, np.int64),
-                                       *(sh.members for sh in shells)]),
-                       np.cumsum([0, *sizes]))
+                       np.concatenate([np.empty(0, np.int64), *shells]),
+                       np.cumsum([0, *(m.size for m in shells)]))
 
 
 def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
@@ -379,18 +375,21 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
 
     A minimizer is unique at grid resolution when the tie cluster fits in
     one grid cell; a cluster wider than that always leaves a zero sample in
-    some certified shell, so the verdict legs stay coherent.
+    some certified shell, so the verdict legs stay coherent. With a
+    ``feasible`` mask, the tie cluster, the gaps and the shells range over
+    its members alone.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     grid = f.grid
+    # tilt the whole grid, then index: points[mem] @ s can round differently
     tilted = f.tilted(s)
-    cand = tilted
-    if feasible is not None:
-        cand = np.where(feasible, tilted, math.inf)
-    finite = np.isfinite(cand)
-    if not finite.any():
+    mem = None if feasible is None else np.flatnonzero(feasible)
+    cand = tilted if mem is None else tilted[mem]
+    if not np.isfinite(cand).any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
     mval, eps, cluster = _tie_cluster(f, cand, s, tols)
+    if mem is not None:
+        cluster = mem[cluster]
     x_hat = int(cluster[0])
 
     coords = grid.points[cluster]
@@ -400,12 +399,11 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
 
     # a feasible set is the whole problem, so only an unconstrained minimum
     # can be a truncation artifact of the grid edge
-    boundary_descent = (feasible is None
+    boundary_descent = (mem is None
                         and not grid.interior_flat[cluster].any()
-                        and _edge_descent(grid, cand, cluster, mval + eps))
-    gaps = cand - cand[x_hat]
-    ladder = _ladder(grid, x_hat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, ladder, feasible)
+                        and _edge_descent(grid, tilted, cluster, mval + eps))
+    ladder = _ladder(grid, x_hat, norm, radii, within=mem)
+    radii_a, values, empty, wit = _shell_minima(tilted - tilted[x_hat], ladder)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
     pos, cert, note = certification_verdict(mod, tols)

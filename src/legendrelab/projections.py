@@ -3,7 +3,9 @@
 Includes the strong-Tchebychev probe test, the farthest-point experiment
 (f = -||.||^2/2), and the convexity detector (f = ||.||^2/2). Universal
 "for every tilt" claims are always reported as "no failure over N probes".
-All three wrap one witness-search engine: Halton probes and exact tie
+A projection ranks only the members of S (one member-windowed shell
+ladder), so its cost past the one tilt over the grid scales with |S|, not
+with the grid. All three wrap one witness-search engine: Halton probes and exact tie
 tilts from member pairs (midpoint-convexity violations or far pairs) in the
 caller's order, then jittered tie tilts and bisection toward the tie, from
 a budget of exactly what those stages can spend.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +48,11 @@ class ConstraintSet:
         m.flags.writeable = False
         object.__setattr__(self, "mask", m)
 
-    @property
+    @cached_property
     def members(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+        mem = np.flatnonzero(self.mask)
+        mem.flags.writeable = False
+        return mem
 
     @property
     def size(self) -> int:
@@ -96,7 +101,7 @@ def solve_relative_projection(f: GridFunction, S: ConstraintSet,
                               norm: NormChoice = NormChoice.L2,
                               tols: Tolerances = DEFAULT_TOLS) -> ProjectionCertificate:
     """Exact minimization of f - <., s> over the finite set S."""
-    if not (S.mask & f.domain_flat).any():
+    if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
     mod, rep = wellposedness_modulus(f, s, norm=norm, tols=tols, feasible=S.mask)
     pt = f.grid.point(rep.minimizer)
@@ -367,7 +372,7 @@ def tchebychev_test(f: GridFunction, S: ConstraintSet,
     coercivity hypothesis of the converse statement from the rest; the
     grid simply never exhibits the non-cofinite failure mode.
     """
-    if not (S.mask & f.domain_flat).any():
+    if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
     mp_ok, violations = midpoint_convexity(S, domain=f.domain_flat)
     pairs = _violation_pairs_by_depth(S, violations)

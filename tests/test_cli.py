@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import legendrelab as ll
+from legendrelab import cli
 from legendrelab import report_io as rio
 from legendrelab.cli import main, parse_grid_spec
 
@@ -150,6 +151,46 @@ def test_conjugate_from_input_file(tmp_path):
     assert code == 0
     star = rio.read_grid_function(out.with_suffix(".fstar.json"))
     assert star.grid.counts == (81,)
+
+
+def test_brute_size_guard_exits_2_before_conjugating(tmp_path, capsys,
+                                                    monkeypatch):
+    """81^2 primal x 201^2 dual points is above MAX_BRUTE_PAIRS: a usage
+    error, raised before any conjugation starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("conjugation started")
+
+    monkeypatch.setattr(cli, "conjugate", started)
+    out = tmp_path / "c"
+    assert 81**2 * 201**2 > cli.MAX_BRUTE_PAIRS
+    assert main(["conjugate", "--catalog", "halfsq2", "--method", "brute",
+                 "--dual-grid=-3,3,201;-3,3,201", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --method brute would compare 6561 x 40401")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dual_n,code", [(81, 0), (82, 2)])
+def test_brute_size_guard_limit_is_inclusive(dual_n, code, tmp_path,
+                                             monkeypatch):
+    monkeypatch.setattr(cli, "MAX_BRUTE_PAIRS", 201 * 81)
+    out = tmp_path / "c"
+    assert main(["conjugate", "--catalog", "halfsq", "--method", "brute",
+                 f"--dual-grid=-2,2,{dual_n}", "--out", str(out)]) == code
+    assert out.with_suffix(".fstar.json").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv", [["project", "--tilt", "0"], ["tchebychev"]])
+def test_named_set_with_one_dimensional_function_exits_2(argv, tmp_path):
+    """Named sets are 2D: with a 1D function they are a usage error, not
+    a traceback."""
+    out = tmp_path / "out.json"
+    proc = run_cli([argv[0], "--f", "halfsq", "--set", "box", *argv[1:],
+                    "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: named set 'box' is 2D")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_classify_subcommand(tmp_path, capsys):

@@ -205,6 +205,31 @@ def test_ladder_sequence_api():
                for a, b in zip(short, ladder))
 
 
+@settings(max_examples=80, deadline=None)
+@given(gc=grid_and_center(), norm=st.sampled_from(list(ll.NormChoice)),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1),
+       max_radius=st.one_of(st.none(), st.floats(0.1, 6.0)))
+def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed,
+                                               max_radius):
+    """Same radii and shell count; shell k keeps the full shell's members
+    that are in ``within``, in the same ascending order."""
+    grid, center = gc
+    within = np.flatnonzero(np.random.default_rng(seed).random(grid.size)
+                            < density)
+    full = ll.shell_ladder(grid, center, norm=norm, max_radius=max_radius)
+    part = ll.shell_ladder(grid, center, norm=norm, max_radius=max_radius,
+                           within=within)
+    assert len(part) == len(full)
+    assert part.radii.tobytes() == full.radii.tobytes()
+    assert (part.center, part.norm, part.half_width) == \
+        (full.center, full.norm, full.half_width)
+    kept = [sh.members[np.isin(sh.members, within)] for sh in full]
+    assert np.array_equal(part.starts, np.cumsum([0, *(k.size for k in kept)]))
+    assert np.array_equal(part.members,
+                          np.concatenate([np.empty(0, np.int64), *kept]))
+
+
 def local_slope_loop(f, flat):
     """Reference: the largest one-step slope over in-domain neighbors."""
     fx = f.value_at(flat)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 import legendrelab as ll
 from legendrelab import moduli
-from legendrelab.catalog import entry
+from legendrelab.catalog import SET_NAMES, entry, make_set
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
                                 NotASubgradientError)
 from legendrelab.moduli import Modulus
+from legendrelab.projections import probe_box
 from legendrelab.tolerances import DEFAULT_TOLS
 
 
@@ -397,6 +399,11 @@ def shell_minima_loop(gaps, shells, feasible=None):
     return radii, values, empty, witnesses
 
 
+def member_indices(feasible):
+    """The ascending flat indices of a mask, None for no mask."""
+    return None if feasible is None else np.flatnonzero(feasible)
+
+
 def assert_bitwise_equal(got, want):
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -429,7 +436,9 @@ def minima_case(draw):
 def test_grouped_shell_minima_equal_per_shell_loop(case, norm):
     grid, center, gaps, feasible = case
     ladder = ll.shell_ladder(grid, center, norm=norm)
-    assert_bitwise_equal(moduli._shell_minima(gaps, ladder, feasible),
+    members = ll.shell_ladder(grid, center, norm=norm,
+                              within=member_indices(feasible))
+    assert_bitwise_equal(moduli._shell_minima(gaps, members),
                          shell_minima_loop(gaps, list(ladder), feasible))
 
 
@@ -443,7 +452,9 @@ def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
     assert len(ladder) == len(shells)
     assert all(np.array_equal(a.members, b.members)
                for a, b in zip(ladder, shells))
-    assert_bitwise_equal(moduli._shell_minima(gaps, ladder, feasible),
+    members = moduli._ladder(grid, center, ll.NormChoice.L2, radii,
+                             within=member_indices(feasible))
+    assert_bitwise_equal(moduli._shell_minima(gaps, members),
                          shell_minima_loop(gaps, shells, feasible))
 
 
@@ -457,11 +468,150 @@ def test_grouped_minima_edge_cases():
     gaps[ladder[0].members] = math.inf                 # an all-+inf shell
     for feasible in (None, np.zeros(g.size, dtype=bool),
                      np.arange(g.size) >= g.size - 2):
-        got = moduli._shell_minima(gaps, ladder, feasible)
+        members = ll.shell_ladder(g, c, max_radius=4.0,
+                                  within=member_indices(feasible))
+        got = moduli._shell_minima(gaps, members)
         assert_bitwise_equal(got, shell_minima_loop(gaps, list(ladder),
                                                     feasible))
     _, values, empty, wit = moduli._shell_minima(gaps, ladder)
     assert not empty[0] and values[0] == math.inf and wit[0] == -1
+
+
+# -- member-windowed well-posedness against the masked whole-grid body -----
+
+def shell_minima_masked(gaps, ladder, feasible):
+    """Reference: the grouped shell minima over the whole-grid ladder, with
+    infeasible members masked to +inf and a shell empty when none of its
+    members is feasible."""
+    mem = ladder.members
+    starts = ladder.starts[:-1]
+    vals = gaps[mem]
+    empty = starts == ladder.starts[1:]
+    if feasible is not None:
+        ok = feasible[mem]
+        vals = np.where(ok, vals, math.inf)
+        empty |= ~np.logical_or.reduceat(np.append(ok, False), starts)
+    values = np.full(len(ladder), math.inf)
+    witnesses = np.full(len(ladder), -1, dtype=np.int64)
+    if empty.all():
+        return ladder.radii, values, empty, witnesses
+    filled = np.flatnonzero(~empty)
+    seg_min = np.minimum.reduceat(np.append(vals, math.inf), starts)
+    hits = np.flatnonzero(vals == np.repeat(seg_min, np.diff(ladder.starts)))
+    first = hits[np.searchsorted(hits, starts[filled])]
+    values[filled] = vals[first]
+    found = np.isfinite(vals[first])
+    witnesses[filled[found]] = mem[first[found]]
+    return ladder.radii, values, empty, witnesses
+
+
+def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
+                         tols=DEFAULT_TOLS, feasible=None):
+    """Reference: the well-posedness modulus computed over the whole grid,
+    with the points outside ``feasible`` masked to +inf."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    grid = f.grid
+    tilted = f.tilted(s)
+    cand = tilted
+    if feasible is not None:
+        cand = np.where(feasible, tilted, math.inf)
+    if not np.isfinite(cand).any():
+        raise InfeasibleProblemError("tilted problem has no feasible domain point")
+    mval, eps, cluster = moduli._tie_cluster(f, cand, s, tols)
+    x_hat = int(cluster[0])
+    coords = grid.points[cluster]
+    diameter = float(norm.length(coords.max(axis=0) - coords.min(axis=0)))
+    unique = diameter <= tols.cell_limit(grid, norm)
+    boundary_descent = (feasible is None
+                        and not grid.interior_flat[cluster].any()
+                        and moduli._edge_descent(grid, cand, cluster, mval + eps))
+    gaps = cand - cand[x_hat]
+    ladder = moduli._ladder(grid, x_hat, norm, radii)
+    radii_a, values, empty, wit = shell_minima_masked(gaps, ladder, feasible)
+    mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
+                  tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
+    pos, cert, note = moduli.certification_verdict(mod, tols)
+    report = moduli.WellposednessReport(
+        tuple(float(c) for c in s), x_hat, mval, int(cluster.size), diameter,
+        unique, boundary_descent, pos, cert, note)
+    return mod, report
+
+
+def assert_same_wellposedness(got, want):
+    """Bitwise equal curves; every report field equal to the last bit (a
+    float's repr round-trips, so equal reprs mean equal bits)."""
+    (gm, gr), (wm, wr) = got, want
+    assert_bitwise_equal((gm.radii, gm.values, gm.empty, gm.witnesses),
+                         (wm.radii, wm.values, wm.empty, wm.witnesses))
+    assert repr((gm.kind, gm.center, gm.norm, gm.tilt, gm.spacing)) == \
+        repr((wm.kind, wm.center, wm.norm, wm.tilt, wm.spacing))
+    for field in dataclasses.fields(wr):
+        assert repr(getattr(gr, field.name)) == repr(getattr(wr, field.name))
+
+
+def check_against_masked(f, s, feasible, norm, radii=None):
+    try:
+        want = masked_wellposedness(f, s, radii=radii, norm=norm,
+                                    feasible=feasible)
+    except InfeasibleProblemError:
+        with pytest.raises(InfeasibleProblemError):
+            ll.wellposedness_modulus(f, s, radii=radii, norm=norm,
+                                     feasible=feasible)
+        return
+    assert_same_wellposedness(
+        ll.wellposedness_modulus(f, s, radii=radii, norm=norm,
+                                 feasible=feasible), want)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("n", [41, 101])
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_member_ladder_equals_masked_on_catalog_sets(name, n, norm):
+    grid = ll.grid_2d(-2.0, 2.0, n)
+    S = make_set(name, grid)
+    for sign in (1.0, -1.0):
+        f = ll.build_grid_function(
+            grid, lambda p: sign * 0.5 * (p * p).sum(axis=-1), vectorized=True)
+        lo, hi = probe_box(f)
+        u = np.random.default_rng(n).random((6, 2))
+        for s in (np.zeros(2), *(lo + u * (hi - lo))):
+            check_against_masked(f, s, S.mask, norm)
+
+
+MASK_GRIDS = [ll.grid_1d(-1.0, 1.0, 23), ll.grid_1d(0.0, 1.0, 2),
+              ll.grid_2d(-2.0, 2.0, 7, -1.0, 3.0, 5),
+              ll.grid_2d(-1.0, 1.0, 15)]
+
+
+@st.composite
+def masked_problem(draw):
+    """A function with ties and +inf holes, a mask (single members, sparse,
+    dense or full; members may lie outside dom f), a tilt, and radii."""
+    grid = draw(st.sampled_from(MASK_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.where(rng.random(grid.size) < draw(st.floats(0.0, 1.0)),
+                    rng.integers(-2, 3, grid.size).astype(float),
+                    rng.normal(size=grid.size))
+    vals[rng.random(grid.size) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = math.inf
+    vals[rng.integers(grid.size)] = 0.0
+    f = ll.GridFunction(grid, vals)
+    density = draw(st.sampled_from([None, 0.1, 0.5, 1.0]))
+    if density is None:
+        feasible = np.zeros(grid.size, dtype=bool)
+        feasible[draw(st.integers(0, grid.size - 1))] = True
+    else:
+        feasible = rng.random(grid.size) < density
+    s = rng.normal(size=grid.dim) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    radii = draw(st.one_of(st.none(),
+                           st.lists(st.floats(0.05, 4.0), max_size=6)))
+    return f, feasible, s, radii
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=masked_problem(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_member_ladder_equals_masked_on_random_masks(problem, norm):
+    f, feasible, s, radii = problem
+    check_against_masked(f, s, feasible, norm, radii)
 
 
 # -- total convexity against the per-axis loop ------------------------------
