@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
 """Fresh-process timings of one or more source trees, run alternately.
 
-Each tree is a directory holding the ``legendrelab`` package (a checkout's
-``src``), given as ``LABEL=DIR`` or just ``DIR``. Every round runs, once
-per tree, a new process that times ``import legendrelab`` and a new
-process running ``legendrelab verify-paper --experiment all --seed 42``,
-whose wall time is taken from outside. With ``--probe-seconds S`` a tree
-must be the ``src`` of a checkout, and every round also runs that
-checkout's own ``perfbench/run.py --workload probe-sweep --seed 11
---trace 0`` for S seconds and keeps its end-to-end metrics. The tree order flips every
-round, so drift on a shared machine hits both sides alike. The JSON
-written to ``--out`` holds the machine (CPU count and model, Python,
-numpy and scipy versions, scipy null when it is not installed, git HEAD,
-load averages) and, per tree, the median, quartiles and raw runs of every
-timing plus the sha256 of the verify-paper manifest.
+Each tree is the ``src`` directory of a checkout that also holds
+``perfbench/run.py``, given as ``LABEL=DIR`` or just ``DIR``. Every round
+runs, once per tree, a new process that times ``import legendrelab``, a
+new process running ``legendrelab verify-paper --experiment all --seed
+42``, whose wall time is taken from outside, and that checkout's own
+``perfbench/run.py --trace 0`` for each of its three workloads, keeping
+their end-to-end metrics. The tree order flips every round, so drift on a
+shared machine hits both sides alike. The JSON written to ``--out`` holds
+the machine (CPU count and model, Python, numpy and scipy versions, scipy
+null when it is not installed, git HEAD, load averages) and, per tree,
+the median, quartiles and raw runs of every timing and metric plus the
+sha256 of the verify-paper manifest.
 
     python scripts/bench.py --rounds 10 --out BENCH.json base=../base/src src
-    python scripts/bench.py --rounds 10 --probe-seconds 10 --out BENCH.json \
-        base=../base/src src
 """
 
 from __future__ import annotations
@@ -37,7 +34,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 VERIFY = ["-m", "legendrelab", "verify-paper", "--experiment", "all",
           "--seed", "42"]
-PROBE = ["--workload", "probe-sweep", "--seed", "11", "--trace", "0"]
+# perfbench workloads and their seeds, each run for BENCHMARK.json's run_seconds
+PERFBENCH = {"verify-paper": 42, "conjugate-sweep": 1, "probe-sweep": 11}
+PERFBENCH_SECONDS = 20
 IMPORT = ("import time; t = time.perf_counter(); import legendrelab; "
           "print(time.perf_counter() - t); print(legendrelab.__file__)")
 
@@ -63,17 +62,22 @@ def _verify_s(tree: Path, cwd: str) -> tuple[float, str]:
     return wall, hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
 
 
-def _probe_sweep(tree: Path, seconds: float) -> dict[str, float]:
-    """End-to-end metrics of one probe-sweep run by the tree's checkout."""
+def _perfbench_args(workload: str) -> list[str]:
+    return ["--workload", workload, "--seed", str(PERFBENCH[workload]),
+            "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"]
+
+
+def _perfbench(tree: Path, workload: str) -> dict[str, float]:
+    """End-to-end metrics of one perfbench run by the tree's checkout."""
     root = tree.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"),
-                           *PROBE, "--seconds", str(seconds)],
+                           *_perfbench_args(workload)],
                           cwd=root, env=env, capture_output=True, text=True,
                           check=True)
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     if not res["correct"]:
-        raise SystemExit(f"probe-sweep in {root}: {res['failed']} of "
+        raise SystemExit(f"{workload} in {root}: {res['failed']} of "
                          f"{res['attempted']} ops failed")
     return {name: m["value"] for name, m in res["metrics"].items()}
 
@@ -124,6 +128,10 @@ def _parse_tree(arg: str) -> tuple[str, Path]:
     tree = Path(path if sep else arg).resolve()
     if not (tree / "legendrelab" / "__init__.py").is_file():
         raise SystemExit(f"no legendrelab package in {tree}")
+    if not (tree.name == "src"
+            and (tree.parent / "perfbench" / "run.py").is_file()):
+        raise SystemExit(f"{tree} is not the src of a checkout with "
+                         "perfbench/run.py")
     return (label if sep else tree.name), tree
 
 
@@ -132,24 +140,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("trees", nargs="+", help="LABEL=DIR or DIR of a src tree")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--probe-seconds", type=float, default=0.0,
-                    help="seconds per perfbench probe-sweep run (0: none)")
     args = ap.parse_args(argv)
     trees = dict(_parse_tree(a) for a in args.trees)
     if len(trees) != len(args.trees):
         raise SystemExit("tree labels must be distinct")
     if args.rounds < 2:
         raise SystemExit("--rounds must be at least 2")
-    probe = args.probe_seconds > 0
-    if probe and not all(t.name == "src" and
-                         (t.parent / "perfbench" / "run.py").is_file()
-                         for t in trees.values()):
-        raise SystemExit("--probe-seconds needs every tree to be the src of "
-                         "a checkout with perfbench/run.py")
 
     machine = _machine()
     times = {label: {"import_s": [], "verify_paper_s": []} for label in trees}
-    probes = {label: [] for label in trees}
+    bench = {label: {w: [] for w in PERFBENCH} for label in trees}
     hashes = {label: set() for label in trees}
     order = list(trees)
     with tempfile.TemporaryDirectory() as cwd:
@@ -162,37 +162,34 @@ def main(argv: list[str] | None = None) -> int:
                 line = (f"round {r + 1}/{args.rounds} {label}: "
                         f"import {times[label]['import_s'][-1]:.3f} s, "
                         f"verify-paper {wall:.3f} s")
-                if probe:
-                    probes[label].append(_probe_sweep(trees[label],
-                                                      args.probe_seconds))
-                    line += (f", probe-sweep run_s "
-                             f"{probes[label][-1]['run_s']:.3f} s")
+                for w, runs in bench[label].items():
+                    runs.append(_perfbench(trees[label], w))
+                    line += f", {w} run_s {runs[-1]['run_s']:.3f} s"
                 print(line, flush=True)
     machine["loadavg_end"] = list(os.getloadavg())
 
     commands = {"import_s": "import legendrelab (in a new process)",
                 "verify_paper_s": "legendrelab " + " ".join(VERIFY[2:])}
-    if probe:
-        commands["probe_sweep"] = " ".join(
-            ["python3 perfbench/run.py", *PROBE,
-             "--seconds", f"{args.probe_seconds:g}"])
+    for w in PERFBENCH:
+        commands[w] = " ".join(["python3 perfbench/run.py",
+                                *_perfbench_args(w)])
     per_tree = {}
     for label, t in times.items():
         per_tree[label] = {"import_s": _summary(t["import_s"]),
                            "verify_paper_s": _summary(t["verify_paper_s"]),
-                           "manifest_sha256": sorted(hashes[label])}
-        if probe:
-            per_tree[label]["probe_sweep"] = {
-                name: _summary([run[name] for run in probes[label]])
-                for name in probes[label][0]}
+                           "manifest_sha256": sorted(hashes[label]),
+                           "perfbench": {
+                               w: {name: _summary([run[name] for run in runs])
+                                   for name in runs[0]}
+                               for w, runs in bench[label].items()}}
     report = {"kind": "bench", "commands": commands, "machine": machine,
               "rounds": args.rounds, "trees": per_tree}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for label, t in report["trees"].items():
         print(f"{label}: import median {t['import_s']['median']:.3f} s, "
               f"verify-paper median {t['verify_paper_s']['median']:.3f} s"
-              + (f", probe-sweep run_s median "
-                 f"{t['probe_sweep']['run_s']['median']:.3f} s" if probe else ""))
+              + "".join(f", {w} run_s median {m['run_s']['median']:.3f} s"
+                        for w, m in t["perfbench"].items()))
     return 0
 
 

@@ -414,6 +414,8 @@ def make_set(name: str, grid: Grid) -> ConstraintSet:
     """
     if name not in SET_NAMES:
         raise KeyError(f"unknown set {name!r}; known: {SET_NAMES}")
+    if grid.dim != 2:
+        raise ValueError(f"named set {name!r} is 2D, the grid has dim {grid.dim}")
     pts = grid.points
     x, y = pts[:, 0], pts[:, 1]
     h = grid.max_spacing

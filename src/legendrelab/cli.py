@@ -99,21 +99,20 @@ def _dual_grid_for(args, f: GridFunction) -> Grid:
 
 
 def _named_or_file(name_or_path: str, build, read):
-    """``build(name)`` for a known name, else ``read(path)`` for an
-    existing file; anything else is a usage error naming the known names."""
+    """``build(name)`` for a known name, else ``read(path)`` for an existing
+    file; anything else, or a ValueError from ``build``, is a usage error."""
     try:
         return build(name_or_path)
     except KeyError as err:
         if not Path(name_or_path).exists():
             raise UsageError(err.args[0]) from None
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     return read(name_or_path)
 
 
 def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
     f = _named_or_file(args.f, lambda n: entry(n).build(), read_grid_function)
-    if args.set in SET_NAMES and f.grid.dim != 2:
-        raise UsageError(f"named set {args.set!r} is 2D but {args.f!r} has "
-                         f"dim {f.grid.dim}; pass a mask file instead")
     return f, _named_or_file(args.set, lambda n: make_set(n, f.grid),
                              read_constraint_set)
 
@@ -123,8 +122,7 @@ def _cmd_conjugate(args) -> int:
     dual = _dual_grid_for(args, f)
     if args.method == "brute" and f.grid.size * dual.size > MAX_BRUTE_PAIRS:
         raise UsageError(f"--method brute would compare {f.grid.size} x "
-                         f"{dual.size} points, above {MAX_BRUTE_PAIRS}; use "
-                         "--method fast or smaller grids")
+                         f"{dual.size} points, above {MAX_BRUTE_PAIRS}")
     res = conjugate(f, dual, method=args.method)
     out = Path(args.out)
     write_grid_function(res.dual, out.with_suffix(".fstar.json"))

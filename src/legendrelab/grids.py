@@ -7,9 +7,8 @@ A shell ladder is a window of a band stencil: the band of a grid point
 about a center depends only on their index offset, so one stencil over the
 doubled index lattice, built once per (grid, norm, step), holds the band
 of every offset, and the ladder about any center is the slice of it that
-covers the grid, sorted once by band. A member-windowed ladder reads and
-sorts only the bands of a given set of points (say the members of a
-constraint set), keeping the whole grid's radii.
+covers the grid, sorted once by band; a member-windowed ladder ranks only
+given points (say the members of a set) under the same radii.
 """
 
 from __future__ import annotations
@@ -367,8 +366,7 @@ def shell_ladder(grid: Grid, center: int,
     Every grid point other than the center lands in exactly one band (the
     nearest multiple of ``step``); points within half a step of the center
     land in none. With ``within`` (ascending flat indices) only those
-    points are ranked: the radii stay those of the whole grid, and shell k
-    holds the members of the full shell k that lie in ``within``.
+    points are ranked, under the whole grid's radii.
     """
     step = grid.max_spacing if step is None else float(step)
     multi = grid.unravel_index(center)
@@ -378,7 +376,8 @@ def shell_ladder(grid: Grid, center: int,
     corners = window[tuple(slice(None, None, n - 1) for n in grid.counts)]
     kmax = int(corners.max() if max_radius is None
                else np.floor(max_radius / step + 0.5))
-    bands = window.ravel() if within is None else window.ravel()[within]
+    bands = (window.ravel() if within is None
+             else window[np.unravel_index(within, grid.counts)])
     order = np.argsort(bands, kind="stable")
     starts = np.searchsorted(bands[order], np.arange(1, max(kmax, 1) + 2))
     if within is not None:

@@ -91,14 +91,14 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
     return False
 
 
-def _shell_minima(gaps: np.ndarray, ladder: ShellLadder
+def _shell_minima(vals: np.ndarray, ladder: ShellLadder
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per shell: the least gap over its members, whether it has none, and
     the first member attaining a finite least gap (-1 if none), as one
-    grouped pass over the ladder's members."""
+    grouped pass over the ladder's members; ``vals[i]`` is the gap of
+    ``ladder.members[i]``."""
     mem = ladder.members
     starts = ladder.starts[:-1]
-    vals = gaps[mem]
     empty = starts == ladder.starts[1:]
     values = np.full(len(ladder), math.inf)
     witnesses = np.full(len(ladder), -1, dtype=np.int64)
@@ -151,9 +151,9 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
     if gap > tau:
         raise NotASubgradientError(
             f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
-    gaps = tilted - tilted[x_flat]
     ladder = _ladder(f.grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, ladder)
+    radii_a, values, empty, wit = _shell_minima(
+        tilted[ladder.members] - tilted[x_flat], ladder)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
                    tilt=tuple(float(c) for c in s), spacing=f.grid.max_spacing)
 
@@ -282,7 +282,7 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
     ladder = _ladder(grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps, ladder)
+    radii_a, values, empty, wit = _shell_minima(gaps[ladder.members], ladder)
     return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm,
                    spacing=grid.max_spacing)
 
@@ -369,27 +369,24 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
                           radii: Sequence[float] | None = None,
                           norm: NormChoice = NormChoice.L2,
                           tols: Tolerances = DEFAULT_TOLS,
-                          feasible: np.ndarray | None = None
+                          members: np.ndarray | None = None
                           ) -> tuple[Modulus, WellposednessReport]:
     """Conditioning curve of min f - <., s> and its strong-minimum verdict.
 
     A minimizer is unique at grid resolution when the tie cluster fits in
     one grid cell; a cluster wider than that always leaves a zero sample in
-    some certified shell, so the verdict legs stay coherent. With a
-    ``feasible`` mask, the tie cluster, the gaps and the shells range over
-    its members alone.
+    some certified shell, so the verdict legs stay coherent. ``members``
+    (ascending flat indices of a feasible set) restricts the problem to them.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     grid = f.grid
-    # tilt the whole grid, then index: points[mem] @ s can round differently
+    # tilt the whole grid, then index: a gathered matvec rounds differently
     tilted = f.tilted(s)
-    mem = None if feasible is None else np.flatnonzero(feasible)
-    cand = tilted if mem is None else tilted[mem]
+    cand = tilted if members is None else tilted[members]
     if not np.isfinite(cand).any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
     mval, eps, cluster = _tie_cluster(f, cand, s, tols)
-    if mem is not None:
-        cluster = mem[cluster]
+    cluster = cluster if members is None else members[cluster]
     x_hat = int(cluster[0])
 
     coords = grid.points[cluster]
@@ -399,11 +396,12 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
 
     # a feasible set is the whole problem, so only an unconstrained minimum
     # can be a truncation artifact of the grid edge
-    boundary_descent = (mem is None
+    boundary_descent = (members is None
                         and not grid.interior_flat[cluster].any()
                         and _edge_descent(grid, tilted, cluster, mval + eps))
-    ladder = _ladder(grid, x_hat, norm, radii, within=mem)
-    radii_a, values, empty, wit = _shell_minima(tilted - tilted[x_hat], ladder)
+    ladder = _ladder(grid, x_hat, norm, radii, within=members)
+    radii_a, values, empty, wit = _shell_minima(
+        tilted[ladder.members] - tilted[x_hat], ladder)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
     pos, cert, note = certification_verdict(mod, tols)
@@ -436,7 +434,8 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
                                 "minimum on grid edge with outward descent")
 
     ladder = shell_ladder(grid, x_hat, norm=norm)
-    radii, values, empty, _ = _shell_minima(tilted - mval, ladder)
+    radii, values, empty, _ = _shell_minima(tilted[ladder.members] - mval,
+                                            ladder)
     outer = (~empty) & (radii > radii[-1] / 2.0)
     if not outer.any():
         return CoercivityReport(False, x_hat, "no usable outer shells")

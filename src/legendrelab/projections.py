@@ -3,12 +3,12 @@
 Includes the strong-Tchebychev probe test, the farthest-point experiment
 (f = -||.||^2/2), and the convexity detector (f = ||.||^2/2). Universal
 "for every tilt" claims are always reported as "no failure over N probes".
-A projection ranks only the members of S (one member-windowed shell
-ladder), so its cost past the one tilt over the grid scales with |S|, not
-with the grid. All three wrap one witness-search engine: Halton probes and exact tie
-tilts from member pairs (midpoint-convexity violations or far pairs) in the
-caller's order, then jittered tie tilts and bisection toward the tie, from
-a budget of exactly what those stages can spend.
+A projection tilts the grid once, then ranks only the members of S: past
+the tilt it costs O(|S| log |S|) plus one entry per shell. All three wrap
+one witness-search engine: Halton probes and exact tie tilts from member
+pairs (midpoint-convexity violations or far pairs) in the caller's order,
+then jittered tie tilts and bisection toward the tie, from a budget of
+exactly what those stages can spend.
 
 Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
 of a member pair depend only on its index sum, so one FFT self-convolution
@@ -103,7 +103,7 @@ def solve_relative_projection(f: GridFunction, S: ConstraintSet,
     """Exact minimization of f - <., s> over the finite set S."""
     if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
-    mod, rep = wellposedness_modulus(f, s, norm=norm, tols=tols, feasible=S.mask)
+    mod, rep = wellposedness_modulus(f, s, norm=norm, tols=tols, members=S.members)
     pt = f.grid.point(rep.minimizer)
     return ProjectionCertificate(f.name, S.name,
                                  tuple(float(c) for c in np.atleast_1d(s)),

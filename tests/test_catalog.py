@@ -143,6 +143,15 @@ def test_catalog_set_names_cover_acceptance_sets():
     assert ll.make_set("pair", g).size == 2
 
 
+@pytest.mark.parametrize("grid", [ll.grid_1d(-1.0, 1.0, 11),
+                                  ll.Grid(((0.0, 1.0),) * 3, (3, 3, 3))])
+def test_named_sets_reject_grids_that_are_not_2d(grid):
+    from legendrelab.catalog import SET_NAMES
+    for name in SET_NAMES:
+        with pytest.raises(ValueError, match=f"named set '{name}' is 2D"):
+            ll.make_set(name, grid)
+
+
 def test_circle_cloud_members_share_norm():
     g = ll.grid_2d(-2.0, 2.0, 101)
     S = ll.make_set("circle", g)

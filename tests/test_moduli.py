@@ -153,9 +153,8 @@ def test_wellposedness_equals_firm_at_minimizer(halfsq_1d):
 def test_wellposedness_infeasible():
     g = ll.grid_1d(-1.0, 1.0, 11)
     f = ll.build_grid_function(g, lambda x: x * x)
-    feasible = np.zeros(g.size, dtype=bool)
     with pytest.raises(InfeasibleProblemError):
-        ll.wellposedness_modulus(f, [0.0], feasible=feasible)
+        ll.wellposedness_modulus(f, [0.0], members=np.zeros(0, np.int64))
 
 
 # -- gamma0 certificate against the built envelope -------------------------
@@ -438,7 +437,7 @@ def test_grouped_shell_minima_equal_per_shell_loop(case, norm):
     ladder = ll.shell_ladder(grid, center, norm=norm)
     members = ll.shell_ladder(grid, center, norm=norm,
                               within=member_indices(feasible))
-    assert_bitwise_equal(moduli._shell_minima(gaps, members),
+    assert_bitwise_equal(moduli._shell_minima(gaps[members.members], members),
                          shell_minima_loop(gaps, list(ladder), feasible))
 
 
@@ -454,7 +453,7 @@ def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
                for a, b in zip(ladder, shells))
     members = moduli._ladder(grid, center, ll.NormChoice.L2, radii,
                              within=member_indices(feasible))
-    assert_bitwise_equal(moduli._shell_minima(gaps, members),
+    assert_bitwise_equal(moduli._shell_minima(gaps[members.members], members),
                          shell_minima_loop(gaps, shells, feasible))
 
 
@@ -470,10 +469,10 @@ def test_grouped_minima_edge_cases():
                      np.arange(g.size) >= g.size - 2):
         members = ll.shell_ladder(g, c, max_radius=4.0,
                                   within=member_indices(feasible))
-        got = moduli._shell_minima(gaps, members)
+        got = moduli._shell_minima(gaps[members.members], members)
         assert_bitwise_equal(got, shell_minima_loop(gaps, list(ladder),
                                                     feasible))
-    _, values, empty, wit = moduli._shell_minima(gaps, ladder)
+    _, values, empty, wit = moduli._shell_minima(gaps[ladder.members], ladder)
     assert not empty[0] and values[0] == math.inf and wit[0] == -1
 
 
@@ -556,11 +555,11 @@ def check_against_masked(f, s, feasible, norm, radii=None):
     except InfeasibleProblemError:
         with pytest.raises(InfeasibleProblemError):
             ll.wellposedness_modulus(f, s, radii=radii, norm=norm,
-                                     feasible=feasible)
+                                     members=member_indices(feasible))
         return
     assert_same_wellposedness(
         ll.wellposedness_modulus(f, s, radii=radii, norm=norm,
-                                 feasible=feasible), want)
+                                 members=member_indices(feasible)), want)
 
 
 @pytest.mark.parametrize("norm", list(ll.NormChoice))
@@ -710,7 +709,8 @@ def total_convexity_per_axis_loop(f, x_flat, norm, tols=DEFAULT_TOLS):
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
     ladder = ll.shell_ladder(grid, x_flat, norm=norm)
-    radii_a, values, empty, wit = moduli._shell_minima(gaps, ladder)
+    radii_a, values, empty, wit = moduli._shell_minima(gaps[ladder.members],
+                                                       ladder)
     return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm)
 
 
