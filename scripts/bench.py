@@ -7,8 +7,11 @@ runs, once per tree, a new process that times ``import legendrelab``, a
 new process running ``legendrelab verify-paper --experiment all --seed
 42``, whose wall time is taken from outside, and that checkout's own
 ``perfbench/run.py --trace 0`` for each of its three workloads, keeping
-their end-to-end metrics. The tree order flips every round, so drift on a
-shared machine hits both sides alike. The JSON written to ``--out`` holds
+their end-to-end metrics. Every checkout's ``src`` and ``perfbench`` are
+byte-compiled before the first round, so all trees start from the same
+bytecode cache and their set-up times compare like with like. The tree
+order flips every round, so drift on a shared machine hits both sides
+alike. The JSON written to ``--out`` holds
 the machine (CPU count and model, Python, numpy and scipy versions, scipy
 null when it is not installed, git HEAD, load averages) and, per tree,
 the median, quartiles and raw runs of every timing and metric plus the
@@ -151,6 +154,9 @@ def main(argv: list[str] | None = None) -> int:
     times = {label: {"import_s": [], "verify_paper_s": []} for label in trees}
     bench = {label: {w: [] for w in PERFBENCH} for label in trees}
     hashes = {label: set() for label in trees}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree),
+                        str(tree.parent / "perfbench")], check=True)
     order = list(trees)
     with tempfile.TemporaryDirectory() as cwd:
         for r in range(args.rounds):

@@ -22,7 +22,7 @@ class NoAdmissibleStepError(LegendreLabError):
 
 
 class InsufficientDataError(LegendreLabError):
-    """Fewer than two finite modulus samples; no envelope can be certified."""
+    """No finite modulus sample; no envelope can be certified."""
 
 
 class InfeasibleProblemError(LegendreLabError):

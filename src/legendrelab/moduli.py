@@ -298,9 +298,8 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
     sel = m.finite_mask()
     ts = m.radii[sel]
     vs = m.values[sel]
-    if ts.size < 2:
-        raise InsufficientDataError(
-            f"need at least 2 finite samples, have {ts.size}")
+    if ts.size == 0:
+        raise InsufficientDataError("need at least 1 finite sample, have 0")
     # The envelope lies below every sample, so each sample must clear the
     # floor. Its first piece is the chord from the origin of least slope
     # min(v/t), and every later piece is a chord between two samples. The
@@ -308,13 +307,15 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
     # once it clears it at both ends: at the samples, and, on the first
     # piece, at the smallest sampled radius t0 (the origin sits below it).
     # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
-    # cannot move it across the floor.
+    # cannot move it across the floor. A single sample has no chord tail:
+    # it decides alone, positive iff v0 > delta0(t0).
     low = np.flatnonzero(~(vs > tols.delta0(ts)))
     if low.size:
         return Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
                                  tols.eps_fp)
     t0 = float(ts[0])
-    first = min(float(vs[0]), t0 * float((vs[1:] / ts[1:]).min()))
+    chord = t0 * float((vs[1:] / ts[1:]).min(initial=math.inf))
+    first = min(float(vs[0]), chord)
     positive = bool(first > tols.delta0(t0))
     return Gamma0Certificate(positive, None if positive else t0,
                              int(ts.size), tols.eps_fp)
@@ -334,8 +335,6 @@ def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS
     n_finite = int(mm.finite_mask().sum())
     if n_finite == 0:
         return True, None, "vacuous: no domain point in any usable shell"
-    if n_finite == 1:
-        return False, None, "insufficient finite samples (1)"
     cert = certify_gamma0(mm, tols)
     return cert.positive, cert, ""
 

@@ -255,19 +255,21 @@ def test_criterion_10_convexity_detector():
     all_sets = ("box", "disk", "half_plane", "hexagon", "segment",
                 "annulus", "crescent", "two_point")
     # Halton probes first; a convex set spends exactly those, a nonconvex
-    # one stops at its first witness (two_point: the first Halton probe)
+    # one stops at its first witness (two_point: the midpoint tie after the
+    # Halton probes, each of which has a unique, strong nearest point)
     probes = {"box": 200, "disk": 200, "half_plane": 200, "hexagon": 200,
-              "segment": 200, "annulus": 217, "crescent": 202, "two_point": 1}
-    kinds = {}
+              "segment": 200, "annulus": 217, "crescent": 202, "two_point": 201}
+    kinds, witnesses = {}, {}
     for name in all_sets:
         v = ll.convexity_detector(make_set(name, g), n_probes=200, seed=42)
-        kinds[name] = v.kind
+        kinds[name], witnesses[name] = v.kind, v.witness
         assert v.agreement, name
         assert v.probes_used == probes[name], name
     for name in ("box", "disk", "half_plane", "hexagon", "segment"):
         assert kinds[name] == "CONVEX-CONSISTENT", name
     for name in ("annulus", "crescent", "two_point"):
         assert kinds[name] == "NONCONVEX", name
+        assert witnesses[name].report.multiplicity >= 2, name
     _ok("criterion 10: convexity detector",
         f"{len(all_sets)} sets, verdicts agree with midpoint convexity")
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import legendrelab as ll
 from legendrelab.catalog import entries, entry
+from legendrelab.conjugate import _MAXPLUS_BLOCK, _maxplus
 from legendrelab.generators import (random_convex_1d, random_convex_2d,
                                     random_grid_function)
 from legendrelab.tolerances import DEFAULT_TOLS
@@ -297,3 +299,103 @@ def test_bicon_tolerance_matches_per_axis_slope_loop():
         rel = 2 * np.spacing(extent) / min(f.grid.spacing) + 8 * eps
         assert abs(bic.tol_bicon - want) <= rel * want, name
         assert bic.consistent == (bic.max_gap <= want), name
+
+
+def conjugate_fast_rerun_all(f, dual_grid):
+    """The earlier ``conjugate_fast``: trust from re-running the passes on
+    interior primal points for every dual point."""
+    if f.grid.dim == 1:
+        xs = f.grid.axes[0]
+        ss = dual_grid.axes[0]
+        fv = f.flat[None, :]
+        vals, arg = _maxplus(xs, fv, ss)
+        iv, _ = _maxplus(xs[1:-1], fv[:, 1:-1], ss)
+        return vals[0], arg[0], (iv >= vals)[0]
+    x1, x2 = f.grid.axes
+    s1, s2 = dual_grid.axes
+    fv = f.values
+    g, a2 = _maxplus(x2, fv, s2)
+    v, a1 = _maxplus(x1, -g.T, s1)
+    g_int, _ = _maxplus(x2[1:-1], fv[1:-1, 1:-1], s2)
+    iv, _ = _maxplus(x1[1:-1], -g_int.T, s1)
+    cols = np.arange(s2.size)[:, None]
+    arg = (a1 * f.grid.counts[1] + a2[a1, cols]).T.ravel()
+    return v.T.ravel(), arg, (iv >= v).T.ravel()
+
+
+def assert_matches_rerun_all(f, dual_grid):
+    """Values, argmax and trust bitwise equal to the rerun-all oracle, for
+    f* and for the second conjugate of f* back onto the primal grid."""
+    for fn, onto in ((f, dual_grid), (None, f.grid)):
+        if fn is None:
+            fn = ll.conjugate_fast(f, dual_grid).dual
+        got = ll.conjugate_fast(fn, onto)
+        vals, arg, trusted = conjugate_fast_rerun_all(fn, onto)
+        np.testing.assert_array_equal(got.dual.flat, vals)
+        np.testing.assert_array_equal(got.argmax, arg)
+        np.testing.assert_array_equal(got.trusted, trusted)
+
+
+@st.composite
+def oracle_case(draw):
+    """1D or 2D (square or rectangular, axes down to 2 and 3 points) rough
+    functions with 0-60 % +inf holes, affine rows whose points all tie at
+    a slope on the dual grid, quantized values, and all-zero functions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2]))
+    top = 300 if dim == 1 else 40
+    counts = [draw(st.one_of(st.sampled_from([2, 3]), st.integers(2, top)))
+              for _ in range(dim)]
+    duals = [draw(st.integers(2, top)) for _ in range(dim)]
+    g = ll.Grid(((-1.5, 2.0),) * dim, counts)
+    lo, hi = -float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0))
+    d = ll.Grid(((lo, hi),) * dim, duals)
+    kind = draw(st.sampled_from(["rough", "affine", "quantized", "zero"]))
+    inf_frac = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    if kind == "zero":
+        return ll.GridFunction(g, np.zeros(g.shape)), d
+    f = random_grid_function(rng, g, inf_frac=inf_frac)
+    if kind == "quantized":
+        f = ll.GridFunction(g, np.round(4.0 * f.values) / 4.0)
+    elif kind == "affine":
+        a = d.axes[-1][int(rng.integers(duals[-1]))]
+        vals = np.broadcast_to(a * g.axes[-1], g.shape).copy()
+        vals[f.values == math.inf] = math.inf
+        f = ll.GridFunction(g, vals)
+    return f, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=oracle_case())
+def test_fast_trust_equals_rerun_all_oracle(case):
+    f, d = case
+    assert_matches_rerun_all(f, d)
+
+
+@pytest.mark.parametrize("eid", [e.id for e in entries()])
+def test_fast_trust_equals_rerun_all_oracle_on_catalog(eid):
+    e = entry(eid)
+    assert_matches_rerun_all(e.build(), e.dual_grid)
+
+
+def test_fast_matches_oracle_past_one_block():
+    """A 131^2 primal holds more than ``_MAXPLUS_BLOCK`` values, so each
+    block of the first pass takes one dual point and more elements."""
+    g = ll.grid_2d(-1.0, 1.0, 131)
+    assert g.size > _MAXPLUS_BLOCK
+    f = random_grid_function(np.random.default_rng(4), g, inf_frac=0.1)
+    assert_matches_rerun_all(f, ll.grid_2d(-2.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_maxplus_independent_of_block_size(monkeypatch, block):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-2.0, 2.0, 201)
+    F = rng.normal(size=(3, 201))
+    F[rng.random(F.shape) < 0.1] = math.inf
+    ss = np.linspace(-3.0, 3.0, 241)
+    want = _maxplus(xs, F, ss)
+    monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_MAXPLUS_BLOCK", block)
+    got = _maxplus(xs, F, ss)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

@@ -192,7 +192,7 @@ def gamma0_curve(draw):
     (exactly on it too), zero samples and lines near the floor's slope,
     with some samples masked out as +inf or empty shells."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 40))
     step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1 / 3]))
     ts = np.sort(rng.choice(np.arange(1, 400), n, replace=False)) * step
     floor = DEFAULT_TOLS.delta0(ts)
@@ -224,7 +224,7 @@ def test_certify_gamma0_equals_envelope_oracle(curve):
     m = Modulus("firm", 0, ts, vs, empty, np.full(ts.size, -1),
                 ll.NormChoice.L2)
     sel = m.finite_mask()
-    if sel.sum() < 2:
+    if sel.sum() == 0:
         with pytest.raises(InsufficientDataError):
             ll.certify_gamma0(m)
         return
@@ -264,11 +264,23 @@ def test_certify_gamma0_zero_sample_fails_at_vertex():
 
 def test_certify_gamma0_insufficient_data():
     ts = np.array([0.5, 1.0])
-    vs = np.array([0.3, math.inf])
-    m = Modulus("firm", 0, ts, vs, np.zeros(2, bool), np.full(2, -1),
+    vs = np.array([math.inf, math.inf])
+    m = Modulus("firm", 0, ts, vs, np.array([False, True]), np.full(2, -1),
                 ll.NormChoice.L2)
     with pytest.raises(InsufficientDataError):
         ll.certify_gamma0(m)
+
+
+def test_certify_gamma0_single_sample_decides():
+    """One finite sample has no chord tail: positive iff it clears delta0."""
+    ts = np.array([0.5, 1.0])
+    for v0, positive in ((0.3, True), (DEFAULT_TOLS.delta0(0.5), False)):
+        m = Modulus("firm", 0, ts, np.array([v0, math.inf]),
+                    np.zeros(2, bool), np.full(2, -1), ll.NormChoice.L2)
+        cert = ll.certify_gamma0(m)
+        assert cert.positive is positive and cert.n_finite == 1
+        assert cert.failure_radius == (None if positive else 0.5)
+        assert ll.certification_verdict(m)[0] is positive
 
 
 def test_certification_vacuous_for_isolated_domain():
@@ -744,8 +756,6 @@ def verdict_cut_by_caller(m, min_radius):
     n_finite = int(mm.finite_mask().sum())
     if n_finite == 0:
         return True, None, "vacuous: no domain point in any usable shell"
-    if n_finite == 1:
-        return False, None, "insufficient finite samples (1)"
     cert = ll.certify_gamma0(mm)
     return cert.positive, cert, ""
 

@@ -420,13 +420,15 @@ def test_farthest_witness_when_ties_sit_on_grid_edge(bisections):
 
 def test_detector_nonconvex_when_ties_sit_on_grid_edge(bisections):
     """Both points on the bottom grid edge: no certificate is discarded as
-    an edge artifact, so the first Halton probe, whose certificate has a
-    single finite shell sample, is already not strong."""
+    an edge artifact. Every Halton probe has a unique nearest point, which
+    is strong, and the midpoint tilt (0, -2) ties both points."""
     g = ll.grid_2d(-2.0, 2.0, 41)
     S = ll.ConstraintSet.from_points(g, [(-2.0, -2.0), (2.0, -2.0)], "edge")
     v = ll.convexity_detector(S, n_probes=200, seed=42)
     assert v.kind == "NONCONVEX"
-    assert v.probes_used == 1
+    assert v.probes_used == 201
+    assert v.witness_tilt == (0.0, -2.0)
+    assert v.witness.report.multiplicity == 2
     assert not v.midpoint_convex and v.agreement
     assert bisections == []
 
@@ -436,6 +438,18 @@ def halfsq2_41():
     g = ll.grid_2d(-2.0, 2.0, 41)
     return ll.build_grid_function(g, lambda p: 0.5 * (p * p).sum(axis=1),
                                   name="halfsq2", vectorized=True)
+
+
+def test_single_member_beyond_cut_is_strong(halfsq2_41):
+    """At a generic tilt the nearest point of the edge pair is unique, and
+    the other point is the curve's one finite sample beyond the cut: it
+    clears the floor, so the minimum is strong."""
+    S = ll.ConstraintSet.from_points(halfsq2_41.grid,
+                                     [(-2.0, -2.0), (2.0, -2.0)], "edge")
+    cert = ll.solve_relative_projection(halfsq2_41, S, [0.164, -1.114])
+    assert cert.report.multiplicity == 1
+    assert cert.report.certificate.n_finite == 1
+    assert cert.strong
 
 
 def test_tchebychev_fails_on_grid_edge_pair(halfsq2_41):
