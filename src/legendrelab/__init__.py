@@ -36,8 +36,7 @@ from .grids import (Grid, GridFunction, NormChoice, Shell, ShellLadder,
 from .moduli import (CoercivityReport, Gamma0Certificate, Modulus,
                      WellposednessReport, certification_verdict,
                      certify_gamma0, coercivity_check, firm_modulus,
-                     total_convexity_modulus, uniform_firm_modulus,
-                     wellposedness_modulus)
+                     total_convexity_modulus, wellposedness_modulus)
 from .projections import (ConstraintSet, DetectorVerdict, FarthestVerdict,
                           ProjectionCertificate, TchebychevReport,
                           convexity_detector, farthest_point_experiment,

@@ -92,7 +92,11 @@ def _load_function(args) -> GridFunction:
 
 def _dual_grid_for(args, f: GridFunction) -> Grid:
     if args.dual_grid:
-        return parse_grid_spec(args.dual_grid)
+        dual = parse_grid_spec(args.dual_grid)
+        if dual.dim != f.grid.dim:
+            raise UsageError(f"--dual-grid has {dual.dim} axes, the function "
+                             f"has {f.grid.dim}")
+        return dual
     if args.catalog:
         return _catalog_entry(args.catalog).dual_grid
     return parse_grid_spec(";".join([DEFAULT_DUAL_SPEC] * f.grid.dim))
@@ -113,8 +117,11 @@ def _named_or_file(name_or_path: str, build, read):
 
 def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
     f = _named_or_file(args.f, lambda n: entry(n).build(), read_grid_function)
-    return f, _named_or_file(args.set, lambda n: make_set(n, f.grid),
-                             read_constraint_set)
+    S = _named_or_file(args.set, lambda n: make_set(n, f.grid),
+                       read_constraint_set)
+    if S.grid != f.grid:
+        raise UsageError(f"--set {args.set!r} is not on the grid of --f")
+    return f, S
 
 
 def _cmd_conjugate(args) -> int:
@@ -153,9 +160,10 @@ def _cmd_modulus(args) -> int:
     radii = None
     if args.radii:
         radii = _parse_floats(args.radii, "--radii")
-        if not all(0.0 < t < np.inf for t in radii):
-            raise UsageError("--radii wants positive finite radii, "
-                             f"got {args.radii!r}")
+        if not (all(0.0 < t < np.inf for t in radii)
+                and all(a < b for a, b in zip(radii, radii[1:]))):
+            raise UsageError("--radii wants strictly increasing positive "
+                             f"finite radii, got {args.radii!r}")
     if args.kind == "wellposed":
         if not args.subgradient:
             raise UsageError("--subgradient supplies the tilt for --kind wellposed")

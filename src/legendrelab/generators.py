@@ -43,18 +43,3 @@ def random_convex_1d(rng: np.random.Generator, grid: Grid,
             hi = min(lo + 4 * h, grid.bounds[0][1])
         vals = np.where((x >= lo) & (x <= hi), vals, math.inf)
     return GridFunction(grid, vals, name=name)
-
-
-def random_convex_2d(rng: np.random.Generator, grid: Grid,
-                     strongly: bool = False, n_planes: int = 8,
-                     name: str = "random_convex2") -> GridFunction:
-    """Pointwise maximum of random affine functions, optionally plus a
-    quadratic bowl."""
-    pts = grid.points
-    slopes = rng.uniform(-2.0, 2.0, size=(n_planes, grid.dim))
-    offsets = rng.uniform(-1.0, 1.0, size=n_planes)
-    vals = (pts @ slopes.T + offsets[None, :]).max(axis=1)
-    if strongly:
-        mu = rng.uniform(0.2, 2.0)
-        vals = vals + 0.5 * mu * (pts * pts).sum(axis=1)
-    return GridFunction(grid, vals.reshape(grid.shape), name=name)

@@ -245,13 +245,6 @@ class GridFunction:
         s = np.asarray(s, dtype=float)
         return self.flat - self.grid.points @ s
 
-    def with_mask(self, keep_flat: np.ndarray, name: str | None = None) -> "GridFunction":
-        """Restriction: +inf outside ``keep_flat`` (the indicator sum f + i_S)."""
-        vals = self.flat.copy()
-        vals[~np.asarray(keep_flat, dtype=bool)] = INF
-        return GridFunction(self.grid, vals.reshape(self.grid.shape),
-                            name=name if name is not None else self.name + "+indicator")
-
 
 def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
                         vectorized: bool = False) -> GridFunction:

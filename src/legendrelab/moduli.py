@@ -30,7 +30,7 @@ from .tolerances import DEFAULT_TOLS, Tolerances
 class Modulus:
     """Sampled radius -> shell-infimum curve about a base point."""
 
-    kind: str                      # "firm" | "total" | "wellposed" | "uniform_firm"
+    kind: str                      # "firm" | "total" | "wellposed"
     center: int                    # primal flat index
     radii: np.ndarray              # strictly increasing, > 0
     values: np.ndarray             # gap infima; +inf where no usable member
@@ -60,11 +60,6 @@ class Gamma0Certificate:
     failure_radius: float | None
     n_finite: int
     eps: float
-
-    def to_dict(self) -> dict:
-        return {"kind": "gamma0_certificate", "positive": self.positive,
-                "failure_radius": self.failure_radius,
-                "n_finite": self.n_finite, "eps": self.eps}
 
 
 def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray,
@@ -156,28 +151,6 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
         tilted[ladder.members] - tilted[x_flat], ladder)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
                    tilt=tuple(float(c) for c in s), spacing=f.grid.max_spacing)
-
-
-def uniform_firm_modulus(f: GridFunction, x_flat: int,
-                         tilts: Sequence[Sequence[float]],
-                         radii: Sequence[float] | None = None,
-                         norm: NormChoice = NormChoice.L2,
-                         tols: Tolerances = DEFAULT_TOLS) -> Modulus:
-    """Pointwise minimum of firm moduli over a family of subgradients.
-
-    Proxy for the single-psi (uniform) variant of firm subdifferentiability;
-    there is no canonical uniform modulus, so this is reported as the
-    strongest curve valid for every sampled tilt.
-    """
-    mods = [firm_modulus(f, x_flat, s, radii=radii, norm=norm, tols=tols)
-            for s in tilts]
-    if not mods:
-        raise ValueError("need at least one tilt")
-    values = np.min(np.vstack([m.values for m in mods]), axis=0)
-    base = mods[0]
-    return Modulus("uniform_firm", base.center, base.radii, values,
-                   base.empty, np.full(base.radii.shape, -1, dtype=np.int64),
-                   norm, spacing=base.spacing)
 
 
 def total_convexity_modulus(f: GridFunction, x_flat: int,

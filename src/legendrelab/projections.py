@@ -61,17 +61,6 @@ class ConstraintSet:
     def member_points(self) -> np.ndarray:
         return self.grid.points[self.members]
 
-    def translated(self, steps: Sequence[int], name: str | None = None) -> "ConstraintSet":
-        """Shift every member by an integer index offset (members leaving the grid drop)."""
-        steps = np.asarray(steps, dtype=np.int64)
-        multi = np.stack(np.unravel_index(self.members, self.grid.shape), axis=1) + steps
-        shape = np.asarray(self.grid.shape)
-        ok = (multi >= 0).all(axis=1) & (multi < shape).all(axis=1)
-        flat = np.ravel_multi_index(tuple(multi[ok].T), self.grid.shape)
-        mask = np.zeros(self.grid.size, dtype=bool)
-        mask[flat] = True
-        return ConstraintSet(self.grid, mask, name or self.name + "+shift")
-
     @staticmethod
     def from_points(grid: Grid, points: Sequence[Sequence[float]],
                     name: str = "") -> "ConstraintSet":

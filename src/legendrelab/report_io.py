@@ -176,10 +176,6 @@ def read_mask(path: str | Path) -> tuple[Grid, np.ndarray, str]:
     return grid, np.array(values, dtype=bool), doc.get("name", "")
 
 
-def write_constraint_set(S: ConstraintSet, path: str | Path) -> None:
-    write_mask(S.grid, S.mask, path, name=S.name)
-
-
 def read_constraint_set(path: str | Path) -> ConstraintSet:
     grid, mask, name = read_mask(path)
     return ConstraintSet(grid, mask, name)

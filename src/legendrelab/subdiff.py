@@ -50,11 +50,6 @@ class SubgradientSet:
     def points(self) -> np.ndarray:
         return self.dual_grid.points[self.members]
 
-    def to_dict(self) -> dict:
-        return {"kind": "subgradient_set", "base": self.base,
-                "members": {str(int(m)): float(g)
-                            for m, g in zip(self.members, self.gaps)}}
-
 
 def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
                  norm: NormChoice = NormChoice.L2,
@@ -151,21 +146,6 @@ class DomainChainReport:
     @property
     def inclusion_holds(self) -> bool:
         return self.violations.size == 0
-
-    def to_dict(self) -> dict:
-        """Records keyed by dual grid index (only indices in some set)."""
-        records = {}
-        any_set = self.dom_mj | self.int_dom_conj | self.dom_sub_conj
-        for j in np.flatnonzero(any_set):
-            records[str(int(j))] = {
-                "dom_mj": bool(self.dom_mj[j]),
-                "int_dom_conjugate": bool(self.int_dom_conj[j]),
-                "dom_subdiff_conjugate": bool(self.dom_sub_conj[j]),
-            }
-        return {"kind": "domain_chain_report",
-                "inclusion_holds": self.inclusion_holds,
-                "violations": [int(v) for v in self.violations],
-                "records": records}
 
 
 # Dual rows whose own maximizer has a gap below this fraction of its

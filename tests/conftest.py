@@ -45,6 +45,20 @@ def absval_1d(grid_fine_1d):
                                   name="abs", vectorized=True)
 
 
+def random_convex_2d(rng, grid, strongly=False, n_planes=8,
+                     name="random_convex2"):
+    """Pointwise maximum of random affine functions, optionally plus a
+    quadratic bowl."""
+    pts = grid.points
+    slopes = rng.uniform(-2.0, 2.0, size=(n_planes, grid.dim))
+    offsets = rng.uniform(-1.0, 1.0, size=n_planes)
+    vals = (pts @ slopes.T + offsets[None, :]).max(axis=1)
+    if strongly:
+        mu = rng.uniform(0.2, 2.0)
+        vals = vals + 0.5 * mu * (pts * pts).sum(axis=1)
+    return ll.GridFunction(grid, vals.reshape(grid.shape), name=name)
+
+
 def brute_conjugate_values(f, dual_grid):
     """Independent conjugation oracle: plain loop over dual points."""
     out = np.empty(dual_grid.size)

@@ -4,9 +4,10 @@ import pytest
 import legendrelab as ll
 from legendrelab.catalog import entries, entry
 from legendrelab.classify import CHAIN, _Session, default_sample_plan
-from legendrelab.generators import (random_convex_1d, random_convex_2d,
-                                    random_grid_function)
+from legendrelab.generators import random_convex_1d, random_grid_function
 from legendrelab.tolerances import DEFAULT_TOLS
+
+from conftest import random_convex_2d
 
 
 def test_halfsq2_all_verdicts_true():

@@ -39,6 +39,10 @@ def test_usage_error_exits_2():
                  id="dual-grid-bad-count"),
     pytest.param(["conjugate", "--catalog", "halfsq", "--dual-grid", "3,-3,11"],
                  id="dual-grid-reversed"),
+    pytest.param(["conjugate", "--catalog", "halfsq",
+                  "--dual-grid=-1,1,5;-1,1,5"], id="conjugate-dual-grid-2d-for-1d"),
+    pytest.param(["classify", "--catalog", "halfsq2", "--dual-grid=-1,1,5"],
+                 id="classify-dual-grid-1d-for-2d"),
     pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
                   "--at", "zero"], id="at-not-a-number"),
     pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
@@ -51,6 +55,9 @@ def test_usage_error_exits_2():
                   "--at", "0", "--radii", "0.5,half"], id="radii-not-a-number"),
     pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
                   "--at", "0", "--radii", "0.5,-1"], id="radii-negative"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "0", "--radii", "1.0,0.5,0.5"],
+                 id="radii-not-increasing"),
     pytest.param(["modulus", "--kind", "total", "--at", "0"], id="no-function"),
     pytest.param(["classify", "--catalog", "no_such_entry"],
                  id="unknown-catalog"),
@@ -383,3 +390,23 @@ def test_mask_file_with_one_dimensional_function(tmp_path):
     assert main(["project", "--f", "halfsq", "--set", str(tmp_path / "S.json"),
                  "--tilt", "2", "--out", str(out)]) == 0
     assert rio.read_json(out)["minimizer_point"] == [0.5]
+
+
+@pytest.mark.parametrize("command", [["project", "--tilt", "0.1,0.2"],
+                                     ["tchebychev"]],
+                         ids=["project", "tchebychev"])
+@pytest.mark.parametrize("mask_grid", [ll.grid_2d(-2.0, 2.0, 21),
+                                       ll.grid_1d(-2.0, 2.0, 81)],
+                         ids=["2d-other-grid", "1d"])
+def test_mask_file_on_another_grid_exits_2(command, mask_grid, tmp_path):
+    """A mask file must lie on f's own grid: its flat indices mean nothing
+    on another one."""
+    mask = np.abs(mask_grid.points).max(axis=1) <= 0.75
+    rio.write_mask(mask_grid, mask, tmp_path / "S.json")
+    out = tmp_path / "out.json"
+    proc = run_cli([command[0], "--f", "halfsq2", "--set",
+                    str(tmp_path / "S.json"), *command[1:], "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --set ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab.catalog import entries, entry
 from legendrelab.conjugate import _MAXPLUS_BLOCK, _maxplus
-from legendrelab.generators import (random_convex_1d, random_convex_2d,
-                                    random_grid_function)
+from legendrelab.generators import random_convex_1d, random_grid_function
 from legendrelab.tolerances import DEFAULT_TOLS
 
-from conftest import brute_conjugate_values
+from conftest import brute_conjugate_values, random_convex_2d
 
 
 def rel_close(a, b, tol=1e-12):

@@ -119,16 +119,6 @@ def test_norm_dual_pairing():
     assert np.isclose(ll.NormChoice.LINF.length(v)[0], 4.0)
 
 
-def test_with_mask_builds_indicator_sum():
-    g = ll.grid_1d(-1.0, 1.0, 5)
-    f = ll.build_grid_function(g, lambda x: x * x)
-    keep = np.zeros(5, dtype=bool)
-    keep[2] = True
-    fm = f.with_mask(keep)
-    assert np.isfinite(fm.flat[2])
-    assert np.isinf(fm.flat[0])
-
-
 # -- band-stencil shell ladders ------------------------------------------
 
 ANISO = ll.grid_2d(-2.0, 2.0, 7, -1.0, 3.0, 5)

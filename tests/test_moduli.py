@@ -336,16 +336,6 @@ def test_firm_at_least_total_minus_slack():
             assert (firm.values[both] >= total.values[both] - slack).all()
 
 
-def test_uniform_firm_is_pointwise_min(absval_1d):
-    g = absval_1d.grid
-    x0 = g.index_of_nearest([0.0])
-    tilts = [[-0.5], [0.0], [0.5]]
-    uni = ll.uniform_firm_modulus(absval_1d, x0, tilts)
-    singles = [ll.firm_modulus(absval_1d, x0, s) for s in tilts]
-    stacked = np.vstack([m.values for m in singles])
-    assert np.array_equal(uni.values, stacked.min(axis=0))
-
-
 def test_firm_modulus_tilt_invariance(halfsq_1d):
     """Adding an affine part and shifting the subgradient leaves the curve."""
     g = halfsq_1d.grid
@@ -761,14 +751,13 @@ def verdict_cut_by_caller(m, min_radius):
 
 
 def catalog_curves(f, dual_grid, radii):
-    """Firm, uniform-firm, total and well-posedness curves at a few tilts s
+    """Firm, total and well-posedness curves at a few tilts s
     and their conjugate maximizers x (a subgradient pair)."""
     conj = ll.conjugate_fast(f, dual_grid)
     for s_flat in np.linspace(0, dual_grid.size - 1, 5).astype(int)[1:-1]:
         s = dual_grid.point(int(s_flat))
         x = int(conj.argmax[s_flat])
         yield ll.firm_modulus(f, x, s, radii=radii)
-        yield ll.uniform_firm_modulus(f, x, [s], radii=radii)
         yield ll.total_convexity_modulus(f, x, radii=radii)
         yield ll.wellposedness_modulus(f, s, radii=radii)[0]
 

@@ -74,7 +74,8 @@ def test_projection_consistent_with_masked_wellposedness(grid, halfsq2):
     S = make_set("disk", grid)
     s = [1.3, -0.7]
     cert = ll.solve_relative_projection(halfsq2, S, s)
-    masked = halfsq2.with_mask(S.mask)
+    masked = ll.GridFunction(grid, np.where(S.mask, halfsq2.flat, math.inf)
+                             .reshape(grid.shape))
     mod2, rep2 = ll.wellposedness_modulus(masked, s)
     assert cert.minimizer == rep2.minimizer
     assert cert.strong == rep2.strong
@@ -86,8 +87,10 @@ def test_tilt_covariance(grid):
     """Shifting the set and recentering the objective shifts the minimizer."""
     S = make_set("disk", grid)
     steps = (7, -5)
-    Sv = S.translated(steps)
     v = np.array(steps) * np.array(grid.spacing)
+    # the disk stays inside the grid, so no shifted member is clipped
+    Sv = ll.ConstraintSet.from_points(grid, S.member_points() + v, "disk+shift")
+    assert Sv.size == S.size
     f0 = ll.build_grid_function(grid, lambda p: 0.5 * (p * p).sum(axis=1),
                                 vectorized=True)
     fv = ll.build_grid_function(
