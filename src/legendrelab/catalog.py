@@ -58,9 +58,9 @@ class CatalogEntry:
     expected_verdicts: dict[str, bool] | None = None
     convex: bool = True
 
-    def build(self, grid: Grid | None = None) -> GridFunction:
-        g = grid if grid is not None else self.primal_grid
-        return build_grid_function(g, self.evaluator, name=self.id, vectorized=True)
+    def build(self) -> GridFunction:
+        return build_grid_function(self.primal_grid, self.evaluator,
+                                   name=self.id, vectorized=True)
 
 
 def _col(p: np.ndarray, i: int) -> np.ndarray:
@@ -247,11 +247,10 @@ def fourth_root_well_hessian_det(point: Sequence[float]) -> float:
 
 
 def finite_difference_hessian(fn: Callable[[np.ndarray], np.ndarray],
-                              point: Sequence[float], step: float = 1e-3
-                              ) -> np.ndarray:
+                              point: Sequence[float]) -> np.ndarray:
     """Richardson-extrapolated central-difference Hessian at an off-grid point.
 
-    Plain central differences at this step leave O(step^2 f'''') residue,
+    Plain central differences at a step of 1e-3 leave O(step^2 f'''') residue,
     which the fourth-root well amplifies past 1e-5 near the corners of its
     domain; the two-step extrapolation removes it.
     """
@@ -264,7 +263,7 @@ def finite_difference_hessian(fn: Callable[[np.ndarray], np.ndarray],
                - f(x - e, y + e) + f(x - e, y - e)) / (4 * e ** 2)
         return np.array([[fxx, fxy], [fxy, fyy]])
 
-    return (4.0 * plain(step / 2) - plain(step)) / 3.0
+    return (4.0 * plain(1e-3 / 2) - plain(1e-3)) / 3.0
 
 
 def fourth_root_well_gradient(p: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .grids import Grid, GridFunction, NormChoice
 from .moduli import (_tie_cluster, certification_verdict, firm_modulus,
                      total_convexity_modulus, wellposedness_modulus)
 from .subdiff import subgradients
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 
 # Segment half-steps, witness duals per point, and jump duals per plan.
@@ -163,17 +163,15 @@ class _Session:
     verdict bits. Tie clusters and total-convexity verdicts are memoized per
     dual and per primal point."""
 
-    def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice,
-                 tols: Tolerances):
+    def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice):
         self.f = f
         self.dual_grid = dual_grid
         self.norm = norm
-        self.tols = tols
-        self.bic = biconjugate(f, dual_grid, tols=tols)
+        self.bic = biconjugate(f, dual_grid)
         self.conj = self.bic.star
         self._clusters: dict[int, np.ndarray] = {}
         self._totals: dict[int, tuple[bool, str]] = {}
-        self.cell = tols.cell_limit(f.grid, norm)
+        self.cell = DEFAULT_TOLS.cell_limit(f.grid, norm)
         self.disclaimers: set[str] = set()
 
     def cluster(self, dual_flat: int) -> np.ndarray:
@@ -181,7 +179,7 @@ class _Session:
         if got is not None:
             return got
         s = self.dual_grid.point(dual_flat)
-        _, _, cl = _tie_cluster(self.f, self.f.tilted(s), s, self.tols)
+        _, _, cl = _tie_cluster(self.f, self.f.tilted(s), s)
         self._clusters[dual_flat] = cl
         return cl
 
@@ -199,10 +197,11 @@ class _Session:
         if its gap is within the tie slack; the cluster test runs only on
         candidates within ``_TIE_SCREEN`` slacks.
         """
-        sub = subgradients(self.f, self.conj, x_flat, self.norm, self.tols)
+        sub = subgradients(self.f, self.conj, x_flat, self.norm)
         duals = self.dual_grid.points[sub.members]
-        slack = self.tols.tie_slack(-self.conj.dual.flat[sub.members],
-                                    np.abs(duals).sum(axis=1), self.f.grid.bounds)
+        slack = DEFAULT_TOLS.tie_slack(-self.conj.dual.flat[sub.members],
+                                       np.abs(duals).sum(axis=1),
+                                       self.f.grid.bounds)
         out = []
         for s_flat in sub.members[sub.gaps <= _TIE_SCREEN * slack]:
             cl = self.cluster(int(s_flat))
@@ -215,8 +214,8 @@ class _Session:
 
     def firm_positive(self, x_flat: int, s_flat: int) -> tuple[bool, str]:
         s = self.dual_grid.point(s_flat)
-        mod = firm_modulus(self.f, x_flat, s, norm=self.norm, tols=self.tols)
-        pos, _, note = certification_verdict(mod, self.tols)
+        mod = firm_modulus(self.f, x_flat, s, norm=self.norm)
+        pos, _, note = certification_verdict(mod)
         if note:
             self.disclaimers.add(f"firm certificate at {x_flat}: {note}")
         return pos, note
@@ -225,9 +224,8 @@ class _Session:
         got = self._totals.get(x_flat)
         if got is not None:
             return got
-        mod = total_convexity_modulus(self.f, x_flat, norm=self.norm,
-                                      tols=self.tols)
-        pos, _, note = certification_verdict(mod, self.tols)
+        mod = total_convexity_modulus(self.f, x_flat, norm=self.norm)
+        pos, _, note = certification_verdict(mod)
         if note:
             self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
         self._totals[x_flat] = pos, note
@@ -235,14 +233,13 @@ class _Session:
 
 
 def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
-             norm: NormChoice = NormChoice.L2,
-             tols: Tolerances = DEFAULT_TOLS) -> ClassificationReport:
+             norm: NormChoice = NormChoice.L2) -> ClassificationReport:
     """Place a grid function in the convexity hierarchy, with witnesses.
 
     ``samples`` caps the primal and the dual points of the default sample
     plan, which is built from the session's own conjugate.
     """
-    ses = _Session(f, dual_grid, norm, tols)
+    ses = _Session(f, dual_grid, norm)
     plan = default_sample_plan(f, ses.conj, samples)
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
@@ -274,8 +271,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
 
     sa_witness = None
     for s_flat in plan.dual:
-        _, rep = wellposedness_modulus(f, ses.dual_grid.point(s_flat),
-                                       norm=norm, tols=tols)
+        _, rep = wellposedness_modulus(f, ses.dual_grid.point(s_flat), norm=norm)
         if rep.note:
             ses.disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
         if not rep.strong:
@@ -364,7 +360,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
                 if not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
                     continue
                 n_segments += 1
-                eps = tols.delta0(abs(fx))
+                eps = DEFAULT_TOLS.delta0(abs(fx))
                 if fx >= 0.5 * (fv[u] + fv[v]) - eps and strict_wit is None:
                     strict_wit = {"midpoint": grid_point_dict(grid, x),
                                   "endpoints": [grid_point_dict(grid, u),
@@ -444,16 +440,17 @@ class AgreementReport:
 def lemma1_agreement(f: GridFunction, dual_grid: Grid,
                      duals: Sequence[int] | None = None,
                      n_probes: int = 20,
-                     norm: NormChoice = NormChoice.L2,
-                     tols: Tolerances = DEFAULT_TOLS) -> AgreementReport:
+                     norm: NormChoice = NormChoice.L2) -> AgreementReport:
     """Three-way check at trusted interior tilts.
 
     (a) the tilted problem attains a strong minimum; (b) the conjugate is
     differentiable at the tilt, operationalized as a one-cell tie cluster
     with bounded minimizer-jump ratios toward neighbor tilts; (c) the firm
-    modulus at (minimizer, tilt) has a positive envelope certificate.
+    modulus at (minimizer, tilt) has a positive envelope certificate. That
+    modulus is the well-posedness curve of (a), f(u) - f(x) - <u - x, s> =
+    (f - s)(u) - (f - s)(x), so (c) is its certificate and (a) implies (c).
     """
-    ses = _Session(f, dual_grid, norm, tols)
+    ses = _Session(f, dual_grid, norm)
     ti = np.flatnonzero(ses.conj.trusted_interior())
     if duals is None:
         duals = [int(i) for i in _evenly(ti, n_probes)]
@@ -463,7 +460,7 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
     probes = []
     for s_flat in duals:
         s = dual_grid.point(s_flat)
-        mod, rep = wellposedness_modulus(f, s, norm=norm, tols=tols)
+        _, rep = wellposedness_modulus(f, s, norm=norm)
         a = rep.strong
 
         diam = ses.cluster_diameter(s_flat)
@@ -478,8 +475,6 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
             if jump / ds > ratio_limit:
                 ratio_ok = False
         b = (diam <= diam_limit) and ratio_ok
-
-        mod_firm = firm_modulus(f, rep.minimizer, s, norm=norm, tols=tols)
-        c, _, _ = certification_verdict(mod_firm, tols)
-        probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat), a, b, c))
+        probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat), a, b,
+                                     rep.certificate_positive))
     return AgreementReport(f.name, tuple(probes), ses.bic.consistent)

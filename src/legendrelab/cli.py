@@ -83,11 +83,11 @@ def _catalog_entry(entry_id: str) -> CatalogEntry:
 
 
 def _load_function(args) -> GridFunction:
+    if bool(args.catalog) == bool(args.input):
+        raise UsageError("give exactly one of --catalog or --input")
     if args.catalog:
         return _catalog_entry(args.catalog).build()
-    if args.input:
-        return read_grid_function(args.input)
-    raise UsageError("one of --catalog or --input is required")
+    return read_grid_function(args.input)
 
 
 def _dual_grid_for(args, f: GridFunction) -> Grid:
@@ -165,6 +165,8 @@ def _cmd_modulus(args) -> int:
             raise UsageError("--radii wants strictly increasing positive "
                              f"finite radii, got {args.radii!r}")
     if args.kind == "wellposed":
+        if args.at:
+            raise UsageError("--kind wellposed takes no --at")
         if not args.subgradient:
             raise UsageError("--subgradient supplies the tilt for --kind wellposed")
         s = _parse_point(args.subgradient, f.grid, "--subgradient")
@@ -183,6 +185,8 @@ def _cmd_modulus(args) -> int:
                 raise UsageError("--subgradient is required for --kind firm")
             mod = firm_modulus(f, x, _parse_point(args.subgradient, f.grid,
                                                   "--subgradient"), radii=radii)
+        elif args.subgradient:
+            raise UsageError("--kind total takes no --subgradient")
         else:
             mod = total_convexity_modulus(f, x, radii=radii)
         pos, _, note = certification_verdict(mod)
@@ -265,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_function_args(sp):
+    def add_function_args(sp, dual_grid=True):
         sp.add_argument("--catalog", help="catalog entry id")
         sp.add_argument("--input", help="grid-function JSON file")
-        sp.add_argument("--dual-grid",
-                        help="dual grid as 'lb,ub,n' per axis joined by ';' "
-                             f"(default {DEFAULT_DUAL_SPEC} per axis, or the "
-                             "catalog entry's recommended dual grid)")
+        if dual_grid:
+            sp.add_argument("--dual-grid",
+                            help="dual grid as 'lb,ub,n' per axis joined by "
+                                 f"';' (default {DEFAULT_DUAL_SPEC} per axis, or "
+                                 "the catalog entry's recommended dual grid)")
 
     sp = sub.add_parser("conjugate", help="Legendre-Fenchel conjugate")
     add_function_args(sp)
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("modulus", help="shell-infimum modulus curves")
-    add_function_args(sp)
+    add_function_args(sp, dual_grid=False)
     sp.add_argument("--kind", choices=("firm", "total", "wellposed"),
                     required=True)
     sp.add_argument("--at", help="base point 'x' or 'x,y'")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 _BRUTE_CHUNK = 256
 # Temporary elements per max-plus block. At 128 KiB of float64 the block
@@ -181,19 +181,18 @@ class BiconjugateResult:
     star: ConjugateResult     # the first conjugate f* on the dual grid
 
 
-def bicon_tolerance(f: GridFunction, tols: Tolerances = DEFAULT_TOLS) -> float:
+def bicon_tolerance(f: GridFunction) -> float:
     """First-order conjugation error bound: 4 * h_max * Lipschitz estimate."""
     scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
-    return max(tols.bicon_c * f.grid.max_spacing * f.lipschitz_hat(),
-               tols.delta0(scale))
+    return max(DEFAULT_TOLS.bicon_c * f.grid.max_spacing * f.lipschitz_hat(),
+               DEFAULT_TOLS.delta0(scale))
 
 
-def biconjugate(f: GridFunction, dual_grid: Grid,
-                tols: Tolerances = DEFAULT_TOLS) -> BiconjugateResult:
+def biconjugate(f: GridFunction, dual_grid: Grid) -> BiconjugateResult:
     """Double conjugation f**; flags whether f was already convex lsc."""
     star = conjugate_fast(f, dual_grid)
     second = conjugate_fast(star.dual, f.grid)
-    tol = bicon_tolerance(f, tols)
+    tol = bicon_tolerance(f)
     compare = second.trusted & f.domain_flat
     if compare.any():
         max_gap = float(np.abs(second.dual.flat[compare] - f.flat[compare]).max())

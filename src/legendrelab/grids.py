@@ -5,7 +5,7 @@ sentinel. ``-inf`` and ``nan`` are never stored; constructors reject them.
 
 A shell ladder is a window of a band stencil: the band of a grid point
 about a center depends only on their index offset, so one stencil over the
-doubled index lattice, built once per (grid, norm, step), holds the band
+doubled index lattice, built once per (grid, norm), holds the band
 of every offset, and the ladder about any center is the slice of it that
 covers the grid, sorted once by band; a member-windowed ladder ranks only
 given points (say the members of a set) under the same radii.
@@ -274,9 +274,12 @@ class Shell:
     grid: Grid
     center: int
     radius: float
-    half_width: float
     norm: NormChoice
     members: np.ndarray  # sorted flat indices, center excluded
+
+    @property
+    def half_width(self) -> float:
+        return self.grid.max_spacing / 2.0
 
     @property
     def empty(self) -> bool:
@@ -292,17 +295,19 @@ class ShellLadder:
     center: int
     norm: NormChoice
     radii: np.ndarray      # one per shell
-    half_width: float
     members: np.ndarray    # flat indices, shell by shell
     starts: np.ndarray     # len(radii) + 1 offsets into members
+
+    @property
+    def half_width(self) -> float:
+        return self.grid.max_spacing / 2.0
 
     def __len__(self) -> int:
         return len(self.radii)
 
     def __getitem__(self, k: int) -> Shell:
         k = range(len(self))[k]
-        return Shell(self.grid, self.center, float(self.radii[k]),
-                     self.half_width, self.norm,
+        return Shell(self.grid, self.center, float(self.radii[k]), self.norm,
                      self.members[self.starts[k]:self.starts[k + 1]])
 
     def __iter__(self) -> Iterator[Shell]:
@@ -310,20 +315,18 @@ class ShellLadder:
 
 
 def shell(grid: Grid, center: int, radius: float,
-          norm: NormChoice = NormChoice.L2,
-          half_width: float | None = None) -> Shell:
+          norm: NormChoice = NormChoice.L2) -> Shell:
     """Discrete stand-in for the sphere of radius ``radius`` about a point.
 
-    The default band half-width is half the largest axis spacing, which
-    makes shells at consecutive multiples of that spacing partition the
-    grid. An empty shell is a reported state, not an error.
+    The band half-width is half the largest axis spacing, which makes
+    shells at consecutive multiples of that spacing partition the grid. An
+    empty shell is a reported state, not an error.
     """
     if radius <= 0:
         raise ValueError("shell radius must be positive")
-    w = grid.max_spacing / 2.0 if half_width is None else float(half_width)
     d = norm.length(grid.points - grid.point(center))
-    sel = (np.abs(d - radius) <= w) & (d > 0)
-    return Shell(grid, int(center), float(radius), w, norm,
+    sel = (np.abs(d - radius) <= grid.max_spacing / 2.0) & (d > 0)
+    return Shell(grid, int(center), float(radius), norm,
                  members=np.flatnonzero(sel))
 
 
@@ -332,8 +335,8 @@ _STENCIL_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
-def _band_stencil(grid: Grid, norm: NormChoice, step: float) -> np.ndarray:
-    """Band ``floor(|offset * spacing| / step + 1/2)`` of every index offset.
+def _band_stencil(grid: Grid, norm: NormChoice) -> np.ndarray:
+    """Band ``floor(|offset * spacing| / max_spacing + 1/2)`` of every offset.
 
     Axis i runs over offsets -(n_i - 1) .. n_i - 1, so offset 0 sits at
     index n_i - 1. ``int16`` (for numpy's radix argsort) unless the largest
@@ -342,7 +345,7 @@ def _band_stencil(grid: Grid, norm: NormChoice, step: float) -> np.ndarray:
     offsets = np.meshgrid(*(np.arange(1 - n, n) * h
                             for n, h in zip(grid.counts, grid.spacing)),
                           indexing="ij")
-    band = np.floor(norm.length(np.stack(offsets, axis=-1)) / step + 0.5)
+    band = np.floor(norm.length(np.stack(offsets, axis=-1)) / grid.max_spacing + 0.5)
     small = band.max() <= np.iinfo(np.int16).max
     out = band.astype(np.int16 if small else np.int32)
     out.flags.writeable = False
@@ -351,24 +354,20 @@ def _band_stencil(grid: Grid, norm: NormChoice, step: float) -> np.ndarray:
 
 def shell_ladder(grid: Grid, center: int,
                  norm: NormChoice = NormChoice.L2,
-                 step: float | None = None,
-                 max_radius: float | None = None,
                  within: np.ndarray | None = None) -> ShellLadder:
-    """Disjoint shells at radii step, 2*step, ... covering the whole grid.
+    """Disjoint shells at radii h, 2*h, ... covering the whole grid.
 
-    Every grid point other than the center lands in exactly one band (the
-    nearest multiple of ``step``); points within half a step of the center
-    land in none. With ``within`` (ascending flat indices) only those
-    points are ranked, under the whole grid's radii.
+    With h the largest axis spacing, every grid point other than the center
+    lands in exactly one band (the nearest multiple of h); points within
+    h/2 of the center land in none. With ``within`` (ascending flat
+    indices) only those points are ranked, under the whole grid's radii.
     """
-    step = grid.max_spacing if step is None else float(step)
+    step = grid.max_spacing
     multi = grid.unravel_index(center)
-    window = _band_stencil(grid, norm, step)[
+    window = _band_stencil(grid, norm)[
         tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(grid.counts, multi))]
     # a band grows with every |offset| component, so the largest is at a corner
-    corners = window[tuple(slice(None, None, n - 1) for n in grid.counts)]
-    kmax = int(corners.max() if max_radius is None
-               else np.floor(max_radius / step + 0.5))
+    kmax = int(window[tuple(slice(None, None, n - 1) for n in grid.counts)].max())
     bands = (window.ravel() if within is None
              else window[np.unravel_index(within, grid.counts)])
     order = np.argsort(bands, kind="stable")
@@ -376,5 +375,4 @@ def shell_ladder(grid: Grid, center: int,
     if within is not None:
         order = within[order]
     return ShellLadder(grid, int(center), norm, np.arange(1, len(starts)) * step,
-                       step / 2.0, order[starts[0]:starts[-1]],
-                       starts - starts[0])
+                       order[starts[0]:starts[-1]], starts - starts[0])

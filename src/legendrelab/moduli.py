@@ -23,7 +23,7 @@ from .errors import (InfeasibleProblemError, InsufficientDataError,
 from .grids import (Grid, GridFunction, NormChoice, ShellLadder, shell,
                     shell_ladder)
 from .subdiff import tau_sub
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +62,12 @@ class Gamma0Certificate:
     eps: float
 
 
-def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray,
-                 tols: Tolerances) -> tuple[float, float, np.ndarray]:
+def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray
+                 ) -> tuple[float, float, np.ndarray]:
     """Minimum of a tilted objective, its tie slack, and the flat indices
     within that slack of the minimum (ascending)."""
     mval = float(values.min())
-    eps = tols.tie_slack(mval, float(np.abs(s).sum()), f.grid.bounds)
+    eps = DEFAULT_TOLS.tie_slack(mval, float(np.abs(s).sum()), f.grid.bounds)
     return mval, eps, np.flatnonzero(values <= mval + eps)
 
 
@@ -121,15 +121,13 @@ def _ladder(grid: Grid, center: int, norm: NormChoice,
         shells = [np.intersect1d(m, within, assume_unique=True) for m in shells]
     return ShellLadder(grid, int(center), norm,
                        np.array([float(t) for t in radii]),
-                       grid.max_spacing / 2.0,
                        np.concatenate([np.empty(0, np.int64), *shells]),
                        np.cumsum([0, *(m.size for m in shells)]))
 
 
 def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
                  radii: Sequence[float] | None = None,
-                 norm: NormChoice = NormChoice.L2,
-                 tols: Tolerances = DEFAULT_TOLS) -> Modulus:
+                 norm: NormChoice = NormChoice.L2) -> Modulus:
     """Shell infima of f(u) - f(x) - <u - x, s> for a subgradient s at x.
 
     Raises NotASubgradientError when the Fenchel-Young gap of (x, s)
@@ -142,7 +140,7 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
     tilted = f.tilted(s)
     # f*(s) is minus the tilted minimum
     gap = fx - float(tilted.min()) - float(f.grid.point(x_flat) @ s)
-    tau = tau_sub(f, x_flat, s, norm, tols)
+    tau = tau_sub(f, x_flat, s, norm)
     if gap > tau:
         raise NotASubgradientError(
             f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
@@ -155,8 +153,7 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
 
 def total_convexity_modulus(f: GridFunction, x_flat: int,
                             radii: Sequence[float] | None = None,
-                            norm: NormChoice = NormChoice.L2,
-                            tols: Tolerances = DEFAULT_TOLS) -> Modulus:
+                            norm: NormChoice = NormChoice.L2) -> Modulus:
     """Shell infima of f(u) - f(x) - f'(x, u - x).
 
     The one-sided derivative toward a member u is estimated as the tightest
@@ -183,7 +180,7 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
     spacing = np.asarray(grid.spacing)
     fv = f.flat
-    k_dd = tols.k_dd
+    k_dd = DEFAULT_TOLS.k_dd
 
     def flat_of(pos: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
@@ -260,7 +257,7 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
                    spacing=grid.max_spacing)
 
 
-def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certificate:
+def certify_gamma0(m: Modulus) -> Gamma0Certificate:
     """Whether the lower convex envelope of the finite samples, anchored at
     (0, 0), clears ``delta0(t)`` at every sampled radius.
 
@@ -282,19 +279,19 @@ def certify_gamma0(m: Modulus, tols: Tolerances = DEFAULT_TOLS) -> Gamma0Certifi
     # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
     # cannot move it across the floor. A single sample has no chord tail:
     # it decides alone, positive iff v0 > delta0(t0).
-    low = np.flatnonzero(~(vs > tols.delta0(ts)))
+    low = np.flatnonzero(~(vs > DEFAULT_TOLS.delta0(ts)))
     if low.size:
         return Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
-                                 tols.eps_fp)
+                                 DEFAULT_TOLS.eps_fp)
     t0 = float(ts[0])
     chord = t0 * float((vs[1:] / ts[1:]).min(initial=math.inf))
     first = min(float(vs[0]), chord)
-    positive = bool(first > tols.delta0(t0))
+    positive = bool(first > DEFAULT_TOLS.delta0(t0))
     return Gamma0Certificate(positive, None if positive else t0,
-                             int(ts.size), tols.eps_fp)
+                             int(ts.size), DEFAULT_TOLS.eps_fp)
 
 
-def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS
+def certification_verdict(m: Modulus
                           ) -> tuple[bool, Gamma0Certificate | None, str]:
     """Positivity verdict with the grid-scale edge cases resolved.
 
@@ -304,11 +301,12 @@ def certification_verdict(m: Modulus, tols: Tolerances = DEFAULT_TOLS
     inside the smallest shell, which forces convergence trivially, so the
     verdict is vacuously positive.
     """
-    mm = m.restricted(tols.cert_min_radius(m.spacing)) if m.spacing > 0 else m
+    mm = (m.restricted(DEFAULT_TOLS.cert_min_radius(m.spacing))
+          if m.spacing > 0 else m)
     n_finite = int(mm.finite_mask().sum())
     if n_finite == 0:
         return True, None, "vacuous: no domain point in any usable shell"
-    cert = certify_gamma0(mm, tols)
+    cert = certify_gamma0(mm)
     return cert.positive, cert, ""
 
 
@@ -340,7 +338,6 @@ class WellposednessReport:
 def wellposedness_modulus(f: GridFunction, s: Sequence[float],
                           radii: Sequence[float] | None = None,
                           norm: NormChoice = NormChoice.L2,
-                          tols: Tolerances = DEFAULT_TOLS,
                           members: np.ndarray | None = None
                           ) -> tuple[Modulus, WellposednessReport]:
     """Conditioning curve of min f - <., s> and its strong-minimum verdict.
@@ -357,14 +354,14 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     cand = tilted if members is None else tilted[members]
     if not np.isfinite(cand).any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    mval, eps, cluster = _tie_cluster(f, cand, s, tols)
+    mval, eps, cluster = _tie_cluster(f, cand, s)
     cluster = cluster if members is None else members[cluster]
     x_hat = int(cluster[0])
 
     coords = grid.points[cluster]
     diag = coords.max(axis=0) - coords.min(axis=0)
     diameter = float(norm.length(diag))
-    unique = diameter <= tols.cell_limit(grid, norm)
+    unique = diameter <= DEFAULT_TOLS.cell_limit(grid, norm)
 
     # a feasible set is the whole problem, so only an unconstrained minimum
     # can be a truncation artifact of the grid edge
@@ -376,7 +373,7 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
         tilted[ladder.members] - tilted[x_hat], ladder)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
-    pos, cert, note = certification_verdict(mod, tols)
+    pos, cert, note = certification_verdict(mod)
     report = WellposednessReport(tuple(float(c) for c in s), x_hat, mval,
                                  int(cluster.size), diameter, unique,
                                  boundary_descent, pos, cert, note)
@@ -390,8 +387,8 @@ class CoercivityReport:
     reason: str
 
 
-def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
-                     tols: Tolerances = DEFAULT_TOLS) -> CoercivityReport:
+def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2
+                     ) -> CoercivityReport:
     """Growth test: shell minima about the minimum must rise on the outer half.
 
     A minimum sitting on the grid edge with outward descent is a truncation
@@ -399,7 +396,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
     """
     grid = f.grid
     tilted = f.flat
-    mval, eps, cluster = _tie_cluster(f, tilted, np.zeros(grid.dim), tols)
+    mval, eps, cluster = _tie_cluster(f, tilted, np.zeros(grid.dim))
     x_hat = int(cluster[0])
     if _edge_descent(grid, tilted, cluster, mval + eps):
         return CoercivityReport(False, x_hat,
@@ -413,7 +410,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
         return CoercivityReport(False, x_hat, "no usable outer shells")
     vals = values[outer]
     ts = radii[outer]
-    floor = tols.delta0(ts)
+    floor = DEFAULT_TOLS.delta0(ts)
     if not (vals > floor).all():
         t_bad = float(ts[~(vals > floor)][0])
         return CoercivityReport(False, x_hat,
@@ -421,7 +418,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2,
     fin = np.isfinite(vals)
     vf = vals[fin]
     if vf.size >= 2:
-        slack = tols.delta0(float(np.abs(vf).max()))
+        slack = DEFAULT_TOLS.delta0(float(np.abs(vf).max()))
         if not (np.diff(vf) >= -slack).all():
             return CoercivityReport(False, x_hat,
                                     "outer shell minima are not monotone")

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import BudgetExhaustedError, InfeasibleProblemError
 from .grids import Grid, GridFunction, NormChoice, build_grid_function
 from .moduli import Modulus, WellposednessReport, wellposedness_modulus
-from .tolerances import DEFAULT_TOLS, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +86,12 @@ class ProjectionCertificate:
 
 def solve_relative_projection(f: GridFunction, S: ConstraintSet,
                               s: Sequence[float],
-                              norm: NormChoice = NormChoice.L2,
-                              tols: Tolerances = DEFAULT_TOLS) -> ProjectionCertificate:
+                              norm: NormChoice = NormChoice.L2
+                              ) -> ProjectionCertificate:
     """Exact minimization of f - <., s> over the finite set S."""
     if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
-    mod, rep = wellposedness_modulus(f, s, norm=norm, tols=tols, members=S.members)
+    mod, rep = wellposedness_modulus(f, s, norm=norm, members=S.members)
     pt = f.grid.point(rep.minimizer)
     return ProjectionCertificate(f.name, S.name,
                                  tuple(float(c) for c in np.atleast_1d(s)),
@@ -220,9 +219,9 @@ class _Budget:
 
 
 def _probe(f: GridFunction, S: ConstraintSet, s: np.ndarray, budget: _Budget,
-           norm: NormChoice, tols: Tolerances) -> ProjectionCertificate:
+           norm: NormChoice) -> ProjectionCertificate:
     budget.spend()
-    return solve_relative_projection(f, S, s, norm=norm, tols=tols)
+    return solve_relative_projection(f, S, s, norm=norm)
 
 
 _WALK_STEPS = 16       # quarter-extent steps of the walk before bisection
@@ -233,11 +232,11 @@ _REFINE_PROBES = _JITTERS + 1 + _WALK_STEPS + _BISECTIONS
 
 
 def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
-                    budget: _Budget, norm: NormChoice,
-                    tols: Tolerances) -> ProjectionCertificate | None:
+                    budget: _Budget, norm: NormChoice
+                    ) -> ProjectionCertificate | None:
     """Walk the tilt away from its minimizer until the argmin jumps, then
     bisect toward the crossing; at the crossing two branches tie."""
-    cert0 = _probe(f, S, s0, budget, norm, tols)
+    cert0 = _probe(f, S, s0, budget, norm)
     if not cert0.strong:
         return cert0
     x0 = np.asarray(cert0.minimizer_point)
@@ -248,7 +247,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     lam_hi = None
     for k in range(1, _WALK_STEPS + 1):
         lam = extent * k / 4.0
-        cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
+        cert = _probe(f, S, x0 + lam * direction, budget, norm)
         if not cert.strong:
             return cert
         if cert.minimizer != cert_lo.minimizer:
@@ -259,7 +258,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
         return None
     for _ in range(_BISECTIONS):
         lam = (lam_lo + lam_hi) / 2.0
-        cert = _probe(f, S, x0 + lam * direction, budget, norm, tols)
+        cert = _probe(f, S, x0 + lam * direction, budget, norm)
         if not cert.strong:
             return cert
         if cert.minimizer == cert_lo.minimizer:
@@ -279,7 +278,7 @@ def _witness_candidates(f: GridFunction,
 def _witness_search(f: GridFunction, S: ConstraintSet,
                     stages: list[Sequence[np.ndarray]],
                     refine_pairs: list[tuple[int, int]], seed: int,
-                    norm: NormChoice, tols: Tolerances
+                    norm: NormChoice
                     ) -> tuple[ProjectionCertificate | None, _Budget]:
     """The first probe whose projection on S is not strong (or None), and
     the budget, sized to exactly what the stages below can spend.
@@ -294,13 +293,13 @@ def _witness_search(f: GridFunction, S: ConstraintSet,
 
     def tries():
         for s in itertools.chain(*stages):
-            yield _probe(f, S, s, budget, norm, tols)
+            yield _probe(f, S, s, budget, norm)
         rng = np.random.default_rng(seed)
         for base in bases:
             for _ in range(_JITTERS):
                 jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
-                yield _probe(f, S, base + jitter, budget, norm, tols)
-            yield _bisect_for_tie(f, S, base, budget, norm, tols)
+                yield _probe(f, S, base + jitter, budget, norm)
+            yield _bisect_for_tie(f, S, base, budget, norm)
 
     return next((c for c in tries() if c is not None and not c.strong), None), budget
 
@@ -348,8 +347,7 @@ def probe_box(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 
 def tchebychev_test(f: GridFunction, S: ConstraintSet,
                     n_probes: int = 200, seed: int = 42,
-                    norm: NormChoice = NormChoice.L2,
-                    tols: Tolerances = DEFAULT_TOLS) -> TchebychevReport:
+                    norm: NormChoice = NormChoice.L2) -> TchebychevReport:
     """Probe for a tilt whose relative projection on S is not strong.
 
     Runs low-discrepancy probes plus exact tie tilts built from member
@@ -367,7 +365,7 @@ def tchebychev_test(f: GridFunction, S: ConstraintSet,
     pairs = _violation_pairs_by_depth(S, violations)
     cert, budget = _witness_search(
         f, S, [_halton_probes(*probe_box(f), n_probes, seed),
-               _witness_candidates(f, pairs)], [], seed, norm, tols)
+               _witness_candidates(f, pairs)], [], seed, norm)
     if cert is None:
         return TchebychevReport(True, budget.used, None, None, mp_ok)
     return TchebychevReport(False, budget.used, cert.tilt, cert, mp_ok)
@@ -389,8 +387,7 @@ def _half_sq(grid: Grid, sign: float) -> GridFunction:
 
 def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
                               seed: int = 42,
-                              norm: NormChoice = NormChoice.L2,
-                              tols: Tolerances = DEFAULT_TOLS) -> FarthestVerdict:
+                              norm: NormChoice = NormChoice.L2) -> FarthestVerdict:
     """Strong-maximum probe of ||.||^2/2 + tilt over S.
 
     Singletons must survive every probe; any larger set must yield a tie
@@ -402,7 +399,7 @@ def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
     cert, budget = _witness_search(
         f, S, [_witness_candidates(f, pairs),
                _halton_probes(*probe_box(f), n_probes, seed)],
-        pairs, seed, norm, tols)
+        pairs, seed, norm)
     if cert is not None:
         return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
     if S.size == 1:
@@ -431,8 +428,7 @@ class DetectorVerdict:
 
 
 def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
-                       norm: NormChoice = NormChoice.L2,
-                       tols: Tolerances = DEFAULT_TOLS) -> DetectorVerdict:
+                       norm: NormChoice = NormChoice.L2) -> DetectorVerdict:
     """Variational convexity test: every nearest-point problem on a convex
     set is strongly posed; a nonconvex set betrays itself by a tie."""
     f = _half_sq(S.grid, 1.0)
@@ -440,7 +436,7 @@ def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
     pairs = _violation_pairs_by_depth(S, violations)
     cert, budget = _witness_search(
         f, S, [_halton_probes(*probe_box(f), n_probes, seed),
-               _witness_candidates(f, pairs)], pairs, seed, norm, tols)
+               _witness_candidates(f, pairs)], pairs, seed, norm)
     if cert is not None:
         return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
     return DetectorVerdict("CONVEX-CONSISTENT" if mp_ok else "UNRESOLVED",

@@ -87,15 +87,12 @@ def read_json(path: str | Path) -> dict:
         raise SchemaViolationError(f"not valid JSON: {err}") from err
 
 
-def _grid_header(grid: Grid, norm: NormChoice | None = None) -> dict:
-    head = {
+def _grid_header(grid: Grid) -> dict:
+    return {
         "dim": grid.dim,
         "bounds": [[lo, hi] for lo, hi in grid.bounds],
         "counts": list(grid.counts),
     }
-    if norm is not None:
-        head["norm"] = norm.value
-    return head
 
 
 def _is_json_int(v: Any) -> bool:
@@ -137,10 +134,9 @@ def _read_document(path: str | Path, kind: str) -> dict:
     return doc
 
 
-def write_grid_function(f: GridFunction, path: str | Path,
-                        norm: NormChoice = NormChoice.L2) -> None:
-    doc = {"kind": "grid_function", **_grid_header(f.grid, norm),
-           "name": f.name,
+def write_grid_function(f: GridFunction, path: str | Path) -> None:
+    doc = {"kind": "grid_function", **_grid_header(f.grid),
+           "norm": NormChoice.L2.value, "name": f.name,
            "values": [_encode_value(float(v)) for v in f.flat]}
     write_json(doc, path)
 
@@ -178,6 +174,8 @@ def read_mask(path: str | Path) -> tuple[Grid, np.ndarray, str]:
 
 def read_constraint_set(path: str | Path) -> ConstraintSet:
     grid, mask, name = read_mask(path)
+    if not mask.any():
+        raise SchemaViolationError(f"{path}: constraint set has no member")
     return ConstraintSet(grid, mask, name)
 
 

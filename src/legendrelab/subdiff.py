@@ -22,16 +22,16 @@ import numpy as np
 from .conjugate import ConjugateResult, biconjugate
 from .errors import NoAdmissibleStepError, PointOutsideDomainError
 from .grids import Grid, GridFunction, NormChoice
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DEFAULT_TOLS
 
 
 def tau_sub(f: GridFunction, x_flat: int, s: Sequence[float],
-            norm: NormChoice = NormChoice.L2,
-            tols: Tolerances = DEFAULT_TOLS) -> float:
+            norm: NormChoice = NormChoice.L2) -> float:
     """Gap threshold for accepting s as a subgradient at x."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     s_norm = float(norm.dual.length(s))
-    return tols.gap_threshold(f.grid.max_spacing, s_norm, f.local_slope(x_flat))
+    return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norm,
+                                      f.local_slope(x_flat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +52,7 @@ class SubgradientSet:
 
 
 def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
-                 norm: NormChoice = NormChoice.L2,
-                 tols: Tolerances = DEFAULT_TOLS) -> SubgradientSet:
+                 norm: NormChoice = NormChoice.L2) -> SubgradientSet:
     """Estimated subdifferential of f at a grid point.
 
     Only trusted dual points are considered; untrusted conjugate values are
@@ -66,7 +65,8 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
     x = f.grid.point(x_flat)
     gaps = fx + f_star.dual.flat - dg.points @ x
     s_norms = norm.dual.length(dg.points)
-    taus = tols.gap_threshold(f.grid.max_spacing, s_norms, f.local_slope(x_flat))
+    taus = DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norms,
+                                      f.local_slope(x_flat))
     sel = f_star.trusted & (gaps <= taus)
     idx = np.flatnonzero(sel)
     order = np.argsort(gaps[idx], kind="stable")
@@ -84,20 +84,20 @@ class DirectionalDerivative:
     steps_used: tuple[int, ...]    # multiples of the reduced step that entered the min
 
 
-def _reduce_steps(step: Sequence[int]) -> np.ndarray:
-    m = np.asarray([int(k) for k in step], dtype=np.int64)
+def _reduce_steps(offset: Sequence[int]) -> np.ndarray:
+    m = np.asarray([int(k) for k in offset], dtype=np.int64)
     if not m.any():
         raise ValueError("direction must be a nonzero integer step vector")
     g = int(np.gcd.reduce(np.abs(m[m != 0])))
     return m // g
 
 
-def directional_derivative(f: GridFunction, x_flat: int, step: Sequence[int],
-                           norm: NormChoice = NormChoice.L2,
-                           tols: Tolerances = DEFAULT_TOLS) -> DirectionalDerivative:
+def directional_derivative(f: GridFunction, x_flat: int, offset: Sequence[int],
+                           norm: NormChoice = NormChoice.L2
+                           ) -> DirectionalDerivative:
     """Difference-quotient estimate of f'(x, d) for a unit direction d.
 
-    ``step`` is an integer index offset; it is reduced to its primitive
+    ``offset`` is an integer index offset; it is reduced to its primitive
     vector and the quotient is minimized over the first ``k_dd`` admissible
     multiples. Convex functions have nondecreasing quotients, so the
     smallest admissible step dominates the minimum.
@@ -106,7 +106,7 @@ def directional_derivative(f: GridFunction, x_flat: int, step: Sequence[int],
     if not np.isfinite(fx):
         raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
     grid = f.grid
-    m0 = _reduce_steps(step)
+    m0 = _reduce_steps(offset)
     base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
     delta = m0 * np.asarray(grid.spacing)
     step_len = float(norm.length(delta))
@@ -115,7 +115,7 @@ def directional_derivative(f: GridFunction, x_flat: int, step: Sequence[int],
     quotients: list[tuple[int, float]] = []
     on_grid = 0
     k = 0
-    while len(quotients) < tols.k_dd:
+    while len(quotients) < DEFAULT_TOLS.k_dd:
         k += 1
         pos = base + k * m0
         if not ((pos >= 0).all() and (pos < np.asarray(grid.shape)).all()):
@@ -157,15 +157,14 @@ _SCREEN_MARGIN = 0.5
 
 
 def domain_chain_check(f: GridFunction, dual_grid: Grid,
-                       norm: NormChoice = NormChoice.L2,
-                       tols: Tolerances = DEFAULT_TOLS) -> DomainChainReport:
+                       norm: NormChoice = NormChoice.L2) -> DomainChainReport:
     """Estimate the inclusion dom MJ | int(dom f*) inside dom of d(f*).
 
     dom MJ is the trusted set (a tilt belongs to it exactly when the tilted
     minimum is attained away from the primal boundary); the subdifferential
     of f* is estimated through gaps of the double conjugate.
     """
-    bic = biconjugate(f, dual_grid, tols=tols)
+    bic = biconjugate(f, dual_grid)
     star = bic.star
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
@@ -184,13 +183,14 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid,
     gap_k = fs + fss[k] - (duals * pts[k]).sum(axis=1)
     dom_sub = ((star.argmax >= 0) & usable[k]
                & (gap_k <= _SCREEN_MARGIN
-                  * tols.gap_threshold(h_d, x_norms[k], slopes)))
+                  * DEFAULT_TOLS.gap_threshold(h_d, x_norms[k], slopes)))
     rest = np.flatnonzero(~dom_sub)
     chunk = 256
     for lo in range(0, rest.size, chunk):
         rows = rest[lo:lo + chunk]
         gaps = fs[rows, None] + fss[None, :] - duals[rows] @ pts.T
-        taus = tols.gap_threshold(h_d, x_norms[None, :], slopes[rows, None])
+        taus = DEFAULT_TOLS.gap_threshold(h_d, x_norms[None, :],
+                                          slopes[rows, None])
         dom_sub[rows] = ((gaps <= taus) & usable[None, :]).any(axis=1)
 
     lhs = dom_mj | int_dom

@@ -1,7 +1,7 @@
 """Numeric tolerances used across modules.
 
-All thresholds live in one frozen config so tests and the CLI can pin or
-override them in a single place.
+All thresholds live on one frozen instance, ``DEFAULT_TOLS``, which every
+module reads by that name; each rule has its single home here.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Workbench-wide numeric thresholds.
+    """Workbench-wide numeric thresholds, read from the one instance
+    ``DEFAULT_TOLS``.
 
     Attributes:
         eps_fp: absolute floating-point slack on catalog scales.

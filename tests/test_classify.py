@@ -5,7 +5,6 @@ import legendrelab as ll
 from legendrelab.catalog import entries, entry
 from legendrelab.classify import CHAIN, _Session, default_sample_plan
 from legendrelab.generators import random_convex_1d, random_grid_function
-from legendrelab.tolerances import DEFAULT_TOLS
 
 from conftest import random_convex_2d
 
@@ -83,7 +82,6 @@ def test_rint_total_matches_firm_verdict():
     """At relative-interior subdifferentiable points, totally-convex-at-x
     equals firmly-subdifferentiable-at-x."""
     from legendrelab.classify import _Session
-    from legendrelab.tolerances import DEFAULT_TOLS
 
     for eid, probes in [("halfsq", [[-1.0], [0.0], [0.8]]),
                         ("abs", [[0.0], [0.5], [-1.2]]),
@@ -91,7 +89,7 @@ def test_rint_total_matches_firm_verdict():
                                               [0.0, 0.975]])]:
         e = entry(eid)
         f = e.build()
-        ses = _Session(f, e.dual_grid, ll.NormChoice.L2, DEFAULT_TOLS)
+        ses = _Session(f, e.dual_grid, ll.NormChoice.L2)
         for p in probes:
             x = f.grid.index_of_nearest(p)
             if not all(f.domain_flat[nb] for nb in f.grid.neighbors(x)):
@@ -122,6 +120,26 @@ def test_lemma1_abs_kink_probe(absval_1d, dual_fine_1d):
     rep = ll.lemma1_agreement(absval_1d, dual_fine_1d, duals=[s0])
     p = rep.probes[0]
     assert p.strong_minimum and p.conjugate_differentiable and p.firm_certificate
+
+
+@pytest.mark.parametrize("eid", ["halfsq", "abs", "quartic", "exp",
+                                 "neg_entropy", "box_indicator"])
+def test_firm_modulus_at_tilted_minimizer_is_the_wellposedness_curve(eid):
+    """Leg (c) of ``lemma1_agreement`` reads the well-posedness certificate:
+    at the tilted minimizer x the firm modulus is the same curve, since
+    f(u) - f(x) - <u - x, s> = (f - s)(u) - (f - s)(x). Checked bit for bit
+    at the 24 tilts per entry that the lemma1 experiment probes."""
+    e = entry(eid)
+    f = e.build()
+    ti = np.flatnonzero(ll.conjugate_fast(f, e.dual_grid).trusted_interior())
+    for s_flat in ti[np.unique(np.linspace(0, ti.size - 1, 24).astype(int))]:
+        s = e.dual_grid.point(s_flat)
+        well, rep = ll.wellposedness_modulus(f, s)
+        firm = ll.firm_modulus(f, rep.minimizer, s)
+        for field in ("radii", "values", "empty", "witnesses"):
+            a, b = getattr(firm, field), getattr(well, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert ll.certification_verdict(firm)[0] == rep.certificate_positive
 
 
 def test_lemma1_flat_indicator_all_false():
@@ -172,7 +190,7 @@ def _witness_duals_per_candidate(ses, x_flat, cap):
     """The per-candidate loop that ``witness_duals`` replaced, kept as its
     oracle: every gap-sorted subgradient candidate is tested against its
     full tie cluster."""
-    cand = ll.subgradients(ses.f, ses.conj, x_flat, ses.norm, ses.tols).members
+    cand = ll.subgradients(ses.f, ses.conj, x_flat, ses.norm).members
     out = []
     for s_flat in cand:
         if np.isin(x_flat, ses.cluster(int(s_flat))):
@@ -193,7 +211,7 @@ def _domain_probes(f, ses, k):
 def test_witness_duals_equal_per_candidate_loop_on_catalog(eid):
     e = entry(eid)
     f = e.build()
-    ses = _Session(f, e.dual_grid, ll.NormChoice.L2, DEFAULT_TOLS)
+    ses = _Session(f, e.dual_grid, ll.NormChoice.L2)
     for x in _domain_probes(f, ses, 12):
         assert ses.witness_duals(x, 8) == _witness_duals_per_candidate(ses, x, 8)
 
@@ -209,7 +227,7 @@ def test_witness_duals_equal_per_candidate_loop_on_random(dim, seed):
         g, d = ll.grid_2d(-2, 2, 15), ll.grid_2d(-3, 3, 19)
     f = random_grid_function(rng, g, inf_frac=0.15)
     norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
-    ses = _Session(f, d, norm, DEFAULT_TOLS)
+    ses = _Session(f, d, norm)
     found = 0
     for x in np.flatnonzero(f.domain_flat):
         got = ses.witness_duals(int(x), 10**6)

@@ -59,6 +59,12 @@ def test_usage_error_exits_2():
                   "--at", "0", "--radii", "1.0,0.5,0.5"],
                  id="radii-not-increasing"),
     pytest.param(["modulus", "--kind", "total", "--at", "0"], id="no-function"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--input", "missing.json",
+                  "--kind", "total", "--at", "0"], id="catalog-and-input"),
+    pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
+                  "--at", "0", "--subgradient", "7"], id="total-with-subgradient"),
+    pytest.param(["modulus", "--catalog", "abs", "--kind", "wellposed",
+                  "--subgradient", "0", "--at", "99"], id="wellposed-with-at"),
     pytest.param(["classify", "--catalog", "no_such_entry"],
                  id="unknown-catalog"),
     pytest.param(["project", "--f", "halfsq2", "--set", "square", "--tilt", "2"],
@@ -185,6 +191,18 @@ def test_brute_size_guard_limit_is_inclusive(dual_n, code, tmp_path,
     assert main(["conjugate", "--catalog", "halfsq", "--method", "brute",
                  f"--dual-grid=-2,2,{dual_n}", "--out", str(out)]) == code
     assert out.with_suffix(".fstar.json").exists() == (code == 0)
+
+
+def test_modulus_rejects_dual_grid(tmp_path):
+    """Only conjugate and classify read a dual grid; modulus does not
+    accept one."""
+    out = tmp_path / "m.csv"
+    proc = run_cli(["modulus", "--catalog", "halfsq", "--kind", "total",
+                    "--at", "0", "--dual-grid=-1,1,5", "--out", str(out)])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --dual-grid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["project", "--tilt", "0"], ["tchebychev"]])
@@ -408,5 +426,22 @@ def test_mask_file_on_another_grid_exits_2(command, mask_grid, tmp_path):
                     str(tmp_path / "S.json"), *command[1:], "--out", str(out)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --set ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["project", "--tilt", "0,0"],
+                                     ["tchebychev"]],
+                         ids=["project", "tchebychev"])
+def test_empty_mask_file_is_a_schema_violation(command, tmp_path):
+    """A constraint set has at least one member: an all-false mask file is
+    a malformed artifact (exit 1), not a traceback."""
+    grid = ll.entry("halfsq2").primal_grid
+    rio.write_mask(grid, np.zeros(grid.size, dtype=bool), tmp_path / "empty.json")
+    out = tmp_path / "out.json"
+    proc = run_cli([command[0], "--f", "halfsq2", "--set",
+                    str(tmp_path / "empty.json"), *command[1:], "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "no member" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()

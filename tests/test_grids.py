@@ -82,7 +82,7 @@ def test_shell_2d_linf_ring():
 
 def test_shell_excludes_center():
     g = ll.grid_1d(-2.0, 2.0, 5)
-    sh = ll.shell(g, 2, 0.4, half_width=0.5)
+    sh = ll.shell(g, 2, 0.4)
     assert 2 not in sh.members
 
 
@@ -189,27 +189,20 @@ def test_ladder_sequence_api():
     assert np.array_equal(ladder[0].members, shells[0].members)
     with pytest.raises(IndexError):
         ladder[len(ladder)]
-    short = ll.shell_ladder(g, ladder.center, max_radius=0.5)
-    assert len(short) == 2
-    assert all(np.array_equal(a.members, b.members)
-               for a, b in zip(short, ladder))
 
 
 @settings(max_examples=80, deadline=None)
 @given(gc=grid_and_center(), norm=st.sampled_from(list(ll.NormChoice)),
        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-       seed=st.integers(0, 2**32 - 1),
-       max_radius=st.one_of(st.none(), st.floats(0.1, 6.0)))
-def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed,
-                                               max_radius):
+       seed=st.integers(0, 2**32 - 1))
+def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed):
     """Same radii and shell count; shell k keeps the full shell's members
     that are in ``within``, in the same ascending order."""
     grid, center = gc
     within = np.flatnonzero(np.random.default_rng(seed).random(grid.size)
                             < density)
-    full = ll.shell_ladder(grid, center, norm=norm, max_radius=max_radius)
-    part = ll.shell_ladder(grid, center, norm=norm, max_radius=max_radius,
-                           within=within)
+    full = ll.shell_ladder(grid, center, norm=norm)
+    part = ll.shell_ladder(grid, center, norm=norm, within=within)
     assert len(part) == len(full)
     assert part.radii.tobytes() == full.radii.tobytes()
     assert (part.center, part.norm, part.half_width) == \

@@ -463,14 +463,15 @@ def test_grouped_minima_edge_cases():
     """Empty shells at the end, all-+inf shells and an all-infeasible grid."""
     g = ll.grid_2d(-1.0, 1.0, 9)
     c = 0
-    ladder = ll.shell_ladder(g, c, max_radius=4.0)     # empty tail shells
-    assert np.diff(ladder.starts)[-1] == 0
+    ladder = ll.shell_ladder(g, c)
+    near = ll.NormChoice.L2.length(g.points - g.point(c)) < 1.0
+    tail = ll.shell_ladder(g, c, within=member_indices(near))
+    assert np.diff(tail.starts)[-1] == 0               # empty tail shells
     gaps = np.where(np.arange(g.size) % 3 == 0, math.inf, 1.0)
     gaps[ladder[0].members] = math.inf                 # an all-+inf shell
     for feasible in (None, np.zeros(g.size, dtype=bool),
-                     np.arange(g.size) >= g.size - 2):
-        members = ll.shell_ladder(g, c, max_radius=4.0,
-                                  within=member_indices(feasible))
+                     np.arange(g.size) >= g.size - 2, near):
+        members = ll.shell_ladder(g, c, within=member_indices(feasible))
         got = moduli._shell_minima(gaps[members.members], members)
         assert_bitwise_equal(got, shell_minima_loop(gaps, list(ladder),
                                                     feasible))
@@ -507,7 +508,7 @@ def shell_minima_masked(gaps, ladder, feasible):
 
 
 def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
-                         tols=DEFAULT_TOLS, feasible=None):
+                         feasible=None):
     """Reference: the well-posedness modulus computed over the whole grid,
     with the points outside ``feasible`` masked to +inf."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -518,11 +519,11 @@ def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
         cand = np.where(feasible, tilted, math.inf)
     if not np.isfinite(cand).any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    mval, eps, cluster = moduli._tie_cluster(f, cand, s, tols)
+    mval, eps, cluster = moduli._tie_cluster(f, cand, s)
     x_hat = int(cluster[0])
     coords = grid.points[cluster]
     diameter = float(norm.length(coords.max(axis=0) - coords.min(axis=0)))
-    unique = diameter <= tols.cell_limit(grid, norm)
+    unique = diameter <= DEFAULT_TOLS.cell_limit(grid, norm)
     boundary_descent = (feasible is None
                         and not grid.interior_flat[cluster].any()
                         and moduli._edge_descent(grid, cand, cluster, mval + eps))
@@ -531,7 +532,7 @@ def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
     radii_a, values, empty, wit = shell_minima_masked(gaps, ladder, feasible)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
-    pos, cert, note = moduli.certification_verdict(mod, tols)
+    pos, cert, note = moduli.certification_verdict(mod)
     report = moduli.WellposednessReport(
         tuple(float(c) for c in s), x_hat, mval, int(cluster.size), diameter,
         unique, boundary_descent, pos, cert, note)

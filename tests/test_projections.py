@@ -10,7 +10,6 @@ import legendrelab as ll
 from legendrelab import projections
 from legendrelab.catalog import SET_NAMES, make_set
 from legendrelab.errors import InfeasibleProblemError
-from legendrelab.tolerances import DEFAULT_TOLS
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +279,7 @@ def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
     generator, from a budget of 85 probes per pair."""
     tilts = []
 
-    def strong_probe(f, S, s, budget, norm, tols):
+    def strong_probe(f, S, s, budget, norm):
         budget.spend()
         tilts.append(s)
         return SimpleNamespace(strong=True)
@@ -292,7 +291,7 @@ def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
     pairs = [(int(S.members[0]), int(S.members[-1])),
              (int(S.members[1]), int(S.members[-2]))]
     cert, budget = projections._witness_search(f, S, [], pairs, 11,
-                                               ll.NormChoice.L2, DEFAULT_TOLS)
+                                               ll.NormChoice.L2)
     assert cert is None
     assert (budget.used, budget.limit) == (16, 2 * 85)
     rng = np.random.default_rng(11)

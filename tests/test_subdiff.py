@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
+from legendrelab import subdiff
 from legendrelab.catalog import entries, entry
 from legendrelab.errors import NoAdmissibleStepError, PointOutsideDomainError
 from legendrelab.generators import random_convex_1d, random_grid_function
@@ -177,7 +178,7 @@ def _domain_chain_full_pass(f, dual_grid, norm=ll.NormChoice.L2,
                             tols=DEFAULT_TOLS):
     """The chunked pass over every dual row that ``domain_chain_check``
     replaced, kept as its oracle."""
-    bic = ll.biconjugate(f, dual_grid, tols=tols)
+    bic = ll.biconjugate(f, dual_grid)
     star = bic.star
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
@@ -215,10 +216,11 @@ def test_domain_chain_equals_full_pass_on_catalog(eid):
     _assert_same_report(ll.domain_chain_check(f, e.dual_grid), want)
 
 
-def test_domain_chain_equals_full_pass_on_random_nonconvex():
+def test_domain_chain_equals_full_pass_on_random_nonconvex(monkeypatch):
     """Rough functions with +inf holes whose slopes outrun a narrow dual
     grid: the maximizers of many dual rows are not usable points of f**, so
-    the full pass decides those rows, both ways once the threshold is tight."""
+    the full pass decides those rows, both ways once the threshold is tight
+    (a tight ``tau_c`` patched onto the instance ``subdiff`` reads)."""
     grids = [(ll.grid_1d(-2, 2, 81), ll.grid_1d(-1, 1, 9)),
              (ll.grid_2d(-2, 2, 17), ll.grid_2d(-1, 1, 7)),
              (ll.grid_1d(-2, 2, 41), ll.grid_1d(-3, 3, 5)),
@@ -230,8 +232,9 @@ def test_domain_chain_equals_full_pass_on_random_nonconvex():
         f = random_grid_function(np.random.default_rng(seed), g, inf_frac=0.2)
         norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
         for tols in (DEFAULT_TOLS, Tolerances(tau_c=0.01)):
+            monkeypatch.setattr(subdiff, "DEFAULT_TOLS", tols)
             bic, want = _domain_chain_full_pass(f, d, norm, tols)
-            _assert_same_report(ll.domain_chain_check(f, d, norm, tols), want)
+            _assert_same_report(ll.domain_chain_check(f, d, norm), want)
             k = bic.star.argmax
             usable = bic.trusted & np.isfinite(bic.function.flat)
             unscreened = (k < 0) | ~usable[k]
