@@ -14,11 +14,11 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .catalog import (CONVEX_SET_NAMES, NONCONVEX_SET_NAMES, entries, entry,
-                      finite_difference_hessian, fourth_root_well,
-                      fourth_root_well_hessian, fourth_root_well_hessian_det,
-                      make_set)
-from .classify import classify, lemma1_agreement
+from .catalog import (CONVEX_SET_NAMES, NONCONVEX_SET_NAMES, CatalogEntry,
+                      entries, entry, finite_difference_hessian,
+                      fourth_root_well, fourth_root_well_hessian,
+                      fourth_root_well_hessian_det, make_set)
+from .classify import ClassificationReport, classify, lemma1_agreement
 from .errors import BudgetExhaustedError
 from .generators import random_convex_1d
 from .grids import grid_1d, grid_2d
@@ -42,7 +42,15 @@ class ExperimentResult:
     artifacts: list[Path]
 
 
-def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def _classified(e: CatalogEntry, reports: dict) -> ClassificationReport:
+    """The classification of a catalog entry, made once per run:
+    ``reports`` (entry id -> report) is created by each run."""
+    if e.id not in reports:
+        reports[e.id] = classify(e.build(), e.dual_grid)
+    return reports[e.id]
+
+
+def run_ex1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Fourth-root well: Hessian formulas, the zero modulus along the edge,
     and the hierarchy verdicts (firmly subdifferentiable but not totally
     convex on its whole domain)."""
@@ -71,7 +79,7 @@ def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
     m_center = firm_modulus(f, center, [0.0, 0.0])
     center_pos, _, _ = certification_verdict(m_center)
 
-    report = classify(f, e.dual_grid)
+    report = _classified(e, reports)
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom"].witness
     wit_on_edge = (wit is not None
@@ -98,7 +106,7 @@ def run_ex1(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("ex1", passed, summary, arts)
 
 
-def run_ex2(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_ex2(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Square-root well: not totally convex at the corner of its
     subdifferential domain, yet firmly subdifferentiable there."""
     e = entry("sqrt_well")
@@ -111,7 +119,7 @@ def run_ex2(out_dir: Path, seed: int = 42) -> ExperimentResult:
     m_firm = firm_modulus(f, corner, [1.05, 1.05])
     firm_pos, _, _ = certification_verdict(m_firm)
 
-    report = classify(f, e.dual_grid)
+    report = _classified(e, reports)
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom_subdiff"].witness
     wit_corner = (wit is not None
@@ -135,7 +143,7 @@ def run_ex2(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("ex2", passed, summary, arts)
 
 
-def run_lemma1(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_lemma1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Strong minimum / conjugate differentiability / firm certificate:
     three-way agreement over catalog entries, all-false on the flat case."""
     ids = ["halfsq", "abs", "quartic", "exp", "neg_entropy", "box_indicator"]
@@ -160,12 +168,12 @@ def run_lemma1(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("lemma1", passed, summary, arts)
 
 
-def run_cor3_chain(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_cor3_chain(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Implication chain across the catalog and random convex functions."""
     rows = []
     ok = True
     for e in entries():
-        rep = classify(e.build(), e.dual_grid)
+        rep = _classified(e, reports)
         rows.append({"function": e.id, "chain_ok": rep.chain_ok,
                      "verdicts": rep.truth()})
         ok = ok and rep.chain_ok
@@ -187,7 +195,7 @@ def run_cor3_chain(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("cor3-chain", ok, summary, arts)
 
 
-def run_cor4(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_cor4(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Farthest points: only singletons give a strong maximum at every tilt."""
     rows = {}
     ok = True
@@ -213,7 +221,7 @@ def run_cor4(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("cor4", ok, summary, arts)
 
 
-def run_prop6(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_prop6(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Variational convexity detector against direct midpoint convexity."""
     rows = {}
     ok = True
@@ -236,7 +244,7 @@ def run_prop6(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("prop6", ok, summary, arts)
 
 
-def run_domain_chain(out_dir: Path, seed: int = 42) -> ExperimentResult:
+def run_domain_chain(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Inclusion of attained-tilt and interior sets inside dom of d(f*)."""
     rows = {}
     ok = True
@@ -255,7 +263,7 @@ def run_domain_chain(out_dir: Path, seed: int = 42) -> ExperimentResult:
     return ExperimentResult("domain-chain", ok, summary, arts)
 
 
-_RUNNERS: dict[str, Callable[[Path, int], ExperimentResult]] = {
+_RUNNERS: dict[str, Callable[[Path, int, dict], ExperimentResult]] = {
     "ex1": run_ex1,
     "ex2": run_ex2,
     "lemma1": run_lemma1,
@@ -274,8 +282,9 @@ def run_experiments(which: str, out_dir: str | Path,
     names = list(EXPERIMENT_NAMES) if which == "all" else [which]
     results = []
     paths: list[Path] = []
+    reports: dict[str, ClassificationReport] = {}
     for name in names:
-        res = _RUNNERS[name](out, seed)
+        res = _RUNNERS[name](out, seed, reports)
         results.append(res)
         paths.extend(res.artifacts)
     passed = all(r.passed for r in results)

@@ -330,7 +330,8 @@ def shell(grid: Grid, center: int, radius: float,
                  members=np.flatnonzero(sel))
 
 
-# Stencils kept at once; the largest in use (401^2 int16) is about 320 KB.
+# Stencils kept at once by each cache. The largest band stencil in use
+# (401^2 int16) is about 320 KB, the largest ray stencil (121^2) 1.7 MB.
 _STENCIL_CACHE_SIZE = 16
 
 
@@ -349,6 +350,30 @@ def _band_stencil(grid: Grid, norm: NormChoice) -> np.ndarray:
     small = band.max() <= np.iinfo(np.int16).max
     out = band.astype(np.int16 if small else np.int32)
     out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_STENCIL_CACHE_SIZE)
+def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per offset of the doubled lattice (laid out as in ``_band_stencil``):
+    the offset, the gcd g of its components, the length of its primitive
+    step offset / g (1 at offset 0), and for k = 1..k_dd the flat lattice
+    index of k primitive steps (the pad slot one past it if off the lattice)."""
+    lat = tuple(2 * n - 1 for n in grid.counts)
+    half = np.asarray(grid.counts) - 1
+    off = np.moveaxis(np.indices(lat), 0, -1) - half
+    g = np.gcd.reduce(np.abs(off), axis=-1)
+    m0 = off // np.where(g == 0, 1, g)[..., None]
+    step_len = np.where(g == 0, 1.0, norm.length(m0 * np.asarray(grid.spacing)))
+    pos = np.arange(1, k_dd + 1).reshape(-1, *[1] * off.ndim) * m0 + half
+    hops = np.where(((pos >= 0) & (pos < lat)).all(axis=-1),
+                    np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), lat,
+                                         mode="clip"), math.prod(lat))
+    small = np.int16 if max(grid.counts) <= 1 << 15 else np.int32
+    out = off.astype(small), g.astype(small), step_len, hops.astype(np.int32)
+    for a in out:
+        a.flags.writeable = False
     return out
 
 

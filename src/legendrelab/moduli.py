@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (InfeasibleProblemError, InsufficientDataError,
                      NotASubgradientError, PointOutsideDomainError)
-from .grids import (Grid, GridFunction, NormChoice, ShellLadder, shell,
-                    shell_ladder)
+from .grids import (Grid, GridFunction, NormChoice, ShellLadder, _ray_stencil,
+                    shell, shell_ladder)
 from .subdiff import tau_sub
 from .tolerances import DEFAULT_TOLS
 
@@ -181,31 +181,21 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     spacing = np.asarray(grid.spacing)
     fv = f.flat
     k_dd = DEFAULT_TOLS.k_dd
+    lat_off, lat_g, lat_len, lat_hops = _ray_stencil(grid, norm, k_dd)
+    win = tuple(slice(c - 1 - b, 2 * c - 1 - b) for c, b in zip(grid.counts, base))
+    offsets = lat_off[win].reshape(n, dim)
+    g, step_len = lat_g[win].ravel(), lat_len[win].ravel()
 
-    def flat_of(pos: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
-                                    grid.shape)
-
-    multi = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
-    offsets = multi - base[None, :]
-    g = np.gcd.reduce(np.abs(offsets), axis=1)
-    g_safe = np.where(g == 0, 1, g)
-    m0 = offsets // g_safe[:, None]
-
-    # ray quotients over the first k_dd multiples of the primitive step
-    step_len = norm.length(m0 * spacing[None, :])
-    step_len[g == 0] = 1.0
-    quot = np.full((k_dd, n), math.inf)
-    adm = np.zeros((k_dd, n), dtype=bool)
-    for k in range(1, k_dd + 1):
-        pos = base[None, :] + k * m0
-        ok = (pos >= 0).all(axis=1) & (pos < shape[None, :]).all(axis=1)
-        vals = fv[flat_of(pos)]
-        good = ok & np.isfinite(vals)
-        adm[k - 1] = good
-        quot[k - 1][good] = (vals[good] - fx) / (k * step_len[good])
-
+    # ray quotients over the first k_dd multiples of the primitive step, read
+    # from f laid on the lattice about x: off the grid and off the lattice
+    # (the pad slot) read +inf, so neither is admissible nor a finite quotient
+    lattice = np.full(lat_hops[0].size + 1, math.inf)
+    lattice[:-1].reshape(lat_g.shape)[win] = f.values
+    vals = lattice[lat_hops[(slice(None), *win)]].reshape(k_dd, n)
     ks = np.arange(1, k_dd + 1)
+    adm = np.isfinite(vals)
+    quot = (vals - fx) / (ks[:, None] * step_len)
+
     closer_ray = (adm & (ks[:, None] < np.minimum(g, k_dd + 1)[None, :])).any(axis=0)
     ray_ok = (g >= 2) & closer_ray
     fprime_ray = quot.min(axis=0)
@@ -219,7 +209,8 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     steps = np.eye(dim, dtype=np.int64)
     nbrs = base + np.stack([steps, -steps], axis=1)      # (axis, sign, dim)
     on_grid = ((nbrs >= 0) & (nbrs < shape)).all(axis=2)
-    at = flat_of(nbrs.reshape(-1, dim)).reshape(dim, 2)
+    at = np.ravel_multi_index(tuple(nbrs.reshape(-1, dim).T), grid.shape,
+                              mode="clip").reshape(dim, 2)
     axis_q = np.where(on_grid, fprime_ray[at], math.inf)
     axis_cnt = np.where(on_grid, adm[:, at].sum(axis=0), 0)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
-from legendrelab import moduli
+from legendrelab import grids, moduli
 from legendrelab.catalog import SET_NAMES, entry, make_set
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
                                 NotASubgradientError)
@@ -738,6 +738,151 @@ def test_total_convexity_equals_per_axis_loop_on_catalog(eid, norm):
         assert_bitwise_equal((got.radii, got.values, got.empty, got.witnesses),
                              (want.radii, want.values, want.empty,
                               want.witnesses))
+
+
+# -- total convexity against the per-call ray arrays -------------------------
+
+def total_convexity_per_call(f, x_flat, norm, radii=None):
+    """Reference: the total-convexity modulus with its ray arrays (offsets,
+    gcds, primitive steps, step lengths, clipped hops) rebuilt about the
+    base point on every call instead of read from the cached stencil."""
+    fx = f.value_at(x_flat)
+    grid = f.grid
+    shape = np.asarray(grid.shape, dtype=np.int64)
+    dim = grid.dim
+    n = grid.size
+    base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
+    spacing = np.asarray(grid.spacing)
+    fv = f.flat
+    k_dd = DEFAULT_TOLS.k_dd
+
+    def flat_of(pos):
+        return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
+                                    grid.shape)
+
+    multi = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
+    offsets = multi - base[None, :]
+    g = np.gcd.reduce(np.abs(offsets), axis=1)
+    g_safe = np.where(g == 0, 1, g)
+    m0 = offsets // g_safe[:, None]
+
+    step_len = norm.length(m0 * spacing[None, :])
+    step_len[g == 0] = 1.0
+    quot = np.full((k_dd, n), math.inf)
+    adm = np.zeros((k_dd, n), dtype=bool)
+    for k in range(1, k_dd + 1):
+        pos = base[None, :] + k * m0
+        ok = (pos >= 0).all(axis=1) & (pos < shape[None, :]).all(axis=1)
+        vals = fv[flat_of(pos)]
+        good = ok & np.isfinite(vals)
+        adm[k - 1] = good
+        quot[k - 1][good] = (vals[good] - fx) / (k * step_len[good])
+
+    ks = np.arange(1, k_dd + 1)
+    closer_ray = (adm & (ks[:, None] < np.minimum(g, k_dd + 1)[None, :])).any(axis=0)
+    ray_ok = (g >= 2) & closer_ray
+    fprime_ray = quot.min(axis=0)
+    both = adm[0] & adm[1]
+    fprime_ray[both] = np.minimum(fprime_ray[both],
+                                  2.0 * quot[0][both] - quot[1][both])
+
+    steps = np.eye(dim, dtype=np.int64)
+    nbrs = base + np.stack([steps, -steps], axis=1)
+    on_grid = ((nbrs >= 0) & (nbrs < shape)).all(axis=2)
+    at = flat_of(nbrs.reshape(-1, dim)).reshape(dim, 2)
+    axis_q = np.where(on_grid, fprime_ray[at], math.inf)
+    axis_cnt = np.where(on_grid, adm[:, at].sum(axis=0), 0)
+
+    sgn_idx = (offsets < 0).astype(int)
+    ax_ids = np.arange(dim)
+    needed = offsets != 0
+    n_axes = needed.sum(axis=1)
+    cnt_needed = axis_cnt[ax_ids[None, :], sgn_idx]
+    cnt_opposite = axis_cnt[ax_ids[None, :], 1 - sgn_idx]
+    q_needed = axis_q[ax_ids[None, :], sgn_idx]
+    delta_phys = np.abs(offsets) * spacing[None, :]
+    q_safe = np.where(needed & np.isfinite(q_needed), q_needed, 0.0)
+    decomp = (delta_phys * q_safe).sum(axis=1)
+
+    single_cnt = np.where(needed, cnt_needed, 0).sum(axis=1)
+    dec_ok = np.where(
+        n_axes == 1,
+        single_cnt >= 2,
+        (~needed | ((cnt_needed >= 2) & (cnt_opposite >= 1))).all(axis=1))
+    dec_ok &= n_axes >= 1
+
+    dist = norm.length(grid.points - grid.point(x_flat))
+    dist_safe = np.where(g == 0, 1.0, dist)
+    bound_ray = np.where(ray_ok, dist_safe * fprime_ray, math.inf)
+    bound_dec = np.where(dec_ok, decomp, math.inf)
+    slope_term = np.minimum(bound_ray, bound_dec)
+    usable = (ray_ok | dec_ok) & (g > 0) & np.isfinite(fv)
+    gaps = np.full(n, math.inf)
+    gaps[usable] = fv[usable] - fx - slope_term[usable]
+
+    ladder = moduli._ladder(grid, x_flat, norm, radii)
+    return moduli._shell_minima(gaps[ladder.members], ladder)
+
+
+def assert_total_equals_per_call(f, x, norm, radii=None):
+    got = ll.total_convexity_modulus(f, x, radii=radii, norm=norm)
+    assert_bitwise_equal((got.radii, got.values, got.empty, got.witnesses),
+                         total_convexity_per_call(f, x, norm, radii))
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries()])
+def test_total_convexity_stencil_equals_per_call_on_catalog(eid, norm):
+    f = entry(eid).build()
+    dom = np.flatnonzero(f.domain_flat)
+    picks = dom[np.linspace(0, dom.size - 1, 5).astype(int)]
+    for x in {*domain_probe_points(f), *(int(i) for i in picks)}:
+        assert_total_equals_per_call(f, x, norm)
+
+
+STENCIL_GRIDS = [ll.grid_1d(-1.0, 1.0, 2), ll.grid_1d(-1.0, 1.0, 3),
+                 ll.grid_1d(-1.0, 1.0, 23), ll.grid_2d(-1.0, 1.0, 2, 0.0, 1.0, 3),
+                 ll.grid_2d(-2.0, 2.0, 5, -1.0, 3.0, 3),
+                 ll.grid_2d(-1.0, 1.0, 9),
+                 ll.Grid(((0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)), (3, 2, 4))]
+
+
+@st.composite
+def total_problem(draw):
+    """A function with ties and +inf holes, a domain base point, and
+    either the default ladder or explicit radii."""
+    grid = draw(st.sampled_from(STENCIL_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.where(rng.random(grid.size) < draw(st.floats(0.0, 1.0)),
+                    rng.integers(-2, 3, grid.size).astype(float),
+                    rng.normal(size=grid.size))
+    vals[rng.random(grid.size) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = math.inf
+    x = draw(st.integers(0, grid.size - 1))
+    vals[x] = rng.normal()
+    radii = draw(st.one_of(st.none(), st.lists(st.floats(0.05, 4.0),
+                                                min_size=1, max_size=6,
+                                                unique=True).map(sorted)))
+    return ll.GridFunction(grid, vals), x, radii
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=total_problem(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_total_convexity_stencil_equals_per_call_on_random_functions(problem, norm):
+    f, x, radii = problem
+    assert_total_equals_per_call(f, x, norm, radii)
+
+
+def test_ray_stencil_is_cached_and_read_only():
+    grid = ll.grid_2d(-2.0, 2.0, 5, -1.0, 3.0, 3)
+    arrays = grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd)
+    assert grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd) is arrays
+    offsets, g, step_len, hops = arrays
+    assert offsets.shape == (9, 5, 2) and hops.shape == (DEFAULT_TOLS.k_dd, 9, 5)
+    assert (offsets.dtype, g.dtype, hops.dtype) == (np.int16, np.int16, np.int32)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
 
 
 def verdict_cut_by_caller(m, min_radius):
