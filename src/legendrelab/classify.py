@@ -7,6 +7,12 @@ the universal tests use the inverse-map characterization (x belongs to the
 tie cluster of the tilted problem at s); gap-threshold sets over-include at
 a sqrt(h) rate and would falsify the pointwise definitions on smooth
 functions.
+
+The moduli of a classification are computed in row blocks, in the order
+of the loop that reads them; a loop that breaks at its first failure has
+its rows computed only up to the block holding that failure. The loop
+then replays over the computed rows, so its witnesses, sample counts and
+disclaimers are those of the rows it visits, whatever the block size.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import numpy as np
 
 from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
-from .moduli import (_tie_cluster, certification_verdict, firm_modulus,
-                     total_convexity_modulus, wellposedness_modulus)
+from .moduli import (_tie_cluster, firm_moduli, total_convexity_moduli,
+                     wellposedness_moduli)
 from .subdiff import subgradients
 from .tolerances import DEFAULT_TOLS
 
@@ -179,7 +185,7 @@ class _Session:
         if got is not None:
             return got
         s = self.dual_grid.point(dual_flat)
-        _, _, cl = _tie_cluster(self.f, self.f.tilted(s), s)
+        _, _, cl = _tie_cluster(self.f, self.f.tilted(s)[None], s[None])
         self._clusters[dual_flat] = cl
         return cl
 
@@ -212,23 +218,41 @@ class _Session:
                     break
         return out
 
-    def firm_positive(self, x_flat: int, s_flat: int) -> tuple[bool, str]:
-        s = self.dual_grid.point(s_flat)
-        mod = firm_modulus(self.f, x_flat, s, norm=self.norm)
-        pos, _, note = certification_verdict(mod)
-        if note:
-            self.disclaimers.add(f"firm certificate at {x_flat}: {note}")
-        return pos, note
+    def firm(self, pairs: list[tuple[int, int]]) -> list[tuple[bool, str]]:
+        """Firm verdicts of (point, dual) pairs; a certificate note becomes
+        a disclaimer."""
+        _, verdicts = firm_moduli(self.f, [x for x, _ in pairs],
+                                  [self.dual_grid.point(s) for _, s in pairs],
+                                  self.norm)
+        out = []
+        for (x, _), (pos, _, note) in zip(pairs, verdicts):
+            if note:
+                self.disclaimers.add(f"firm certificate at {x}: {note}")
+            out.append((pos, note))
+        return out
+
+    def totals(self, points: list[int]) -> None:
+        """Memoize total-convexity verdicts at ``points``, taken in order,
+        up to the row block holding the first failure."""
+        todo = []
+        for x in points:
+            got = self._totals.get(x)
+            if got is None:
+                todo.append(x)
+            elif not got[0]:
+                break
+        _, verdicts = total_convexity_moduli(self.f, todo, self.norm)
+        for x, (pos, _, note) in zip(todo, verdicts):
+            self._totals[x] = pos, note
 
     def total_positive(self, x_flat: int) -> tuple[bool, str]:
-        got = self._totals.get(x_flat)
-        if got is not None:
-            return got
-        mod = total_convexity_modulus(self.f, x_flat, norm=self.norm)
-        pos, _, note = certification_verdict(mod)
+        """The verdict at x, memoized; its certificate note becomes a
+        disclaimer."""
+        if x_flat not in self._totals:
+            self.totals([x_flat])
+        pos, note = self._totals[x_flat]
         if note:
             self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
-        self._totals[x_flat] = pos, note
         return pos, note
 
 
@@ -270,8 +294,9 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
         len(plan.dual))
 
     sa_witness = None
-    for s_flat in plan.dual:
-        _, rep = wellposedness_modulus(f, ses.dual_grid.point(s_flat), norm=norm)
+    _, reports = wellposedness_moduli(
+        f, [dual_grid.point(s) for s in plan.dual], norm, stop=True)
+    for s_flat, rep in zip(plan.dual, reports):
         if rep.note:
             ses.disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
         if not rep.strong:
@@ -294,11 +319,12 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
     fsd_wit = None
     strong_wit = None
     n_pairs = 0
+    firm = iter(ses.firm([(x, s) for x in subdiff_points for s in witness_map[x]]))
     for x in subdiff_points:
         any_pos = False
         for s_flat in witness_map[x]:
             n_pairs += 1
-            pos, _ = ses.firm_positive(x, s_flat)
+            pos, _ = next(firm)
             any_pos = any_pos or pos
             if not pos and fsd_wit is None:
                 fsd_wit = {"point": grid_point_dict(grid, x),
@@ -316,6 +342,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
         strong_wit, len(subdiff_points))
 
     tot_sub_wit = None
+    ses.totals(subdiff_points)
     for x in subdiff_points:
         pos, _ = ses.total_positive(x)
         if not pos:
@@ -328,6 +355,7 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
         tot_sub_wit, len(subdiff_points))
 
     tot_dom_wit = None
+    ses.totals(dom_points)
     for x in dom_points:
         pos, _ = ses.total_positive(x)
         if not pos:
@@ -458,9 +486,10 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
     ratio_limit = 0.25 * f.grid.corner_extent / dual_grid.max_spacing
 
     probes = []
-    for s_flat in duals:
+    _, reports = wellposedness_moduli(
+        f, [dual_grid.point(s) for s in duals], norm)
+    for s_flat, rep in zip(duals, reports):
         s = dual_grid.point(s_flat)
-        _, rep = wellposedness_modulus(f, s, norm=norm)
         a = rep.strong
 
         diam = ses.cluster_diameter(s_flat)

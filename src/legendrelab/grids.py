@@ -8,7 +8,8 @@ about a center depends only on their index offset, so one stencil over the
 doubled index lattice, built once per (grid, norm), holds the band
 of every offset, and the ladder about any center is the slice of it that
 covers the grid, sorted once by band; a member-windowed ladder ranks only
-given points (say the members of a set) under the same radii.
+given points (say the members of a set) under the same radii. The ladders
+of several centers are ranked together, one row each.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,7 +157,11 @@ class Grid:
         return max(hi - lo for lo, hi in self.bounds)
 
     def cell_diagonal(self, norm: NormChoice = NormChoice.L2) -> float:
-        return float(norm.length(np.array(self.spacing)))
+        return self._cell_diagonals[norm]
+
+    @cached_property
+    def _cell_diagonals(self) -> dict[NormChoice, float]:
+        return {n: float(n.length(np.array(self.spacing))) for n in NormChoice}
 
 
 def grid_1d(lo: float, hi: float, n: int) -> Grid:
@@ -331,35 +336,87 @@ def shell(grid: Grid, center: int, radius: float,
 
 
 # Stencils kept at once by each cache. The largest band stencil in use
-# (401^2 int16) is about 320 KB, the largest ray stencil (121^2) 1.7 MB.
+# (a 201^2 grid: 401^2 int16 bands plus two int32 per grid point) is about
+# 650 KB; the largest ray stencil (121^2, no offsets kept) is 1.5 MB.
 _STENCIL_CACHE_SIZE = 16
 
 
+def _windows(lattice: np.ndarray, grid: Grid,
+             writeable: bool = False) -> np.ndarray:
+    """View of the last ``grid.dim`` axes of a lattice-shaped array as the
+    grid-shaped window at every origin: about center c the window starts
+    at origin ``counts - 1 - c``, so ``out[..., o]`` holds the entry of
+    every grid point's offset from c (o indexes those axes)."""
+    return np.lib.stride_tricks.sliding_window_view(
+        lattice, grid.shape, axis=tuple(range(-grid.dim, 0)),
+        writeable=writeable)
+
+
+def _origins(grid: Grid, centers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, the window origin of each center: ``counts - 1 - c``."""
+    return np.unravel_index(grid.size - 1 - centers, grid.shape)
+
+
+class BandStencil(NamedTuple):
+    """The band of every offset of the doubled lattice, flat and as
+    windows, the flat lattice index of every grid point's offset from the
+    grid origin, and the ladder geometry: the number of shells about each
+    center and the radii of the most any center has. The lattice is linear
+    in the offset, so about center c grid point j sits at ``local[size - 1
+    - c] + local[j]`` (size - 1 - c lies at offset -c from the origin)."""
+
+    band: np.ndarray
+    windows: np.ndarray
+    local: np.ndarray
+    shells: np.ndarray
+    radii: np.ndarray
+
+
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
-def _band_stencil(grid: Grid, norm: NormChoice) -> np.ndarray:
+def _band_stencil(grid: Grid, norm: NormChoice) -> BandStencil:
     """Band ``floor(|offset * spacing| / max_spacing + 1/2)`` of every offset.
 
     Axis i runs over offsets -(n_i - 1) .. n_i - 1, so offset 0 sits at
     index n_i - 1. ``int16`` (for numpy's radix argsort) unless the largest
-    band does not fit.
+    band does not fit. The ladder about a center has a shell for each band
+    up to the largest band in its window (at least one).
     """
     offsets = np.meshgrid(*(np.arange(1 - n, n) * h
                             for n, h in zip(grid.counts, grid.spacing)),
                           indexing="ij")
     band = np.floor(norm.length(np.stack(offsets, axis=-1)) / grid.max_spacing + 0.5)
     small = band.max() <= np.iinfo(np.int16).max
-    out = band.astype(np.int16 if small else np.int32)
-    out.flags.writeable = False
+    band = band.astype(np.int16 if small else np.int32).ravel()
+    lat = tuple(2 * n - 1 for n in grid.counts)
+    local = np.ravel_multi_index(np.indices(grid.shape).reshape(grid.dim, -1),
+                                 lat).astype(np.int32)
+    # a band grows with every |offset| component, so the largest is at a corner
+    ends = np.indices((2,) * grid.dim).reshape(grid.dim, -1)
+    corners = local[np.ravel_multi_index(
+        ends * (np.asarray(grid.counts)[:, None] - 1), grid.shape)]
+    shells = np.maximum(band[local[::-1, None] + corners].max(axis=1), 1)
+    radii = np.arange(1, int(shells.max()) + 1) * grid.max_spacing
+    out = BandStencil(band, _windows(band.reshape(lat), grid), local, shells, radii)
+    for a in (band, local, shells, radii):
+        a.flags.writeable = False
     return out
 
 
+class RayStencil(NamedTuple):
+    """Windowed views (see ``_windows``) of the per-offset ray arrays."""
+
+    g: np.ndarray          # gcd of the offset's components
+    step_len: np.ndarray   # length of the primitive step offset / g; 1 at 0
+    hops: np.ndarray       # (k_dd, ...): flat lattice index of k steps
+    slots: int             # lattice size plus the pad slot
+
+
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
-def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int) -> RayStencil:
     """Per offset of the doubled lattice (laid out as in ``_band_stencil``):
-    the offset, the gcd g of its components, the length of its primitive
-    step offset / g (1 at offset 0), and for k = 1..k_dd the flat lattice
-    index of k primitive steps (the pad slot one past it if off the lattice)."""
+    the gcd g of its components, the length of its primitive step
+    offset / g (1 at offset 0), and for k = 1..k_dd the flat lattice index
+    of k primitive steps (the pad slot one past the lattice if off it)."""
     lat = tuple(2 * n - 1 for n in grid.counts)
     half = np.asarray(grid.counts) - 1
     off = np.moveaxis(np.indices(lat), 0, -1) - half
@@ -371,33 +428,65 @@ def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int
                     np.ravel_multi_index(tuple(np.moveaxis(pos, -1, 0)), lat,
                                          mode="clip"), math.prod(lat))
     small = np.int16 if max(grid.counts) <= 1 << 15 else np.int32
-    out = off.astype(small), g.astype(small), step_len, hops.astype(np.int32)
-    for a in out:
+    arrays = g.astype(small), step_len, hops.astype(np.int32)
+    for a in arrays:
         a.flags.writeable = False
-    return out
+    return RayStencil(*(_windows(a, grid) for a in arrays), math.prod(lat) + 1)
 
 
-def shell_ladder(grid: Grid, center: int,
+class ShellLadders(NamedTuple):
+    """Shell ladders about R centers, each ranking the same m grid points
+    (``within``, or all of them), in one flat layout of W + 1 segments per
+    row: the points closer than the first radius (none at explicit radii),
+    then shells 1..W at ``radii``. Segment k holds the entries
+    ``members[starts[k]:starts[k + 1]]`` of an (R, m) table, flattened, in
+    ascending column order; row r's own ladder is its first ``shells[r]``
+    shells."""
+
+    radii: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+    shells: np.ndarray
+
+
+def _ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
+             within: np.ndarray | None) -> ShellLadders:
+    """The ladder of every center, from one gather of the band stencil and
+    one row-wise stable argsort, with as many shells as the grid's largest
+    ladder."""
+    st = _band_stencil(grid, norm)
+    bands = (st.windows[_origins(grid, centers)].reshape(centers.size, -1)
+             if within is None else
+             st.band[st.local[grid.size - 1 - centers][:, None] + st.local[within]])
+    rows = np.arange(centers.size)[:, None]
+    starts = np.zeros((st.radii.size + 1) * centers.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount((bands + (st.radii.size + 1) * rows).ravel(),
+                          minlength=starts.size - 1), out=starts[1:])
+    order = bands.argsort(axis=1, kind="stable")
+    return ShellLadders(st.radii, (order + bands.shape[1] * rows).ravel(),
+                        starts, st.shells[centers])
+
+
+def shell_ladder(grid: Grid, center: int | np.ndarray,
                  norm: NormChoice = NormChoice.L2,
-                 within: np.ndarray | None = None) -> ShellLadder:
+                 within: np.ndarray | None = None
+                 ) -> ShellLadder | ShellLadders:
     """Disjoint shells at radii h, 2*h, ... covering the whole grid.
 
     With h the largest axis spacing, every grid point other than the center
     lands in exactly one band (the nearest multiple of h); points within
     h/2 of the center land in none. With ``within`` (ascending flat
     indices) only those points are ranked, under the whole grid's radii.
+
+    Given a 1-D integer array of centers, the ladders of all of them are
+    ranked together and returned as one ``ShellLadders`` layout, whose
+    members index the (centers, ``within`` or grid points) table.
     """
-    step = grid.max_spacing
-    multi = grid.unravel_index(center)
-    window = _band_stencil(grid, norm)[
-        tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(grid.counts, multi))]
-    # a band grows with every |offset| component, so the largest is at a corner
-    kmax = int(window[tuple(slice(None, None, n - 1) for n in grid.counts)].max())
-    bands = (window.ravel() if within is None
-             else window[np.unravel_index(within, grid.counts)])
-    order = np.argsort(bands, kind="stable")
-    starts = np.searchsorted(bands[order], np.arange(1, max(kmax, 1) + 2))
-    if within is not None:
-        order = within[order]
-    return ShellLadder(grid, int(center), norm, np.arange(1, len(starts)) * step,
-                       order[starts[0]:starts[-1]], starts - starts[0])
+    if np.ndim(center):
+        return _ladders(grid, center, norm, within)
+    lad = _ladders(grid, np.array([int(center)]), norm, within)
+    k = int(lad.shells[0])
+    members = lad.members[lad.starts[1]:]
+    return ShellLadder(grid, int(center), norm, lad.radii[:k],
+                       members if within is None else within[members],
+                       lad.starts[1:k + 2] - lad.starts[1])

@@ -8,20 +8,33 @@ class when its lower convex envelope through the origin stays above the
 positivity floor ``delta0(t)`` at every sampled radius; the certificate
 decides this from the samples and the least chord slope through the
 origin, without building the envelope.
+
+One row core serves every kind: it takes R rows (base points for total
+convexity, (x, s) pairs for firm, tilts for well-posedness), computes
+their gaps, ranks the ladders of all rows with one gather of the band
+stencil and one row-wise stable argsort, takes every shell minimum with
+one ``reduceat`` and decides every certificate in one vectorized pass.
+The one-curve functions are one-row calls of it; ``firm_moduli``,
+``total_convexity_moduli`` and ``wellposedness_moduli`` take many rows
+(``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points, total
+convexity (and well-posedness on request) only up to the block holding
+the first failure. Each tilt is still one
+``f.tilted(s)`` and each distance one ``norm.length(points - point)``, so
+a row's values are the bits a call of its own gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (InfeasibleProblemError, InsufficientDataError,
                      NotASubgradientError, PointOutsideDomainError)
-from .grids import (Grid, GridFunction, NormChoice, ShellLadder, _ray_stencil,
-                    shell, shell_ladder)
+from .grids import (Grid, GridFunction, NormChoice, ShellLadders, _origins,
+                    _ray_stencil, _windows, shell, shell_ladder)
 from .subdiff import tau_sub
 from .tolerances import DEFAULT_TOLS
 
@@ -62,13 +75,16 @@ class Gamma0Certificate:
     eps: float
 
 
-def _tie_cluster(f: GridFunction, values: np.ndarray, s: np.ndarray
-                 ) -> tuple[float, float, np.ndarray]:
-    """Minimum of a tilted objective, its tie slack, and the flat indices
-    within that slack of the minimum (ascending)."""
-    mval = float(values.min())
-    eps = DEFAULT_TOLS.tie_slack(mval, float(np.abs(s).sum()), f.grid.bounds)
-    return mval, eps, np.flatnonzero(values <= mval + eps)
+def _tie_cluster(f: GridFunction, values: np.ndarray, tilts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of an (R, m) table of tilted values (row r tilted by
+    ``tilts[r]``): its minimum (+inf if m = 0), the level within the tie
+    slack of that minimum, and, over the whole table flattened, the
+    entries at or below their row's level (ascending, so row after row)."""
+    mval = values.min(axis=1, initial=math.inf)
+    level = mval + DEFAULT_TOLS.tie_slack(mval, np.abs(tilts).sum(axis=1),
+                                          f.grid.bounds)
+    return mval, level, (values <= level[:, None]).ravel().nonzero()[0]
 
 
 def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
@@ -86,43 +102,267 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
     return False
 
 
-def _shell_minima(vals: np.ndarray, ladder: ShellLadder
+# Rows per block of the row core: as many as fit in this many grid points,
+# so a 201-point 1D grid takes 81 rows a block and a 121^2 grid one.
+_ROW_BLOCK = 1 << 14
+
+
+def _by_blocks(grid: Grid, n_rows: int,
+               evaluate: Callable[[slice], tuple[list, list]],
+               failed: Callable[[object], bool] | None = None
+               ) -> tuple[list, list]:
+    """The curves and verdicts ``evaluate`` returns for consecutive slices
+    of ``n_rows`` rows, each one block of the row core's size for
+    ``grid``; with ``failed``, up to the block holding the first verdict
+    it flags."""
+    size = max(1, _ROW_BLOCK // grid.size)
+    mods, verdicts = [], []
+    for lo in range(0, n_rows, size):
+        m, v = evaluate(slice(lo, lo + size))
+        mods += m
+        verdicts += v
+        if failed is not None and any(map(failed, v)):
+            break
+    return mods, verdicts
+
+
+_PAD = np.array([math.inf])
+
+
+def _shell_minima(vals: np.ndarray, ladder
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per shell: the least gap over its members, whether it has none, and
     the first member attaining a finite least gap (-1 if none), as one
     grouped pass over the ladder's members; ``vals[i]`` is the gap of
-    ``ladder.members[i]``."""
-    mem = ladder.members
+    ``ladder.members[i]``. A ``ShellLadders`` block is taken segment by
+    segment (its radii are returned as they are)."""
     starts = ladder.starts[:-1]
-    empty = starts == ladder.starts[1:]
-    values = np.full(len(ladder), math.inf)
-    witnesses = np.full(len(ladder), -1, dtype=np.int64)
+    sizes = ladder.starts[1:] - starts
+    empty = sizes == 0
     if empty.all():
-        return ladder.radii, values, empty, witnesses
-    filled = np.flatnonzero(~empty)
+        return (ladder.radii, np.full(starts.size, math.inf), empty,
+                np.full(starts.size, -1, dtype=np.int64))
     # reduceat needs every start to name an element, so the members get
     # one neutral pad for empty shells at the end of the ladder
-    seg_min = np.minimum.reduceat(np.append(vals, math.inf), starts)
-    hits = np.flatnonzero(vals == np.repeat(seg_min, np.diff(ladder.starts)))
-    first = hits[np.searchsorted(hits, starts[filled])]
-    values[filled] = vals[first]
-    found = np.isfinite(vals[first])
-    witnesses[filled[found]] = mem[first[found]]
+    seg_min = np.minimum.reduceat(np.concatenate((vals, _PAD)), starts)
+    hits = (vals == seg_min.repeat(sizes)).nonzero()[0]
+    # the first hit at or past each start: inside the shell unless it is empty
+    first = hits[np.minimum(hits.searchsorted(starts), hits.size - 1)]
+    values = np.where(empty, math.inf, vals[first])
+    witnesses = np.where(np.isfinite(values), ladder.members[first], np.int64(-1))
     return ladder.radii, values, empty, witnesses
 
 
-def _ladder(grid: Grid, center: int, norm: NormChoice,
-            radii: Sequence[float] | None,
-            within: np.ndarray | None = None) -> ShellLadder:
-    if radii is None:
-        return shell_ladder(grid, center, norm=norm, within=within)
-    shells = [shell(grid, center, float(t), norm=norm).members for t in radii]
-    if within is not None:
-        shells = [np.intersect1d(m, within, assume_unique=True) for m in shells]
-    return ShellLadder(grid, int(center), norm,
-                       np.array([float(t) for t in radii]),
-                       np.concatenate([np.empty(0, np.int64), *shells]),
-                       np.cumsum([0, *(m.size for m in shells)]))
+def _explicit_ladders(grid: Grid, centers: Sequence[int], norm: NormChoice,
+                      radii: Sequence[float],
+                      within: np.ndarray | None = None) -> ShellLadders:
+    """Closed shells ``|d - t| <= h/2`` at the given radii about each
+    center, in the layout of ``ShellLadders`` (the first segment of a row is
+    empty)."""
+    segments = []
+    width = grid.size if within is None else within.size
+    for r, c in enumerate(centers):
+        segments.append(np.empty(0, np.int64))
+        for t in radii:
+            mem = shell(grid, int(c), float(t), norm=norm).members
+            if within is not None:
+                mem = np.searchsorted(within, np.intersect1d(mem, within,
+                                                             assume_unique=True))
+            segments.append(mem + width * r)
+    return ShellLadders(np.array([float(t) for t in radii]),
+                        np.concatenate(segments),
+                        np.cumsum([0, *(seg.size for seg in segments)]),
+                        np.full(len(centers), len(radii)))
+
+
+def _certify_rows(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
+                  min_radius: float) -> list[tuple[int, bool, float]]:
+    """``certify_gamma0`` of every row of (R, W) samples at ``radii``, over
+    the finite ones at radii of at least ``min_radius``: per row the sample
+    count, the verdict and the failure radius (meaningless where positive
+    or without samples)."""
+    sel = ~empty & np.isfinite(values) & (radii >= min_radius)
+    if not sel.any():
+        return [(0, False, math.nan)] * len(values)
+    low = sel & ~(values > DEFAULT_TOLS.delta0(radii))
+    first = sel.argmax(axis=1)
+    # see certify_gamma0: with no sample at or below the floor (so also the
+    # first, at t0), the least chord from the origin at t0 decides; the
+    # sample at t0 stays out of the chords
+    ratio = np.where(sel, values / radii, math.inf)
+    ratio[np.arange(len(values)), first] = math.inf
+    t0 = radii[first]
+    out = []
+    for n, fails, t, chord, fail in zip(
+            sel.sum(axis=1).tolist(), low.any(axis=1).tolist(), t0.tolist(),
+            (t0 * ratio.min(axis=1)).tolist(), radii[low.argmax(axis=1)].tolist()):
+        positive = not fails and chord > DEFAULT_TOLS.delta0(t)
+        out.append((n, positive, fail if fails else t))
+    return out
+
+
+def _verdicts(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
+              spacing: float) -> list[tuple[bool, Gamma0Certificate | None, str]]:
+    """``certification_verdict`` of every row of (R, W) samples at
+    ``radii`` taken at grid step ``spacing`` (0 if unknown)."""
+    cut = DEFAULT_TOLS.cert_min_radius(spacing) if spacing > 0 else -math.inf
+    return [(True, None, "vacuous: no domain point in any usable shell")
+            if n == 0 else
+            (pos, Gamma0Certificate(pos, None if pos else fail, n,
+                                    DEFAULT_TOLS.eps_fp), "")
+            for n, pos, fail in _certify_rows(radii, values, empty, cut)]
+
+
+def _curve_rows(kind: str, grid: Grid, centers: np.ndarray, norm: NormChoice,
+                radii: Sequence[float] | None, within: np.ndarray | None,
+                table: np.ndarray, level: np.ndarray | None,
+                tilts: list[tuple[float, ...]] | None = None
+                ) -> tuple[list[Modulus], list[tuple]]:
+    """Ladders, shell minima and certificates of every row at once. Row r
+    takes the gaps ``table[r] - level[r]`` (``table[r]`` without a level)
+    over the shells about ``centers[r]``; the columns of ``table`` are
+    ``within`` (every grid point if None). Returns each row's curve and its
+    ``certification_verdict``."""
+    lad = (shell_ladder(grid, centers, norm, within) if radii is None else
+           _explicit_ladders(grid, centers.tolist(), norm, radii, within))
+    if level is not None:
+        table = table - level[:, None]
+    _, values, empty, wit = _shell_minima(table.ravel()[lad.members], lad)
+    # the witnesses are table entries: back to grid points
+    col = wit % table.shape[1]
+    wit = np.where(wit >= 0, col if within is None else within[col], wit)
+    # drop each row's first segment, the points closer than any radius
+    values = values.reshape(centers.size, -1)[:, 1:]
+    empty = empty.reshape(centers.size, -1)[:, 1:]
+    wit = wit.reshape(centers.size, -1)[:, 1:]
+    h = grid.max_spacing
+    tilts = tilts or [None] * centers.size
+    mods = [Modulus(kind, c, lad.radii[:k], values[r, :k], empty[r, :k],
+                    wit[r, :k], norm, tilts[r], h)
+            for r, (c, k) in enumerate(zip(centers.tolist(), lad.shells.tolist()))]
+    return mods, _verdicts(lad.radii, values, empty, h)
+
+
+def _tilts(tilts: Sequence[Sequence[float]]) -> np.ndarray:
+    """The tilts as the rows of an (R, dim) float array."""
+    return np.array(tilts, dtype=float).reshape(len(tilts), -1)
+
+
+def _tilted(f: GridFunction, ss: np.ndarray) -> np.ndarray:
+    """The (R, n) tilted values, one ``f.tilted(s)`` per row (a stacked
+    matmul rounds differently); a single row is a view, not a copy."""
+    rows = [f.tilted(s) for s in ss]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+def _firm_rows(f: GridFunction, points: Sequence[int],
+               tilts: Sequence[Sequence[float]], norm: NormChoice,
+               radii: Sequence[float] | None = None
+               ) -> tuple[list[Modulus], list[tuple]]:
+    """Firm curves and verdicts of (x, s) pairs (see ``firm_modulus``); the
+    first pair in input order that is not a subgradient pair raises."""
+    grid = f.grid
+    xs = np.array([int(x) for x in points], dtype=np.int64)
+    ss = _tilts(tilts)
+    fx = f.flat[xs]
+    tilted = _tilted(f, ss)
+    # f*(s) is minus the tilted minimum
+    gap = fx - tilted.min(axis=1) - np.array(
+        [float(grid.point(x) @ s) for x, s in zip(xs, ss)])
+    for x, v, gp, t in zip(xs.tolist(), fx, gap, tau_sub(f, xs, ss, norm)):
+        if not np.isfinite(v):
+            raise PointOutsideDomainError(f"f is +inf at flat index {x}")
+        if gp > t:
+            raise NotASubgradientError(
+                f"gap {gp:.3g} exceeds threshold {t:.3g} at flat index {x}")
+    return _curve_rows("firm", grid, xs, norm, radii, None, tilted,
+                       tilted[np.arange(xs.size), xs], list(map(tuple, ss.tolist())))
+
+
+def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
+                radii: Sequence[float] | None = None
+                ) -> tuple[list[Modulus], list[tuple]]:
+    """Total-convexity curves and verdicts about base points (see
+    ``total_convexity_modulus``); the first one outside dom f raises."""
+    grid = f.grid
+    n, dim = grid.size, grid.dim
+    xs = np.array([int(x) for x in points], dtype=np.int64)
+    fv = f.flat
+    fx = fv[xs]
+    for x, v in zip(xs.tolist(), fx):
+        if not np.isfinite(v):
+            raise PointOutsideDomainError(f"f is +inf at flat index {x}")
+    k_dd = DEFAULT_TOLS.k_dd
+    st = _ray_stencil(grid, norm, k_dd)
+    origin = _origins(grid, xs)
+    rows = np.arange(xs.size)
+    g = st.g[origin].reshape(-1, n)
+    step_len = st.step_len[origin].reshape(-1, n)
+
+    # ray quotients over the first k_dd multiples of the primitive step, read
+    # from f laid on the lattice about each base point: off the grid and off
+    # the lattice (the pad slot) read +inf, so neither is admissible nor a
+    # finite quotient
+    lattice = np.full((xs.size, st.slots), math.inf)
+    lat = lattice[:, :-1].reshape(-1, *(2 * c - 1 for c in grid.counts))
+    _windows(lat, grid, writeable=True)[(rows, *origin)] = f.values
+    hops = st.hops[(slice(None), *origin)].reshape(k_dd, -1, n)
+    hops += (st.slots * rows[:, None]).astype(hops.dtype)
+    vals = lattice.ravel()[hops]
+    ks = np.arange(1, k_dd + 1)[:, None, None]
+    adm = np.isfinite(vals)
+    quot = (vals - fx[:, None]) / (ks * step_len)
+
+    # reduce over k with k leading a 2D array: numpy is slow on (k, R, n)
+    closer_ray = (adm & (ks < np.minimum(g, k_dd + 1))).reshape(k_dd, -1).any(axis=0)
+    ray_ok = (g >= 2) & closer_ray.reshape(-1, n)
+    fprime_ray = quot.reshape(k_dd, -1).min(axis=0).reshape(-1, n)
+    with np.errstate(invalid="ignore"):     # inf - inf where a step is not admissible
+        fprime_ray = np.where(adm[0] & adm[1],
+                              np.minimum(fprime_ray, 2.0 * quot[0] - quot[1]),
+                              fprime_ray)
+
+    # per-axis signed quotients q[axis][sign] and admissible-step counts
+    # (sign 0 -> +, 1 -> -): the ray of the neighbour base + sign e_axis is
+    # the axis itself (inf and no admissible step where that neighbour is
+    # off the grid)
+    steps = np.eye(dim, dtype=np.int64)
+    base = np.stack(np.unravel_index(xs, grid.shape), axis=1)
+    nbrs = base[:, None, None, :] + np.stack([steps, -steps], axis=1)
+    on_grid = ((nbrs >= 0) & (nbrs < grid.shape)).all(axis=-1)
+    at = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape,
+                              mode="clip") + n * rows[:, None, None]
+    axis_q = np.where(on_grid, fprime_ray.ravel()[at], math.inf)
+    axis_cnt = np.where(on_grid, adm.reshape(k_dd, -1)[:, at].sum(axis=0), 0)
+
+    # axis decomposition: the offset's component along each axis picks that
+    # axis's quotient by sign, so every term is a per-axis vector broadcast
+    # over the grid. numpy sums a short last axis from +0.0 in axis order,
+    # so adding the terms that way gives the bits of the per-offset sum.
+    decomp, n_axes, single_cnt, all_ok = 0.0, 0, 0, True
+    for ax in range(dim):
+        shape = [xs.size] + [1] * dim
+        shape[ax + 1] = grid.counts[ax]
+        rel = np.arange(grid.counts[ax]) - base[:, ax:ax + 1]
+        neg, needed = rel < 0, rel != 0
+        q, cnt, opposite = (np.where(neg, t[:, ax, 1 - j:2 - j], t[:, ax, j:j + 1])
+                            for t, j in ((axis_q, 0), (axis_cnt, 0), (axis_cnt, 1)))
+        q_safe = np.where(needed & np.isfinite(q), q, 0.0)
+        decomp = decomp + (np.abs(rel) * grid.spacing[ax] * q_safe).reshape(shape)
+        n_axes = n_axes + needed.reshape(shape)
+        single_cnt = single_cnt + np.where(needed, cnt, 0).reshape(shape)
+        all_ok = all_ok & (~needed | ((cnt >= 2) & (opposite >= 1))).reshape(shape)
+    dec_ok = np.where(n_axes == 1, single_cnt >= 2, all_ok) & (n_axes >= 1)
+
+    dist = norm.length(grid.points - grid.points[xs][:, None, :])
+    dist_safe = np.where(g == 0, 1.0, dist)
+    bound_ray = np.where(ray_ok, dist_safe * fprime_ray, math.inf)
+    bound_dec = np.where(dec_ok.reshape(-1, n), decomp.reshape(-1, n), math.inf)
+    slope_term = np.minimum(bound_ray, bound_dec)
+    usable = (ray_ok | dec_ok.reshape(-1, n)) & (g > 0) & np.isfinite(fv)
+    with np.errstate(invalid="ignore"):     # inf - inf off the usable points
+        gaps = np.where(usable, fv - fx[:, None] - slope_term, math.inf)
+    return _curve_rows("total", grid, xs, norm, radii, None, gaps, None)
 
 
 def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
@@ -133,22 +373,7 @@ def firm_modulus(f: GridFunction, x_flat: int, s: Sequence[float],
     Raises NotASubgradientError when the Fenchel-Young gap of (x, s)
     exceeds the grid-scale threshold.
     """
-    fx = f.value_at(x_flat)
-    if not np.isfinite(fx):
-        raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    tilted = f.tilted(s)
-    # f*(s) is minus the tilted minimum
-    gap = fx - float(tilted.min()) - float(f.grid.point(x_flat) @ s)
-    tau = tau_sub(f, x_flat, s, norm)
-    if gap > tau:
-        raise NotASubgradientError(
-            f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
-    ladder = _ladder(f.grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(
-        tilted[ladder.members] - tilted[x_flat], ladder)
-    return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
-                   tilt=tuple(float(c) for c in s), spacing=f.grid.max_spacing)
+    return _firm_rows(f, [x_flat], [s], norm, radii)[0][0]
 
 
 def total_convexity_modulus(f: GridFunction, x_flat: int,
@@ -170,82 +395,29 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     two admissible steps and a sample on the opposite side, since one-sided
     single-step quotients overshoot near steep domain edges.
     """
-    fx = f.value_at(x_flat)
-    if not np.isfinite(fx):
-        raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
-    grid = f.grid
-    shape = np.asarray(grid.shape, dtype=np.int64)
-    dim = grid.dim
-    n = grid.size
-    base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
-    spacing = np.asarray(grid.spacing)
-    fv = f.flat
-    k_dd = DEFAULT_TOLS.k_dd
-    lat_off, lat_g, lat_len, lat_hops = _ray_stencil(grid, norm, k_dd)
-    win = tuple(slice(c - 1 - b, 2 * c - 1 - b) for c, b in zip(grid.counts, base))
-    offsets = lat_off[win].reshape(n, dim)
-    g, step_len = lat_g[win].ravel(), lat_len[win].ravel()
+    return _total_rows(f, [x_flat], norm, radii)[0][0]
 
-    # ray quotients over the first k_dd multiples of the primitive step, read
-    # from f laid on the lattice about x: off the grid and off the lattice
-    # (the pad slot) read +inf, so neither is admissible nor a finite quotient
-    lattice = np.full(lat_hops[0].size + 1, math.inf)
-    lattice[:-1].reshape(lat_g.shape)[win] = f.values
-    vals = lattice[lat_hops[(slice(None), *win)]].reshape(k_dd, n)
-    ks = np.arange(1, k_dd + 1)
-    adm = np.isfinite(vals)
-    quot = (vals - fx) / (ks[:, None] * step_len)
 
-    closer_ray = (adm & (ks[:, None] < np.minimum(g, k_dd + 1)[None, :])).any(axis=0)
-    ray_ok = (g >= 2) & closer_ray
-    fprime_ray = quot.min(axis=0)
-    both = adm[0] & adm[1]
-    fprime_ray[both] = np.minimum(fprime_ray[both],
-                                  2.0 * quot[0][both] - quot[1][both])
+def firm_moduli(f: GridFunction, points: Sequence[int],
+                tilts: Sequence[Sequence[float]],
+                norm: NormChoice = NormChoice.L2
+                ) -> tuple[list[Modulus], list[tuple]]:
+    """``firm_modulus`` and its ``certification_verdict`` at every pair
+    (``points[r]``, ``tilts[r]``), in row blocks; the first pair in input
+    order that is not a subgradient pair raises."""
+    return _by_blocks(f.grid, len(points),
+                      lambda b: _firm_rows(f, points[b], tilts[b], norm))
 
-    # per-axis signed quotients q[ax][sign] and admissible-step counts: the
-    # ray of the neighbour base + sign e_ax is the axis itself (inf and no
-    # admissible step where that neighbour is off the grid)
-    steps = np.eye(dim, dtype=np.int64)
-    nbrs = base + np.stack([steps, -steps], axis=1)      # (axis, sign, dim)
-    on_grid = ((nbrs >= 0) & (nbrs < shape)).all(axis=2)
-    at = np.ravel_multi_index(tuple(nbrs.reshape(-1, dim).T), grid.shape,
-                              mode="clip").reshape(dim, 2)
-    axis_q = np.where(on_grid, fprime_ray[at], math.inf)
-    axis_cnt = np.where(on_grid, adm[:, at].sum(axis=0), 0)
 
-    # axis decomposition bookkeeping
-    sgn_idx = (offsets < 0).astype(int)          # 0 -> +, 1 -> -
-    ax_ids = np.arange(dim)
-    needed = offsets != 0
-    n_axes = needed.sum(axis=1)
-    cnt_needed = axis_cnt[ax_ids[None, :], sgn_idx]
-    cnt_opposite = axis_cnt[ax_ids[None, :], 1 - sgn_idx]
-    q_needed = axis_q[ax_ids[None, :], sgn_idx]
-    delta_phys = np.abs(offsets) * spacing[None, :]
-    q_safe = np.where(needed & np.isfinite(q_needed), q_needed, 0.0)
-    decomp = (delta_phys * q_safe).sum(axis=1)
-
-    single_cnt = np.where(needed, cnt_needed, 0).sum(axis=1)
-    dec_ok = np.where(
-        n_axes == 1,
-        single_cnt >= 2,
-        (~needed | ((cnt_needed >= 2) & (cnt_opposite >= 1))).all(axis=1))
-    dec_ok &= n_axes >= 1
-
-    dist = norm.length(grid.points - grid.point(x_flat))
-    dist_safe = np.where(g == 0, 1.0, dist)
-    bound_ray = np.where(ray_ok, dist_safe * fprime_ray, math.inf)
-    bound_dec = np.where(dec_ok, decomp, math.inf)
-    slope_term = np.minimum(bound_ray, bound_dec)
-    usable = (ray_ok | dec_ok) & (g > 0) & np.isfinite(fv)
-    gaps = np.full(n, math.inf)
-    gaps[usable] = fv[usable] - fx - slope_term[usable]
-
-    ladder = _ladder(grid, x_flat, norm, radii)
-    radii_a, values, empty, wit = _shell_minima(gaps[ladder.members], ladder)
-    return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm,
-                   spacing=grid.max_spacing)
+def total_convexity_moduli(f: GridFunction, points: Sequence[int],
+                           norm: NormChoice = NormChoice.L2
+                           ) -> tuple[list[Modulus], list[tuple]]:
+    """``total_convexity_modulus`` and its ``certification_verdict`` about
+    each of ``points`` in order, in row blocks, up to the block holding the
+    first negative verdict."""
+    return _by_blocks(f.grid, len(points),
+                      lambda b: _total_rows(f, points[b], norm),
+                      lambda v: not v[0])
 
 
 def certify_gamma0(m: Modulus) -> Gamma0Certificate:
@@ -256,11 +428,6 @@ def certify_gamma0(m: Modulus) -> Gamma0Certificate:
     every sample clears it, the smallest sampled radius; the envelope is at
     or below the floor there in both cases.
     """
-    sel = m.finite_mask()
-    ts = m.radii[sel]
-    vs = m.values[sel]
-    if ts.size == 0:
-        raise InsufficientDataError("need at least 1 finite sample, have 0")
     # The envelope lies below every sample, so each sample must clear the
     # floor. Its first piece is the chord from the origin of least slope
     # min(v/t), and every later piece is a chord between two samples. The
@@ -270,16 +437,11 @@ def certify_gamma0(m: Modulus) -> Gamma0Certificate:
     # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
     # cannot move it across the floor. A single sample has no chord tail:
     # it decides alone, positive iff v0 > delta0(t0).
-    low = np.flatnonzero(~(vs > DEFAULT_TOLS.delta0(ts)))
-    if low.size:
-        return Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
-                                 DEFAULT_TOLS.eps_fp)
-    t0 = float(ts[0])
-    chord = t0 * float((vs[1:] / ts[1:]).min(initial=math.inf))
-    first = min(float(vs[0]), chord)
-    positive = bool(first > DEFAULT_TOLS.delta0(t0))
-    return Gamma0Certificate(positive, None if positive else t0,
-                             int(ts.size), DEFAULT_TOLS.eps_fp)
+    (n, pos, fail), = _certify_rows(m.radii, m.values[None], m.empty[None],
+                                    -math.inf)
+    if n == 0:
+        raise InsufficientDataError("need at least 1 finite sample, have 0")
+    return Gamma0Certificate(pos, None if pos else fail, n, DEFAULT_TOLS.eps_fp)
 
 
 def certification_verdict(m: Modulus
@@ -292,13 +454,7 @@ def certification_verdict(m: Modulus
     inside the smallest shell, which forces convergence trivially, so the
     verdict is vacuously positive.
     """
-    mm = (m.restricted(DEFAULT_TOLS.cert_min_radius(m.spacing))
-          if m.spacing > 0 else m)
-    n_finite = int(mm.finite_mask().sum())
-    if n_finite == 0:
-        return True, None, "vacuous: no domain point in any usable shell"
-    cert = certify_gamma0(mm)
-    return cert.positive, cert, ""
+    return _verdicts(m.radii, m.values[None], m.empty[None], m.spacing)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +482,49 @@ class WellposednessReport:
                 and not self.boundary_descent)
 
 
+def _wellposed_rows(f: GridFunction, tilts: Sequence[Sequence[float]],
+                    norm: NormChoice, radii: Sequence[float] | None = None,
+                    members: np.ndarray | None = None
+                    ) -> tuple[list[Modulus], list[WellposednessReport]]:
+    """Well-posedness curves and reports of tilts (see
+    ``wellposedness_modulus``); an infeasible tilt raises."""
+    grid = f.grid
+    ss = _tilts(tilts)
+    # tilt the whole grid, then index: a gathered matvec rounds differently
+    tilted = _tilted(f, ss)
+    cand = tilted if members is None else tilted.take(members, axis=1)
+    mval, level, ties = _tie_cluster(f, cand, ss)
+    mval = mval.tolist()
+    if math.inf in mval:
+        raise InfeasibleProblemError("tilted problem has no feasible domain point")
+    row_of, cl = np.divmod(ties, cand.shape[1])
+    if members is not None:
+        cl = members[cl]
+    size = np.bincount(row_of, minlength=len(ss))
+    first = size.cumsum() - size
+    x_hat = cl[first]
+    coords = grid.points[cl]
+    diameter = norm.length(np.maximum.reduceat(coords, first)
+                           - np.minimum.reduceat(coords, first)).tolist()
+    cell = DEFAULT_TOLS.cell_limit(grid, norm)
+    # a feasible set is the whole problem, so only an unconstrained minimum
+    # can be a truncation artifact of the grid edge
+    edge_only = ([False] * len(ss) if members is not None else
+                 (~np.logical_or.reduceat(grid.interior_flat[cl], first)).tolist())
+    mods, verdicts = _curve_rows("wellposed", grid, x_hat, norm, radii, members,
+                                 cand, cand.ravel()[ties[first]],
+                                 list(map(tuple, ss.tolist())))
+    reports = []
+    for r, (pos, cert, note) in enumerate(verdicts):
+        lo, k = int(first[r]), int(size[r])
+        descent = edge_only[r] and _edge_descent(
+            grid, tilted[r], cl[lo:lo + k], float(level[r]))
+        reports.append(WellposednessReport(
+            mods[r].tilt, mods[r].center, mval[r], k, diameter[r],
+            diameter[r] <= cell, descent, pos, cert, note))
+    return mods, reports
+
+
 def wellposedness_modulus(f: GridFunction, s: Sequence[float],
                           radii: Sequence[float] | None = None,
                           norm: NormChoice = NormChoice.L2,
@@ -338,37 +537,19 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     some certified shell, so the verdict legs stay coherent. ``members``
     (ascending flat indices of a feasible set) restricts the problem to them.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    grid = f.grid
-    # tilt the whole grid, then index: a gathered matvec rounds differently
-    tilted = f.tilted(s)
-    cand = tilted if members is None else tilted[members]
-    if not np.isfinite(cand).any():
-        raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    mval, eps, cluster = _tie_cluster(f, cand, s)
-    cluster = cluster if members is None else members[cluster]
-    x_hat = int(cluster[0])
+    mods, reports = _wellposed_rows(f, [s], norm, radii, members)
+    return mods[0], reports[0]
 
-    coords = grid.points[cluster]
-    diag = coords.max(axis=0) - coords.min(axis=0)
-    diameter = float(norm.length(diag))
-    unique = diameter <= DEFAULT_TOLS.cell_limit(grid, norm)
 
-    # a feasible set is the whole problem, so only an unconstrained minimum
-    # can be a truncation artifact of the grid edge
-    boundary_descent = (members is None
-                        and not grid.interior_flat[cluster].any()
-                        and _edge_descent(grid, tilted, cluster, mval + eps))
-    ladder = _ladder(grid, x_hat, norm, radii, within=members)
-    radii_a, values, empty, wit = _shell_minima(
-        tilted[ladder.members] - tilted[x_hat], ladder)
-    mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
-                  tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
-    pos, cert, note = certification_verdict(mod)
-    report = WellposednessReport(tuple(float(c) for c in s), x_hat, mval,
-                                 int(cluster.size), diameter, unique,
-                                 boundary_descent, pos, cert, note)
-    return mod, report
+def wellposedness_moduli(f: GridFunction, tilts: Sequence[Sequence[float]],
+                         norm: NormChoice = NormChoice.L2, stop: bool = False
+                         ) -> tuple[list[Modulus], list[WellposednessReport]]:
+    """``wellposedness_modulus`` of each of ``tilts`` in order, in row
+    blocks; with ``stop``, only up to the block holding the first tilt
+    without a strong minimum."""
+    return _by_blocks(f.grid, len(tilts),
+                      lambda b: _wellposed_rows(f, tilts[b], norm),
+                      (lambda rep: not rep.strong) if stop else None)
 
 
 @dataclass(frozen=True)
@@ -387,9 +568,10 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2
     """
     grid = f.grid
     tilted = f.flat
-    mval, eps, cluster = _tie_cluster(f, tilted, np.zeros(grid.dim))
+    (mval,), (level,), cluster = _tie_cluster(f, tilted[None],
+                                              np.zeros((1, grid.dim)))
     x_hat = int(cluster[0])
-    if _edge_descent(grid, tilted, cluster, mval + eps):
+    if _edge_descent(grid, tilted, cluster, level):
         return CoercivityReport(False, x_hat,
                                 "minimum on grid edge with outward descent")
 

@@ -25,13 +25,14 @@ from .grids import Grid, GridFunction, NormChoice
 from .tolerances import DEFAULT_TOLS
 
 
-def tau_sub(f: GridFunction, x_flat: int, s: Sequence[float],
-            norm: NormChoice = NormChoice.L2) -> float:
-    """Gap threshold for accepting s as a subgradient at x."""
+def tau_sub(f: GridFunction, x_flat: int | np.ndarray,
+            s: Sequence[float] | np.ndarray,
+            norm: NormChoice = NormChoice.L2) -> float | np.ndarray:
+    """Gap threshold for accepting s as a subgradient at x. Elementwise
+    over an array of points with one tilt per point (the rows of ``s``)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    s_norm = float(norm.dual.length(s))
-    return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norm,
-                                      f.local_slope(x_flat))
+    return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, norm.dual.length(s),
+                                      f.local_slopes[x_flat])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import legendrelab as ll
+from legendrelab import moduli
 from legendrelab.catalog import entries, entry
 from legendrelab.classify import CHAIN, _Session, default_sample_plan
 from legendrelab.generators import random_convex_1d, random_grid_function
 
 from conftest import random_convex_2d
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("legendrelab.classify")
 
 
 def test_halfsq2_all_verdicts_true():
@@ -97,7 +103,7 @@ def test_rint_total_matches_firm_verdict():
             duals = ses.witness_duals(x, 8)
             if not duals:
                 continue
-            firm_at_x = all(ses.firm_positive(x, s)[0] for s in duals)
+            firm_at_x = all(pos for pos, _ in ses.firm([(x, s) for s in duals]))
             total_at_x = ses.total_positive(x)[0]
             assert firm_at_x == total_at_x, (eid, p)
 
@@ -234,3 +240,106 @@ def test_witness_duals_equal_per_candidate_loop_on_random(dim, seed):
         assert got == _witness_duals_per_candidate(ses, int(x), 10**6)
         found += len(got)
     assert found > 0
+
+
+# -- row blocks: evaluation stops where the loops stop ----------------------
+
+def parent_visits(f, dual_grid):
+    """The points and tilts the classification loops visit, one modulus at
+    a time: the total-convexity loops over the subdifferentiable and the
+    domain points (memoized, each up to its first failure) and the
+    well-posedness loop over the plan's tilts (up to its first tilt
+    without a strong minimum)."""
+    ses = _Session(f, dual_grid, ll.NormChoice.L2)
+    plan = default_sample_plan(f, ses.conj)
+    dom_points = [x for x in plan.primal if f.domain_flat[x]]
+    subdiff = [x for x in dom_points
+               if ses.witness_duals(x, classify_module._MAX_WITNESS_DUALS)]
+    points, memo = [], {}
+    for loop in (subdiff, dom_points):
+        for x in loop:
+            if x not in memo:
+                memo[x] = ll.certification_verdict(
+                    ll.total_convexity_modulus(f, x))[0]
+                points.append(x)
+            if not memo[x]:
+                break
+    duals = []
+    for s in plan.dual:
+        duals.append(s)
+        if not ll.wellposedness_modulus(f, dual_grid.point(s))[1].strong:
+            break
+    return points, duals
+
+
+def count_total_rows(monkeypatch):
+    evaluated = []
+    rows = moduli._total_rows
+
+    def counting(f, points, norm, radii=None):
+        evaluated.extend(points)
+        return rows(f, points, norm, radii)
+
+    monkeypatch.setattr(moduli, "_total_rows", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize("eid", ["sqrt_well", "fourth_root_well"])
+def test_total_rows_stop_at_the_loop_break(eid, monkeypatch):
+    """Both wells fail total convexity early; a 121^2 grid takes one row
+    per block, so exactly the visited points are evaluated."""
+    e = entry(eid)
+    f = e.build()
+    visited, duals = parent_visits(f, e.dual_grid)
+    evaluated = count_total_rows(monkeypatch)
+    rep = ll.classify(f, e.dual_grid)
+    block = max(1, moduli._ROW_BLOCK // f.grid.size)
+    assert block == 1
+    assert evaluated == visited
+    assert not rep.truth()["totally_convex_on_dom"]
+    assert_disclaimers_visited(rep.to_dict(), visited, duals)
+
+
+def assert_disclaimers_visited(report, visited, duals):
+    """Every total-convexity or well-posedness disclaimer names a point or
+    tilt its loop visited."""
+    for text in report["disclaimers"]:
+        if text.startswith("total-convexity certificate at "):
+            assert int(text.split()[3].rstrip(":")) in visited
+        if text.startswith("wellposedness at dual "):
+            assert int(text.split()[3].rstrip(":")) in duals
+
+
+def random_1d(i):
+    rng = np.random.default_rng(42)
+    g = ll.grid_1d(-2.0, 2.0, 201)
+    fs = [random_convex_1d(rng, g, strongly=bool(k % 2), boxed=(k % 3 == 0),
+                           name=f"random_convex_{k}") for k in range(i + 1)]
+    return fs[i], ll.grid_1d(-3.0, 3.0, 241)
+
+
+CASES = [*((e.id, None) for e in entries() if e.dim == 1),
+         *(("random", i) for i in (9, 12, 15))]
+
+
+@pytest.mark.parametrize("eid,draw", CASES)
+def test_report_independent_of_row_blocks(eid, draw, monkeypatch):
+    """Blocks of 1, 4 and 81 rows give the same report; each block ends at
+    most 3 rows past a loop's last visited point, and disclaimers name
+    visited points and tilts only."""
+    if draw is None:
+        e = entry(eid)
+        f, d = e.build(), e.dual_grid
+    else:
+        f, d = random_1d(draw)
+    visited, duals = parent_visits(f, d)
+    reports = []
+    for block in (1, 4, 81):
+        monkeypatch.setattr(moduli, "_ROW_BLOCK", block * f.grid.size)
+        evaluated = count_total_rows(monkeypatch)
+        reports.append(ll.classify(f, d).to_dict())
+        assert len(set(evaluated)) == len(evaluated)
+        assert set(visited) <= set(evaluated)
+        assert len(evaluated) <= len(visited) + 2 * (block - 1)
+    assert reports[0] == reports[1] == reports[2]
+    assert_disclaimers_visited(reports[0], visited, duals)

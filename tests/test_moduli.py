@@ -10,7 +10,7 @@ import legendrelab as ll
 from legendrelab import grids, moduli
 from legendrelab.catalog import SET_NAMES, entry, make_set
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
-                                NotASubgradientError)
+                                NotASubgradientError, PointOutsideDomainError)
 from legendrelab.moduli import Modulus
 from legendrelab.projections import probe_box
 from legendrelab.tolerances import DEFAULT_TOLS
@@ -400,6 +400,29 @@ def shell_minima_loop(gaps, shells, feasible=None):
     return radii, values, empty, witnesses
 
 
+def ladder_oracle(grid, center, norm, radii, within=None):
+    """Reference: the one-center ladder as built before the row core, the
+    shell ladder or the closed shells at explicit ``radii``."""
+    if radii is None:
+        return ll.shell_ladder(grid, center, norm=norm, within=within)
+    shells = [ll.shell(grid, center, float(t), norm=norm).members for t in radii]
+    if within is not None:
+        shells = [np.intersect1d(m, within, assume_unique=True) for m in shells]
+    return grids.ShellLadder(grid, int(center), norm,
+                             np.array([float(t) for t in radii]),
+                             np.concatenate([np.empty(0, np.int64), *shells]),
+                             np.cumsum([0, *(m.size for m in shells)]))
+
+
+def explicit_ladder(grid, center, norm, radii, within=None):
+    """The library's closed shells at explicit ``radii`` about one center."""
+    lad = moduli._explicit_ladders(grid, [center], norm, radii, within)
+    assert lad.starts[1] == 0                  # no points inside the radii
+    members = lad.members if within is None else within[lad.members]
+    return grids.ShellLadder(grid, int(center), norm, lad.radii, members,
+                             lad.starts[1:])
+
+
 def member_indices(feasible):
     """The ascending flat indices of a mask, None for no mask."""
     return None if feasible is None else np.flatnonzero(feasible)
@@ -448,13 +471,13 @@ def test_grouped_shell_minima_equal_per_shell_loop(case, norm):
        radii=st.lists(st.floats(0.01, 3.0), min_size=0, max_size=6))
 def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
     grid, center, gaps, feasible = case
-    ladder = moduli._ladder(grid, center, ll.NormChoice.L2, radii)
+    ladder = explicit_ladder(grid, center, ll.NormChoice.L2, radii)
     shells = [ll.shell(grid, center, t) for t in radii]
     assert len(ladder) == len(shells)
     assert all(np.array_equal(a.members, b.members)
                for a, b in zip(ladder, shells))
-    members = moduli._ladder(grid, center, ll.NormChoice.L2, radii,
-                             within=member_indices(feasible))
+    members = explicit_ladder(grid, center, ll.NormChoice.L2, radii,
+                              within=member_indices(feasible))
     assert_bitwise_equal(moduli._shell_minima(gaps[members.members], members),
                          shell_minima_loop(gaps, shells, feasible))
 
@@ -507,6 +530,14 @@ def shell_minima_masked(gaps, ladder, feasible):
     return ladder.radii, values, empty, witnesses
 
 
+def tie_cluster_per_call(f, values, s):
+    """The parent's tie cluster of one tilted objective: its minimum, the
+    tie slack and the flat indices within that slack of the minimum."""
+    mval = float(values.min())
+    eps = DEFAULT_TOLS.tie_slack(mval, float(np.abs(s).sum()), f.grid.bounds)
+    return mval, eps, np.flatnonzero(values <= mval + eps)
+
+
 def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
                          feasible=None):
     """Reference: the well-posedness modulus computed over the whole grid,
@@ -519,7 +550,7 @@ def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
         cand = np.where(feasible, tilted, math.inf)
     if not np.isfinite(cand).any():
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    mval, eps, cluster = moduli._tie_cluster(f, cand, s)
+    mval, eps, cluster = tie_cluster_per_call(f, cand, s)
     x_hat = int(cluster[0])
     coords = grid.points[cluster]
     diameter = float(norm.length(coords.max(axis=0) - coords.min(axis=0)))
@@ -528,7 +559,7 @@ def masked_wellposedness(f, s, radii=None, norm=ll.NormChoice.L2,
                         and not grid.interior_flat[cluster].any()
                         and moduli._edge_descent(grid, cand, cluster, mval + eps))
     gaps = cand - cand[x_hat]
-    ladder = moduli._ladder(grid, x_hat, norm, radii)
+    ladder = ladder_oracle(grid, x_hat, norm, radii)
     radii_a, values, empty, wit = shell_minima_masked(gaps, ladder, feasible)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
                   tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
@@ -820,7 +851,7 @@ def total_convexity_per_call(f, x_flat, norm, radii=None):
     gaps = np.full(n, math.inf)
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
-    ladder = moduli._ladder(grid, x_flat, norm, radii)
+    ladder = ladder_oracle(grid, x_flat, norm, radii)
     return moduli._shell_minima(gaps[ladder.members], ladder)
 
 
@@ -876,13 +907,15 @@ def test_ray_stencil_is_cached_and_read_only():
     grid = ll.grid_2d(-2.0, 2.0, 5, -1.0, 3.0, 3)
     arrays = grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd)
     assert grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd) is arrays
-    offsets, g, step_len, hops = arrays
-    assert offsets.shape == (9, 5, 2) and hops.shape == (DEFAULT_TOLS.k_dd, 9, 5)
-    assert (offsets.dtype, g.dtype, hops.dtype) == (np.int16, np.int16, np.int32)
-    for a in arrays:
+    # one 5 x 3 window at each of the 5 x 3 origins of the 9 x 5 lattice
+    assert arrays.g.shape == arrays.step_len.shape == (5, 3, 5, 3)
+    assert arrays.hops.shape == (DEFAULT_TOLS.k_dd, 5, 3, 5, 3)
+    assert (arrays.g.dtype, arrays.hops.dtype) == (np.int16, np.int32)
+    assert arrays.slots == 9 * 5 + 1
+    for a in arrays[:3]:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a.flat[0] = a.flat[0]
+            a[(0,) * a.ndim] = 0
 
 
 def verdict_cut_by_caller(m, min_radius):
@@ -954,3 +987,363 @@ def test_recorded_spacing_cuts_split_minimizer_zero():
     assert rep.multiplicity == 2 and rep.certificate_positive
     assert ll.certification_verdict(m) == verdict_cut_by_caller(m, cert_start(f.grid))
     assert not verdict_cut_by_caller(m, 0.0)[0]
+
+
+# -- row blocks against the per-call bodies ----------------------------------
+#
+# The oracles below are the per-call bodies the row core replaced: one
+# ladder, one grouped shell-minima pass and one certificate per call.
+
+def shell_ladder_per_call(grid, center, norm, within=None):
+    """Reference: one center's ladder from a slice of the band stencil."""
+    lattice = tuple(2 * n - 1 for n in grid.counts)
+    multi = grid.unravel_index(center)
+    window = grids._band_stencil(grid, norm).band.reshape(lattice)[
+        tuple(slice(n - 1 - c, 2 * n - 1 - c) for n, c in zip(grid.counts, multi))]
+    kmax = int(window[tuple(slice(None, None, n - 1) for n in grid.counts)].max())
+    bands = (window.ravel() if within is None
+             else window[np.unravel_index(within, grid.counts)])
+    order = np.argsort(bands, kind="stable")
+    starts = np.searchsorted(bands[order], np.arange(1, max(kmax, 1) + 2))
+    if within is not None:
+        order = within[order]
+    return grids.ShellLadder(grid, int(center), norm,
+                             np.arange(1, len(starts)) * grid.max_spacing,
+                             order[starts[0]:starts[-1]], starts - starts[0])
+
+
+def ladder_per_call(grid, center, norm, radii, within=None):
+    if radii is None:
+        return shell_ladder_per_call(grid, center, norm, within)
+    return ladder_oracle(grid, center, norm, radii, within)
+
+
+def shell_minima_per_call(vals, ladder):
+    """Reference: the grouped shell minima of one ladder."""
+    mem = ladder.members
+    starts = ladder.starts[:-1]
+    empty = starts == ladder.starts[1:]
+    values = np.full(len(ladder), math.inf)
+    witnesses = np.full(len(ladder), -1, dtype=np.int64)
+    if empty.all():
+        return ladder.radii, values, empty, witnesses
+    filled = np.flatnonzero(~empty)
+    seg_min = np.minimum.reduceat(np.append(vals, math.inf), starts)
+    hits = np.flatnonzero(vals == np.repeat(seg_min, np.diff(ladder.starts)))
+    first = hits[np.searchsorted(hits, starts[filled])]
+    values[filled] = vals[first]
+    found = np.isfinite(vals[first])
+    witnesses[filled[found]] = mem[first[found]]
+    return ladder.radii, values, empty, witnesses
+
+
+def certify_gamma0_per_call(m):
+    sel = m.finite_mask()
+    ts = m.radii[sel]
+    vs = m.values[sel]
+    if ts.size == 0:
+        raise InsufficientDataError("need at least 1 finite sample, have 0")
+    low = np.flatnonzero(~(vs > DEFAULT_TOLS.delta0(ts)))
+    if low.size:
+        return moduli.Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
+                                        DEFAULT_TOLS.eps_fp)
+    t0 = float(ts[0])
+    chord = t0 * float((vs[1:] / ts[1:]).min(initial=math.inf))
+    first = min(float(vs[0]), chord)
+    positive = bool(first > DEFAULT_TOLS.delta0(t0))
+    return moduli.Gamma0Certificate(positive, None if positive else t0,
+                                    int(ts.size), DEFAULT_TOLS.eps_fp)
+
+
+def certification_verdict_per_call(m):
+    mm = (m.restricted(DEFAULT_TOLS.cert_min_radius(m.spacing))
+          if m.spacing > 0 else m)
+    if int(mm.finite_mask().sum()) == 0:
+        return True, None, "vacuous: no domain point in any usable shell"
+    cert = certify_gamma0_per_call(mm)
+    return cert.positive, cert, ""
+
+
+def firm_modulus_per_call(f, x_flat, s, radii=None, norm=ll.NormChoice.L2):
+    fx = f.value_at(x_flat)
+    if not np.isfinite(fx):
+        raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    tilted = f.tilted(s)
+    gap = fx - float(tilted.min()) - float(f.grid.point(x_flat) @ s)
+    tau = DEFAULT_TOLS.gap_threshold(f.grid.max_spacing,
+                                     float(norm.dual.length(s)),
+                                     f.local_slope(x_flat))
+    if gap > tau:
+        raise NotASubgradientError(
+            f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
+    ladder = ladder_per_call(f.grid, x_flat, norm, radii)
+    radii_a, values, empty, wit = shell_minima_per_call(
+        tilted[ladder.members] - tilted[x_flat], ladder)
+    return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
+                   tilt=tuple(float(c) for c in s), spacing=f.grid.max_spacing)
+
+
+def total_modulus_per_call(f, x_flat, radii=None, norm=ll.NormChoice.L2):
+    if not np.isfinite(f.value_at(x_flat)):
+        raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
+    radii_a, values, empty, wit = total_convexity_per_call(f, x_flat, norm, radii)
+    return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm,
+                   spacing=f.grid.max_spacing)
+
+
+def wellposedness_per_call(f, s, radii=None, norm=ll.NormChoice.L2,
+                           members=None):
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    grid = f.grid
+    tilted = f.tilted(s)
+    cand = tilted if members is None else tilted[members]
+    if not np.isfinite(cand).any():
+        raise InfeasibleProblemError("tilted problem has no feasible domain point")
+    mval, eps, cluster = tie_cluster_per_call(f, cand, s)
+    cluster = cluster if members is None else members[cluster]
+    x_hat = int(cluster[0])
+    coords = grid.points[cluster]
+    diameter = float(norm.length(coords.max(axis=0) - coords.min(axis=0)))
+    unique = diameter <= DEFAULT_TOLS.cell_limit(grid, norm)
+    boundary_descent = (members is None
+                        and not grid.interior_flat[cluster].any()
+                        and moduli._edge_descent(grid, tilted, cluster, mval + eps))
+    ladder = ladder_per_call(grid, x_hat, norm, radii, within=members)
+    radii_a, values, empty, wit = shell_minima_per_call(
+        tilted[ladder.members] - tilted[x_hat], ladder)
+    mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
+                  tilt=tuple(float(c) for c in s), spacing=grid.max_spacing)
+    pos, cert, note = certification_verdict_per_call(mod)
+    return mod, moduli.WellposednessReport(
+        tuple(float(c) for c in s), x_hat, mval, int(cluster.size), diameter,
+        unique, boundary_descent, pos, cert, note)
+
+
+def assert_same_curve(got, want):
+    assert_bitwise_equal((got.radii, got.values, got.empty, got.witnesses),
+                         (want.radii, want.values, want.empty, want.witnesses))
+    assert repr((got.kind, got.center, got.norm, got.tilt, got.spacing)) == \
+        repr((want.kind, want.center, want.norm, want.tilt, want.spacing))
+
+
+def assert_same_fields(got, want):
+    """Equal reprs: every field equal to the last bit, types included."""
+    assert repr(got) == repr(want)
+
+
+def rows_or_error(call, rows):
+    """The per-call results of ``rows`` in order, or the error of the first
+    row that raises (as the per-call loop would stop there)."""
+    out = []
+    for row in rows:
+        try:
+            out.append(call(*row))
+        except (PointOutsideDomainError, NotASubgradientError,
+                InfeasibleProblemError) as err:
+            return out, err
+    return out, None
+
+
+def check_block(block, call, rows):
+    """The block call raises the first per-call error, or equals the
+    per-call results row by row."""
+    want, err = rows_or_error(call, rows)
+    if err is not None:
+        with pytest.raises(type(err)) as got:
+            block()
+        assert str(got.value) == str(err)
+        return None
+    got = block()
+    assert len(got[0]) == len(want)
+    return got, want
+
+
+@st.composite
+def row_problem(draw):
+    """A function with ties and +inf holes, R base points (some may lie
+    outside dom f), R tilts, an optional set of members (some may lie
+    outside dom f) and either the default ladders or explicit radii."""
+    grid = draw(st.sampled_from(STENCIL_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.where(rng.random(grid.size) < draw(st.floats(0.0, 1.0)),
+                    rng.integers(-2, 3, grid.size).astype(float),
+                    rng.normal(size=grid.size))
+    vals[rng.random(grid.size) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = math.inf
+    vals[rng.integers(grid.size)] = 0.0
+    f = ll.GridFunction(grid, vals)
+    n_rows = draw(st.integers(1, 6))
+    dom = np.flatnonzero(f.domain_flat)
+    outside = draw(st.sampled_from([0.0, 0.0, 0.2]))
+    points = [int(rng.integers(grid.size)) if rng.random() < outside
+              else int(rng.choice(dom)) for _ in range(n_rows)]
+    tilts = rng.normal(size=(n_rows, grid.dim)) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    density = draw(st.sampled_from([None, 0.1, 0.5]))
+    members = (None if density is None
+               else np.flatnonzero(rng.random(grid.size) < density))
+    if members is not None and members.size == 0:
+        members = np.array([int(rng.integers(grid.size))])
+    radii = draw(st.one_of(st.none(), st.lists(st.floats(0.05, 4.0), min_size=1,
+                                                max_size=6, unique=True).map(sorted)))
+    return f, points, tilts, members, radii
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=row_problem(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_total_rows_equal_per_call(problem, norm):
+    f, points, _, _, radii = problem
+    checked = check_block(lambda: moduli._total_rows(f, points, norm, radii),
+                          lambda x: total_modulus_per_call(f, x, radii, norm),
+                          [(x,) for x in points])
+    if checked is None:
+        return
+    (mods, verdicts), want = checked
+    for x, mod, verdict, w in zip(points, mods, verdicts, want):
+        one = ll.total_convexity_modulus(f, x, radii=radii, norm=norm)
+        for got in (mod, one):
+            assert_same_curve(got, w)
+        assert_same_fields(verdict, certification_verdict_per_call(w))
+        assert_same_fields(ll.certification_verdict(one), verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=row_problem(), norm=st.sampled_from(list(ll.NormChoice)),
+       pick=st.sampled_from(["minimizer", "minimizer", "any"]))
+def test_firm_rows_equal_per_call(problem, norm, pick):
+    f, points, tilts, _, radii = problem
+    if pick == "minimizer":     # subgradient pairs: x minimizes f - <., s>
+        points = [int(np.argmin(f.tilted(s))) for s in tilts]
+    rows = list(zip(points, tilts))
+    checked = check_block(lambda: moduli._firm_rows(f, points, tilts, norm, radii),
+                          lambda x, s: firm_modulus_per_call(f, x, s, radii, norm),
+                          rows)
+    if checked is None:
+        return
+    (mods, verdicts), want = checked
+    for (x, s), mod, verdict, w in zip(rows, mods, verdicts, want):
+        one = ll.firm_modulus(f, x, s, radii=radii, norm=norm)
+        for got in (mod, one):
+            assert_same_curve(got, w)
+        assert_same_fields(verdict, certification_verdict_per_call(w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=row_problem(), norm=st.sampled_from(list(ll.NormChoice)))
+def test_wellposed_rows_equal_per_call(problem, norm):
+    f, _, tilts, members, radii = problem
+    checked = check_block(
+        lambda: moduli._wellposed_rows(f, tilts, norm, radii, members),
+        lambda s: wellposedness_per_call(f, s, radii, norm, members),
+        [(s,) for s in tilts])
+    if checked is None:
+        return
+    (mods, reports), want = checked
+    for s, mod, rep, (wm, wr) in zip(tilts, mods, reports, want):
+        one_mod, one_rep = ll.wellposedness_modulus(f, s, radii=radii, norm=norm,
+                                                    members=members)
+        for got_mod, got_rep in ((mod, rep), (one_mod, one_rep)):
+            assert_same_curve(got_mod, wm)
+            assert_same_fields(got_rep, wr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curves=st.lists(gamma0_curve(), min_size=1, max_size=5),
+       spacing=st.sampled_from([0.0, 0.01, 0.05]))
+def test_certificate_rows_equal_per_call(curves, spacing):
+    """Curves of one sampling, certified together, against one at a time."""
+    ts = curves[0][0]
+    rows = [(vs[:ts.size], empty[:ts.size]) for t, vs, empty in curves
+            if t.size >= ts.size]
+    values = np.array([vs for vs, _ in rows])
+    empty = np.array([e for _, e in rows])
+    got = moduli._verdicts(ts, values, empty, spacing)
+    for (vs, e), verdict in zip(rows, got):
+        m = Modulus("firm", 0, ts, vs, e, np.full(ts.size, -1),
+                    ll.NormChoice.L2, spacing=spacing)
+        assert_same_fields(verdict, certification_verdict_per_call(m))
+        assert_same_fields(ll.certification_verdict(m), verdict)
+        try:
+            want = certify_gamma0_per_call(m)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                ll.certify_gamma0(m)
+            continue
+        assert_same_fields(ll.certify_gamma0(m), want)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries()])
+def test_row_blocks_equal_per_call_on_catalog(eid, norm):
+    """Every kind, as one block of spread rows, against the per-call
+    bodies: total at domain points, firm at conjugate subgradient pairs,
+    well-posedness at spread tilts."""
+    e = entry(eid)
+    f = e.build()
+    dom = np.flatnonzero(f.domain_flat)
+    points = [int(i) for i in dom[np.linspace(0, dom.size - 1, 6).astype(int)]]
+    mods, verdicts = moduli._total_rows(f, points, norm)
+    for x, mod, verdict in zip(points, mods, verdicts):
+        want = total_modulus_per_call(f, x, norm=norm)
+        assert_same_curve(mod, want)
+        assert_same_fields(verdict, certification_verdict_per_call(want))
+    conj = ll.conjugate_fast(f, e.dual_grid)
+    duals = np.linspace(0, e.dual_grid.size - 1, 7).astype(int)[1:-1]
+    tilts = [e.dual_grid.point(int(s)) for s in duals]
+    pairs = [int(conj.argmax[s]) for s in duals]
+    mods, verdicts = moduli._firm_rows(f, pairs, tilts, norm)
+    for x, s, mod, verdict in zip(pairs, tilts, mods, verdicts):
+        want = firm_modulus_per_call(f, x, s, norm=norm)
+        assert_same_curve(mod, want)
+        assert_same_fields(verdict, certification_verdict_per_call(want))
+    mods, reports = moduli._wellposed_rows(f, tilts, norm)
+    for s, mod, rep in zip(tilts, mods, reports):
+        wm, wr = wellposedness_per_call(f, s, norm=norm)
+        assert_same_curve(mod, wm)
+        assert_same_fields(rep, wr)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries() if e.dim == 1])
+def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
+    """The block functions give the one-row results in input order; total
+    convexity, and well-posedness with ``stop``, end with the block holding
+    the first failure."""
+    e = entry(eid)
+    f = e.build()
+    monkeypatch.setattr(moduli, "_ROW_BLOCK", block * f.grid.size)
+    dom = np.flatnonzero(f.domain_flat)
+    points = [int(i) for i in dom[np.linspace(0, dom.size - 1, 12).astype(int)]]
+    tilts = [e.dual_grid.point(int(s))
+             for s in np.linspace(0, e.dual_grid.size - 1, 11).astype(int)[1:-1]]
+
+    def rows_kept(failed):
+        bad = [i for i, b in enumerate(failed) if b]
+        return len(failed) if not bad else min(len(failed),
+                                               (bad[0] // block + 1) * block)
+
+    one = [ll.certification_verdict(ll.total_convexity_modulus(f, x))
+           for x in points]
+    mods, verdicts = moduli.total_convexity_moduli(f, points)
+    assert len(mods) == len(verdicts) == rows_kept([not v[0] for v in one])
+    for x, mod, verdict, want in zip(points, mods, verdicts, one):
+        assert_same_curve(mod, ll.total_convexity_modulus(f, x))
+        assert_same_fields(verdict, want)
+
+    one = [ll.wellposedness_modulus(f, s) for s in tilts]
+    for stop in (False, True):
+        mods, reports = moduli.wellposedness_moduli(f, tilts, stop=stop)
+        kept = rows_kept([not r.strong for _, r in one]) if stop else len(tilts)
+        assert len(mods) == len(reports) == kept
+        for mod, rep, (want_mod, want_rep) in zip(mods, reports, one):
+            assert_same_curve(mod, want_mod)
+            assert_same_fields(rep, want_rep)
+
+    conj = ll.conjugate_fast(f, e.dual_grid)
+    duals = [e.dual_grid.index_of_nearest(s) for s in tilts]
+    pairs = [int(conj.argmax[s]) for s in duals]
+    mods, verdicts = moduli.firm_moduli(f, pairs, tilts)
+    assert len(mods) == len(pairs)
+    for x, s, mod, verdict in zip(pairs, tilts, mods, verdicts):
+        want = ll.firm_modulus(f, x, s)
+        assert_same_curve(mod, want)
+        assert_same_fields(verdict, ll.certification_verdict(want))
