@@ -30,9 +30,8 @@ from .errors import (BudgetExhaustedError, EmptyDomainError,
                      IoFailureError, LegendreLabError, NoAdmissibleStepError,
                      NotASubgradientError, PointOutsideDomainError,
                      SchemaViolationError)
-from .grids import (Grid, GridFunction, NormChoice, Shell, ShellLadder,
-                    build_grid_function, grid_1d, grid_2d, shell,
-                    shell_ladder)
+from .grids import (Grid, GridFunction, NormChoice, build_grid_function,
+                    grid_1d, grid_2d, shell_ladder)
 from .moduli import (CoercivityReport, Gamma0Certificate, Modulus,
                      WellposednessReport, certification_verdict,
                      certify_gamma0, coercivity_check, firm_modulus,

@@ -155,22 +155,24 @@ def _cmd_classify(args) -> int:
     return 0 if report.chain_ok else 1
 
 
+def _curve(modulus, *args, radii: list[float] | None):
+    """``modulus(*args, radii=radii)``, whose radii check is a usage error."""
+    try:
+        return modulus(*args, radii=radii)
+    except ValueError as err:
+        raise UsageError(f"--radii: {err}") from None
+
+
 def _cmd_modulus(args) -> int:
     f = _load_function(args)
-    radii = None
-    if args.radii:
-        radii = _parse_floats(args.radii, "--radii")
-        if not (all(0.0 < t < np.inf for t in radii)
-                and all(a < b for a, b in zip(radii, radii[1:]))):
-            raise UsageError("--radii wants strictly increasing positive "
-                             f"finite radii, got {args.radii!r}")
+    radii = _parse_floats(args.radii, "--radii") if args.radii else None
     if args.kind == "wellposed":
         if args.at:
             raise UsageError("--kind wellposed takes no --at")
         if not args.subgradient:
             raise UsageError("--subgradient supplies the tilt for --kind wellposed")
         s = _parse_point(args.subgradient, f.grid, "--subgradient")
-        mod, rep = wellposedness_modulus(f, s, radii=radii)
+        mod, rep = _curve(wellposedness_modulus, f, s, radii=radii)
         verdict = f"strong={rep.strong} minimizer={f.grid.point(rep.minimizer)}"
     else:
         if not args.at:
@@ -183,12 +185,12 @@ def _cmd_modulus(args) -> int:
         if args.kind == "firm":
             if not args.subgradient:
                 raise UsageError("--subgradient is required for --kind firm")
-            mod = firm_modulus(f, x, _parse_point(args.subgradient, f.grid,
-                                                  "--subgradient"), radii=radii)
+            s = _parse_point(args.subgradient, f.grid, "--subgradient")
+            mod = _curve(firm_modulus, f, x, s, radii=radii)
         elif args.subgradient:
             raise UsageError("--kind total takes no --subgradient")
         else:
-            mod = total_convexity_modulus(f, x, radii=radii)
+            mod = _curve(total_convexity_modulus, f, x, radii=radii)
         pos, _, note = certification_verdict(mod)
         verdict = f"certificate_positive={pos}" + (f" ({note})" if note else "")
     write_modulus_csv(mod, args.out)

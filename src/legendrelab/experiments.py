@@ -225,18 +225,14 @@ def run_prop6(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     """Variational convexity detector against direct midpoint convexity."""
     rows = {}
     ok = True
-    for name in (*CONVEX_SET_NAMES, "segment"):
+    expected = {**dict.fromkeys((*CONVEX_SET_NAMES, "segment"), "CONVEX-CONSISTENT"),
+                **dict.fromkeys(NONCONVEX_SET_NAMES, "NONCONVEX")}
+    for name, kind in expected.items():
         v = convexity_detector(make_set(name, _SET_GRID), n_probes=200, seed=seed)
         rows[name] = {"kind": v.kind, "witness": v.witness_tilt,
                       "midpoint_convex": v.midpoint_convex,
                       "agreement": v.agreement}
-        ok = ok and v.kind == "CONVEX-CONSISTENT" and v.agreement
-    for name in NONCONVEX_SET_NAMES:
-        v = convexity_detector(make_set(name, _SET_GRID), n_probes=200, seed=seed)
-        rows[name] = {"kind": v.kind, "witness": v.witness_tilt,
-                      "midpoint_convex": v.midpoint_convex,
-                      "agreement": v.agreement}
-        ok = ok and v.kind == "NONCONVEX" and v.agreement
+        ok = ok and v.kind == kind and v.agreement
     summary = {"kind": "experiment", "name": "prop6", "passed": ok,
                "sets": rows}
     arts = [out_dir / "prop6.json"]

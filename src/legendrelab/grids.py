@@ -1,4 +1,4 @@
-"""Regular box grids, extended-real grid functions, norms, and shells.
+"""Regular box grids, extended-real grid functions, norms, and shell ladders.
 
 Values are plain float64 arrays where ``+inf`` is the out-of-domain
 sentinel. ``-inf`` and ``nan`` are never stored; constructors reject them.
@@ -8,8 +8,9 @@ about a center depends only on their index offset, so one stencil over the
 doubled index lattice, built once per (grid, norm), holds the band
 of every offset, and the ladder about any center is the slice of it that
 covers the grid, sorted once by band; a member-windowed ladder ranks only
-given points (say the members of a set) under the same radii. The ladders
-of several centers are ranked together, one row each.
+given points (say the members of a set) under the same radii. There is one
+layout, ``ShellLadders``: the ladders of one or more centers ranked
+together, one row each.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -272,69 +273,6 @@ def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
     return GridFunction(grid, vals.reshape(grid.shape), name=name)
 
 
-@dataclass(frozen=True, eq=False)
-class Shell:
-    """Grid points whose distance to the center falls in [t - w, t + w]."""
-
-    grid: Grid
-    center: int
-    radius: float
-    norm: NormChoice
-    members: np.ndarray  # sorted flat indices, center excluded
-
-    @property
-    def half_width(self) -> float:
-        return self.grid.max_spacing / 2.0
-
-    @property
-    def empty(self) -> bool:
-        return self.members.size == 0
-
-
-@dataclass(frozen=True, eq=False)
-class ShellLadder:
-    """Shells about one center, their members stored back to back:
-    shell k holds ``members[starts[k]:starts[k + 1]]``, ascending."""
-
-    grid: Grid
-    center: int
-    norm: NormChoice
-    radii: np.ndarray      # one per shell
-    members: np.ndarray    # flat indices, shell by shell
-    starts: np.ndarray     # len(radii) + 1 offsets into members
-
-    @property
-    def half_width(self) -> float:
-        return self.grid.max_spacing / 2.0
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def __getitem__(self, k: int) -> Shell:
-        k = range(len(self))[k]
-        return Shell(self.grid, self.center, float(self.radii[k]), self.norm,
-                     self.members[self.starts[k]:self.starts[k + 1]])
-
-    def __iter__(self) -> Iterator[Shell]:
-        return (self[k] for k in range(len(self)))
-
-
-def shell(grid: Grid, center: int, radius: float,
-          norm: NormChoice = NormChoice.L2) -> Shell:
-    """Discrete stand-in for the sphere of radius ``radius`` about a point.
-
-    The band half-width is half the largest axis spacing, which makes
-    shells at consecutive multiples of that spacing partition the grid. An
-    empty shell is a reported state, not an error.
-    """
-    if radius <= 0:
-        raise ValueError("shell radius must be positive")
-    d = norm.length(grid.points - grid.point(center))
-    sel = (np.abs(d - radius) <= grid.max_spacing / 2.0) & (d > 0)
-    return Shell(grid, int(center), float(radius), norm,
-                 members=np.flatnonzero(sel))
-
-
 # Stencils kept at once by each cache. The largest band stencil in use
 # (a 201^2 grid: 401^2 int16 bands plus two int32 per grid point) is about
 # 650 KB; the largest ray stencil (121^2, no offsets kept) is 1.5 MB.
@@ -437,11 +375,11 @@ def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int) -> RayStencil:
 class ShellLadders(NamedTuple):
     """Shell ladders about R centers, each ranking the same m grid points
     (``within``, or all of them), in one flat layout of W + 1 segments per
-    row: the points closer than the first radius (none at explicit radii),
-    then shells 1..W at ``radii``. Segment k holds the entries
-    ``members[starts[k]:starts[k + 1]]`` of an (R, m) table, flattened, in
-    ascending column order; row r's own ladder is its first ``shells[r]``
-    shells."""
+    row: the points closer than half the first radius, the center among
+    them (none at explicit radii), then shells 1..W at ``radii``. Segment k
+    holds the entries ``members[starts[k]:starts[k + 1]]`` of an (R, m)
+    table, flattened, in ascending column order; row r's own ladder is its
+    first ``shells[r]`` shells."""
 
     radii: np.ndarray
     members: np.ndarray
@@ -449,11 +387,21 @@ class ShellLadders(NamedTuple):
     shells: np.ndarray
 
 
-def _ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
-             within: np.ndarray | None) -> ShellLadders:
-    """The ladder of every center, from one gather of the band stencil and
-    one row-wise stable argsort, with as many shells as the grid's largest
-    ladder."""
+def shell_ladder(grid: Grid, centers: int | np.ndarray,
+                 norm: NormChoice = NormChoice.L2,
+                 within: np.ndarray | None = None) -> ShellLadders:
+    """Disjoint shells at radii h, 2*h, ... about each of ``centers`` (a
+    scalar center is one row), ranked together from one gather of the band
+    stencil and one row-wise stable argsort, with as many shells as the
+    grid's largest ladder.
+
+    With h the largest axis spacing, every grid point lands in exactly one
+    band of each center (the nearest multiple of h): the center and the
+    points closer than h/2 to it in the first segment, the rest in its
+    shells. With ``within`` (ascending flat indices) only those points are
+    ranked, under the whole grid's radii.
+    """
+    centers = np.atleast_1d(centers)
     st = _band_stencil(grid, norm)
     bands = (st.windows[_origins(grid, centers)].reshape(centers.size, -1)
              if within is None else
@@ -465,28 +413,3 @@ def _ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
     order = bands.argsort(axis=1, kind="stable")
     return ShellLadders(st.radii, (order + bands.shape[1] * rows).ravel(),
                         starts, st.shells[centers])
-
-
-def shell_ladder(grid: Grid, center: int | np.ndarray,
-                 norm: NormChoice = NormChoice.L2,
-                 within: np.ndarray | None = None
-                 ) -> ShellLadder | ShellLadders:
-    """Disjoint shells at radii h, 2*h, ... covering the whole grid.
-
-    With h the largest axis spacing, every grid point other than the center
-    lands in exactly one band (the nearest multiple of h); points within
-    h/2 of the center land in none. With ``within`` (ascending flat
-    indices) only those points are ranked, under the whole grid's radii.
-
-    Given a 1-D integer array of centers, the ladders of all of them are
-    ranked together and returned as one ``ShellLadders`` layout, whose
-    members index the (centers, ``within`` or grid points) table.
-    """
-    if np.ndim(center):
-        return _ladders(grid, center, norm, within)
-    lad = _ladders(grid, np.array([int(center)]), norm, within)
-    k = int(lad.shells[0])
-    members = lad.members[lad.starts[1]:]
-    return ShellLadder(grid, int(center), norm, lad.radii[:k],
-                       members if within is None else within[members],
-                       lad.starts[1:k + 2] - lad.starts[1])

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (InfeasibleProblemError, InsufficientDataError,
                      NotASubgradientError, PointOutsideDomainError)
 from .grids import (Grid, GridFunction, NormChoice, ShellLadders, _origins,
-                    _ray_stencil, _windows, shell, shell_ladder)
+                    _ray_stencil, _windows, shell_ladder)
 from .subdiff import tau_sub
 from .tolerances import DEFAULT_TOLS
 
@@ -129,18 +129,17 @@ def _by_blocks(grid: Grid, n_rows: int,
 _PAD = np.array([math.inf])
 
 
-def _shell_minima(vals: np.ndarray, ladder
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per shell: the least gap over its members, whether it has none, and
-    the first member attaining a finite least gap (-1 if none), as one
-    grouped pass over the ladder's members; ``vals[i]`` is the gap of
-    ``ladder.members[i]``. A ``ShellLadders`` block is taken segment by
-    segment (its radii are returned as they are)."""
+def _shell_minima(vals: np.ndarray, ladder: ShellLadders
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per segment of the ladders (every row's first segment included): the
+    least gap over its members, whether it has none, and the first member
+    attaining a finite least gap (-1 if none), as one grouped pass over the
+    members; ``vals[i]`` is the gap of the table entry ``ladder.members[i]``."""
     starts = ladder.starts[:-1]
     sizes = ladder.starts[1:] - starts
     empty = sizes == 0
     if empty.all():
-        return (ladder.radii, np.full(starts.size, math.inf), empty,
+        return (np.full(starts.size, math.inf), empty,
                 np.full(starts.size, -1, dtype=np.int64))
     # reduceat needs every start to name an element, so the members get
     # one neutral pad for empty shells at the end of the ladder
@@ -150,29 +149,32 @@ def _shell_minima(vals: np.ndarray, ladder
     first = hits[np.minimum(hits.searchsorted(starts), hits.size - 1)]
     values = np.where(empty, math.inf, vals[first])
     witnesses = np.where(np.isfinite(values), ladder.members[first], np.int64(-1))
-    return ladder.radii, values, empty, witnesses
+    return values, empty, witnesses
 
 
-def _explicit_ladders(grid: Grid, centers: Sequence[int], norm: NormChoice,
+def _explicit_ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
                       radii: Sequence[float],
                       within: np.ndarray | None = None) -> ShellLadders:
-    """Closed shells ``|d - t| <= h/2`` at the given radii about each
-    center, in the layout of ``ShellLadders`` (the first segment of a row is
-    empty)."""
-    segments = []
-    width = grid.size if within is None else within.size
-    for r, c in enumerate(centers):
-        segments.append(np.empty(0, np.int64))
-        for t in radii:
-            mem = shell(grid, int(c), float(t), norm=norm).members
-            if within is not None:
-                mem = np.searchsorted(within, np.intersect1d(mem, within,
-                                                             assume_unique=True))
-            segments.append(mem + width * r)
-    return ShellLadders(np.array([float(t) for t in radii]),
-                        np.concatenate(segments),
-                        np.cumsum([0, *(seg.size for seg in segments)]),
-                        np.full(len(centers), len(radii)))
+    """Closed shells ``|d - t| <= h/2, d > 0`` at the given radii about each
+    center, with h the largest axis spacing, in the layout of
+    ``ShellLadders`` (the first segment of a row is empty). The radii must
+    be finite, positive and strictly increasing (ValueError otherwise): a
+    curve's first sample is its smallest radius. An empty shell is a
+    reported state, not an error."""
+    ts = np.array(radii, dtype=float)
+    if not (((0.0 < ts) & (ts < math.inf)).all() and (np.diff(ts) > 0).all()):
+        raise ValueError("radii must be finite, positive and strictly "
+                         f"increasing, got {ts.tolist()}")
+    points = grid.points if within is None else grid.points[within]
+    # one distance per (center, point), each row norm.length(points - center)
+    d = norm.length(points - grid.points[centers][:, None, :])[:, None, :]
+    rows, k, col = ((np.abs(d - ts[:, None]) <= grid.max_spacing / 2.0)
+                    & (d > 0)).nonzero()
+    starts = np.zeros((ts.size + 1) * centers.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows * (ts.size + 1) + k + 1,
+                          minlength=starts.size - 1), out=starts[1:])
+    return ShellLadders(ts, col + points.shape[0] * rows, starts,
+                        np.full(centers.size, ts.size))
 
 
 def _certify_rows(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
@@ -224,10 +226,10 @@ def _curve_rows(kind: str, grid: Grid, centers: np.ndarray, norm: NormChoice,
     ``within`` (every grid point if None). Returns each row's curve and its
     ``certification_verdict``."""
     lad = (shell_ladder(grid, centers, norm, within) if radii is None else
-           _explicit_ladders(grid, centers.tolist(), norm, radii, within))
+           _explicit_ladders(grid, centers, norm, radii, within))
     if level is not None:
         table = table - level[:, None]
-    _, values, empty, wit = _shell_minima(table.ravel()[lad.members], lad)
+    values, empty, wit = _shell_minima(table.ravel()[lad.members], lad)
     # the witnesses are table entries: back to grid points
     col = wit % table.shape[1]
     wit = np.where(wit >= 0, col if within is None else within[col], wit)
@@ -567,17 +569,15 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2
     artifact of a non-coercive function and fails immediately.
     """
     grid = f.grid
-    tilted = f.flat
-    (mval,), (level,), cluster = _tie_cluster(f, tilted[None],
-                                              np.zeros((1, grid.dim)))
+    mval, level, cluster = _tie_cluster(f, f.flat[None], np.zeros((1, grid.dim)))
     x_hat = int(cluster[0])
-    if _edge_descent(grid, tilted, cluster, level):
+    if _edge_descent(grid, f.flat, cluster, level[0]):
         return CoercivityReport(False, x_hat,
                                 "minimum on grid edge with outward descent")
 
-    ladder = shell_ladder(grid, x_hat, norm=norm)
-    radii, values, empty, _ = _shell_minima(tilted[ladder.members] - mval,
-                                            ladder)
+    (m,), _ = _curve_rows("wellposed", grid, cluster[:1], norm, None, None,
+                          f.flat[None], mval)
+    radii, values, empty = m.radii, m.values, m.empty
     outer = (~empty) & (radii > radii[-1] / 2.0)
     if not outer.any():
         return CoercivityReport(False, x_hat, "no usable outer shells")

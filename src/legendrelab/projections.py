@@ -242,7 +242,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
     x0 = np.asarray(cert0.minimizer_point)
     direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
     direction = direction / np.linalg.norm(direction)
-    extent = max(hi - lo for lo, hi in f.grid.bounds)
+    extent = f.grid.corner_extent
     lam_lo, cert_lo = 0.0, cert0
     lam_hi = None
     for k in range(1, _WALK_STEPS + 1):

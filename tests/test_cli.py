@@ -58,6 +58,8 @@ def test_usage_error_exits_2():
     pytest.param(["modulus", "--catalog", "halfsq", "--kind", "total",
                   "--at", "0", "--radii", "1.0,0.5,0.5"],
                  id="radii-not-increasing"),
+    pytest.param(["modulus", "--catalog", "abs", "--kind", "wellposed",
+                  "--subgradient", "0", "--radii", "nan,1"], id="radii-nan"),
     pytest.param(["modulus", "--kind", "total", "--at", "0"], id="no-function"),
     pytest.param(["modulus", "--catalog", "halfsq", "--input", "missing.json",
                   "--kind", "total", "--at", "0"], id="catalog-and-input"),

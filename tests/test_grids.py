@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
+from legendrelab import moduli
 from legendrelab.errors import EmptyDomainError
 
 
@@ -62,39 +63,54 @@ def test_extreal_arithmetic():
     assert math.inf > vals[2]
 
 
+def segments(lad):
+    """Every segment of a ladder layout, in order."""
+    return [lad.members[a:b] for a, b in zip(lad.starts[:-1], lad.starts[1:])]
+
+
+def explicit_shells(grid, center, radii, norm=ll.NormChoice.L2):
+    """The closed shells at ``radii`` about one center, as the moduli build
+    them for explicit radii: one segment of flat indices per radius."""
+    lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii)
+    first, *shells = segments(lad)
+    assert first.size == 0 and len(shells) == len(radii)
+    return shells
+
+
 def test_shell_1d_examples():
     g = ll.grid_1d(-2.0, 2.0, 5)  # h = 1
-    sh = ll.shell(g, g.index_of_nearest([0.0]), 1.0)
-    assert sorted(g.points[sh.members][:, 0]) == [-1.0, 1.0]
-
-    sh_small = ll.shell(g, g.index_of_nearest([0.0]), 0.2)
-    assert sh_small.empty
+    small, unit = explicit_shells(g, g.index_of_nearest([0.0]), [0.2, 1.0])
+    assert sorted(g.points[unit][:, 0]) == [-1.0, 1.0]
+    assert small.size == 0
 
 
 def test_shell_2d_linf_ring():
     g = ll.grid_2d(-2.0, 2.0, 5)  # h = 1
     c = g.index_of_nearest([0.0, 0.0])
-    sh = ll.shell(g, c, 1.0, norm=ll.NormChoice.LINF)
-    assert sh.members.size == 8
-    d = ll.NormChoice.LINF.length(g.points[sh.members])
+    (sh,) = explicit_shells(g, c, [1.0], norm=ll.NormChoice.LINF)
+    assert sh.size == 8
+    d = ll.NormChoice.LINF.length(g.points[sh])
     assert np.allclose(d, 1.0)
 
 
 def test_shell_excludes_center():
     g = ll.grid_1d(-2.0, 2.0, 5)
-    sh = ll.shell(g, 2, 0.4)
-    assert 2 not in sh.members
+    (sh,) = explicit_shells(g, 2, [0.4])
+    assert 2 not in sh
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(5, 30), seed=st.integers(0, 10_000))
 def test_shell_ladder_partitions_grid(n, seed):
-    """Bands at multiples of the spacing cover every point exactly once."""
+    """Bands at multiples of the spacing cover every point exactly once:
+    the center alone in the first segment, the rest in its shells."""
     rng = np.random.default_rng(seed)
     g = ll.grid_1d(-1.0, 1.0, n)
     center = int(rng.integers(0, n))
-    shells = ll.shell_ladder(g, center)
-    seen = np.concatenate([sh.members for sh in shells])
+    lad = ll.shell_ladder(g, center)
+    first, *shells = segments(lad)
+    assert first.tolist() == [center]
+    seen = np.concatenate(shells[:int(lad.shells[0])])
     assert np.array_equal(np.sort(seen), np.setdiff1d(np.arange(n), [center]))
 
 
@@ -102,10 +118,10 @@ def test_shell_symmetry_under_reflection():
     g = ll.grid_1d(-2.0, 2.0, 9)
     c = g.index_of_nearest([1.0])
     c_ref = g.index_of_nearest([-1.0])
-    sh = ll.shell(g, c, 1.5)
-    sh_ref = ll.shell(g, c_ref, 1.5)
-    pts = np.sort(g.points[sh.members][:, 0])
-    pts_ref = np.sort(-g.points[sh_ref.members][:, 0])
+    (sh,) = explicit_shells(g, c, [1.5])
+    (sh_ref,) = explicit_shells(g, c_ref, [1.5])
+    pts = np.sort(g.points[sh][:, 0])
+    pts_ref = np.sort(-g.points[sh_ref][:, 0])
     assert np.allclose(pts, pts_ref)
 
 
@@ -151,21 +167,28 @@ def pointwise_band(grid, center, flat, norm, step):
 
 
 def check_ladder(grid, center, norm):
-    ladder = ll.shell_ladder(grid, center, norm=norm)
+    """One row: segment 0 holds the center and the points within half a
+    step, segments 1..shells[0] bands 1..k in ascending order, and the
+    later segments up to the grid's largest ladder are empty."""
+    lad = ll.shell_ladder(grid, center, norm=norm)
     step = grid.max_spacing
     bands = {flat: pointwise_band(grid, center, flat, norm, step)
              for flat in range(grid.size)}
-    assert len(ladder) == max(max(bands.values()), 1)
-    assert np.array_equal(ladder.radii, np.arange(1, len(ladder) + 1) * step)
-    for k, sh in enumerate(ladder, start=1):
-        assert sh.radius == k * step and sh.half_width == step / 2.0
-        assert (np.diff(sh.members) > 0).all()
-        assert all(bands[int(m)] == k for m in sh.members)
-    # the bands partition the points at least half a step from the center
-    away = [flat for flat, b in bands.items() if b >= 1]
-    assert center not in away
-    assert sorted(ladder.members.tolist()) == away
-    assert ladder.members.size == len(away)
+    k = int(lad.shells[0])
+    assert lad.shells.shape == (1,) and k == max(max(bands.values()), 1)
+    # radii up to the band of the corner-to-corner offset
+    widest = max(pointwise_band(grid, 0, grid.size - 1, norm, step), 1)
+    assert np.array_equal(lad.radii, np.arange(1, widest + 1) * step)
+    assert lad.starts[0] == 0 and lad.starts[-1] == grid.size
+    segs = segments(lad)
+    assert len(segs) == widest + 1
+    assert center in segs[0]
+    for band, seg in enumerate(segs):
+        assert (np.diff(seg) > 0).all()
+        assert all(bands[int(m)] == band for m in seg)
+    assert all(seg.size == 0 for seg in segs[k + 1:])
+    # the segments partition the grid
+    assert sorted(lad.members.tolist()) == list(range(grid.size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,36 +203,24 @@ def test_ladder_on_anisotropic_grid_edges_and_corners(norm, multi):
     check_ladder(ANISO, ANISO.ravel_index(multi), norm)
 
 
-def test_ladder_sequence_api():
-    g = ll.grid_2d(-1.0, 1.0, 9)
-    ladder = ll.shell_ladder(g, g.index_of_nearest([0.0, 0.0]))
-    shells = list(ladder)
-    assert len(shells) == len(ladder)
-    assert ladder[-1].radius == shells[-1].radius
-    assert np.array_equal(ladder[0].members, shells[0].members)
-    with pytest.raises(IndexError):
-        ladder[len(ladder)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(gc=grid_and_center(), norm=st.sampled_from(list(ll.NormChoice)),
        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed):
-    """Same radii and shell count; shell k keeps the full shell's members
-    that are in ``within``, in the same ascending order."""
+    """Same radii and shell count; segment k keeps the full segment's
+    members that are in ``within``, in the same ascending order (as
+    positions in ``within``)."""
     grid, center = gc
     within = np.flatnonzero(np.random.default_rng(seed).random(grid.size)
                             < density)
     full = ll.shell_ladder(grid, center, norm=norm)
     part = ll.shell_ladder(grid, center, norm=norm, within=within)
-    assert len(part) == len(full)
     assert part.radii.tobytes() == full.radii.tobytes()
-    assert (part.center, part.norm, part.half_width) == \
-        (full.center, full.norm, full.half_width)
-    kept = [sh.members[np.isin(sh.members, within)] for sh in full]
+    assert np.array_equal(part.shells, full.shells)
+    kept = [seg[np.isin(seg, within)] for seg in segments(full)]
     assert np.array_equal(part.starts, np.cumsum([0, *(k.size for k in kept)]))
-    assert np.array_equal(part.members,
+    assert np.array_equal(within[part.members],
                           np.concatenate([np.empty(0, np.int64), *kept]))
 
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab import grids, moduli
 from legendrelab.catalog import SET_NAMES, entry, make_set
+from legendrelab.cli import main
 from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
                                 NotASubgradientError, PointOutsideDomainError)
 from legendrelab.moduli import Modulus
 from legendrelab.projections import probe_box
+from legendrelab.report_io import write_modulus_csv
 from legendrelab.tolerances import DEFAULT_TOLS
 
 
@@ -378,15 +380,29 @@ def test_moduli_respect_norm_choice():
 
 # -- grouped shell minima --------------------------------------------------
 
-def shell_minima_loop(gaps, shells, feasible=None):
+@dataclasses.dataclass(frozen=True)
+class Ladder:
+    """One center's shells as the oracles build them: shell k holds the
+    flat indices ``members[starts[k]:starts[k + 1]]`` at ``radii[k]``."""
+
+    radii: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self):
+        return len(self.radii)
+
+    def shells(self):
+        return [self.members[a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
+
+
+def shell_minima_loop(gaps, ladder, feasible=None):
     """Reference: one shell at a time, the first argmin of the feasible
     members' gaps; a witness only where that minimum is finite."""
-    radii = np.array([sh.radius for sh in shells])
-    values = np.full(len(shells), math.inf)
-    empty = np.zeros(len(shells), dtype=bool)
-    witnesses = np.full(len(shells), -1, dtype=np.int64)
-    for i, sh in enumerate(shells):
-        mem = sh.members
+    values = np.full(len(ladder), math.inf)
+    empty = np.zeros(len(ladder), dtype=bool)
+    witnesses = np.full(len(ladder), -1, dtype=np.int64)
+    for i, mem in enumerate(ladder.shells()):
         if feasible is not None:
             mem = mem[feasible[mem]]
         if mem.size == 0:
@@ -397,30 +413,43 @@ def shell_minima_loop(gaps, shells, feasible=None):
         values[i] = vals[j]
         if np.isfinite(vals[j]):
             witnesses[i] = mem[j]
-    return radii, values, empty, witnesses
+    return ladder.radii, values, empty, witnesses
+
+
+def closed_shell(grid, center, radius, norm=ll.NormChoice.L2):
+    """Reference: the grid points whose distance to the center lies within
+    half the largest spacing of ``radius``, the center excluded, from one
+    distance array per shell."""
+    if radius <= 0:
+        raise ValueError("shell radius must be positive")
+    d = norm.length(grid.points - grid.point(center))
+    return np.flatnonzero((np.abs(d - radius) <= grid.max_spacing / 2.0) & (d > 0))
 
 
 def ladder_oracle(grid, center, norm, radii, within=None):
-    """Reference: the one-center ladder as built before the row core, the
-    shell ladder or the closed shells at explicit ``radii``."""
+    """Reference: one center's ladder, the band-stencil slice or the closed
+    shells at explicit ``radii``."""
     if radii is None:
-        return ll.shell_ladder(grid, center, norm=norm, within=within)
-    shells = [ll.shell(grid, center, float(t), norm=norm).members for t in radii]
+        return shell_ladder_per_call(grid, center, norm, within)
+    shells = [closed_shell(grid, center, float(t), norm) for t in radii]
     if within is not None:
         shells = [np.intersect1d(m, within, assume_unique=True) for m in shells]
-    return grids.ShellLadder(grid, int(center), norm,
-                             np.array([float(t) for t in radii]),
-                             np.concatenate([np.empty(0, np.int64), *shells]),
-                             np.cumsum([0, *(m.size for m in shells)]))
+    return Ladder(np.array([float(t) for t in radii]),
+                  np.concatenate([np.empty(0, np.int64), *shells]),
+                  np.cumsum([0, *(m.size for m in shells)]))
 
 
-def explicit_ladder(grid, center, norm, radii, within=None):
-    """The library's closed shells at explicit ``radii`` about one center."""
-    lad = moduli._explicit_ladders(grid, [center], norm, radii, within)
-    assert lad.starts[1] == 0                  # no points inside the radii
-    members = lad.members if within is None else within[lad.members]
-    return grids.ShellLadder(grid, int(center), norm, lad.radii, members,
-                             lad.starts[1:])
+def library_minima(gaps, lad, within=None):
+    """The library's shell minima over the one-row ladder ``lad``, whose
+    members index ``gaps`` (``gaps[within]`` with ``within``), less the
+    row's first segment, with witnesses as flat indices."""
+    table = gaps if within is None else gaps[within]
+    values, empty, wit = moduli._shell_minima(table[lad.members], lad)
+    k = int(lad.shells[0])
+    wit = wit[1:k + 1].copy()
+    if within is not None:
+        wit[wit >= 0] = within[wit[wit >= 0]]
+    return lad.radii[:k], values[1:k + 1], empty[1:k + 1], wit
 
 
 def member_indices(feasible):
@@ -459,47 +488,50 @@ def minima_case(draw):
 @given(case=minima_case(), norm=st.sampled_from(list(ll.NormChoice)))
 def test_grouped_shell_minima_equal_per_shell_loop(case, norm):
     grid, center, gaps, feasible = case
-    ladder = ll.shell_ladder(grid, center, norm=norm)
-    members = ll.shell_ladder(grid, center, norm=norm,
-                              within=member_indices(feasible))
-    assert_bitwise_equal(moduli._shell_minima(gaps[members.members], members),
-                         shell_minima_loop(gaps, list(ladder), feasible))
+    within = member_indices(feasible)
+    lad = ll.shell_ladder(grid, center, norm=norm, within=within)
+    assert_bitwise_equal(library_minima(gaps, lad, within),
+                         shell_minima_loop(gaps, shell_ladder_per_call(
+                             grid, center, norm), feasible))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=minima_case(),
-       radii=st.lists(st.floats(0.01, 3.0), min_size=0, max_size=6))
+       radii=st.lists(st.floats(0.01, 3.0), min_size=0, max_size=6,
+                      unique=True).map(sorted))
 def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
     grid, center, gaps, feasible = case
-    ladder = explicit_ladder(grid, center, ll.NormChoice.L2, radii)
-    shells = [ll.shell(grid, center, t) for t in radii]
-    assert len(ladder) == len(shells)
-    assert all(np.array_equal(a.members, b.members)
-               for a, b in zip(ladder, shells))
-    members = explicit_ladder(grid, center, ll.NormChoice.L2, radii,
-                              within=member_indices(feasible))
-    assert_bitwise_equal(moduli._shell_minima(gaps[members.members], members),
-                         shell_minima_loop(gaps, shells, feasible))
+    norm = ll.NormChoice.L2
+    oracle = ladder_oracle(grid, center, norm, radii)
+    lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii)
+    assert lad.starts[1] == 0                  # no points inside the radii
+    assert np.array_equal(lad.starts[1:], oracle.starts)
+    assert np.array_equal(lad.members, oracle.members)
+    within = member_indices(feasible)
+    lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii, within)
+    assert_bitwise_equal(library_minima(gaps, lad, within),
+                         shell_minima_loop(gaps, oracle, feasible))
 
 
 def test_grouped_minima_edge_cases():
     """Empty shells at the end, all-+inf shells and an all-infeasible grid."""
     g = ll.grid_2d(-1.0, 1.0, 9)
     c = 0
-    ladder = ll.shell_ladder(g, c)
+    oracle = shell_ladder_per_call(g, c, ll.NormChoice.L2)
     near = ll.NormChoice.L2.length(g.points - g.point(c)) < 1.0
     tail = ll.shell_ladder(g, c, within=member_indices(near))
     assert np.diff(tail.starts)[-1] == 0               # empty tail shells
     gaps = np.where(np.arange(g.size) % 3 == 0, math.inf, 1.0)
-    gaps[ladder[0].members] = math.inf                 # an all-+inf shell
+    gaps[oracle.shells()[0]] = math.inf                # an all-+inf shell
     for feasible in (None, np.zeros(g.size, dtype=bool),
                      np.arange(g.size) >= g.size - 2, near):
-        members = ll.shell_ladder(g, c, within=member_indices(feasible))
-        got = moduli._shell_minima(gaps[members.members], members)
-        assert_bitwise_equal(got, shell_minima_loop(gaps, list(ladder),
-                                                    feasible))
-    _, values, empty, wit = moduli._shell_minima(gaps[ladder.members], ladder)
-    assert not empty[0] and values[0] == math.inf and wit[0] == -1
+        within = member_indices(feasible)
+        lad = ll.shell_ladder(g, c, within=within)
+        assert_bitwise_equal(library_minima(gaps, lad, within),
+                             shell_minima_loop(gaps, oracle, feasible))
+    lad = ll.shell_ladder(g, c)
+    values, empty, wit = moduli._shell_minima(gaps[lad.members], lad)
+    assert not empty[1] and values[1] == math.inf and wit[1] == -1
 
 
 # -- member-windowed well-posedness against the masked whole-grid body -----
@@ -636,7 +668,8 @@ def masked_problem(draw):
         feasible = rng.random(grid.size) < density
     s = rng.normal(size=grid.dim) * draw(st.sampled_from([0.0, 0.5, 2.0]))
     radii = draw(st.one_of(st.none(),
-                           st.lists(st.floats(0.05, 4.0), max_size=6)))
+                           st.lists(st.floats(0.05, 4.0), max_size=6,
+                                    unique=True).map(sorted)))
     return f, feasible, s, radii
 
 
@@ -742,9 +775,9 @@ def total_convexity_per_axis_loop(f, x_flat, norm, tols=DEFAULT_TOLS):
     gaps = np.full(n, math.inf)
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
-    ladder = ll.shell_ladder(grid, x_flat, norm=norm)
-    radii_a, values, empty, wit = moduli._shell_minima(gaps[ladder.members],
-                                                       ladder)
+    ladder = shell_ladder_per_call(grid, x_flat, norm)
+    radii_a, values, empty, wit = shell_minima_per_call(gaps[ladder.members],
+                                                        ladder)
     return Modulus("total", int(x_flat), radii_a, values, empty, wit, norm)
 
 
@@ -852,7 +885,7 @@ def total_convexity_per_call(f, x_flat, norm, radii=None):
     gaps[usable] = fv[usable] - fx - slope_term[usable]
 
     ladder = ladder_oracle(grid, x_flat, norm, radii)
-    return moduli._shell_minima(gaps[ladder.members], ladder)
+    return shell_minima_per_call(gaps[ladder.members], ladder)
 
 
 def assert_total_equals_per_call(f, x, norm, radii=None):
@@ -1007,15 +1040,8 @@ def shell_ladder_per_call(grid, center, norm, within=None):
     starts = np.searchsorted(bands[order], np.arange(1, max(kmax, 1) + 2))
     if within is not None:
         order = within[order]
-    return grids.ShellLadder(grid, int(center), norm,
-                             np.arange(1, len(starts)) * grid.max_spacing,
-                             order[starts[0]:starts[-1]], starts - starts[0])
-
-
-def ladder_per_call(grid, center, norm, radii, within=None):
-    if radii is None:
-        return shell_ladder_per_call(grid, center, norm, within)
-    return ladder_oracle(grid, center, norm, radii, within)
+    return Ladder(np.arange(1, len(starts)) * grid.max_spacing,
+                  order[starts[0]:starts[-1]], starts - starts[0])
 
 
 def shell_minima_per_call(vals, ladder):
@@ -1077,7 +1103,7 @@ def firm_modulus_per_call(f, x_flat, s, radii=None, norm=ll.NormChoice.L2):
     if gap > tau:
         raise NotASubgradientError(
             f"gap {gap:.3g} exceeds threshold {tau:.3g} at flat index {x_flat}")
-    ladder = ladder_per_call(f.grid, x_flat, norm, radii)
+    ladder = ladder_oracle(f.grid, x_flat, norm, radii)
     radii_a, values, empty, wit = shell_minima_per_call(
         tilted[ladder.members] - tilted[x_flat], ladder)
     return Modulus("firm", int(x_flat), radii_a, values, empty, wit, norm,
@@ -1109,7 +1135,7 @@ def wellposedness_per_call(f, s, radii=None, norm=ll.NormChoice.L2,
     boundary_descent = (members is None
                         and not grid.interior_flat[cluster].any()
                         and moduli._edge_descent(grid, tilted, cluster, mval + eps))
-    ladder = ladder_per_call(grid, x_hat, norm, radii, within=members)
+    ladder = ladder_oracle(grid, x_hat, norm, radii, within=members)
     radii_a, values, empty, wit = shell_minima_per_call(
         tilted[ladder.members] - tilted[x_hat], ladder)
     mod = Modulus("wellposed", x_hat, radii_a, values, empty, wit, norm,
@@ -1347,3 +1373,77 @@ def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
         want = ll.firm_modulus(f, x, s)
         assert_same_curve(mod, want)
         assert_same_fields(verdict, ll.certification_verdict(want))
+
+
+# -- coercivity and explicit radii against the one-center bodies -------------
+
+def coercivity_per_call(f, norm):
+    """Reference: the growth test on one ladder about the minimizer."""
+    grid = f.grid
+    tilted = f.flat
+    mval, eps, cluster = tie_cluster_per_call(f, tilted, np.zeros(grid.dim))
+    x_hat = int(cluster[0])
+    if moduli._edge_descent(grid, tilted, cluster, mval + eps):
+        return moduli.CoercivityReport(False, x_hat,
+                                       "minimum on grid edge with outward descent")
+    ladder = shell_ladder_per_call(grid, x_hat, norm)
+    radii, values, empty, _ = shell_minima_per_call(tilted[ladder.members] - mval,
+                                                    ladder)
+    outer = (~empty) & (radii > radii[-1] / 2.0)
+    if not outer.any():
+        return moduli.CoercivityReport(False, x_hat, "no usable outer shells")
+    vals = values[outer]
+    ts = radii[outer]
+    floor = DEFAULT_TOLS.delta0(ts)
+    if not (vals > floor).all():
+        t_bad = float(ts[~(vals > floor)][0])
+        return moduli.CoercivityReport(
+            False, x_hat, f"outer shell minimum not above the floor at t={t_bad:g}")
+    vf = vals[np.isfinite(vals)]
+    if vf.size >= 2:
+        slack = DEFAULT_TOLS.delta0(float(np.abs(vf).max()))
+        if not (np.diff(vf) >= -slack).all():
+            return moduli.CoercivityReport(False, x_hat,
+                                           "outer shell minima are not monotone")
+    return moduli.CoercivityReport(True, x_hat, "")
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)
+@pytest.mark.parametrize("eid", [e.id for e in ll.entries()])
+def test_coercivity_equals_per_call_on_catalog(eid, norm):
+    f = entry(eid).build()
+    assert_same_fields(ll.coercivity_check(f, norm), coercivity_per_call(f, norm))
+
+
+@pytest.mark.parametrize("radii", [[1.0, 0.5, 0.1], [0.5, 0.5], [math.nan, 1.0],
+                                   [0.5, math.inf], [0.0, 1.0], [-0.5, 1.0]],
+                         ids=["decreasing", "repeated", "nan", "inf", "zero",
+                              "negative"])
+def test_radii_outside_the_contract_raise(halfsq_1d, radii):
+    """Explicit radii are finite, positive and strictly increasing, as
+    ``Modulus.radii`` states; any other list is refused."""
+    x = halfsq_1d.grid.index_of_nearest([0.0])
+    for call in (lambda: ll.total_convexity_modulus(halfsq_1d, x, radii=radii),
+                 lambda: ll.firm_modulus(halfsq_1d, x, [0.0], radii=radii),
+                 lambda: ll.wellposedness_modulus(halfsq_1d, [0.0], radii=radii),
+                 lambda: ll.wellposedness_modulus(halfsq_1d, [0.0], radii=radii,
+                                                  members=np.array([x - 1, x]))):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            call()
+
+
+@pytest.mark.parametrize("kind,option", [("total", ["--at", "1,1"]),
+                                         ("wellposed", ["--subgradient", "0.1,0.1"])])
+def test_modulus_cli_radii_csv_equals_closed_shell_oracle(kind, option, tmp_path):
+    radii = [0.05, 0.1, 0.2, 0.4, 0.8]
+    got = tmp_path / "cli.csv"
+    assert main(["modulus", "--catalog", "sqrt_well", "--kind", kind, *option,
+                 "--radii", ",".join(map(str, radii)), "--out", str(got)]) == 0
+    f = entry("sqrt_well").build()
+    want = tmp_path / "oracle.csv"
+    if kind == "total":
+        curve = total_modulus_per_call(f, f.grid.index_of_nearest([1.0, 1.0]), radii)
+    else:
+        curve, _ = wellposedness_per_call(f, [0.1, 0.1], radii)
+    write_modulus_csv(curve, want)
+    assert got.read_bytes() == want.read_bytes()
