@@ -18,7 +18,9 @@ The one-curve functions are one-row calls of it; ``firm_moduli``,
 ``total_convexity_moduli`` and ``wellposedness_moduli`` take many rows
 (``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points, total
 convexity (and well-posedness on request) only up to the block holding
-the first failure. Each tilt is still one
+the first failure. The witness searches of ``projections`` pass the tilts
+of each probe stage to ``_wellposed_rows`` with a feasible set's members,
+in larger blocks of their own. Each tilt is still one
 ``f.tilted(s)`` and each distance one ``norm.length(points - point)``, so
 a row's values are the bits a call of its own gives.
 """

@@ -8,7 +8,13 @@ the tilt it costs O(|S| log |S|) plus one entry per shell. All three wrap
 one witness-search engine: Halton probes and exact tie tilts from member
 pairs (midpoint-convexity violations or far pairs) in the caller's order,
 then jittered tie tilts and bisection toward the tie, from a budget of
-exactly what those stages can spend.
+exactly what those stages can spend. The tilts of a stage go through the
+row core of ``moduli`` as the rows of member-set blocks, up to the block
+holding the first tilt that is not strongly posed; each row is the report
+a one-row ``solve_relative_projection`` gives, and the budget is spent
+once per tilt up to that one, so the witness and the count are those of
+probing one tilt at a time. The walk and bisection stay one probe at a
+time: each step depends on the last.
 
 Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
 of a member pair depend only on its index sum, so one FFT self-convolution
@@ -29,7 +35,8 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
 from .grids import Grid, GridFunction, NormChoice, build_grid_function
-from .moduli import Modulus, WellposednessReport, wellposedness_modulus
+from .moduli import (Modulus, WellposednessReport, _wellposed_rows,
+                     wellposedness_modulus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +98,21 @@ def solve_relative_projection(f: GridFunction, S: ConstraintSet,
     """Exact minimization of f - <., s> over the finite set S."""
     if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
-    mod, rep = wellposedness_modulus(f, s, norm=norm, members=S.members)
+    return _certificate(f, S, *wellposedness_modulus(f, s, norm=norm,
+                                                     members=S.members))
+
+
+def _certificate(f: GridFunction, S: ConstraintSet, mod: Modulus,
+                 rep: WellposednessReport) -> ProjectionCertificate:
     pt = f.grid.point(rep.minimizer)
-    return ProjectionCertificate(f.name, S.name,
-                                 tuple(float(c) for c in np.atleast_1d(s)),
-                                 rep.minimizer, tuple(float(c) for c in pt),
-                                 rep.min_value, rep.strong, rep, mod)
+    return ProjectionCertificate(f.name, S.name, rep.tilt, rep.minimizer,
+                                 tuple(float(c) for c in pt), rep.min_value,
+                                 rep.strong, rep, mod)
 
 
 MAX_VIOLATIONS = 200
 _PAIR_BLOCK = 1 << 18      # member pairs per block when violations are listed
+_DEPTH_BLOCK = 1 << 15     # (violation, member) distances per block
 
 
 def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
@@ -149,12 +161,13 @@ def midpoint_convexity(S: ConstraintSet, domain: np.ndarray | None = None
     for lo in range(0, mem.size, chunk):
         hi = min(lo + chunk, mem.size)
         bad_i, bad_j = np.nonzero(failed[keys[lo:hi, None] + keys[None, :]])
-        keep = (bad_i + lo) < bad_j
+        keep = ((bad_i + lo) < bad_j).nonzero()[0]
+        keep = keep[:MAX_VIOLATIONS - len(violations)]
         violations.extend(zip(mem[bad_i[keep] + lo].tolist(),
                               mem[bad_j[keep]].tolist()))
-        if len(violations) >= MAX_VIOLATIONS:
+        if len(violations) == MAX_VIOLATIONS:
             break
-    return False, violations[:MAX_VIOLATIONS]
+    return False, violations
 
 
 def _halton_probes(box_lo: np.ndarray, box_hi: np.ndarray, n: int,
@@ -222,6 +235,30 @@ def _probe(f: GridFunction, S: ConstraintSet, s: np.ndarray, budget: _Budget,
            norm: NormChoice) -> ProjectionCertificate:
     budget.spend()
     return solve_relative_projection(f, S, s, norm=norm)
+
+
+# Grid points per block of probed tilts (12 rows on a 101^2 grid): each row
+# tilts the whole grid, so this bounds the (rows, grid) tables. Blocks of
+# 12-25 rows ran the prop6 and cor4 searches faster than one row or 51
+# rows a block; classify keeps the smaller ``moduli._ROW_BLOCK``.
+_PROBE_BLOCK = 1 << 17
+
+
+def _first_failure(f: GridFunction, S: ConstraintSet,
+                   tilts: Sequence[np.ndarray], budget: _Budget,
+                   norm: NormChoice) -> ProjectionCertificate | None:
+    """The projection on S of the first of ``tilts`` that is not strong
+    (None if all are), probed in row blocks up to the block holding it;
+    one probe is spent per tilt up to and including that one."""
+    size = max(1, _PROBE_BLOCK // f.grid.size)
+    for lo in range(0, len(tilts), size):
+        mods, reports = _wellposed_rows(f, tilts[lo:lo + size], norm,
+                                        members=S.members)
+        for mod, rep in zip(mods, reports):
+            budget.spend()
+            if not rep.strong:
+                return _certificate(f, S, mod, rep)
+    return None
 
 
 _WALK_STEPS = 16       # quarter-extent steps of the walk before bisection
@@ -292,32 +329,43 @@ def _witness_search(f: GridFunction, S: ConstraintSet,
     budget = _Budget(sum(map(len, stages)) + _REFINE_PROBES * len(bases))
 
     def tries():
-        for s in itertools.chain(*stages):
-            yield _probe(f, S, s, budget, norm)
+        for stage in stages:
+            yield _first_failure(f, S, stage, budget, norm)
         rng = np.random.default_rng(seed)
         for base in bases:
-            for _ in range(_JITTERS):
-                jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
-                yield _probe(f, S, base + jitter, budget, norm)
+            jitters = rng.normal(scale=S.grid.max_spacing,
+                                 size=(_JITTERS, base.size))
+            yield _first_failure(f, S, base + jitters, budget, norm)
             yield _bisect_for_tie(f, S, base, budget, norm)
 
-    return next((c for c in tries() if c is not None and not c.strong), None), budget
+    return next((c for c in tries() if c is not None), None), budget
 
 
 def _violation_pairs_by_depth(S: ConstraintSet,
                               violations: list[tuple[int, int]],
                               limit: int = 40) -> list[tuple[int, int]]:
-    """Midpoint-convexity violations, deepest midpoints first."""
+    """Midpoint-convexity violations, deepest midpoints first: by the
+    distance from each pair's midpoint to the nearest member."""
     if not violations:
         return []
     pts = S.grid.points
     spts = S.member_points()
-    depths = []
-    for a, b in violations:
-        mid = (pts[a] + pts[b]) / 2.0
-        d = float(np.sqrt(((spts - mid[None, :]) ** 2).sum(axis=1)).min())
-        depths.append(d)
-    order = np.argsort(np.asarray(depths), kind="stable")[::-1]
+    a, b = np.array(violations).T
+    mids = (pts[a] + pts[b]) / 2.0
+    chunk = max(1, _DEPTH_BLOCK // len(spts))
+    d2 = []
+    for lo in range(0, len(mids), chunk):
+        # (pairs, members) squared distances, summed over the axes in order
+        # as numpy sums a short last axis (m - p squares to the bits of
+        # p - m); sqrt is monotone, so it can follow the min
+        block = mids[lo:lo + chunk]
+        sq = np.zeros((len(block), len(spts)))
+        for ax in range(pts.shape[1]):
+            diff = block[:, ax, None] - spts[:, ax]
+            diff *= diff
+            sq += diff
+        d2.append(sq.min(axis=1))
+    order = np.argsort(np.sqrt(np.concatenate(d2)), kind="stable")[::-1]
     return [violations[i] for i in order[:limit]]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab import projections
 from legendrelab.catalog import SET_NAMES, make_set
-from legendrelab.errors import InfeasibleProblemError
+from legendrelab.errors import BudgetExhaustedError, InfeasibleProblemError
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,51 @@ def test_halton_probes_equal_scipy_halton(d, n):
         assert np.array_equal(got, want), seed
 
 
+def violation_pairs_by_depth_loop(S, violations, limit=40):
+    """The per-pair loop that ``_violation_pairs_by_depth`` replaced, kept
+    as its oracle."""
+    if not violations:
+        return []
+    pts = S.grid.points
+    spts = S.member_points()
+    depths = []
+    for a, b in violations:
+        mid = (pts[a] + pts[b]) / 2.0
+        d = float(np.sqrt(((spts - mid[None, :]) ** 2).sum(axis=1)).min())
+        depths.append(d)
+    order = np.argsort(np.asarray(depths), kind="stable")[::-1]
+    return [violations[i] for i in order[:limit]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_violation_pairs_by_depth_equal_loop(data):
+    """Random masks in 1-3 dimensions, their midpoint-convexity violations
+    or random member pairs (repeats and equal depths included), distance
+    blocks of 1, 7 or the default (violation, member) entries."""
+    dim = data.draw(st.integers(1, 3), label="dim")
+    n = data.draw(st.integers(2, {1: 200, 2: 40, 3: 12}[dim]), label="n")
+    grid = ll.Grid(tuple((-1.0, 1.0) for _ in range(dim)), (n,) * dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    mask = rng.random(grid.size) < data.draw(st.floats(0.0, 1.0))
+    mask[rng.integers(grid.size)] = True
+    S = ll.ConstraintSet(grid, mask)
+    if data.draw(st.booleans(), label="random_pairs"):
+        k = data.draw(st.integers(0, 300), label="pairs")
+        violations = list(zip(rng.choice(S.members, k).tolist(),
+                              rng.choice(S.members, k).tolist()))
+    else:
+        violations = ll.midpoint_convexity(S)[1]
+    limit = data.draw(st.sampled_from([1, 40, 1000]), label="limit")
+    block = data.draw(st.sampled_from([1, 7, None]), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(projections, "_DEPTH_BLOCK", block)
+        assert (projections._violation_pairs_by_depth(S, violations, limit)
+                == violation_pairs_by_depth_loop(S, violations, limit))
+
+
 def far_pairs_loop(S, limit=24):
     """The per-index loop that ``_far_pairs`` replaced, kept as its oracle."""
     mem = S.members
@@ -275,18 +322,19 @@ def test_search_budgets_are_true_bounds(grid, budgets, name):
 
 def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
     """With every probe strong and no tie on any bisection ray, the refine
-    stage probes 8 jittered tie tilts per pair, all drawn from one
-    generator, from a budget of 85 probes per pair."""
+    stage probes 8 jittered tie tilts per pair as rows of the member-set
+    row core, all drawn from one generator, from a budget of 85 probes per
+    pair."""
+    S = make_set("annulus", grid)
     tilts = []
 
-    def strong_probe(f, S, s, budget, norm):
-        budget.spend()
-        tilts.append(s)
-        return SimpleNamespace(strong=True)
+    def strong_rows(f, rows, norm, radii=None, members=None):
+        assert members is S.members
+        tilts.extend(rows)
+        return [None] * len(rows), [SimpleNamespace(strong=True)] * len(rows)
 
-    monkeypatch.setattr(projections, "_probe", strong_probe)
+    monkeypatch.setattr(projections, "_wellposed_rows", strong_rows)
     monkeypatch.setattr(projections, "_bisect_for_tie", lambda *args: None)
-    S = make_set("annulus", grid)
     f = projections._half_sq(grid, 1.0)
     pairs = [(int(S.members[0]), int(S.members[-1])),
              (int(S.members[1]), int(S.members[-2]))]
@@ -299,6 +347,129 @@ def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
             for base in projections._witness_candidates(f, pairs)
             for _ in range(8)]
     assert np.array_equal(np.array(tilts), np.array(want))
+
+
+def witness_search_one_at_a_time(f, S, stages, refine_pairs, seed, norm):
+    """The probe-by-probe ``_witness_search`` that the row-block search
+    replaced, kept as its oracle: one ``solve_relative_projection`` per
+    tilt, the jitters drawn one tilt at a time."""
+    bases = projections._witness_candidates(
+        f, refine_pairs[:projections._REFINED_PAIRS])
+    budget = projections._Budget(sum(map(len, stages))
+                                 + projections._REFINE_PROBES * len(bases))
+
+    def tries():
+        for s in itertools.chain(*stages):
+            yield projections._probe(f, S, s, budget, norm)
+        rng = np.random.default_rng(seed)
+        for base in bases:
+            for _ in range(projections._JITTERS):
+                jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
+                yield projections._probe(f, S, base + jitter, budget, norm)
+            yield projections._bisect_for_tie(f, S, base, budget, norm)
+
+    return next((c for c in tries() if c is not None and not c.strong),
+                None), budget
+
+
+def fields(obj):
+    """Every field of a verdict, certificate or report, recursively: reprs
+    (exact for floats) and the bytes of arrays."""
+    if dataclasses.is_dataclass(obj):
+        return {fd.name: fields(getattr(obj, fd.name))
+                for fd in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    return repr(obj)
+
+
+def searched(run, search):
+    """The verdict of ``run()`` (or its BudgetExhaustedError) with every
+    witness search in it done by ``search``, and each search's witness
+    fields, probes used and budget limit."""
+    out = []
+
+    def recording(*args):
+        cert, budget = search(*args)
+        out.append((fields(cert), budget.used, budget.limit))
+        return cert, budget
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "_witness_search", recording)
+        try:
+            verdict = run()
+        except BudgetExhaustedError as e:
+            verdict = e
+    return verdict, out
+
+
+def assert_same_search(run):
+    """``run`` gives the one-at-a-time oracle's verdict, witness and budget."""
+    got, got_searches = searched(run, projections._witness_search)
+    want, want_searches = searched(run, witness_search_one_at_a_time)
+    assert got_searches == want_searches
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert fields(got) == fields(want)
+    return got, want
+
+
+SEARCHES = {
+    "detector": lambda S, n, seed: ll.convexity_detector(S, n, seed),
+    "farthest": lambda S, n, seed: ll.farthest_point_experiment(S, n, seed),
+    "tchebychev+": lambda S, n, seed: ll.tchebychev_test(
+        projections._half_sq(S.grid, 1.0), S, n, seed),
+    "tchebychev-": lambda S, n, seed: ll.tchebychev_test(
+        projections._half_sq(S.grid, -1.0), S, n, seed),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witness_search_equals_one_at_a_time(data):
+    """Random member sets on a 41^2 grid, both objectives, every search and
+    row blocks of 1, 2, 7 and the default rows: the witness certificate,
+    probes used and budget limit of the one-at-a-time search."""
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="mask_seed"))
+    if data.draw(st.booleans(), label="few_points"):
+        # a handful of points: the searches that reach the refine stage
+        mask = np.zeros(g.size, dtype=bool)
+        mask[rng.choice(g.size, data.draw(st.integers(1, 12), label="k"))] = True
+    else:
+        mask = rng.random(g.size) < data.draw(st.floats(0.0, 0.3),
+                                              label="density")
+        mask[rng.integers(g.size)] = True
+    S = ll.ConstraintSet(g, mask, "random")
+    search = SEARCHES[data.draw(st.sampled_from(sorted(SEARCHES)),
+                                label="search")]
+    n_probes = data.draw(st.integers(1, 80), label="n_probes")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rows = data.draw(st.sampled_from([1, 2, 7, None]), label="rows")
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(projections, "_PROBE_BLOCK", rows * g.size)
+        assert_same_search(lambda: search(S, n_probes, seed))
+
+
+@pytest.mark.parametrize("name", SET_NAMES)
+def test_catalog_searches_equal_one_at_a_time(grid, halfsq2, name):
+    """Detector, farthest-point search and Tchebychev test of every catalog
+    set on 101^2: the one-at-a-time search's kind, witness tilt and probe
+    count (and every other field)."""
+    S = make_set(name, grid)
+    for run in (lambda: ll.convexity_detector(S, n_probes=200, seed=42),
+                lambda: ll.farthest_point_experiment(S, n_probes=200, seed=42),
+                lambda: ll.tchebychev_test(halfsq2, S, n_probes=200, seed=42)):
+        got, want = assert_same_search(run)
+        if isinstance(want, ll.TchebychevReport):
+            assert (got.passed, got.witness_tilt, got.n_probes) == (
+                want.passed, want.witness_tilt, want.n_probes)
+        else:
+            assert (got.kind, got.witness_tilt, got.probes_used) == (
+                want.kind, want.witness_tilt, want.probes_used)
 
 
 def test_tchebychev_convex_polygon_passes(grid, halfsq2):
