@@ -18,6 +18,7 @@ disclaimers are those of the rows it visits, whatever the block size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -165,9 +166,9 @@ _TIE_SCREEN = 2.0
 
 
 class _Session:
-    """Shared per-classification state: f** and f*, tilted clusters, moduli,
-    verdict bits. Tie clusters and total-convexity verdicts are memoized per
-    dual and per primal point."""
+    """Shared state of one (function, dual grid, norm): f** and f*, tilted
+    clusters, moduli, verdict bits and the default-plan report. Tie clusters
+    and total-convexity verdicts are memoized per dual and per primal point."""
 
     def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice):
         self.f = f
@@ -255,6 +256,11 @@ class _Session:
             self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
         return pos, note
 
+    @cached_property
+    def report(self) -> ClassificationReport:
+        """The classification with the default sample plan, made once."""
+        return _classify(self)
+
 
 def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
              norm: NormChoice = NormChoice.L2) -> ClassificationReport:
@@ -263,7 +269,11 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
     ``samples`` caps the primal and the dual points of the default sample
     plan, which is built from the session's own conjugate.
     """
-    ses = _Session(f, dual_grid, norm)
+    return _classify(_Session(f, dual_grid, norm), samples)
+
+
+def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
+    f, dual_grid, norm = ses.f, ses.dual_grid, ses.norm
     plan = default_sample_plan(f, ses.conj, samples)
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
@@ -478,7 +488,12 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
     modulus is the well-posedness curve of (a), f(u) - f(x) - <u - x, s> =
     (f - s)(u) - (f - s)(x), so (c) is its certificate and (a) implies (c).
     """
-    ses = _Session(f, dual_grid, norm)
+    return _agreement(_Session(f, dual_grid, norm), duals, n_probes)
+
+
+def _agreement(ses: _Session, duals: Sequence[int] | None = None,
+               n_probes: int = 20) -> AgreementReport:
+    f, dual_grid, norm = ses.f, ses.dual_grid, ses.norm
     ti = np.flatnonzero(ses.conj.trusted_interior())
     if duals is None:
         duals = [int(i) for i in _evenly(ti, n_probes)]

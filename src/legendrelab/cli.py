@@ -90,6 +90,13 @@ def _load_function(args) -> GridFunction:
     return read_grid_function(args.input)
 
 
+def _fast_conjugable(f: GridFunction, command: str) -> None:
+    """The fast conjugate takes 1 or 2 axes; more is a usage error."""
+    if f.grid.dim > 2:
+        raise UsageError(f"{command} takes a 1- or 2-axis function (the fast "
+                         f"conjugate), the input has {f.grid.dim} axes")
+
+
 def _dual_grid_for(args, f: GridFunction) -> Grid:
     if args.dual_grid:
         dual = parse_grid_spec(args.dual_grid)
@@ -126,6 +133,8 @@ def _project_inputs(args) -> tuple[GridFunction, ConstraintSet]:
 
 def _cmd_conjugate(args) -> int:
     f = _load_function(args)
+    if args.method == "fast":
+        _fast_conjugable(f, "conjugate --method fast")
     dual = _dual_grid_for(args, f)
     if args.method == "brute" and f.grid.size * dual.size > MAX_BRUTE_PAIRS:
         raise UsageError(f"--method brute would compare {f.grid.size} x "
@@ -144,6 +153,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_classify(args) -> int:
     f = _load_function(args)
+    _fast_conjugable(f, "classify")
     dual = _dual_grid_for(args, f)
     report = classify(f, dual, samples=_at_least(args.samples, 1, "--samples"))
     if args.out:

@@ -18,14 +18,14 @@ from .catalog import (CONVEX_SET_NAMES, NONCONVEX_SET_NAMES, CatalogEntry,
                       entries, entry, finite_difference_hessian,
                       fourth_root_well, fourth_root_well_hessian,
                       fourth_root_well_hessian_det, make_set)
-from .classify import ClassificationReport, classify, lemma1_agreement
-from .errors import BudgetExhaustedError
+from .classify import _agreement, _Session, classify
+from .errors import BudgetExhaustedError, IoFailureError
 from .generators import random_convex_1d
-from .grids import grid_1d, grid_2d
+from .grids import NormChoice, grid_1d, grid_2d
 from .moduli import certification_verdict, firm_modulus, total_convexity_modulus
 from .projections import convexity_detector, farthest_point_experiment
 from .report_io import build_manifest, write_json, write_modulus_csv
-from .subdiff import domain_chain_check
+from .subdiff import _domain_chain
 from .tolerances import DEFAULT_TOLS
 
 EXPERIMENT_NAMES = ("ex1", "ex2", "lemma1", "cor3-chain", "cor4", "prop6",
@@ -42,15 +42,15 @@ class ExperimentResult:
     artifacts: list[Path]
 
 
-def _classified(e: CatalogEntry, reports: dict) -> ClassificationReport:
-    """The classification of a catalog entry, made once per run:
-    ``reports`` (entry id -> report) is created by each run."""
-    if e.id not in reports:
-        reports[e.id] = classify(e.build(), e.dual_grid)
-    return reports[e.id]
+def _session(e: CatalogEntry, sessions: dict) -> _Session:
+    """The session (f*, f**, clusters, report) of a catalog entry, built once
+    per run: ``sessions`` (entry id -> session) is created by each run."""
+    if e.id not in sessions:
+        sessions[e.id] = _Session(e.build(), e.dual_grid, NormChoice.L2)
+    return sessions[e.id]
 
 
-def run_ex1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_ex1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Fourth-root well: Hessian formulas, the zero modulus along the edge,
     and the hierarchy verdicts (firmly subdifferentiable but not totally
     convex on its whole domain)."""
@@ -79,7 +79,7 @@ def run_ex1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     m_center = firm_modulus(f, center, [0.0, 0.0])
     center_pos, _, _ = certification_verdict(m_center)
 
-    report = _classified(e, reports)
+    report = _session(e, sessions).report
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom"].witness
     wit_on_edge = (wit is not None
@@ -106,7 +106,7 @@ def run_ex1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("ex1", passed, summary, arts)
 
 
-def run_ex2(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_ex2(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Square-root well: not totally convex at the corner of its
     subdifferential domain, yet firmly subdifferentiable there."""
     e = entry("sqrt_well")
@@ -119,7 +119,7 @@ def run_ex2(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     m_firm = firm_modulus(f, corner, [1.05, 1.05])
     firm_pos, _, _ = certification_verdict(m_firm)
 
-    report = _classified(e, reports)
+    report = _session(e, sessions).report
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom_subdiff"].witness
     wit_corner = (wit is not None
@@ -143,21 +143,20 @@ def run_ex2(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("ex2", passed, summary, arts)
 
 
-def run_lemma1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_lemma1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Strong minimum / conjugate differentiability / firm certificate:
     three-way agreement over catalog entries, all-false on the flat case."""
     ids = ["halfsq", "abs", "quartic", "exp", "neg_entropy", "box_indicator"]
     per_entry = {}
     ok = True
     for eid in ids:
-        e = entry(eid)
-        rep = lemma1_agreement(e.build(), e.dual_grid, n_probes=24)
+        rep = _agreement(_session(entry(eid), sessions), n_probes=24)
         per_entry[eid] = rep.to_dict()
         ok = ok and len(rep.probes) >= 20 and not rep.disagreements
 
     e = entry("box_indicator")
     s0 = e.dual_grid.index_of_nearest([0.0])
-    flat = lemma1_agreement(e.build(), e.dual_grid, duals=[s0]).probes[0]
+    flat = _agreement(_session(e, sessions), duals=[s0]).probes[0]
     flat_ok = not (flat.strong_minimum or flat.conjugate_differentiable
                    or flat.firm_certificate)
     passed = ok and flat_ok
@@ -168,12 +167,12 @@ def run_lemma1(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("lemma1", passed, summary, arts)
 
 
-def run_cor3_chain(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_cor3_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Implication chain across the catalog and random convex functions."""
     rows = []
     ok = True
     for e in entries():
-        rep = _classified(e, reports)
+        rep = _session(e, sessions).report
         rows.append({"function": e.id, "chain_ok": rep.chain_ok,
                      "verdicts": rep.truth()})
         ok = ok and rep.chain_ok
@@ -195,7 +194,7 @@ def run_cor3_chain(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("cor3-chain", ok, summary, arts)
 
 
-def run_cor4(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_cor4(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Farthest points: only singletons give a strong maximum at every tilt."""
     rows = {}
     ok = True
@@ -221,7 +220,7 @@ def run_cor4(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("cor4", ok, summary, arts)
 
 
-def run_prop6(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_prop6(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Variational convexity detector against direct midpoint convexity."""
     rows = {}
     ok = True
@@ -240,12 +239,12 @@ def run_prop6(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
     return ExperimentResult("prop6", ok, summary, arts)
 
 
-def run_domain_chain(out_dir: Path, seed: int, reports: dict) -> ExperimentResult:
+def run_domain_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     """Inclusion of attained-tilt and interior sets inside dom of d(f*)."""
     rows = {}
     ok = True
     for e in entries():
-        r = domain_chain_check(e.build(), e.dual_grid)
+        r = _domain_chain(_session(e, sessions).bic, NormChoice.L2)
         rows[e.id] = {"inclusion_holds": r.inclusion_holds,
                       "n_dom_mj": int(r.dom_mj.sum()),
                       "n_int_dom": int(r.int_dom_conj.sum()),
@@ -274,13 +273,16 @@ def run_experiments(which: str, out_dir: str | Path,
                     seed: int = 42) -> tuple[bool, list[ExperimentResult]]:
     """Run one experiment or all of them; writes a manifest either way."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise IoFailureError(str(err)) from err
     names = list(EXPERIMENT_NAMES) if which == "all" else [which]
     results = []
     paths: list[Path] = []
-    reports: dict[str, ClassificationReport] = {}
+    sessions: dict[str, _Session] = {}
     for name in names:
-        res = _RUNNERS[name](out, seed, reports)
+        res = _RUNNERS[name](out, seed, sessions)
         results.append(res)
         paths.extend(res.artifacts)
     passed = all(r.passed for r in results)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import ConjugateResult, biconjugate
+from .conjugate import BiconjugateResult, ConjugateResult, biconjugate
 from .errors import NoAdmissibleStepError, PointOutsideDomainError
 from .grids import Grid, GridFunction, NormChoice
 from .tolerances import DEFAULT_TOLS
@@ -165,12 +165,17 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid,
     minimum is attained away from the primal boundary); the subdifferential
     of f* is estimated through gaps of the double conjugate.
     """
-    bic = biconjugate(f, dual_grid)
+    return _domain_chain(biconjugate(f, dual_grid), norm)
+
+
+def _domain_chain(bic: BiconjugateResult, norm: NormChoice) -> DomainChainReport:
+    """The check on f* and f** already computed (``bic`` of f)."""
     star = bic.star
+    dual_grid = star.dual_grid
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
 
-    pts = f.grid.points
+    pts = bic.function.grid.points
     duals = dual_grid.points
     x_norms = norm.length(pts)
     fss = bic.function.flat

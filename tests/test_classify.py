@@ -6,10 +6,13 @@ import pytest
 import legendrelab as ll
 from legendrelab import moduli
 from legendrelab.catalog import entries, entry
-from legendrelab.classify import CHAIN, _Session, default_sample_plan
+from legendrelab.classify import (CHAIN, _agreement, _Session,
+                                  default_sample_plan)
 from legendrelab.generators import random_convex_1d, random_grid_function
+from legendrelab.subdiff import _domain_chain
 
 from conftest import random_convex_2d
+from test_subdiff import _assert_same_report
 
 # the module, which the package's ``classify`` function shadows
 classify_module = importlib.import_module("legendrelab.classify")
@@ -177,6 +180,29 @@ def test_lemma1_agreement_across_catalog():
         rep = ll.lemma1_agreement(e.build(), e.dual_grid, n_probes=24)
         assert len(rep.probes) >= 20
         assert not rep.disagreements, (eid, rep.disagreements)
+
+
+@pytest.mark.parametrize("eid", ["box_indicator", "halfsq"])
+def test_session_shared_with_lemma1_gives_the_fresh_reports(eid):
+    """A session that the agreement probes used first (as lemma1 uses the
+    run's sessions before cor3-chain and domain-chain read them) classifies,
+    probes and checks the domain chain exactly as fresh calls do."""
+    e = entry(eid)
+    f = e.build()
+    ses = _Session(f, e.dual_grid, ll.NormChoice.L2)
+    s0 = e.dual_grid.index_of_nearest([0.0])
+    shared = [_agreement(ses, n_probes=24), _agreement(ses, duals=[s0])]
+    fresh = [ll.lemma1_agreement(f, e.dual_grid, n_probes=24),
+             ll.lemma1_agreement(f, e.dual_grid, duals=[s0])]
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in fresh]
+    assert ses.report is ses.report
+    assert ses.report.to_dict() == ll.classify(f, e.dual_grid).to_dict()
+    assert ses.report.disclaimers
+    core = _domain_chain(ses.bic, ll.NormChoice.L2)
+    checked = ll.domain_chain_check(f, e.dual_grid)
+    assert checked.dual_grid == core.dual_grid == e.dual_grid
+    _assert_same_report(checked, (core.dom_mj, core.int_dom_conj,
+                                  core.dom_sub_conj, core.violations))
 
 
 def test_report_serialization_round_trip(tmp_path):

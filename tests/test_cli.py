@@ -302,6 +302,17 @@ def test_verify_paper_single_experiment(tmp_path):
     assert {a["path"] for a in man["artifacts"]} == {"domain_chain.json"}
 
 
+def test_verify_paper_out_naming_a_file_exits_1(tmp_path, capsys):
+    """An --out that names an existing file is a filesystem failure: an
+    error line and exit 1, no traceback, and the file is left as it was."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["verify-paper", "--experiment", "lemma1",
+                 "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_verify_paper_determinism_small(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -366,6 +377,50 @@ def test_conjugate_2d_input_default_dual(tmp_path):
     assert main(["conjugate", "--input", str(src), "--out", str(out)]) == 0
     star = rio.read_grid_function(out.with_suffix(".fstar.json"))
     assert star.grid.dim == 2 and star.grid.counts == (201, 201)
+
+
+def _three_axis_input(tmp_path) -> Path:
+    g = ll.Grid(((-1.0, 1.0),) * 3, (5, 5, 5))
+    f = ll.build_grid_function(g, lambda p: 0.5 * (p * p).sum(axis=1),
+                               name="sq3", vectorized=True)
+    src = tmp_path / "f3.json"
+    rio.write_grid_function(f, src)
+    return src
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["conjugate", "--out"], id="conjugate-fast-default"),
+    pytest.param(["conjugate", "--method", "fast", "--out"], id="conjugate-fast"),
+    pytest.param(["classify", "--out"], id="classify"),
+])
+def test_three_axis_input_to_the_fast_conjugate_exits_2(argv, tmp_path,
+                                                        capsys, monkeypatch):
+    """conjugate --method fast and classify run the fast conjugate, which
+    takes 1 or 2 axes: a 3-axis file is a usage error, raised before any
+    conjugation starts."""
+    def started(*args, **kwargs):
+        raise AssertionError("conjugation started")
+
+    monkeypatch.setattr(cli, "conjugate", started)
+    monkeypatch.setattr(cli, "classify", started)
+    src = _three_axis_input(tmp_path)
+    out = tmp_path / "out"
+    assert main([argv[0], "--input", str(src), *argv[1:], str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]} ") and "3 axes" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f3.json"]
+
+
+def test_three_axis_input_to_brute_and_modulus_runs(tmp_path):
+    """Only the fast conjugate is limited to 2 axes: the brute conjugate and
+    the moduli read a 3-axis file."""
+    src = _three_axis_input(tmp_path)
+    out = tmp_path / "c"
+    assert main(["conjugate", "--input", str(src), "--method", "brute",
+                 "--dual-grid=-1,1,3;-1,1,3;-1,1,3", "--out", str(out)]) == 0
+    assert rio.read_grid_function(out.with_suffix(".fstar.json")).grid.dim == 3
+    assert main(["modulus", "--input", str(src), "--kind", "total",
+                 "--at", "0,0,0", "--out", str(tmp_path / "m.csv")]) == 0
 
 
 @pytest.mark.parametrize("argv,unknown", [

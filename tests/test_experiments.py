@@ -1,40 +1,73 @@
+import importlib
+
 from legendrelab import experiments
 from legendrelab.catalog import entries
 
+# the modules, which the package's functions of the same name shadow
+classify_module = importlib.import_module("legendrelab.classify")
+conjugate_module = importlib.import_module("legendrelab.conjugate")
+subdiff_module = importlib.import_module("legendrelab.subdiff")
+
+# Artifacts of each run alone, and the classifications and sessions (one
+# per catalog entry it reads) it makes.
 SINGLE_ARTIFACTS = {
     "ex1": ("ex1.json", "ex1_edge_total_modulus.csv",
             "ex1_center_firm_modulus.csv"),
     "ex2": ("ex2.json", "ex2_corner_total_modulus.csv",
             "ex2_corner_firm_modulus.csv"),
+    "lemma1": ("lemma1.json",),
+    "domain-chain": ("domain_chain.json",),
 }
+SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
+                 "domain-chain": (0, 16)}
 
 
 def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
                                                                 monkeypatch):
-    """A full run classifies each catalog entry and random function once
-    (ex1 and ex2 share cor3-chain's reports); a run alone, or a second run
-    in the same process, starts from nothing and writes the same bytes."""
-    calls = []
-    original = experiments.classify
+    """A full run builds one session (f*, f**, tie clusters) per catalog
+    entry and random function and classifies each once: ex1, ex2, lemma1,
+    cor3-chain and domain-chain share the catalog sessions. A run alone, or
+    a second run in the same process, starts from nothing and writes the
+    same bytes."""
+    calls, sessions, bicons = [], [], []
+    classify_body = classify_module._classify
+    session_init = classify_module._Session.__init__
+    biconjugate = conjugate_module.biconjugate
 
-    def counting(f, *args, **kwargs):
-        calls.append(f.name)
-        return original(f, *args, **kwargs)
+    def classifying(ses, *args, **kwargs):
+        calls.append(ses.f.name)
+        return classify_body(ses, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "classify", counting)
+    def building(ses, f, *args, **kwargs):
+        sessions.append(f.name)
+        session_init(ses, f, *args, **kwargs)
+
+    def conjugating(f, *args, **kwargs):
+        bicons.append(f.name)
+        return biconjugate(f, *args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "_classify", classifying)
+    monkeypatch.setattr(classify_module._Session, "__init__", building)
+    for module in (classify_module, conjugate_module, subdiff_module):
+        monkeypatch.setattr(module, "biconjugate", conjugating)
     manifests = []
     for run in ("all1", "all2"):
-        calls.clear()
+        for counter in (calls, sessions, bicons):
+            counter.clear()
         passed, _ = experiments.run_experiments("all", tmp_path / run, seed=42)
         assert passed
         assert len(calls) == len(set(calls)) == len(entries()) + 20 == 36
+        assert sorted(sessions) == sorted(bicons) == sorted(calls)
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
 
     for name, artifacts in SINGLE_ARTIFACTS.items():
-        calls.clear()
+        for counter in (calls, sessions, bicons):
+            counter.clear()
         passed, _ = experiments.run_experiments(name, tmp_path / name, seed=42)
-        assert passed and len(calls) == 1
+        assert passed
+        assert (len(calls), len(sessions)) == SINGLE_COUNTS[name], name
+        assert sessions == bicons and len(set(sessions)) == len(sessions)
         for art in artifacts:
             assert ((tmp_path / name / art).read_bytes()
                     == (tmp_path / "all1" / art).read_bytes()), art
