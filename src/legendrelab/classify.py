@@ -9,10 +9,11 @@ a sqrt(h) rate and would falsify the pointwise definitions on smooth
 functions.
 
 The moduli of a classification are computed in row blocks, in the order
-of the loop that reads them; a loop that breaks at its first failure has
-its rows computed only up to the block holding that failure. The loop
-then replays over the computed rows, so its witnesses, sample counts and
-disclaimers are those of the rows it visits, whatever the block size.
+of the loop that reads them: a loop reads rows as they are computed; its
+``break`` ends the computation at that block. Its witnesses, sample counts
+and disclaimers are those of the rows it visits, whatever the block size.
+One loop over the plan's tilts reads their well-posedness reports for
+adequacy (a one-cell tie cluster), strong adequacy and the preimage bound.
 """
 
 from __future__ import annotations
@@ -178,7 +179,6 @@ class _Session:
         self.conj = self.bic.star
         self._clusters: dict[int, np.ndarray] = {}
         self._totals: dict[int, tuple[bool, str]] = {}
-        self.cell = DEFAULT_TOLS.cell_limit(f.grid, norm)
         self.disclaimers: set[str] = set()
 
     def cluster(self, dual_flat: int) -> np.ndarray:
@@ -189,11 +189,6 @@ class _Session:
         _, _, cl = _tie_cluster(self.f, self.f.tilted(s)[None], s[None])
         self._clusters[dual_flat] = cl
         return cl
-
-    def cluster_diameter(self, dual_flat: int) -> float:
-        cl = self.cluster(dual_flat)
-        coords = self.f.grid.points[cl]
-        return float(self.norm.length(coords.max(axis=0) - coords.min(axis=0)))
 
     def witness_duals(self, x_flat: int, cap: int) -> list[int]:
         """Trusted duals whose tilted tie cluster contains x (a domain
@@ -222,19 +217,20 @@ class _Session:
     def firm(self, pairs: list[tuple[int, int]]) -> list[tuple[bool, str]]:
         """Firm verdicts of (point, dual) pairs; a certificate note becomes
         a disclaimer."""
-        _, verdicts = firm_moduli(self.f, [x for x, _ in pairs],
-                                  [self.dual_grid.point(s) for _, s in pairs],
-                                  self.norm)
+        rows = firm_moduli(self.f, [x for x, _ in pairs],
+                           [self.dual_grid.point(s) for _, s in pairs], self.norm)
         out = []
-        for (x, _), (pos, _, note) in zip(pairs, verdicts):
+        for (x, _), (_, (pos, _, note)) in zip(pairs, rows):
             if note:
                 self.disclaimers.add(f"firm certificate at {x}: {note}")
             out.append((pos, note))
         return out
 
-    def totals(self, points: list[int]) -> None:
-        """Memoize total-convexity verdicts at ``points``, taken in order,
-        up to the row block holding the first failure."""
+    def first_total_failure(self, points: list[int]) -> int | None:
+        """The first of ``points`` whose total-convexity verdict is negative
+        (None if none is), memoized; the certificate note of each point
+        visited becomes a disclaimer. Rows are computed only for points
+        that precede the first memoized failure."""
         todo = []
         for x in points:
             got = self._totals.get(x)
@@ -242,19 +238,17 @@ class _Session:
                 todo.append(x)
             elif not got[0]:
                 break
-        _, verdicts = total_convexity_moduli(self.f, todo, self.norm)
-        for x, (pos, _, note) in zip(todo, verdicts):
-            self._totals[x] = pos, note
-
-    def total_positive(self, x_flat: int) -> tuple[bool, str]:
-        """The verdict at x, memoized; its certificate note becomes a
-        disclaimer."""
-        if x_flat not in self._totals:
-            self.totals([x_flat])
-        pos, note = self._totals[x_flat]
-        if note:
-            self.disclaimers.add(f"total-convexity certificate at {x_flat}: {note}")
-        return pos, note
+        fresh = zip(todo, total_convexity_moduli(self.f, todo, self.norm))
+        for x in points:
+            while x not in self._totals:
+                y, (_, (pos, _, note)) = next(fresh)
+                self._totals[y] = pos, note
+            pos, note = self._totals[x]
+            if note:
+                self.disclaimers.add(f"total-convexity certificate at {x}: {note}")
+            if not pos:
+                return x
+        return None
 
     @cached_property
     def report(self) -> ClassificationReport:
@@ -287,33 +281,35 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     # adequacy: nonempty trusted set, tie clusters one cell wide at most.
     # Openness cannot fail at grid scale: any neighbor of a trusted dual is
     # either trusted or an untrusted truncation point, which is excusable.
+    # A strong minimum needs a one-cell cluster, so the strong-adequacy
+    # witness comes at or before the adequacy witness; the loop ends once
+    # the adequacy and preimage witnesses are both found.
     trusted_any = bool(ses.conj.trusted.any())
-    multi = None
-    for s_flat in plan.dual:
-        if ses.cluster_diameter(s_flat) > ses.cell:
-            multi = s_flat
+    bound = 0.25 * grid.corner_extent
+    multi_wit = sa_witness = unbounded_wit = None
+    for s_flat, (_, rep) in zip(plan.dual, wellposedness_moduli(
+            f, [dual_grid.point(s) for s in plan.dual], norm)):
+        if sa_witness is None:
+            if rep.note:
+                ses.disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
+            if not rep.strong:
+                sa_witness = {"dual": grid_point_dict(dual_grid, s_flat),
+                              "multiplicity": rep.multiplicity,
+                              "certificate_positive": rep.certificate_positive}
+        if multi_wit is None and not rep.unique_at_resolution:
+            multi_wit = {"dual": grid_point_dict(dual_grid, s_flat),
+                         "cluster_diameter": rep.cluster_diameter}
+        if unbounded_wit is None and rep.cluster_diameter > bound:
+            unbounded_wit = {"dual": grid_point_dict(dual_grid, s_flat),
+                             "preimage_diameter": rep.cluster_diameter}
+        if multi_wit is not None and unbounded_wit is not None:
             break
     verdicts["adequate"] = Verdict(
-        trusted_any and multi is None,
+        trusted_any and multi_wit is None,
         ("trusted set empty" if not trusted_any else
          f"tie clusters over {len(plan.dual)} sampled tilts; openness holds "
          "up to truncation-unresolvable neighbors"),
-        None if multi is None else {
-            "dual": grid_point_dict(ses.dual_grid, multi),
-            "cluster_diameter": ses.cluster_diameter(multi)},
-        len(plan.dual))
-
-    sa_witness = None
-    _, reports = wellposedness_moduli(
-        f, [dual_grid.point(s) for s in plan.dual], norm, stop=True)
-    for s_flat, rep in zip(plan.dual, reports):
-        if rep.note:
-            ses.disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
-        if not rep.strong:
-            sa_witness = {"dual": grid_point_dict(ses.dual_grid, s_flat),
-                          "multiplicity": rep.multiplicity,
-                          "certificate_positive": rep.certificate_positive}
-            break
+        multi_wit, len(plan.dual))
     verdicts["strongly_adequate"] = Verdict(
         trusted_any and sa_witness is None,
         f"strong minimum at every one of {len(plan.dual)} sampled tilts"
@@ -351,33 +347,23 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
         f"some certified subgradient at each of {len(subdiff_points)} points",
         strong_wit, len(subdiff_points))
 
-    tot_sub_wit = None
-    ses.totals(subdiff_points)
-    for x in subdiff_points:
-        pos, _ = ses.total_positive(x)
-        if not pos:
-            tot_sub_wit = {"point": grid_point_dict(grid, x)}
-            break
+    tot_sub = ses.first_total_failure(subdiff_points)
     verdicts["totally_convex_on_dom_subdiff"] = Verdict(
-        tot_sub_wit is None,
+        tot_sub is None,
         f"total-convexity certificate at {len(subdiff_points)} "
         "subdifferentiable points",
-        tot_sub_wit, len(subdiff_points))
+        None if tot_sub is None else {"point": grid_point_dict(grid, tot_sub)},
+        len(subdiff_points))
 
-    tot_dom_wit = None
-    ses.totals(dom_points)
-    for x in dom_points:
-        pos, _ = ses.total_positive(x)
-        if not pos:
-            tot_dom_wit = {"point": grid_point_dict(grid, x)}
-            break
+    tot_dom = ses.first_total_failure(dom_points)
     verdicts["totally_convex_on_dom"] = Verdict(
-        tot_dom_wit is None,
+        tot_dom is None,
         f"total-convexity certificate at {len(dom_points)} domain points",
-        tot_dom_wit, len(dom_points))
+        None if tot_dom is None else {"point": grid_point_dict(grid, tot_dom)},
+        len(dom_points))
 
     # essential strict convexity proxy: strictness on symmetric segments
-    # about subdifferentiable midpoints, plus preimage boundedness
+    # about subdifferentiable midpoints, plus preimage boundedness (above)
     strict_wit = None
     n_segments = 0
     fv = f.flat
@@ -403,13 +389,6 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
                     strict_wit = {"midpoint": grid_point_dict(grid, x),
                                   "endpoints": [grid_point_dict(grid, u),
                                                 grid_point_dict(grid, v)]}
-    bound = 0.25 * grid.corner_extent
-    unbounded_wit = None
-    for s_flat in plan.dual:
-        if ses.cluster_diameter(s_flat) > bound:
-            unbounded_wit = {"dual": grid_point_dict(ses.dual_grid, s_flat),
-                             "preimage_diameter": ses.cluster_diameter(s_flat)}
-            break
     verdicts["essentially_strictly_convex"] = Verdict(
         strict_wit is None and unbounded_wit is None,
         f"strict on {n_segments} symmetric segments; inverse-map diameter "
@@ -501,13 +480,9 @@ def _agreement(ses: _Session, duals: Sequence[int] | None = None,
     ratio_limit = 0.25 * f.grid.corner_extent / dual_grid.max_spacing
 
     probes = []
-    _, reports = wellposedness_moduli(
-        f, [dual_grid.point(s) for s in duals], norm)
-    for s_flat, rep in zip(duals, reports):
+    for s_flat, (_, rep) in zip(duals, wellposedness_moduli(
+            f, [dual_grid.point(s) for s in duals], norm)):
         s = dual_grid.point(s_flat)
-        a = rep.strong
-
-        diam = ses.cluster_diameter(s_flat)
         ratio_ok = True
         x_hat_pt = f.grid.point(rep.minimizer)
         for nb in dual_grid.neighbors(s_flat):
@@ -518,7 +493,7 @@ def _agreement(ses: _Session, duals: Sequence[int] | None = None,
             jump = float(norm.length(nb_pts - x_hat_pt[None, :]).min())
             if jump / ds > ratio_limit:
                 ratio_ok = False
-        b = (diam <= diam_limit) and ratio_ok
-        probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat), a, b,
-                                     rep.certificate_positive))
+        b = (rep.cluster_diameter <= diam_limit) and ratio_ok
+        probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat),
+                                     rep.strong, b, rep.certificate_positive))
     return AgreementReport(f.name, tuple(probes), ses.bic.consistent)

@@ -27,6 +27,7 @@ from .projections import (ConstraintSet, solve_relative_projection,
 from .report_io import (read_constraint_set, read_grid_function, write_json,
                         write_grid_function, write_indices, write_mask,
                         write_modulus_csv)
+from .tolerances import DEFAULT_TOLS
 from .experiments import EXPERIMENT_NAMES, run_experiments
 
 DEFAULT_DUAL_SPEC = "-3,3,201"
@@ -67,6 +68,20 @@ def _parse_point(text: str, grid: Grid, option: str) -> np.ndarray:
         raise UsageError(f"{option} wants {grid.dim} finite "
                          f"coordinate(s), got {text!r}")
     return point
+
+
+def _parse_tilt(text: str, f: GridFunction, option: str) -> np.ndarray:
+    """A tilt s for which f - <., s> on dom f and the tie slack at its
+    minimum are finite; an overflow there would make every point tie."""
+    s = _parse_point(text, f.grid, option)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilted = f.tilted(s)[f.domain_flat]
+        slack = DEFAULT_TOLS.tie_slack(tilted.min(), np.abs(s).sum(),
+                                       f.grid.bounds)
+    if not (np.isfinite(tilted).all() and np.isfinite(slack)):
+        raise UsageError(f"{option} {text!r} is too large: f - <., s> on "
+                         "dom f or its tie slack overflows")
+    return s
 
 
 def _at_least(value: int, least: int, option: str) -> int:
@@ -181,7 +196,7 @@ def _cmd_modulus(args) -> int:
             raise UsageError("--kind wellposed takes no --at")
         if not args.subgradient:
             raise UsageError("--subgradient supplies the tilt for --kind wellposed")
-        s = _parse_point(args.subgradient, f.grid, "--subgradient")
+        s = _parse_tilt(args.subgradient, f, "--subgradient")
         mod, rep = _curve(wellposedness_modulus, f, s, radii=radii)
         verdict = f"strong={rep.strong} minimizer={f.grid.point(rep.minimizer)}"
     else:
@@ -195,7 +210,7 @@ def _cmd_modulus(args) -> int:
         if args.kind == "firm":
             if not args.subgradient:
                 raise UsageError("--subgradient is required for --kind firm")
-            s = _parse_point(args.subgradient, f.grid, "--subgradient")
+            s = _parse_tilt(args.subgradient, f, "--subgradient")
             mod = _curve(firm_modulus, f, x, s, radii=radii)
         elif args.subgradient:
             raise UsageError("--kind total takes no --subgradient")
@@ -210,7 +225,7 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_project(args) -> int:
     f, S = _project_inputs(args)
-    s = _parse_point(args.tilt, f.grid, "--tilt")
+    s = _parse_tilt(args.tilt, f, "--tilt")
     cert = solve_relative_projection(f, S, s)
     payload = {
         "kind": "projection_certificate",

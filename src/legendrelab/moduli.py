@@ -16,20 +16,20 @@ stencil and one row-wise stable argsort, takes every shell minimum with
 one ``reduceat`` and decides every certificate in one vectorized pass.
 The one-curve functions are one-row calls of it; ``firm_moduli``,
 ``total_convexity_moduli`` and ``wellposedness_moduli`` take many rows
-(``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points, total
-convexity (and well-posedness on request) only up to the block holding
-the first failure. The witness searches of ``projections`` pass the tilts
-of each probe stage to ``_wellposed_rows`` with a feasible set's members,
-in larger blocks of their own. Each tilt is still one
-``f.tilted(s)`` and each distance one ``norm.length(points - point)``, so
-a row's values are the bits a call of its own gives.
+(``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points: a loop
+reads rows as they are computed; its ``break`` ends the computation at
+that block. The witness searches of ``projections`` read the tilts of
+each probe stage the same way, as member-set rows in larger blocks of
+their own. Each tilt is still one ``f.tilted(s)`` and each distance one
+``norm.length(points - point)``, so a row's values are the bits a call
+of its own gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,21 +111,14 @@ _ROW_BLOCK = 1 << 14
 
 def _by_blocks(grid: Grid, n_rows: int,
                evaluate: Callable[[slice], tuple[list, list]],
-               failed: Callable[[object], bool] | None = None
-               ) -> tuple[list, list]:
-    """The curves and verdicts ``evaluate`` returns for consecutive slices
-    of ``n_rows`` rows, each one block of the row core's size for
-    ``grid``; with ``failed``, up to the block holding the first verdict
-    it flags."""
-    size = max(1, _ROW_BLOCK // grid.size)
-    mods, verdicts = [], []
+               block: int) -> Iterator[tuple]:
+    """The (curve, verdict) rows ``evaluate`` returns for consecutive slices
+    of ``n_rows`` rows, ``block`` grid points' worth of rows a slice. A
+    slice is computed when its first row is read, so a loop that breaks
+    ends the computation at the end of that slice."""
+    size = max(1, block // grid.size)
     for lo in range(0, n_rows, size):
-        m, v = evaluate(slice(lo, lo + size))
-        mods += m
-        verdicts += v
-        if failed is not None and any(map(failed, v)):
-            break
-    return mods, verdicts
+        yield from zip(*evaluate(slice(lo, lo + size)))
 
 
 _PAD = np.array([math.inf])
@@ -405,23 +398,23 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
 def firm_moduli(f: GridFunction, points: Sequence[int],
                 tilts: Sequence[Sequence[float]],
                 norm: NormChoice = NormChoice.L2
-                ) -> tuple[list[Modulus], list[tuple]]:
+                ) -> Iterator[tuple[Modulus, tuple]]:
     """``firm_modulus`` and its ``certification_verdict`` at every pair
-    (``points[r]``, ``tilts[r]``), in row blocks; the first pair in input
-    order that is not a subgradient pair raises."""
+    (``points[r]``, ``tilts[r]``), computed in row blocks as they are read;
+    reading a block that holds a pair that is not a subgradient pair
+    raises."""
     return _by_blocks(f.grid, len(points),
-                      lambda b: _firm_rows(f, points[b], tilts[b], norm))
+                      lambda b: _firm_rows(f, points[b], tilts[b], norm),
+                      _ROW_BLOCK)
 
 
 def total_convexity_moduli(f: GridFunction, points: Sequence[int],
                            norm: NormChoice = NormChoice.L2
-                           ) -> tuple[list[Modulus], list[tuple]]:
+                           ) -> Iterator[tuple[Modulus, tuple]]:
     """``total_convexity_modulus`` and its ``certification_verdict`` about
-    each of ``points`` in order, in row blocks, up to the block holding the
-    first negative verdict."""
+    each of ``points`` in order, computed in row blocks as they are read."""
     return _by_blocks(f.grid, len(points),
-                      lambda b: _total_rows(f, points[b], norm),
-                      lambda v: not v[0])
+                      lambda b: _total_rows(f, points[b], norm), _ROW_BLOCK)
 
 
 def certify_gamma0(m: Modulus) -> Gamma0Certificate:
@@ -546,14 +539,12 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
 
 
 def wellposedness_moduli(f: GridFunction, tilts: Sequence[Sequence[float]],
-                         norm: NormChoice = NormChoice.L2, stop: bool = False
-                         ) -> tuple[list[Modulus], list[WellposednessReport]]:
-    """``wellposedness_modulus`` of each of ``tilts`` in order, in row
-    blocks; with ``stop``, only up to the block holding the first tilt
-    without a strong minimum."""
+                         norm: NormChoice = NormChoice.L2
+                         ) -> Iterator[tuple[Modulus, WellposednessReport]]:
+    """``wellposedness_modulus`` of each of ``tilts`` in order, computed in
+    row blocks as they are read."""
     return _by_blocks(f.grid, len(tilts),
-                      lambda b: _wellposed_rows(f, tilts[b], norm),
-                      (lambda rep: not rep.strong) if stop else None)
+                      lambda b: _wellposed_rows(f, tilts[b], norm), _ROW_BLOCK)
 
 
 @dataclass(frozen=True)

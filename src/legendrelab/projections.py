@@ -9,12 +9,13 @@ one witness-search engine: Halton probes and exact tie tilts from member
 pairs (midpoint-convexity violations or far pairs) in the caller's order,
 then jittered tie tilts and bisection toward the tie, from a budget of
 exactly what those stages can spend. The tilts of a stage go through the
-row core of ``moduli`` as the rows of member-set blocks, up to the block
-holding the first tilt that is not strongly posed; each row is the report
-a one-row ``solve_relative_projection`` gives, and the budget is spent
-once per tilt up to that one, so the witness and the count are those of
-probing one tilt at a time. The walk and bisection stay one probe at a
-time: each step depends on the last.
+row core of ``moduli`` as the rows of member-set blocks, read as they are
+computed up to the first tilt that is not strongly posed, whose block is
+the last one computed; each row is the report a one-row
+``solve_relative_projection`` gives, and the budget is spent once per
+tilt up to that one, so the witness and the count are those of probing
+one tilt at a time. The walk and bisection stay one probe at a time:
+each step depends on the last.
 
 Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
 of a member pair depend only on its index sum, so one FFT self-convolution
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
 from .grids import Grid, GridFunction, NormChoice, build_grid_function
-from .moduli import (Modulus, WellposednessReport, _wellposed_rows,
-                     wellposedness_modulus)
+from .moduli import (Modulus, WellposednessReport, _by_blocks,
+                     _wellposed_rows, wellposedness_modulus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +251,13 @@ def _first_failure(f: GridFunction, S: ConstraintSet,
     """The projection on S of the first of ``tilts`` that is not strong
     (None if all are), probed in row blocks up to the block holding it;
     one probe is spent per tilt up to and including that one."""
-    size = max(1, _PROBE_BLOCK // f.grid.size)
-    for lo in range(0, len(tilts), size):
-        mods, reports = _wellposed_rows(f, tilts[lo:lo + size], norm,
-                                        members=S.members)
-        for mod, rep in zip(mods, reports):
-            budget.spend()
-            if not rep.strong:
-                return _certificate(f, S, mod, rep)
+    for mod, rep in _by_blocks(
+            f.grid, len(tilts),
+            lambda b: _wellposed_rows(f, tilts[b], norm, members=S.members),
+            _PROBE_BLOCK):
+        budget.spend()
+        if not rep.strong:
+            return _certificate(f, S, mod, rep)
     return None
 
 

@@ -107,7 +107,7 @@ def test_rint_total_matches_firm_verdict():
             if not duals:
                 continue
             firm_at_x = all(pos for pos, _ in ses.firm([(x, s) for s in duals]))
-            total_at_x = ses.total_positive(x)[0]
+            total_at_x = ses.first_total_failure([x]) is None
             assert firm_at_x == total_at_x, (eid, p)
 
 

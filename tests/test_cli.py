@@ -136,6 +136,35 @@ def test_at_on_grid_edge_and_far_tilt_accepted(tmp_path):
                  "--subgradient", "5", "--out", str(tmp_path / "w.csv")]) == 0
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["modulus", "--catalog", "halfsq", "--kind", "wellposed",
+      "--subgradient", "1e308"], "--subgradient"),
+    (["modulus", "--catalog", "halfsq2", "--kind", "wellposed",
+      "--subgradient", "1e308,0"], "--subgradient"),
+    # the pairing is finite, but the tie slack of the minimum overflows
+    (["modulus", "--catalog", "halfsq", "--kind", "wellposed",
+      "--subgradient", "5e307"], "--subgradient"),
+    (["modulus", "--catalog", "halfsq", "--kind", "firm", "--at", "1",
+      "--subgradient", "1e308"], "--subgradient"),
+    (["project", "--f", "halfsq2", "--set", "box", "--tilt", "1e308,0"],
+     "--tilt"),
+])
+def test_overflowing_tilt_exits_2(argv, option, tmp_path):
+    out = tmp_path / "m.csv"
+    proc = run_cli(argv + ["--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {option}")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not out.exists()
+
+
+def test_large_finite_tilt_accepted(tmp_path, capsys):
+    """x^2/2 - 1e307 x is least at the right end of [-2, 2]."""
+    assert main(["modulus", "--catalog", "halfsq", "--kind", "wellposed",
+                 "--subgradient", "1e307", "--out", str(tmp_path / "w.csv")]) == 0
+    assert "minimizer=[2.]" in capsys.readouterr().out
+
+
 def test_unknown_catalog_exits_2_without_traceback():
     proc = run_cli(["classify", "--catalog", "no_such_entry"])
     assert proc.returncode == 2

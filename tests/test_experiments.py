@@ -7,6 +7,8 @@ from legendrelab.catalog import entries
 classify_module = importlib.import_module("legendrelab.classify")
 conjugate_module = importlib.import_module("legendrelab.conjugate")
 subdiff_module = importlib.import_module("legendrelab.subdiff")
+moduli_module = importlib.import_module("legendrelab.moduli")
+projections_module = importlib.import_module("legendrelab.projections")
 
 # Artifacts of each run alone, and the classifications and sessions (one
 # per catalog entry it reads) it makes.
@@ -21,13 +23,20 @@ SINGLE_ARTIFACTS = {
 SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
                  "domain-chain": (0, 16)}
 
+# Rows a full seed-42 run passes to each row-core function, and the tie
+# clusterings its sessions compute (memo misses of ``_Session.cluster``):
+# the plan's tilts are clustered once, by their well-posedness rows.
+RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093,
+            "cluster": 1186}
+
 
 def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
                                                                 monkeypatch):
     """A full run builds one session (f*, f**, tie clusters) per catalog
     entry and random function and classifies each once: ex1, ex2, lemma1,
-    cor3-chain and domain-chain share the catalog sessions. A run alone, or
-    a second run in the same process, starts from nothing and writes the
+    cor3-chain and domain-chain share the catalog sessions, and each full
+    run computes the pinned row-core rows and tie clusterings. A run alone,
+    or a second run in the same process, starts from nothing and writes the
     same bytes."""
     calls, sessions, bicons = [], [], []
     classify_body = classify_module._classify
@@ -46,6 +55,26 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         bicons.append(f.name)
         return biconjugate(f, *args, **kwargs)
 
+    rows = dict.fromkeys(RUN_ROWS, 0)
+
+    def counting(name, body):
+        def count(f, batch, *args, **kwargs):
+            rows[name] += len(batch)
+            return body(f, batch, *args, **kwargs)
+        return count
+
+    for name in ("_wellposed_rows", "_total_rows", "_firm_rows"):
+        count = counting(name, getattr(moduli_module, name))
+        for module in (moduli_module, projections_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, count)
+    cluster = classify_module._Session.cluster
+
+    def clustering(ses, dual_flat):
+        rows["cluster"] += dual_flat not in ses._clusters
+        return cluster(ses, dual_flat)
+
+    monkeypatch.setattr(classify_module._Session, "cluster", clustering)
     monkeypatch.setattr(classify_module, "_classify", classifying)
     monkeypatch.setattr(classify_module._Session, "__init__", building)
     for module in (classify_module, conjugate_module, subdiff_module):
@@ -54,8 +83,10 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     for run in ("all1", "all2"):
         for counter in (calls, sessions, bicons):
             counter.clear()
+        rows.update(dict.fromkeys(RUN_ROWS, 0))
         passed, _ = experiments.run_experiments("all", tmp_path / run, seed=42)
         assert passed
+        assert rows == RUN_ROWS
         assert len(calls) == len(set(calls)) == len(entries()) + 20 == 36
         assert sorted(sessions) == sorted(bicons) == sorted(calls)
         manifests.append((tmp_path / run / "manifest.json").read_bytes())

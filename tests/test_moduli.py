@@ -1331,9 +1331,10 @@ def test_row_blocks_equal_per_call_on_catalog(eid, norm):
 @pytest.mark.parametrize("block", [1, 3, 8])
 @pytest.mark.parametrize("eid", [e.id for e in ll.entries() if e.dim == 1])
 def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
-    """The block functions give the one-row results in input order; total
-    convexity, and well-posedness with ``stop``, end with the block holding
-    the first failure."""
+    """The block functions yield the one-row results in input order, each
+    block computed when its first row is read: a loop that breaks at the
+    first failure has computed the blocks up to the one holding it and no
+    more, and a loop that reads on gets every row."""
     e = entry(eid)
     f = e.build()
     monkeypatch.setattr(moduli, "_ROW_BLOCK", block * f.grid.size)
@@ -1347,29 +1348,45 @@ def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
         return len(failed) if not bad else min(len(failed),
                                                (bad[0] // block + 1) * block)
 
-    one = [ll.certification_verdict(ll.total_convexity_modulus(f, x))
-           for x in points]
-    mods, verdicts = moduli.total_convexity_moduli(f, points)
-    assert len(mods) == len(verdicts) == rows_kept([not v[0] for v in one])
-    for x, mod, verdict, want in zip(points, mods, verdicts, one):
-        assert_same_curve(mod, ll.total_convexity_modulus(f, x))
-        assert_same_fields(verdict, want)
+    totals = [ll.total_convexity_modulus(f, x) for x in points]
+    cases = [(lambda: moduli.total_convexity_moduli(f, points),
+              [(m, ll.certification_verdict(m)) for m in totals],
+              lambda verdict: not verdict[0]),
+             (lambda: moduli.wellposedness_moduli(f, tilts),
+              [ll.wellposedness_modulus(f, s) for s in tilts],
+              lambda rep: not rep.strong)]
+    computed = []
+    for name in ("_total_rows", "_wellposed_rows"):
+        def counting(f, rows, *args, body=getattr(moduli, name), **kwargs):
+            computed.extend(rows)
+            return body(f, rows, *args, **kwargs)
+        monkeypatch.setattr(moduli, name, counting)
 
-    one = [ll.wellposedness_modulus(f, s) for s in tilts]
-    for stop in (False, True):
-        mods, reports = moduli.wellposedness_moduli(f, tilts, stop=stop)
-        kept = rows_kept([not r.strong for _, r in one]) if stop else len(tilts)
-        assert len(mods) == len(reports) == kept
-        for mod, rep, (want_mod, want_rep) in zip(mods, reports, one):
-            assert_same_curve(mod, want_mod)
-            assert_same_fields(rep, want_rep)
+    for rows, one, failed in cases:
+        failures = [failed(verdict) for _, verdict in one]
+        computed.clear()
+        read = []
+        for row in rows():
+            read.append(row)
+            if failed(row[1]):
+                break
+        assert len(read) == (failures.index(True) + 1 if any(failures)
+                             else len(one))
+        assert len(computed) == rows_kept(failures)
+        computed.clear()
+        every = list(rows())
+        assert len(every) == len(computed) == len(one)
+        for got in (read, every):
+            for (mod, verdict), (want_mod, want) in zip(got, one):
+                assert_same_curve(mod, want_mod)
+                assert_same_fields(verdict, want)
 
     conj = ll.conjugate_fast(f, e.dual_grid)
     duals = [e.dual_grid.index_of_nearest(s) for s in tilts]
     pairs = [int(conj.argmax[s]) for s in duals]
-    mods, verdicts = moduli.firm_moduli(f, pairs, tilts)
-    assert len(mods) == len(pairs)
-    for x, s, mod, verdict in zip(pairs, tilts, mods, verdicts):
+    rows = list(moduli.firm_moduli(f, pairs, tilts))
+    assert len(rows) == len(pairs)
+    for x, s, (mod, verdict) in zip(pairs, tilts, rows):
         want = ll.firm_modulus(f, x, s)
         assert_same_curve(mod, want)
         assert_same_fields(verdict, ll.certification_verdict(want))
