@@ -62,22 +62,15 @@ def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult) -> list[int]:
     """
     dg = conj.dual_grid
     threshold = 4.0 * max(f.grid.max_spacing, dg.max_spacing)
-    where = conj.argmax.reshape(dg.shape)
-    trusted = conj.trusted.reshape(dg.shape)
+    pts = f.grid.points
+    lo = np.arange(dg.size)
     out: list[tuple[float, int, int]] = []
     for ax in range(dg.dim):
-        a = np.take(where, range(0, dg.shape[ax] - 1), axis=ax)
-        b = np.take(where, range(1, dg.shape[ax]), axis=ax)
-        ta = np.take(trusted, range(0, dg.shape[ax] - 1), axis=ax)
-        tb = np.take(trusted, range(1, dg.shape[ax]), axis=ax)
-        jump = np.linalg.norm(f.grid.points[a] - f.grid.points[b], axis=-1)
-        for flat in np.flatnonzero((jump > threshold) & ta & tb):
-            multi = list(np.unravel_index(flat, a.shape))
-            lo = list(multi)
-            hi = list(multi)
-            hi[ax] += 1
-            out.append((float(jump.ravel()[flat]),
-                        dg.ravel_index(lo), dg.ravel_index(hi)))
+        hi = dg.shift(lo, ax, 1)
+        a, b = lo[hi >= 0], hi[hi >= 0]
+        jump = np.linalg.norm(pts[conj.argmax[a]] - pts[conj.argmax[b]], axis=-1)
+        for i in np.flatnonzero((jump > threshold) & conj.trusted[a] & conj.trusted[b]):
+            out.append((float(jump[i]), int(a[i]), int(b[i])))
     out.sort(key=lambda r: -r[0])
     picked: list[int] = []
     for _, i, j in out:
@@ -367,28 +360,20 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     strict_wit = None
     n_segments = 0
     fv = f.flat
-    shape = np.asarray(grid.shape)
-    for x in subdiff_points:
-        base = np.asarray(grid.unravel_index(x), dtype=np.int64)
+    xs = np.asarray(subdiff_points, dtype=np.int64)
+    ends = [(grid.shift(xs, ax, -k), grid.shift(xs, ax, k))
+            for ax in range(grid.dim) for k in _SEGMENT_STEPS]
+    for i, x in enumerate(subdiff_points):
         fx = fv[x]
-        for ax in range(grid.dim):
-            e = np.zeros(grid.dim, dtype=np.int64)
-            e[ax] = 1
-            for k in _SEGMENT_STEPS:
-                lo = base - k * e
-                hi = base + k * e
-                if (lo < 0).any() or (hi >= shape).any():
-                    continue
-                u = grid.ravel_index(lo)
-                v = grid.ravel_index(hi)
-                if not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
-                    continue
-                n_segments += 1
-                eps = DEFAULT_TOLS.delta0(abs(fx))
-                if fx >= 0.5 * (fv[u] + fv[v]) - eps and strict_wit is None:
-                    strict_wit = {"midpoint": grid_point_dict(grid, x),
-                                  "endpoints": [grid_point_dict(grid, u),
-                                                grid_point_dict(grid, v)]}
+        for u, v in ((int(lo[i]), int(hi[i])) for lo, hi in ends):
+            if u < 0 or v < 0 or not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
+                continue
+            n_segments += 1
+            eps = DEFAULT_TOLS.delta0(abs(fx))
+            if fx >= 0.5 * (fv[u] + fv[v]) - eps and strict_wit is None:
+                strict_wit = {"midpoint": grid_point_dict(grid, x),
+                              "endpoints": [grid_point_dict(grid, u),
+                                            grid_point_dict(grid, v)]}
     verdicts["essentially_strictly_convex"] = Verdict(
         strict_wit is None and unbounded_wit is None,
         f"strict on {n_segments} symmetric segments; inverse-map diameter "

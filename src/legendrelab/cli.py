@@ -19,7 +19,7 @@ from .catalog import SET_NAMES, CatalogEntry, entry, make_set
 from .classify import classify
 from .conjugate import conjugate
 from .errors import LegendreLabError
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, NormChoice
 from .moduli import (certification_verdict, firm_modulus,
                      total_convexity_modulus, wellposedness_modulus)
 from .projections import (ConstraintSet, solve_relative_projection,
@@ -118,6 +118,16 @@ def _dual_grid_for(args, f: GridFunction) -> Grid:
         if dual.dim != f.grid.dim:
             raise UsageError(f"--dual-grid has {dual.dim} axes, the function "
                              f"has {f.grid.dim}")
+        # bounds on |<x, s> - f(x)| and its differences, and the largest
+        # dual norm of a dual point
+        corner = np.abs(dual.bounds).max(axis=1)
+        with np.errstate(over="ignore"):
+            pairing = (2 * (np.abs(f.grid.bounds).max(axis=1) * corner).sum()
+                       + np.abs(f.flat[f.domain_flat]).max())
+            lengths = [norm.length(corner) for norm in NormChoice]
+        if not np.isfinite([pairing, *lengths]).all():
+            raise UsageError(f"--dual-grid {args.dual_grid!r} is too large: its "
+                             "pairing with the primal grid or its norm overflows")
         return dual
     if args.catalog:
         return _catalog_entry(args.catalog).dual_grid

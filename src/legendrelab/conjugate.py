@@ -49,19 +49,12 @@ class ConjugateResult:
     def trusted_interior(self) -> np.ndarray:
         """Trusted dual points whose dual-grid neighbors are all trusted."""
         g = self.dual_grid
-        shaped = self.trusted.reshape(g.shape)
-        out = shaped & g.interior_flat.reshape(g.shape)
+        flat = np.arange(g.size)
+        out = self.trusted & g.interior_flat
         for ax in range(g.dim):
-            lo = np.ones(g.shape, dtype=bool)
-            hi = np.ones(g.shape, dtype=bool)
-            sl_lo = [slice(None)] * g.dim
-            sl_hi = [slice(None)] * g.dim
-            sl_lo[ax] = slice(1, None)
-            sl_hi[ax] = slice(None, -1)
-            lo[tuple(sl_lo)] = np.take(shaped, range(0, g.shape[ax] - 1), axis=ax)
-            hi[tuple(sl_hi)] = np.take(shaped, range(1, g.shape[ax]), axis=ax)
-            out &= lo & hi
-        return out.ravel()
+            for k in (-1, 1):       # an edge point (neighbor -1) is already out
+                out &= self.trusted[g.shift(flat, ax, k)]
+        return out
 
 
 def conjugate_value(f: GridFunction, s: Sequence[float]) -> tuple[float, int]:

@@ -111,16 +111,19 @@ class Grid:
     @cached_property
     def interior_flat(self) -> np.ndarray:
         """Boolean per flat index: no axis index touches the grid edge."""
-        mask = np.ones(self.shape, dtype=bool)
-        for ax in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = False
-            sl[ax] = -1
-            mask[tuple(sl)] = False
-        flat = mask.ravel()
-        flat.flags.writeable = False
-        return flat
+        flat = np.arange(self.size)
+        inner = np.logical_and.reduce([self.shift(flat, ax, k) >= 0
+                                       for ax in range(self.dim) for k in (-1, 1)])
+        inner.flags.writeable = False
+        return inner
+
+    def shift(self, flat: int | np.ndarray, axis: int, k: int) -> np.ndarray:
+        """Flat indices ``k`` points along ``axis`` from each of ``flat`` (an
+        int or an array of them), -1 where the step leaves the grid."""
+        flat = np.asarray(flat, dtype=np.int64)
+        stride = math.prod(self.counts[axis + 1:])
+        pos = flat // stride % self.counts[axis] + k
+        return np.where((pos >= 0) & (pos < self.counts[axis]), flat + k * stride, -1)
 
     def ravel_index(self, multi: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
@@ -141,16 +144,8 @@ class Grid:
 
     def neighbors(self, flat: int) -> list[int]:
         """Flat indices one step away along each axis."""
-        multi = self.unravel_index(flat)
-        out = []
-        for ax in range(self.dim):
-            for step in (-1, 1):
-                k = multi[ax] + step
-                if 0 <= k < self.counts[ax]:
-                    m = list(multi)
-                    m[ax] = k
-                    out.append(self.ravel_index(m))
-        return out
+        return [int(j) for ax in range(self.dim) for k in (-1, 1)
+                if (j := self.shift(flat, ax, k)) >= 0]
 
     @property
     def corner_extent(self) -> float:

@@ -93,14 +93,11 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
                   level: float) -> bool:
     """Whether some cluster member on the grid edge has its inward
     neighbor above ``level`` (the objective descends off the grid)."""
-    for c in cluster:
-        multi = grid.unravel_index(int(c))
-        for ax in range(grid.dim):
-            if multi[ax] in (0, grid.counts[ax] - 1):
-                inward = list(multi)
-                inward[ax] += 1 if multi[ax] == 0 else -1
-                if values[grid.ravel_index(inward)] > level:
-                    return True
+    for ax in range(grid.dim):
+        down, up = grid.shift(cluster, ax, -1), grid.shift(cluster, ax, 1)
+        inward = np.maximum(down, up)[np.minimum(down, up) < 0]
+        if (values[inward] > level).any():
+            return True
     return False
 
 
@@ -322,13 +319,11 @@ def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
     # per-axis signed quotients q[axis][sign] and admissible-step counts
     # (sign 0 -> +, 1 -> -): the ray of the neighbour base + sign e_axis is
     # the axis itself (inf and no admissible step where that neighbour is
-    # off the grid)
-    steps = np.eye(dim, dtype=np.int64)
-    base = np.stack(np.unravel_index(xs, grid.shape), axis=1)
-    nbrs = base[:, None, None, :] + np.stack([steps, -steps], axis=1)
-    on_grid = ((nbrs >= 0) & (nbrs < grid.shape)).all(axis=-1)
-    at = np.ravel_multi_index(tuple(np.moveaxis(nbrs, -1, 0)), grid.shape,
-                              mode="clip") + n * rows[:, None, None]
+    # off the grid; its lookup reads the row's entry 0 and is masked)
+    nbrs = np.moveaxis(np.array([[grid.shift(xs, ax, k) for k in (1, -1)]
+                                 for ax in range(dim)]), -1, 0)
+    on_grid = nbrs >= 0
+    at = np.maximum(nbrs, 0) + n * rows[:, None, None]
     axis_q = np.where(on_grid, fprime_ray.ravel()[at], math.inf)
     axis_cnt = np.where(on_grid, adm.reshape(k_dd, -1)[:, at].sum(axis=0), 0)
 
@@ -340,7 +335,7 @@ def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
     for ax in range(dim):
         shape = [xs.size] + [1] * dim
         shape[ax + 1] = grid.counts[ax]
-        rel = np.arange(grid.counts[ax]) - base[:, ax:ax + 1]
+        rel = np.arange(1 - grid.counts[ax], 1) + origin[ax][:, None]
         neg, needed = rel < 0, rel != 0
         q, cnt, opposite = (np.where(neg, t[:, ax, 1 - j:2 - j], t[:, ax, j:j + 1])
                             for t, j in ((axis_q, 0), (axis_cnt, 0), (axis_cnt, 1)))

@@ -158,6 +158,30 @@ def test_overflowing_tilt_exits_2(argv, option, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--catalog", "halfsq", "--dual-grid=1e307,5e307,5"],
+    ["classify", "--catalog", "halfsq2", "--dual-grid=-1e200,1e200,5;-1,1,5"],
+    ["conjugate", "--catalog", "halfsq", "--dual-grid=1e308,1.7e308,3"],
+], ids=["pairing", "dual-norm", "conjugate"])
+def test_overflowing_dual_grid_exits_2(argv, tmp_path):
+    out = tmp_path / "c"
+    proc = run_cli(argv + ["--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --dual-grid")
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_finite_dual_grid_accepted(tmp_path):
+    proc = run_cli(["classify", "--catalog", "halfsq",
+                    "--dual-grid=-1e150,1e150,5", "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "r.json").exists()
+
+
 def test_large_finite_tilt_accepted(tmp_path, capsys):
     """x^2/2 - 1e307 x is least at the right end of [-2, 2]."""
     assert main(["modulus", "--catalog", "halfsq", "--kind", "wellposed",
