@@ -19,7 +19,7 @@ from .catalog import SET_NAMES, CatalogEntry, entry, make_set
 from .classify import classify
 from .conjugate import conjugate
 from .errors import LegendreLabError
-from .grids import Grid, GridFunction, NormChoice
+from .grids import Grid, GridFunction, NormChoice, finite_range
 from .moduli import (certification_verdict, firm_modulus,
                      total_convexity_modulus, wellposedness_modulus)
 from .projections import (ConstraintSet, solve_relative_projection,
@@ -27,7 +27,6 @@ from .projections import (ConstraintSet, solve_relative_projection,
 from .report_io import (read_constraint_set, read_grid_function, write_json,
                         write_grid_function, write_indices, write_mask,
                         write_modulus_csv)
-from .tolerances import DEFAULT_TOLS
 from .experiments import EXPERIMENT_NAMES, run_experiments
 
 DEFAULT_DUAL_SPEC = "-3,3,201"
@@ -71,16 +70,12 @@ def _parse_point(text: str, grid: Grid, option: str) -> np.ndarray:
 
 
 def _parse_tilt(text: str, f: GridFunction, option: str) -> np.ndarray:
-    """A tilt s for which f - <., s> on dom f and the tie slack at its
-    minimum are finite; an overflow there would make every point tie."""
+    """A tilt s inside the finite-range rule of f; past it f - <., s> on
+    dom f or its tie slack may overflow, and then every point ties."""
     s = _parse_point(text, f.grid, option)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tilted = f.tilted(s)[f.domain_flat]
-        slack = DEFAULT_TOLS.tie_slack(tilted.min(), np.abs(s).sum(),
-                                       f.grid.bounds)
-    if not (np.isfinite(tilted).all() and np.isfinite(slack)):
+    if not finite_range(f, np.abs(s)):
         raise UsageError(f"{option} {text!r} is too large: f - <., s> on "
-                         "dom f or its tie slack overflows")
+                         "dom f breaks the finite-range rule")
     return s
 
 
@@ -118,14 +113,11 @@ def _dual_grid_for(args, f: GridFunction) -> Grid:
         if dual.dim != f.grid.dim:
             raise UsageError(f"--dual-grid has {dual.dim} axes, the function "
                              f"has {f.grid.dim}")
-        # bounds on |<x, s> - f(x)| and its differences, and the largest
-        # dual norm of a dual point
+        # the pairing range with the primal grid, and the largest dual norm
         corner = np.abs(dual.bounds).max(axis=1)
         with np.errstate(over="ignore"):
-            pairing = (2 * (np.abs(f.grid.bounds).max(axis=1) * corner).sum()
-                       + np.abs(f.flat[f.domain_flat]).max())
             lengths = [norm.length(corner) for norm in NormChoice]
-        if not np.isfinite([pairing, *lengths]).all():
+        if not (finite_range(f, corner) and np.isfinite(lengths).all()):
             raise UsageError(f"--dual-grid {args.dual_grid!r} is too large: its "
                              "pairing with the primal grid or its norm overflows")
         return dual

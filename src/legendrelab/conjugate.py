@@ -59,15 +59,13 @@ class ConjugateResult:
 
 def conjugate_value(f: GridFunction, s: Sequence[float]) -> tuple[float, int]:
     """Conjugate at a single dual point: (value, primal argmax flat index)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    vals = f.grid.points @ s - f.flat
+    vals = f.grid.pair(np.atleast_1d(s)) - f.flat
     arg = int(np.argmax(vals))
     return float(vals[arg]), arg
 
 
 def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     """Direct maximum over all primal points, chunked over dual points."""
-    pts = f.grid.points
     fv = f.flat
     interior = f.grid.interior_flat
     duals = dual_grid.points
@@ -77,7 +75,7 @@ def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     trusted = np.empty(m, dtype=bool)
     for lo in range(0, m, _BRUTE_CHUNK):
         hi = min(lo + _BRUTE_CHUNK, m)
-        vals = duals[lo:hi] @ pts.T - fv[None, :]
+        vals = f.grid.pair(duals[lo:hi]) - fv[None, :]
         best = vals.max(axis=1)
         out[lo:hi] = best
         arg[lo:hi] = vals.argmax(axis=1)

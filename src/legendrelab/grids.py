@@ -125,6 +125,26 @@ class Grid:
         pos = flat // stride % self.counts[axis] + k
         return np.where((pos >= 0) & (pos < self.counts[axis]), flat + k * stride, -1)
 
+    def pair(self, s: Sequence[float] | np.ndarray,
+             flat: np.ndarray | None = None) -> np.ndarray:
+        """Pairings <x, s> = s_0 x_0 + s_1 x_1 + ... in axis order by elementwise
+        multiplies and adds (never BLAS), each with the bits of that Python-float
+        sum whatever the batch or machine. ``s`` is one tilt (dim,) or a stack
+        (..., dim); it pairs with every grid point, (..., size), or with those at
+        the 1D ``flat`` indices, broadcast against ``s[..., 0]``."""
+        s = np.asarray(s, dtype=float)
+        lead = s.shape[:-1]
+        if flat is not None:    # np.take gathers rows far faster than points[flat]
+            xs = np.take(self.points, flat, axis=0).T
+        else:                   # per-axis products, broadcast over the grid
+            s = s.reshape(lead + (1,) * self.dim + (self.dim,))
+            xs = [ax.reshape((-1,) + (1,) * (self.dim - 1 - i))
+                  for i, ax in enumerate(self.axes)]
+        out = s[..., 0] * xs[0]
+        for i in range(1, self.dim):
+            out = out + s[..., i] * xs[i]
+        return out if flat is not None else out.reshape(lead + (self.size,))
+
     def ravel_index(self, multi: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.shape))
 
@@ -241,10 +261,20 @@ class GridFunction:
         """Largest one-step slope magnitude at a point, over in-domain neighbors."""
         return float(self.local_slopes[int(flat)])
 
-    def tilted(self, s: Sequence[float]) -> np.ndarray:
-        """Flat array of f(x) - <x, s>."""
-        s = np.asarray(s, dtype=float)
-        return self.flat - self.grid.points @ s
+    def tilted(self, s: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Flat array of f(x) - <x, s>; (R, n) for a stack of R tilts."""
+        return self.flat - self.grid.pair(s)
+
+
+def finite_range(f: GridFunction, corner: float | np.ndarray = 0.0) -> bool:
+    """The finite-range rule: 4 * (M + P) is finite, with M = max |f| on
+    dom f and P = max |x_i| * sum_i corner_i, a bound on |<x, s>| for the
+    tilts with |s_i| <= corner_i. The sums formed from f and such tilts
+    (tilted values and their differences, midpoints of f, f*, f**,
+    Fenchel-Young gaps, tie slacks) then cannot overflow."""
+    with np.errstate(over="ignore"):
+        reach = np.abs(f.grid.bounds).max() * np.sum(corner)
+        return bool(np.isfinite(4 * (np.abs(f.flat[f.domain_flat]).max() + reach)))
 
 
 def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
@@ -254,7 +284,7 @@ def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
     The evaluator receives a point (1D: float, 2D: ndarray) and returns a
     float or +inf; with ``vectorized=True`` it receives the full (N, dim)
     point array and returns N values. Raises EmptyDomainError when no value
-    is finite, ValueError on nan or -inf.
+    is finite, ValueError on nan, -inf or values that break ``finite_range``.
     """
     pts = grid.points
     if vectorized:
@@ -265,7 +295,11 @@ def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
         else:
             vals = np.array([float(evaluator(p)) for p in pts])
     _validate_values(vals)
-    return GridFunction(grid, vals.reshape(grid.shape), name=name)
+    f = GridFunction(grid, vals.reshape(grid.shape), name=name)
+    if not finite_range(f):
+        raise ValueError(f"values of {name!r} break the finite-range rule: "
+                         "4 max |f| on dom f overflows")
+    return f
 
 
 # Stencils kept at once by each cache. The largest band stencil in use

@@ -20,9 +20,9 @@ The one-curve functions are one-row calls of it; ``firm_moduli``,
 reads rows as they are computed; its ``break`` ends the computation at
 that block. The witness searches of ``projections`` read the tilts of
 each probe stage the same way, as member-set rows in larger blocks of
-their own. Each tilt is still one ``f.tilted(s)`` and each distance one
-``norm.length(points - point)``, so a row's values are the bits a call
-of its own gives.
+their own. Every pairing is one ``Grid.pair``, which rounds an entry
+alike whatever the batch, and each distance one ``norm.length(points -
+point)``, so a row's values are the bits a call of its own gives.
 """
 
 from __future__ import annotations
@@ -242,13 +242,6 @@ def _tilts(tilts: Sequence[Sequence[float]]) -> np.ndarray:
     return np.array(tilts, dtype=float).reshape(len(tilts), -1)
 
 
-def _tilted(f: GridFunction, ss: np.ndarray) -> np.ndarray:
-    """The (R, n) tilted values, one ``f.tilted(s)`` per row (a stacked
-    matmul rounds differently); a single row is a view, not a copy."""
-    rows = [f.tilted(s) for s in ss]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
-
-
 def _firm_rows(f: GridFunction, points: Sequence[int],
                tilts: Sequence[Sequence[float]], norm: NormChoice,
                radii: Sequence[float] | None = None
@@ -259,10 +252,9 @@ def _firm_rows(f: GridFunction, points: Sequence[int],
     xs = np.array([int(x) for x in points], dtype=np.int64)
     ss = _tilts(tilts)
     fx = f.flat[xs]
-    tilted = _tilted(f, ss)
+    tilted = f.tilted(ss)
     # f*(s) is minus the tilted minimum
-    gap = fx - tilted.min(axis=1) - np.array(
-        [float(grid.point(x) @ s) for x, s in zip(xs, ss)])
+    gap = fx - tilted.min(axis=1) - grid.pair(ss, xs)
     for x, v, gp, t in zip(xs.tolist(), fx, gap, tau_sub(f, xs, ss, norm)):
         if not np.isfinite(v):
             raise PointOutsideDomainError(f"f is +inf at flat index {x}")
@@ -482,14 +474,14 @@ def _wellposed_rows(f: GridFunction, tilts: Sequence[Sequence[float]],
     ``wellposedness_modulus``); an infeasible tilt raises."""
     grid = f.grid
     ss = _tilts(tilts)
-    # tilt the whole grid, then index: a gathered matvec rounds differently
-    tilted = _tilted(f, ss)
-    cand = tilted if members is None else tilted.take(members, axis=1)
-    mval, level, ties = _tie_cluster(f, cand, ss)
+    # a feasible set tilts its members only, R x |S| pairings
+    tilted = (f.tilted(ss) if members is None else
+              f.flat[members] - grid.pair(ss[:, None], members))
+    mval, level, ties = _tie_cluster(f, tilted, ss)
     mval = mval.tolist()
     if math.inf in mval:
         raise InfeasibleProblemError("tilted problem has no feasible domain point")
-    row_of, cl = np.divmod(ties, cand.shape[1])
+    row_of, cl = np.divmod(ties, tilted.shape[1])
     if members is not None:
         cl = members[cl]
     size = np.bincount(row_of, minlength=len(ss))
@@ -504,7 +496,7 @@ def _wellposed_rows(f: GridFunction, tilts: Sequence[Sequence[float]],
     edge_only = ([False] * len(ss) if members is not None else
                  (~np.logical_or.reduceat(grid.interior_flat[cl], first)).tolist())
     mods, verdicts = _curve_rows("wellposed", grid, x_hat, norm, radii, members,
-                                 cand, cand.ravel()[ties[first]],
+                                 tilted, tilted.ravel()[ties[first]],
                                  list(map(tuple, ss.tolist())))
     reports = []
     for r, (pos, cert, note) in enumerate(verdicts):

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import IoFailureError, SchemaViolationError
-from .grids import Grid, GridFunction, NormChoice
+from .grids import Grid, GridFunction, NormChoice, finite_range
 from .moduli import Modulus
 from .projections import ConstraintSet
 
@@ -150,7 +150,11 @@ def read_grid_function(path: str | Path) -> GridFunction:
             f"{path}: values length {len(values) if isinstance(values, list) else '??'} "
             f"does not match grid size {grid.size}")
     vals = np.array([_decode_value(v, str(path)) for v in values])
-    return GridFunction(grid, vals.reshape(grid.shape), name=doc.get("name", ""))
+    f = GridFunction(grid, vals.reshape(grid.shape), name=doc.get("name", ""))
+    if not finite_range(f):
+        raise SchemaViolationError(f"{path}: values break the finite-range "
+                                   "rule: 4 max |f| on dom f overflows")
+    return f
 
 
 def write_mask(grid: Grid, mask: np.ndarray, path: str | Path,

@@ -6,9 +6,10 @@ threshold grows linearly in the spacing, the dual norm of s and the local
 slope, which is the first-order discretization error of a true subgradient.
 
 The domain-chain check screens before its full pass: a dual point s whose
-own conjugate maximizer x is a usable point of f** with a gap at most half
-its threshold is in dom of d(f*) at once. Only the remaining dual rows run
-the exact pass of s against every primal point.
+own conjugate maximizer x is a usable point of f** with a gap within its
+threshold is in dom of d(f*) at once. Only the remaining dual rows run
+the exact pass of s against every primal point; both pair through
+``Grid.pair``, so the screen is that pass's column at the maximizer.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
         raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
     dg = f_star.dual_grid
     x = f.grid.point(x_flat)
-    gaps = fx + f_star.dual.flat - dg.points @ x
+    gaps = fx + f_star.dual.flat - dg.pair(x)
     s_norms = norm.dual.length(dg.points)
     taus = DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norms,
                                       f.local_slope(x_flat))
@@ -149,14 +150,6 @@ class DomainChainReport:
         return self.violations.size == 0
 
 
-# Dual rows whose own maximizer has a gap below this fraction of its
-# threshold are in dom d(f*) without the full pass. The threshold is at least
-# tau_c * h (grid scale) while the screen and the full pass differ only in
-# how they round one dot product (ulps of the terms), so half of it leaves
-# room no rounding can cross.
-_SCREEN_MARGIN = 0.5
-
-
 def domain_chain_check(f: GridFunction, dual_grid: Grid,
                        norm: NormChoice = NormChoice.L2) -> DomainChainReport:
     """Estimate the inclusion dom MJ | int(dom f*) inside dom of d(f*).
@@ -175,26 +168,24 @@ def _domain_chain(bic: BiconjugateResult, norm: NormChoice) -> DomainChainReport
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
 
-    pts = bic.function.grid.points
+    grid = bic.function.grid
     duals = dual_grid.points
-    x_norms = norm.length(pts)
+    x_norms = norm.length(grid.points)
     fss = bic.function.flat
     h_d = dual_grid.max_spacing
     fs = star.dual.flat
     slopes = star.dual.local_slopes
     usable = bic.trusted & np.isfinite(fss)
-    # Screen: the conjugate's own maximizer x_k is a subgradient of f* at s
-    # whenever its gap clears half the threshold.
+    # Screen: the exact pass's column at the conjugate's own maximizer x_k
     k = np.maximum(star.argmax, 0)
-    gap_k = fs + fss[k] - (duals * pts[k]).sum(axis=1)
+    gap_k = fs + fss[k] - grid.pair(duals, k)
     dom_sub = ((star.argmax >= 0) & usable[k]
-               & (gap_k <= _SCREEN_MARGIN
-                  * DEFAULT_TOLS.gap_threshold(h_d, x_norms[k], slopes)))
+               & (gap_k <= DEFAULT_TOLS.gap_threshold(h_d, x_norms[k], slopes)))
     rest = np.flatnonzero(~dom_sub)
     chunk = 256
     for lo in range(0, rest.size, chunk):
         rows = rest[lo:lo + chunk]
-        gaps = fs[rows, None] + fss[None, :] - duals[rows] @ pts.T
+        gaps = fs[rows, None] + fss[None, :] - grid.pair(duals[rows])
         taus = DEFAULT_TOLS.gap_threshold(h_d, x_norms[None, :],
                                           slopes[rows, None])
         dom_sub[rows] = ((gaps <= taus) & usable[None, :]).any(axis=1)

@@ -189,6 +189,22 @@ def test_large_finite_tilt_accepted(tmp_path, capsys):
     assert "minimizer=[2.]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["classify", "conjugate"])
+def test_input_beyond_the_finite_range_exits_1(command, tmp_path):
+    """Eleven values of 1.7e308: the sum of two overflows, so the reader
+    rejects the file as malformed before any command adds them."""
+    src = tmp_path / "huge.json"
+    rio.write_grid_function(
+        ll.GridFunction(ll.grid_1d(-2.0, 2.0, 11), np.full(11, 1.7e308)), src)
+    out = tmp_path / "out"
+    proc = run_cli([command, "--input", str(src), "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "finite-range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_catalog_exits_2_without_traceback():
     proc = run_cli(["classify", "--catalog", "no_such_entry"])
     assert proc.returncode == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab import moduli
 from legendrelab.errors import EmptyDomainError
+from legendrelab.grids import finite_range
 
 
 def test_grid_coordinates_are_lb_plus_k_h():
@@ -252,3 +253,20 @@ def test_local_slopes_equal_per_point_loop(grid):
     want = np.array([local_slope_loop(f, i) for i in range(grid.size)])
     assert f.local_slopes.tobytes() == want.tobytes()
     assert all(f.local_slope(i) == want[i] for i in range(grid.size))
+
+
+def test_finite_range_rule():
+    """4 (max |f| + max |x_i| sum_i |s_i|) must be finite: every catalog
+    entry with its dual grid is inside, values near the float maximum are
+    not, and `build_grid_function` rejects them as it rejects nan."""
+    for e in ll.entries():
+        corner = np.abs(e.dual_grid.bounds).max(axis=1)
+        assert finite_range(e.build(), corner), e.id
+    grid = ll.grid_1d(-2.0, 2.0, 11)
+    assert finite_range(ll.GridFunction(grid, np.full(11, 4e307)))
+    assert not finite_range(ll.GridFunction(grid, np.full(11, 1.7e308)))
+    halfsq = ll.entry("halfsq").build()
+    assert finite_range(halfsq, [1e307])
+    assert not finite_range(halfsq, [5e307])
+    with pytest.raises(ValueError, match="finite-range"):
+        ll.build_grid_function(grid, lambda x: 1.7e308)

@@ -244,6 +244,7 @@ def test_mutated_modulus_rows_raise_only_schema_violation(tmp_path_factory,
     {"bounds": [[0.0], [0.0, 2.0]]},
     {"values": [0.0, float("nan"), 0.0, 0.0, 0.0, 0.0]},
     {"values": [0.0, 10**400, 0.0, 0.0, 0.0, 0.0]},
+    {"values": [0.0, 1.7e308, 0.0, 0.0, 0.0, 0.0]},   # 4 max |f| overflows
     {"counts": [3.0, 2]},
     {"counts": [3.7, 2]},
     {"counts": [True, 2]},
@@ -254,9 +255,9 @@ def test_mutated_modulus_rows_raise_only_schema_violation(tmp_path_factory,
     {"bounds": [[False, True], [0.0, 2.0]]},
     {"bounds": [[-10**400, 1.0], [0.0, 2.0]]},
 ], ids=["size-overflow", "infinite-spacing", "infinite-bound", "text-count",
-        "short-bound", "nan-value", "huge-int-value", "float-count",
-        "fractional-count", "bool-count", "float-dim", "bool-dim",
-        "text-bounds", "bool-bounds", "huge-int-bound"])
+        "short-bound", "nan-value", "huge-int-value", "beyond-finite-range",
+        "float-count", "fractional-count", "bool-count", "float-dim",
+        "bool-dim", "text-bounds", "bool-bounds", "huge-int-bound"])
 def test_header_edge_cases_rejected(tmp_path, change):
     doc = {**_header_doc("grid_function"), **change}
     path = tmp_path / "doc.json"
