@@ -69,13 +69,24 @@ def _parse_point(text: str, grid: Grid, option: str) -> np.ndarray:
     return point
 
 
-def _parse_tilt(text: str, f: GridFunction, option: str) -> np.ndarray:
+def _norms_finite(s: np.ndarray) -> bool:
+    """Every norm of the dual vector ``s`` is finite: an l2 norm squares the
+    coordinates, so it can overflow where the pairing with x does not."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite([norm.length(s) for norm in NormChoice]).all())
+
+
+def _parse_tilt(text: str, f: GridFunction, option: str,
+                norms: bool = False) -> np.ndarray:
     """A tilt s inside the finite-range rule of f; past it f - <., s> on
-    dom f or its tie slack may overflow, and then every point ties."""
+    dom f or its tie slack may overflow, and then every point ties. With
+    ``norms`` the norms of s must be finite too."""
     s = _parse_point(text, f.grid, option)
     if not finite_range(f, np.abs(s)):
         raise UsageError(f"{option} {text!r} is too large: f - <., s> on "
                          "dom f breaks the finite-range rule")
+    if norms and not _norms_finite(s):
+        raise UsageError(f"{option} {text!r} is too large: its norm overflows")
     return s
 
 
@@ -113,17 +124,20 @@ def _dual_grid_for(args, f: GridFunction) -> Grid:
         if dual.dim != f.grid.dim:
             raise UsageError(f"--dual-grid has {dual.dim} axes, the function "
                              f"has {f.grid.dim}")
-        # the pairing range with the primal grid, and the largest dual norm
-        corner = np.abs(dual.bounds).max(axis=1)
-        with np.errstate(over="ignore"):
-            lengths = [norm.length(corner) for norm in NormChoice]
-        if not (finite_range(f, corner) and np.isfinite(lengths).all()):
-            raise UsageError(f"--dual-grid {args.dual_grid!r} is too large: its "
-                             "pairing with the primal grid or its norm overflows")
-        return dual
-    if args.catalog:
-        return _catalog_entry(args.catalog).dual_grid
-    return parse_grid_spec(";".join([DEFAULT_DUAL_SPEC] * f.grid.dim))
+        what = f"--dual-grid {args.dual_grid!r}"
+    elif args.catalog:
+        dual = _catalog_entry(args.catalog).dual_grid
+        what = f"the dual grid of catalog entry {args.catalog!r}"
+    else:
+        spec = ";".join([DEFAULT_DUAL_SPEC] * f.grid.dim)
+        dual = parse_grid_spec(spec)
+        what = f"the default dual grid {spec!r}"
+    # the pairing range with the primal grid, and the largest dual norm
+    corner = np.abs(dual.bounds).max(axis=1)
+    if not (finite_range(f, corner) and _norms_finite(corner)):
+        raise UsageError(f"{what} is too large for this function: its pairing "
+                         "with the primal grid or its norm overflows")
+    return dual
 
 
 def _named_or_file(name_or_path: str, build, read):
@@ -212,7 +226,7 @@ def _cmd_modulus(args) -> int:
         if args.kind == "firm":
             if not args.subgradient:
                 raise UsageError("--subgradient is required for --kind firm")
-            s = _parse_tilt(args.subgradient, f, "--subgradient")
+            s = _parse_tilt(args.subgradient, f, "--subgradient", norms=True)
             mod = _curve(firm_modulus, f, x, s, radii=radii)
         elif args.subgradient:
             raise UsageError("--kind total takes no --subgradient")

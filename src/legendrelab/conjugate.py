@@ -12,7 +12,8 @@ Two routes compute ``f*(s) = max_x (<x, s> - f(x))`` over the primal grid:
 A dual point is *trusted* when some maximizer lies strictly inside the
 primal grid; untrusted values are boundary-clamped truncation artifacts and
 are excluded from downstream diagnostics. An interior first maximizer
-proves trust, so only the other duals re-run the interior passes.
+proves trust and one at the last index of the outer axis (x1 in 2D)
+refutes it, so only the remaining *open* duals take an interior pass.
 """
 
 from __future__ import annotations
@@ -106,16 +107,38 @@ def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
     return ss * xs[arg] - np.take_along_axis(F, arg, axis=1), arg
 
 
+def _maxplus_rows(xs: np.ndarray, F: np.ndarray, rows: np.ndarray,
+                  ss: np.ndarray) -> np.ndarray:
+    """Pairwise max-plus ``max_k (ss[i] * xs[k] - F[rows[i], k])``, with the
+    bits ``_maxplus`` gives that (row, dual) pair: the value is recomputed
+    at the first maximizing index. Pairs run in blocks of about
+    ``_MAXPLUS_BLOCK`` scratch elements (at least one pair per block)."""
+    out = np.full(ss.size, -np.inf)
+    if xs.size == 0:
+        return out
+    step = max(1, _MAXPLUS_BLOCK // xs.size)
+    for lo in range(0, ss.size, step):
+        Fb = F[rows[lo:lo + step]]
+        sb = ss[lo:lo + step]
+        arg = (sb[:, None] * xs - Fb).argmax(axis=1)
+        out[lo:lo + step] = sb * xs[arg] - Fb[np.arange(sb.size), arg]
+    return out
+
+
 def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     """Separable max-plus transform; matches conjugate_brute to ~1e-12 relative.
 
     2D runs one pass per axis with a sign flip in between. A dual point is
-    trusted exactly when the interior maximum reaches the full maximum, as
-    an interior first maximizer proves. In 1D a first maximizer at the last
-    index is untrusted (no earlier point ties it), and only duals whose first
-    maximizer is index 0 re-run the pass on interior primal points; in 2D
-    the interior passes re-run only for the ``s2`` columns holding a dual
-    whose first maximizer is not interior on both axes.
+    trusted exactly when the interior maximum reaches the full maximum. A
+    first maximizer interior on every axis proves it. One at the last index
+    of the outer axis (x1 in 2D) refutes it: no earlier index ties it, and
+    interior maxima never exceed full ones, so no interior point reaches
+    the maximum. Every other dual is *open*. In 1D the open duals re-run
+    the pass on interior primal points. In 2D only the ``s2`` columns
+    holding an open dual take the interior-x1 pass, which writes trust for
+    the open duals alone; it reads the interior-x2 maxima from the first
+    pass, the same bits wherever that pass's maximizer is interior, and
+    recomputes only the entries whose maximizer sits on an x2 edge.
     """
     n = f.grid.counts
     if f.grid.dim == 1:
@@ -133,15 +156,21 @@ def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
         x1, x2 = f.grid.axes
         s1, s2 = dual_grid.axes
         fv = f.values
-        g, a2 = _maxplus(x2, fv, s2)                  # (n1, m2)
+        g, a2p = _maxplus(x2, fv, s2)                 # (n1, m2)
         v, a1 = _maxplus(x1, -g.T, s1)                # (m2, m1)
-        a2 = a2[a1, np.arange(s2.size)[:, None]]      # (m2, m1)
+        a2 = a2p[a1, np.arange(s2.size)[:, None]]     # (m2, m1)
         trusted = (a1 > 0) & (a1 < n[0] - 1) & (a2 > 0) & (a2 < n[1] - 1)
-        redo = np.flatnonzero(~trusted.all(axis=1))
-        if redo.size:
-            g_int, _ = _maxplus(x2[1:-1], fv[1:-1, 1:-1], s2[redo])
+        open_ = ~trusted & (a1 < n[0] - 1)
+        cols = np.flatnonzero(open_.any(axis=1))
+        if cols.size:
+            # interior-x2 maxima: the first pass's wherever its maximizer is
+            # interior, recomputed over x2[1:-1] where it sits on an edge
+            g_int = g[1:-1, cols]
+            rows, k = np.nonzero(np.isin(a2p[1:-1, cols], (0, n[1] - 1)))
+            g_int[rows, k] = _maxplus_rows(x2[1:-1], fv[1:-1, 1:-1], rows,
+                                           s2[cols[k]])
             iv, _ = _maxplus(x1[1:-1], -g_int.T, s1)
-            trusted[redo] = iv >= v[redo]
+            trusted[cols] |= open_[cols] & (iv >= v[cols])
         trusted = trusted.T.ravel()
         arg = (a1 * n[1] + a2).T.ravel()
         vals = v.T.ravel()

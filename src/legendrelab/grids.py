@@ -267,14 +267,19 @@ class GridFunction:
 
 
 def finite_range(f: GridFunction, corner: float | np.ndarray = 0.0) -> bool:
-    """The finite-range rule: 4 * (M + P) is finite, with M = max |f| on
-    dom f and P = max |x_i| * sum_i corner_i, a bound on |<x, s>| for the
-    tilts with |s_i| <= corner_i. The sums formed from f and such tilts
-    (tilted values and their differences, midpoints of f, f*, f**,
-    Fenchel-Young gaps, tie slacks) then cannot overflow."""
+    """The finite-range rule: 4 * (M + P) and 4 * L are finite, with M =
+    max |f| on dom f, P = max |x_i| * sum_i corner_i, a bound on |<x, s>|
+    for the tilts with |s_i| <= corner_i, and L the largest one-step
+    quotient |f(x) - f(y)| / |x - y| over neighbours in dom f
+    (``lipschitz_hat``). The sums formed from f and such tilts (tilted
+    values and their differences, midpoints of f, f*, f**, Fenchel-Young
+    gaps, tie slacks) then cannot overflow, nor can the slopes of f."""
     with np.errstate(over="ignore"):
         reach = np.abs(f.grid.bounds).max() * np.sum(corner)
-        return bool(np.isfinite(4 * (np.abs(f.flat[f.domain_flat]).max() + reach)))
+        if not np.isfinite(4 * (np.abs(f.flat[f.domain_flat]).max() + reach)):
+            return False
+        # only now is every one-step difference finite; a quotient may not be
+        return bool(np.isfinite(4 * f.lipschitz_hat()))
 
 
 def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
@@ -298,7 +303,7 @@ def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
     f = GridFunction(grid, vals.reshape(grid.shape), name=name)
     if not finite_range(f):
         raise ValueError(f"values of {name!r} break the finite-range rule: "
-                         "4 max |f| on dom f overflows")
+                         "4 max |f| or 4 max one-step slope on dom f overflows")
     return f
 
 

@@ -153,7 +153,8 @@ def read_grid_function(path: str | Path) -> GridFunction:
     f = GridFunction(grid, vals.reshape(grid.shape), name=doc.get("name", ""))
     if not finite_range(f):
         raise SchemaViolationError(f"{path}: values break the finite-range "
-                                   "rule: 4 max |f| on dom f overflows")
+                                   "rule: 4 max |f| or 4 max one-step slope "
+                                   "on dom f overflows")
     return f
 
 

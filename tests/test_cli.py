@@ -146,6 +146,9 @@ def test_at_on_grid_edge_and_far_tilt_accepted(tmp_path):
       "--subgradient", "5e307"], "--subgradient"),
     (["modulus", "--catalog", "halfsq", "--kind", "firm", "--at", "1",
       "--subgradient", "1e308"], "--subgradient"),
+    # the pairing is finite, but the l2 norm of the firm gap threshold is not
+    (["modulus", "--catalog", "halfsq", "--kind", "firm", "--at", "0",
+      "--subgradient", "1e307"], "--subgradient"),
     (["project", "--f", "halfsq2", "--set", "box", "--tilt", "1e308,0"],
      "--tilt"),
 ])
@@ -187,6 +190,37 @@ def test_large_finite_tilt_accepted(tmp_path, capsys):
     assert main(["modulus", "--catalog", "halfsq", "--kind", "wellposed",
                  "--subgradient", "1e307", "--out", str(tmp_path / "w.csv")]) == 0
     assert "minimizer=[2.]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["classify", "conjugate"])
+def test_default_dual_grid_overflow_exits_2(command, tmp_path):
+    """On [-8e307, 8e307] the pairing with the default dual grid overflows,
+    so the default grid is held to the rule an explicit one is."""
+    src = tmp_path / "wide.json"
+    rio.write_grid_function(
+        ll.GridFunction(ll.grid_1d(-8e307, 8e307, 11), np.zeros(11)), src)
+    out = tmp_path / "out"
+    proc = run_cli([command, "--input", str(src), "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the default dual grid '-3,3,201'")
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+def test_input_with_overflowing_slopes_exits_1(tmp_path):
+    """Eleven values alternating +-4e307 on [-2, 2]: every sum is finite,
+    but a one-step slope |df| / h overflows, so the reader rejects it."""
+    src = tmp_path / "steep.json"
+    rio.write_grid_function(ll.GridFunction(ll.grid_1d(-2.0, 2.0, 11),
+                                            4e307 * (-1.0) ** np.arange(11)), src)
+    out = tmp_path / "out.json"
+    proc = run_cli(["classify", "--input", str(src), "--out", str(out)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "slope" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["classify", "conjugate"])

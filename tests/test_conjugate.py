@@ -377,6 +377,59 @@ def test_fast_trust_equals_rerun_all_oracle_on_catalog(eid):
     assert_matches_rerun_all(e.build(), e.dual_grid)
 
 
+def test_fast_trust_equals_rerun_all_oracle_on_bicon_cases():
+    """The catalog and 200 seeded rough and convex functions: their second
+    conjugates hold most of the open duals."""
+    for name, f, d in bicon_cases():
+        try:
+            assert_matches_rerun_all(f, d)
+        except AssertionError as err:
+            raise AssertionError(name) from err
+
+
+def open_columns(res):
+    """The ``s2`` columns of a 2D conjugate holding an open dual (first
+    maximizer neither interior nor at the last x1 index), and those holding
+    any dual whose first maximizer is not interior, which the earlier rule
+    re-ran."""
+    n1, n2 = res.primal_grid.counts
+    a1, a2 = np.divmod(res.argmax.reshape(res.dual_grid.shape), n2)
+    edge = ~((a1 > 0) & (a1 < n1 - 1) & (a2 > 0) & (a2 < n2 - 1))
+    return (np.flatnonzero((edge & (a1 < n1 - 1)).any(axis=0)),
+            np.flatnonzero(edge.any(axis=0)))
+
+
+def test_2d_trust_reruns_only_open_columns(monkeypatch):
+    """A 2D biconjugate never passes the interior-x2 slab to ``_maxplus``
+    (the interior-x2 maxima come from the first pass), and its interior-x1
+    passes take only the columns that hold an open dual, here fewer than
+    the earlier rule re-ran."""
+    g = ll.grid_2d(-1.5, 1.5, 21)
+    d = ll.grid_2d(-3.0, 3.0, 17)
+    f = random_grid_function(np.random.default_rng(12), g, inf_frac=0.1)
+    star = ll.conjugate_fast(f, d)
+    second = ll.conjugate_fast(star.dual, g)
+    calls = []
+
+    def spy(xs, F, ss):
+        calls.append((xs.copy(), F.copy()))
+        return _maxplus(xs, F, ss)
+
+    monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_maxplus", spy)
+    bic = ll.biconjugate(f, d)
+    np.testing.assert_array_equal(bic.trusted, second.trusted)
+    for res, fn in ((star, f), (second, star.dual)):
+        slab = fn.values[1:-1, 1:-1]
+        assert not any(F.shape == slab.shape and np.array_equal(F, slab)
+                       for _, F in calls)
+        x1_inner = fn.grid.axes[0][1:-1]
+        seen = [F.shape[0] for xs, F in calls
+                if xs.shape == x1_inner.shape and np.array_equal(xs, x1_inner)]
+        assert seen == [open_columns(res)[0].size]
+    opened, rerun = open_columns(second)
+    assert 0 < opened.size < rerun.size
+
+
 def test_fast_matches_oracle_past_one_block():
     """A 131^2 primal holds more than ``_MAXPLUS_BLOCK`` values, so each
     block of the first pass takes one dual point and more elements."""
@@ -394,7 +447,17 @@ def test_maxplus_independent_of_block_size(monkeypatch, block):
     F[rng.random(F.shape) < 0.1] = math.inf
     ss = np.linspace(-3.0, 3.0, 241)
     want = _maxplus(xs, F, ss)
+    g = ll.grid_2d(-1.5, 1.5, 21)
+    d = ll.grid_2d(-3.0, 3.0, 17)
+    f = random_grid_function(rng, g, inf_frac=0.1)
+    star = ll.conjugate_fast(f, d)
+    want_2d = [star, ll.conjugate_fast(star.dual, g)]
     monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_MAXPLUS_BLOCK", block)
     got = _maxplus(xs, F, ss)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+    for fn, onto, res in ((f, d, want_2d[0]), (star.dual, g, want_2d[1])):
+        got = ll.conjugate_fast(fn, onto)
+        np.testing.assert_array_equal(got.dual.flat, res.dual.flat)
+        np.testing.assert_array_equal(got.argmax, res.argmax)
+        np.testing.assert_array_equal(got.trusted, res.trusted)

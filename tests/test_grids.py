@@ -256,15 +256,20 @@ def test_local_slopes_equal_per_point_loop(grid):
 
 
 def test_finite_range_rule():
-    """4 (max |f| + max |x_i| sum_i |s_i|) must be finite: every catalog
-    entry with its dual grid is inside, values near the float maximum are
-    not, and `build_grid_function` rejects them as it rejects nan."""
+    """4 (max |f| + max |x_i| sum_i |s_i|) and 4 max one-step slope must be
+    finite: every catalog entry with its dual grid is inside, values near
+    the float maximum are not, nor are steps that overflow a slope, and
+    `build_grid_function` rejects them as it rejects nan."""
     for e in ll.entries():
         corner = np.abs(e.dual_grid.bounds).max(axis=1)
         assert finite_range(e.build(), corner), e.id
     grid = ll.grid_1d(-2.0, 2.0, 11)
     assert finite_range(ll.GridFunction(grid, np.full(11, 4e307)))
     assert not finite_range(ll.GridFunction(grid, np.full(11, 1.7e308)))
+    # each value is inside, but a one-step slope 8e307 / 0.4 overflows
+    steep = 4e307 * (-1.0) ** np.arange(11)
+    assert not finite_range(ll.GridFunction(grid, steep))
+    assert finite_range(ll.GridFunction(grid, np.where(steep > 0, steep, math.inf)))
     halfsq = ll.entry("halfsq").build()
     assert finite_range(halfsq, [1e307])
     assert not finite_range(halfsq, [5e307])
