@@ -451,12 +451,12 @@ def test_maxplus_independent_of_block_size(monkeypatch, block):
     d = ll.grid_2d(-3.0, 3.0, 17)
     f = random_grid_function(rng, g, inf_frac=0.1)
     star = ll.conjugate_fast(f, d)
-    want_2d = [star, ll.conjugate_fast(star.dual, g)]
+    want_2d = [(f, d, star), (star.dual, g, ll.conjugate_fast(star.dual, g))]
     monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_MAXPLUS_BLOCK", block)
     got = _maxplus(xs, F, ss)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
-    for fn, onto, res in ((f, d, want_2d[0]), (star.dual, g, want_2d[1])):
+    for fn, onto, res in want_2d:
         got = ll.conjugate_fast(fn, onto)
         np.testing.assert_array_equal(got.dual.flat, res.dual.flat)
         np.testing.assert_array_equal(got.argmax, res.argmax)
