@@ -146,11 +146,11 @@ def test_at_on_grid_edge_and_far_tilt_accepted(tmp_path):
       "--subgradient", "5e307"], "--subgradient"),
     (["modulus", "--catalog", "halfsq", "--kind", "firm", "--at", "1",
       "--subgradient", "1e308"], "--subgradient"),
+    (["project", "--f", "halfsq2", "--set", "box", "--tilt", "1e308,0"],
+     "--tilt"),
     # the pairing is finite, but the l2 norm of the firm gap threshold is not
     (["modulus", "--catalog", "halfsq", "--kind", "firm", "--at", "0",
       "--subgradient", "1e307"], "--subgradient"),
-    (["project", "--f", "halfsq2", "--set", "box", "--tilt", "1e308,0"],
-     "--tilt"),
 ])
 def test_overflowing_tilt_exits_2(argv, option, tmp_path):
     out = tmp_path / "m.csv"
