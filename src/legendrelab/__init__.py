@@ -23,13 +23,11 @@ from .catalog import CatalogEntry, entries, entry, make_set
 from .classify import (ClassificationReport, SamplePlan, classify,
                        default_sample_plan, lemma1_agreement)
 from .conjugate import (BiconjugateResult, ConjugateResult, biconjugate,
-                        conjugate, conjugate_brute, conjugate_fast,
-                        conjugate_value)
+                        conjugate_brute, conjugate_fast, conjugate_value)
 from .errors import (BudgetExhaustedError, EmptyDomainError,
                      InfeasibleProblemError, InsufficientDataError,
-                     IoFailureError, LegendreLabError, NoAdmissibleStepError,
-                     NotASubgradientError, PointOutsideDomainError,
-                     SchemaViolationError)
+                     IoFailureError, LegendreLabError, NotASubgradientError,
+                     PointOutsideDomainError, SchemaViolationError)
 from .grids import (Grid, GridFunction, NormChoice, build_grid_function,
                     grid_1d, grid_2d, shell_ladder)
 from .moduli import (CoercivityReport, Gamma0Certificate, Modulus,
@@ -41,9 +39,8 @@ from .projections import (ConstraintSet, DetectorVerdict, FarthestVerdict,
                           convexity_detector, farthest_point_experiment,
                           midpoint_convexity, solve_relative_projection,
                           tchebychev_test)
-from .subdiff import (DirectionalDerivative, DomainChainReport,
-                      SubgradientSet, directional_derivative,
-                      domain_chain_check, subgradients, tau_sub)
+from .subdiff import (DomainChainReport, SubgradientSet, domain_chain_check,
+                      subgradients, tau_sub)
 from .tolerances import DEFAULT_TOLS, Tolerances
 
 __version__ = "0.1.0"

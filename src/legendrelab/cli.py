@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .catalog import SET_NAMES, CatalogEntry, entry, make_set
 from .classify import classify
-from .conjugate import conjugate
+from .conjugate import conjugate_brute, conjugate_fast
 from .errors import LegendreLabError
 from .grids import Grid, GridFunction, NormChoice, finite_range
 from .moduli import (certification_verdict, firm_modulus,
@@ -170,7 +170,7 @@ def _cmd_conjugate(args) -> int:
     if args.method == "brute" and f.grid.size * dual.size > MAX_BRUTE_PAIRS:
         raise UsageError(f"--method brute would compare {f.grid.size} x "
                          f"{dual.size} points, above {MAX_BRUTE_PAIRS}")
-    res = conjugate(f, dual, method=args.method)
+    res = (conjugate_fast if args.method == "fast" else conjugate_brute)(f, dual)
     out = Path(args.out)
     write_grid_function(res.dual, out.with_suffix(".fstar.json"))
     write_mask(dual, res.trusted, out.with_suffix(".trust.json"),

@@ -181,14 +181,6 @@ def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     return ConjugateResult(dual_fn, trusted, arg, f.grid, method="fast")
 
 
-def conjugate(f: GridFunction, dual_grid: Grid, method: str = "fast") -> ConjugateResult:
-    if method == "fast":
-        return conjugate_fast(f, dual_grid)
-    if method == "brute":
-        return conjugate_brute(f, dual_grid)
-    raise ValueError(f"unknown conjugation method {method!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class BiconjugateResult:
     """f** on the primal grid with the convexity-consistency verdict."""

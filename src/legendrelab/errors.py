@@ -17,10 +17,6 @@ class NotASubgradientError(LegendreLabError):
     """The supplied dual point fails the Fenchel-Young gap test at the base point."""
 
 
-class NoAdmissibleStepError(LegendreLabError):
-    """No positive step along the requested direction stays on the grid."""
-
-
 class InsufficientDataError(LegendreLabError):
     """No finite modulus sample; no envelope can be certified."""
 

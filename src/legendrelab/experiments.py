@@ -240,17 +240,23 @@ def run_prop6(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
 
 
 def run_domain_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
-    """Inclusion of attained-tilt and interior sets inside dom of d(f*)."""
+    """Inclusion of attained-tilt and interior sets inside dom of d(f*), and
+    no dual of that estimate where the analytic conjugate is +inf."""
     rows = {}
     ok = True
     for e in entries():
-        r = _domain_chain(_session(e, sessions).bic, NormChoice.L2)
+        r = _domain_chain(_session(e, sessions).conj)
+        outside = None
+        if e.conjugate_analytic is not None:
+            off = np.isposinf(e.conjugate_analytic(e.dual_grid.points))
+            outside = int((r.dom_sub_conj & off).sum())
         rows[e.id] = {"inclusion_holds": r.inclusion_holds,
                       "n_dom_mj": int(r.dom_mj.sum()),
                       "n_int_dom": int(r.int_dom_conj.sum()),
                       "n_dom_sub": int(r.dom_sub_conj.sum()),
+                      "n_dom_sub_outside_analytic": outside,
                       "n_violations": int(r.violations.size)}
-        ok = ok and r.inclusion_holds
+        ok = ok and r.inclusion_holds and not outside
     summary = {"kind": "experiment", "name": "domain-chain", "passed": ok,
                "entries": rows}
     arts = [out_dir / "domain_chain.json"]

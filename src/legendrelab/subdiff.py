@@ -1,27 +1,29 @@
-"""Subgradient estimation via Fenchel-Young gaps and one-sided derivatives.
+"""Subgradient estimation via Fenchel-Young gaps, and the domain chain.
 
 A dual point s belongs to the estimated subdifferential at x when the gap
 ``f(x) + f*(s) - <x, s>`` is within a grid-scale threshold of zero; the
 threshold grows linearly in the spacing, the dual norm of s and the local
 slope, which is the first-order discretization error of a true subgradient.
 
-The domain-chain check screens before its full pass: a dual point s whose
-own conjugate maximizer x is a usable point of f** with a gap within its
-threshold is in dom of d(f*) at once. Only the remaining dual rows run
-the exact pass of s against every primal point; both pair through
-``Grid.pair``, so the screen is that pass's column at the maximizer.
+The domain-chain check reads dom of d(f*) off f* alone. For convex f* the
+one-sided dual-grid quotients bracket each axis projection of the
+subdifferential, D-(s) <= d_i f*(s) <= D+(s) (Rockafellar, Convex Analysis,
+sections 23-24), so s counts when on every axis that bracket meets the
+primal interval shrunk by one cell. A trusted dual's own maximizer is an
+interior primal point and a subgradient of the max-affine f*, so it lies in
+the bracket: dom MJ | int(dom f*) is inside the estimate by construction,
+and what can be tested is the estimate itself, against analytic conjugates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .conjugate import BiconjugateResult, ConjugateResult, biconjugate
-from .errors import NoAdmissibleStepError, PointOutsideDomainError
+from .conjugate import ConjugateResult, conjugate_fast
+from .errors import PointOutsideDomainError
 from .grids import Grid, GridFunction, NormChoice
 from .tolerances import DEFAULT_TOLS
 
@@ -76,65 +78,6 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
     return SubgradientSet(int(x_flat), dg, members, gaps[members])
 
 
-@dataclass(frozen=True)
-class DirectionalDerivative:
-    """One-sided derivative estimate along a grid-rational direction."""
-
-    base: int
-    direction: tuple[float, ...]   # unit vector under the chosen norm
-    value: float                   # +inf when no step stays in dom f
-    steps_used: tuple[int, ...]    # multiples of the reduced step that entered the min
-
-
-def _reduce_steps(offset: Sequence[int]) -> np.ndarray:
-    m = np.asarray([int(k) for k in offset], dtype=np.int64)
-    if not m.any():
-        raise ValueError("direction must be a nonzero integer step vector")
-    g = int(np.gcd.reduce(np.abs(m[m != 0])))
-    return m // g
-
-
-def directional_derivative(f: GridFunction, x_flat: int, offset: Sequence[int],
-                           norm: NormChoice = NormChoice.L2
-                           ) -> DirectionalDerivative:
-    """Difference-quotient estimate of f'(x, d) for a unit direction d.
-
-    ``offset`` is an integer index offset; it is reduced to its primitive
-    vector and the quotient is minimized over the first ``k_dd`` admissible
-    multiples. Convex functions have nondecreasing quotients, so the
-    smallest admissible step dominates the minimum.
-    """
-    fx = f.value_at(x_flat)
-    if not np.isfinite(fx):
-        raise PointOutsideDomainError(f"f is +inf at flat index {x_flat}")
-    grid = f.grid
-    m0 = _reduce_steps(offset)
-    base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
-    delta = m0 * np.asarray(grid.spacing)
-    step_len = float(norm.length(delta))
-    direction = tuple(float(c) for c in delta / step_len)
-
-    quotients: list[tuple[int, float]] = []
-    on_grid = 0
-    k = 0
-    while len(quotients) < DEFAULT_TOLS.k_dd:
-        k += 1
-        pos = base + k * m0
-        if not ((pos >= 0).all() and (pos < np.asarray(grid.shape)).all()):
-            break
-        on_grid += 1
-        fu = f.value_at(grid.ravel_index(pos))
-        if np.isfinite(fu):
-            quotients.append((k, (fu - fx) / (k * step_len)))
-    if on_grid == 0:
-        raise NoAdmissibleStepError("every step along the direction leaves the grid")
-    if not quotients:
-        return DirectionalDerivative(int(x_flat), direction, math.inf, ())
-    value = min(q for _, q in quotients)
-    return DirectionalDerivative(int(x_flat), direction, float(value),
-                                 tuple(k for k, _ in quotients))
-
-
 @dataclass(frozen=True, eq=False)
 class DomainChainReport:
     """Pointwise check of dom MJ | int(dom f*) against dom of the conjugate's subdifferential."""
@@ -150,46 +93,38 @@ class DomainChainReport:
         return self.violations.size == 0
 
 
-def domain_chain_check(f: GridFunction, dual_grid: Grid,
-                       norm: NormChoice = NormChoice.L2) -> DomainChainReport:
+def domain_chain_check(f: GridFunction, dual_grid: Grid) -> DomainChainReport:
     """Estimate the inclusion dom MJ | int(dom f*) inside dom of d(f*).
 
     dom MJ is the trusted set (a tilt belongs to it exactly when the tilted
     minimum is attained away from the primal boundary); the subdifferential
-    of f* is estimated through gaps of the double conjugate.
+    of f* is read off f* alone (see ``_domain_chain``).
     """
-    return _domain_chain(biconjugate(f, dual_grid), norm)
+    return _domain_chain(conjugate_fast(f, dual_grid))
 
 
-def _domain_chain(bic: BiconjugateResult, norm: NormChoice) -> DomainChainReport:
-    """The check on f* and f** already computed (``bic`` of f)."""
-    star = bic.star
+def _domain_chain(star: ConjugateResult) -> DomainChainReport:
+    """The check on f* already computed (``star`` of f).
+
+    A dual s is in dom of d(f*) when on every axis the one-sided quotients
+    [D-(s), D+(s)] of f* meet the interior primal coordinates [x_1, x_{n-2}];
+    a missing neighbor leaves its side open, and an axis of two points has
+    no interior coordinate, so then no dual counts. The differences
+    f*(s +- h e) - f*(s) are held to h times the bound with the ``delta0``
+    slack of the larger |f*| of the two.
+    """
     dual_grid = star.dual_grid
+    fs = star.dual.flat
+    flat = np.arange(dual_grid.size)
+    dom_sub = np.full(dual_grid.size, min(star.primal_grid.counts) > 2)
+    for ax, (x, h) in enumerate(zip(star.primal_grid.axes, dual_grid.spacing)):
+        for k, edge in ((1, x[1]), (-1, x[-2])):   # D+ >= x_1, D- <= x_{n-2}
+            nb = dual_grid.shift(flat, ax, k)
+            j = flat[nb >= 0]
+            here, there = fs[j], fs[nb[j]]
+            slack = DEFAULT_TOLS.delta0(np.maximum(np.abs(here), np.abs(there)))
+            dom_sub[j] &= there - here >= k * h * edge - slack
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
-
-    grid = bic.function.grid
-    duals = dual_grid.points
-    x_norms = norm.length(grid.points)
-    fss = bic.function.flat
-    h_d = dual_grid.max_spacing
-    fs = star.dual.flat
-    slopes = star.dual.local_slopes
-    usable = bic.trusted & np.isfinite(fss)
-    # Screen: the exact pass's column at the conjugate's own maximizer x_k
-    k = np.maximum(star.argmax, 0)
-    gap_k = fs + fss[k] - grid.pair(duals, k)
-    dom_sub = ((star.argmax >= 0) & usable[k]
-               & (gap_k <= DEFAULT_TOLS.gap_threshold(h_d, x_norms[k], slopes)))
-    rest = np.flatnonzero(~dom_sub)
-    chunk = 256
-    for lo in range(0, rest.size, chunk):
-        rows = rest[lo:lo + chunk]
-        gaps = fs[rows, None] + fss[None, :] - grid.pair(duals[rows])
-        taus = DEFAULT_TOLS.gap_threshold(h_d, x_norms[None, :],
-                                          slopes[rows, None])
-        dom_sub[rows] = ((gaps <= taus) & usable[None, :]).any(axis=1)
-
-    lhs = dom_mj | int_dom
-    violations = np.flatnonzero(lhs & ~dom_sub)
+    violations = np.flatnonzero((dom_mj | int_dom) & ~dom_sub)
     return DomainChainReport(dual_grid, dom_mj, int_dom, dom_sub, violations)

@@ -19,7 +19,8 @@ class Tolerances:
         rel_fast: relative tolerance for fast-vs-brute conjugate equality.
         tau_c: scale factor in the subgradient gap threshold
             (``gap_threshold``).
-        k_dd: number of admissible steps probed by directional derivatives.
+        k_dd: multiples of the primitive step taken along each ray by the
+            total-convexity ray quotients.
         bicon_c: factor in ``tol_bicon = bicon_c * h_max * lipschitz_hat``.
         cert_start_steps: certification ignores shell radii below this many
             grid steps (a minimizer falling between nodes splits its tilted

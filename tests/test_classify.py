@@ -198,7 +198,7 @@ def test_session_shared_with_lemma1_gives_the_fresh_reports(eid):
     assert ses.report is ses.report
     assert ses.report.to_dict() == ll.classify(f, e.dual_grid).to_dict()
     assert ses.report.disclaimers
-    core = _domain_chain(ses.bic, ll.NormChoice.L2)
+    core = _domain_chain(ses.conj)
     checked = ll.domain_chain_check(f, e.dual_grid)
     assert checked.dual_grid == core.dual_grid == e.dual_grid
     _assert_same_report(checked, (core.dom_mj, core.int_dom_conj,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import legendrelab as ll
+import legendrelab.conjugate as C
 from legendrelab import cli
 from legendrelab import report_io as rio
 from legendrelab.cli import main, parse_grid_spec
@@ -278,7 +279,8 @@ def test_brute_size_guard_exits_2_before_conjugating(tmp_path, capsys,
     def started(*args, **kwargs):
         raise AssertionError("conjugation started")
 
-    monkeypatch.setattr(cli, "conjugate", started)
+    for name in ("conjugate_fast", "conjugate_brute"):
+        monkeypatch.setattr(cli, name, started)
     out = tmp_path / "c"
     assert 81**2 * 201**2 > cli.MAX_BRUTE_PAIRS
     assert main(["conjugate", "--catalog", "halfsq2", "--method", "brute",
@@ -337,15 +339,14 @@ def test_classify_subcommand(tmp_path, capsys):
 def test_classify_subcommand_conjugates_twice(monkeypatch, capsys):
     """The --samples plan reuses the classification's own f*: one f* and
     one f**, no extra conjugation."""
-    conj_mod = sys.modules["legendrelab.conjugate"]
     calls = []
-    fast = conj_mod.conjugate_fast
+    fast = C.conjugate_fast
 
     def counting(*args, **kwargs):
         calls.append(1)
         return fast(*args, **kwargs)
 
-    monkeypatch.setattr(conj_mod, "conjugate_fast", counting)
+    monkeypatch.setattr(C, "conjugate_fast", counting)
     code = main(["classify", "--catalog", "halfsq", "--samples", "12"])
     assert code == 0
     assert len(calls) == 2
@@ -504,7 +505,8 @@ def test_three_axis_input_to_the_fast_conjugate_exits_2(argv, tmp_path,
     def started(*args, **kwargs):
         raise AssertionError("conjugation started")
 
-    monkeypatch.setattr(cli, "conjugate", started)
+    for name in ("conjugate_fast", "conjugate_brute"):
+        monkeypatch.setattr(cli, name, started)
     monkeypatch.setattr(cli, "classify", started)
     src = _three_axis_input(tmp_path)
     out = tmp_path / "out"

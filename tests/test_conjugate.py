@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
+import legendrelab.conjugate as C
 from legendrelab.catalog import entries, entry
 from legendrelab.conjugate import _MAXPLUS_BLOCK, _maxplus
 from legendrelab.generators import random_convex_1d, random_grid_function
@@ -66,10 +66,18 @@ def test_affine_conjugate_trust_only_at_slope(dual_fine_1d):
     assert not res.trusted[others].any()
 
 
-@pytest.mark.parametrize("method", ["fast", "brute"])
-def test_conjugate_matches_independent_oracle(method, halfsq_1d):
+def test_module_import_reaches_the_module():
+    """``import legendrelab.conjugate as C`` binds the module, not a function
+    the package exports under the module's name."""
+    assert C.__name__ == "legendrelab.conjugate"
+    assert C._maxplus is _maxplus
+
+
+@pytest.mark.parametrize("conjugate", [ll.conjugate_fast, ll.conjugate_brute],
+                         ids=["fast", "brute"])
+def test_conjugate_matches_independent_oracle(conjugate, halfsq_1d):
     dual = ll.grid_1d(-3.0, 3.0, 57)
-    res = ll.conjugate(halfsq_1d, dual, method=method)
+    res = conjugate(halfsq_1d, dual)
     expected = brute_conjugate_values(halfsq_1d, dual)
     assert rel_close(res.dual.flat, expected).all()
 
@@ -415,7 +423,7 @@ def test_2d_trust_reruns_only_open_columns(monkeypatch):
         calls.append((xs.copy(), F.copy()))
         return _maxplus(xs, F, ss)
 
-    monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_maxplus", spy)
+    monkeypatch.setattr(C, "_maxplus", spy)
     bic = ll.biconjugate(f, d)
     np.testing.assert_array_equal(bic.trusted, second.trusted)
     for res, fn in ((star, f), (second, star.dual)):
@@ -452,7 +460,7 @@ def test_maxplus_independent_of_block_size(monkeypatch, block):
     f = random_grid_function(rng, g, inf_frac=0.1)
     star = ll.conjugate_fast(f, d)
     want_2d = [(f, d, star), (star.dual, g, ll.conjugate_fast(star.dual, g))]
-    monkeypatch.setattr(sys.modules["legendrelab.conjugate"], "_MAXPLUS_BLOCK", block)
+    monkeypatch.setattr(C, "_MAXPLUS_BLOCK", block)
     got = _maxplus(xs, F, ss)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)

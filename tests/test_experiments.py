@@ -3,10 +3,9 @@ import importlib
 from legendrelab import experiments
 from legendrelab.catalog import entries
 
-# the modules, which the package's functions of the same name shadow
+# the modules (the package's ``classify`` function shadows its module)
 classify_module = importlib.import_module("legendrelab.classify")
 conjugate_module = importlib.import_module("legendrelab.conjugate")
-subdiff_module = importlib.import_module("legendrelab.subdiff")
 moduli_module = importlib.import_module("legendrelab.moduli")
 projections_module = importlib.import_module("legendrelab.projections")
 
@@ -77,7 +76,7 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     monkeypatch.setattr(classify_module._Session, "cluster", clustering)
     monkeypatch.setattr(classify_module, "_classify", classifying)
     monkeypatch.setattr(classify_module._Session, "__init__", building)
-    for module in (classify_module, conjugate_module, subdiff_module):
+    for module in (classify_module, conjugate_module):
         monkeypatch.setattr(module, "biconjugate", conjugating)
     manifests = []
     for run in ("all1", "all2"):
@@ -102,3 +101,47 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         for art in artifacts:
             assert ((tmp_path / name / art).read_bytes()
                     == (tmp_path / "all1" / art).read_bytes()), art
+
+
+# n_dom_sub per catalog entry in domain_chain.json; every other count equals
+# the trusted set (n_dom_mj) or its interior (n_int_dom).
+DOM_SUB = {"halfsq": 159, "abs": 81, "quartic": 241, "exp": 116,
+           "neg_entropy": 241, "affine": 1, "box_indicator": 241,
+           "point_indicator": 241, "neg_halfsq": 1, "double_well": 81,
+           "halfsq2": 6241, "l1norm2": 1681, "fourth_root_well": 14641,
+           "sqrt_well": 14641, "neg_halfsq2": 1, "box_indicator2": 14641}
+
+
+def test_domain_chain_counts_duals_outside_the_analytic_domain(tmp_path):
+    """Each entry reports how many duals of its estimate lie where the
+    analytic f* is +inf (null without one): 0 on all twelve."""
+    passed, [res] = experiments.run_experiments("domain-chain", tmp_path)
+    assert passed
+    rows = res.summary["entries"]
+    assert {k: r["n_dom_sub"] for k, r in rows.items()} == DOM_SUB
+    for e in entries():
+        want = None if e.conjugate_analytic is None else 0
+        assert rows[e.id]["n_dom_sub_outside_analytic"] == want, e.id
+        assert rows[e.id]["n_violations"] == 0, e.id
+
+
+def test_domain_chain_fails_on_a_dual_outside_the_analytic_domain(
+        tmp_path, monkeypatch):
+    """An estimate holding every dual (what the Fenchel-Young gap pass
+    against f** gave) keeps the inclusion but fails the experiment."""
+    chain = experiments._domain_chain
+
+    def everything(star):
+        r = chain(star)
+        r.dom_sub_conj[:] = True
+        return r
+
+    monkeypatch.setattr(experiments, "_domain_chain", everything)
+    passed, [res] = experiments.run_experiments("domain-chain", tmp_path)
+    assert not passed
+    rows = res.summary["entries"]
+    assert all(r["inclusion_holds"] for r in rows.values())
+    outside = {k: r["n_dom_sub_outside_analytic"] for k, r in rows.items()
+               if r["n_dom_sub_outside_analytic"]}
+    assert outside == {"abs": 160, "exp": 120, "affine": 240,
+                       "double_well": 160, "l1norm2": 12960}

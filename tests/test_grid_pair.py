@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legendrelab as ll
-from legendrelab import moduli, subdiff
-from legendrelab.tolerances import DEFAULT_TOLS
+from legendrelab import moduli
 
 
 def pair_loop(s, x):
@@ -114,30 +113,3 @@ def test_member_rows_equal_whole_grid_tilts_for_any_block(grid, n_rows, seed, no
         assert as_bits(row) == as_bits(f.tilted(s)[members])
         _, one = ll.wellposedness_modulus(f, s, norm=norm, members=members)
         assert repr(rep) == repr(one)
-
-
-@settings(max_examples=40, deadline=None)
-@given(grid=grids(max_dim=2), seed=st.integers(0, 2**32 - 1),
-       norm=st.sampled_from(list(ll.NormChoice)))
-def test_domain_chain_screen_is_the_exact_column(grid, seed, norm):
-    """The screen's gap at each dual row's maximizer k is column k of the
-    exact pass, bit for bit, so the check decides every row as the exact
-    pass over all rows does. (The fast conjugate takes 1 or 2 axes.)"""
-    rng = np.random.default_rng(seed)
-    f = random_function(rng, grid)
-    dual = ll.Grid(tuple((-4.0 + i, 3.0 + i) for i in range(grid.dim)),
-                   tuple(int(n) for n in rng.integers(2, 12, size=grid.dim)))
-    bic = ll.biconjugate(f, dual)
-    fs, fss = bic.star.dual.flat, bic.function.flat
-    k = np.maximum(bic.star.argmax, 0)
-    screen = fs + fss[k] - grid.pair(dual.points, k)
-    exact = fs[:, None] + fss[None, :] - grid.pair(dual.points)
-    assert as_bits(screen) == as_bits(exact[np.arange(dual.size), k])
-    taus = DEFAULT_TOLS.gap_threshold(dual.max_spacing,
-                                      norm.length(grid.points)[None, :],
-                                      bic.star.dual.local_slopes[:, None])
-    usable = bic.trusted & np.isfinite(fss)
-    report = subdiff._domain_chain(bic, norm)
-    assert np.array_equal(report.dom_sub_conj,
-                          ((exact <= taus) & usable[None, :]).any(axis=1))
-

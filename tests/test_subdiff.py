@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import legendrelab as ll
 from legendrelab import subdiff
 from legendrelab.catalog import entries, entry
-from legendrelab.errors import NoAdmissibleStepError, PointOutsideDomainError
+from legendrelab.errors import PointOutsideDomainError
 from legendrelab.generators import random_convex_1d, random_grid_function
-from legendrelab.tolerances import DEFAULT_TOLS, Tolerances
+from legendrelab.tolerances import DEFAULT_TOLS
 
 
 def test_abs_subgradients_at_zero(absval_1d, dual_fine_1d):
@@ -57,48 +57,6 @@ def test_subgradient_interval_closed_under_midpoints(absval_1d, dual_fine_1d):
     assert np.array_equal(m, np.arange(m[0], m[-1] + 1))
 
 
-def test_directional_derivative_abs():
-    g = ll.grid_1d(-2.0, 2.0, 201)
-    f = ll.build_grid_function(g, lambda p: np.abs(p[:, 0]), vectorized=True)
-    d = ll.directional_derivative(f, g.index_of_nearest([0.0]), [1])
-    assert np.isclose(d.value, 1.0)
-    d_neg = ll.directional_derivative(f, g.index_of_nearest([0.0]), [-1])
-    assert np.isclose(d_neg.value, 1.0)
-
-
-def test_directional_derivative_halfsq(halfsq_1d):
-    g = halfsq_1d.grid
-    d = ll.directional_derivative(halfsq_1d, g.index_of_nearest([1.0]), [-1])
-    assert abs(d.value - (-1.0)) <= g.max_spacing
-
-
-def test_directional_derivative_well_edge():
-    e = entry("fourth_root_well")
-    f = e.build()
-    x = f.grid.index_of_nearest([0.0, 1.0])
-    d = ll.directional_derivative(f, x, [1, 0])
-    assert d.value == 0.0
-
-
-def test_directional_derivative_reduces_gcd(halfsq_1d):
-    g = halfsq_1d.grid
-    x = g.index_of_nearest([0.0])
-    d1 = ll.directional_derivative(halfsq_1d, x, [1])
-    d3 = ll.directional_derivative(halfsq_1d, x, [3])
-    assert d1.value == d3.value
-
-
-def test_directional_derivative_errors():
-    g = ll.grid_1d(-1.0, 1.0, 11)
-    f = ll.build_grid_function(g, lambda x: 0.0 if x <= 0 else math.inf)
-    edge = g.index_of_nearest([-1.0])
-    with pytest.raises(NoAdmissibleStepError):
-        ll.directional_derivative(f, edge, [-1])
-    at0 = g.index_of_nearest([0.0])
-    d = ll.directional_derivative(f, at0, [1])
-    assert d.value == math.inf
-
-
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 5_000))
 def test_subgradient_monotonicity(seed):
@@ -123,7 +81,8 @@ def test_subgradient_monotonicity(seed):
 
 def test_derivative_dominates_subgradient_pairing(halfsq_1d, absval_1d,
                                                   dual_fine_1d):
-    """f'(x, d) >= <d, s> - O(h) over gap-minimal subgradient members.
+    """f'(x, d) >= <d, s> - O(h) over gap-minimal subgradient members, with
+    f'(x, d) estimated by the one-step quotient (f(x + h d) - f(x)) / h.
 
     Gap-threshold members further out are only sqrt(h)-approximate
     subgradients; the support inequality is a statement about the exact
@@ -138,9 +97,9 @@ def test_derivative_dominates_subgradient_pairing(halfsq_1d, absval_1d,
             sub = ll.subgradients(f, res, x)
             tight = sub.points()[sub.gaps <= sub.gaps.min() + 1e-9, 0]
             for direction in (1, -1):
-                der = ll.directional_derivative(f, x, [direction])
-                best = (tight * der.direction[0]).max()
-                assert der.value >= best - 4.0 * h * (1 + abs(v))
+                quotient = (f.value_at(x + direction) - f.value_at(x)) / h
+                best = (tight * direction).max()
+                assert quotient >= best - 4.0 * h * (1 + abs(v))
 
 
 def test_domain_chain_halfsq(halfsq_1d, dual_fine_1d):
@@ -174,31 +133,38 @@ def test_domain_chain_exp_boundary():
     assert r.dom_mj[(s >= 0.2) & (s <= 3.0)].all()
 
 
-def _domain_chain_full_pass(f, dual_grid, norm=ll.NormChoice.L2,
-                            tols=DEFAULT_TOLS):
-    """The chunked pass over every dual row that ``domain_chain_check``
-    replaced, kept as its oracle."""
-    bic = ll.biconjugate(f, dual_grid)
-    star = bic.star
-    dom_mj = star.trusted.copy()
+def _bracket_loop(star):
+    """The bracket rule of ``domain_chain_check``, point by point in Python
+    floats: s is in the estimate when on every axis f*(s + h e) - f*(s) >=
+    h x_1 and f*(s - h e) - f*(s) >= -h x_{n-2}, each up to the ``delta0``
+    slack of the larger |f*|, wherever that dual neighbor exists; none
+    when a primal axis has no interior coordinate."""
+    dg = star.dual_grid
+    fs = star.dual.values
+    out = np.zeros(dg.size, dtype=bool)
+    if min(star.primal_grid.counts) < 3:
+        return out
+    for flat, idx in enumerate(np.ndindex(*dg.shape)):
+        ok = True
+        for ax, (x, h) in enumerate(zip(star.primal_grid.axes, dg.spacing)):
+            for k, edge in ((1, float(x[1])), (-1, float(x[-2]))):
+                pos = idx[ax] + k
+                if not 0 <= pos < dg.shape[ax]:
+                    continue
+                here = float(fs[idx])
+                there = float(fs[idx[:ax] + (pos,) + idx[ax + 1:]])
+                slack = DEFAULT_TOLS.delta0(max(abs(here), abs(there)))
+                ok = ok and there - here >= k * h * edge - slack
+        out[flat] = ok
+    return out
+
+
+def _bracket_report(f, dual_grid):
+    star = ll.conjugate_fast(f, dual_grid)
+    dom_sub = _bracket_loop(star)
     int_dom = star.trusted_interior()
-    pts = f.grid.points
-    duals = dual_grid.points
-    x_norms = norm.length(pts)
-    fss = bic.function.flat
-    h_d = dual_grid.max_spacing
-    dom_sub = np.zeros(dual_grid.size, dtype=bool)
-    chunk = 256
-    usable = bic.trusted & np.isfinite(fss)
-    for lo in range(0, dual_grid.size, chunk):
-        hi = min(lo + chunk, dual_grid.size)
-        gaps = (star.dual.flat[lo:hi, None] + fss[None, :]
-                - duals[lo:hi] @ pts.T)
-        slopes = star.dual.local_slopes[lo:hi]
-        taus = tols.gap_threshold(h_d, x_norms[None, :], slopes[:, None])
-        dom_sub[lo:hi] = ((gaps <= taus) & usable[None, :]).any(axis=1)
-    violations = np.flatnonzero((dom_mj | int_dom) & ~dom_sub)
-    return bic, (dom_mj, int_dom, dom_sub, violations)
+    violations = np.flatnonzero((star.trusted | int_dom) & ~dom_sub)
+    return star, (star.trusted, int_dom, dom_sub, violations)
 
 
 def _assert_same_report(r, want):
@@ -209,39 +175,111 @@ def _assert_same_report(r, want):
 
 
 @pytest.mark.parametrize("eid", [e.id for e in entries()])
-def test_domain_chain_equals_full_pass_on_catalog(eid):
+def test_domain_chain_equals_bracket_oracle_on_catalog(eid):
     e = entry(eid)
     f = e.build()
-    _, want = _domain_chain_full_pass(f, e.dual_grid)
+    _, want = _bracket_report(f, e.dual_grid)
     _assert_same_report(ll.domain_chain_check(f, e.dual_grid), want)
 
 
-def test_domain_chain_equals_full_pass_on_random_nonconvex(monkeypatch):
-    """Rough functions with +inf holes whose slopes outrun a narrow dual
-    grid: the maximizers of many dual rows are not usable points of f**, so
-    the full pass decides those rows, both ways once the threshold is tight
-    (a tight ``tau_c`` patched onto the instance ``subdiff`` reads)."""
+def test_domain_chain_equals_bracket_oracle_on_random_nonconvex():
+    """Rough functions with +inf holes, on dual grids narrower and wider
+    than their slopes: the oracle decides duals both ways."""
     grids = [(ll.grid_1d(-2, 2, 81), ll.grid_1d(-1, 1, 9)),
              (ll.grid_2d(-2, 2, 17), ll.grid_2d(-1, 1, 7)),
              (ll.grid_1d(-2, 2, 41), ll.grid_1d(-3, 3, 5)),
              (ll.grid_2d(-2, 2, 13), ll.grid_2d(-3, 3, 5))]
-    rows = left = 0
     decided = {True: 0, False: 0}
     for seed in range(12):
         g, d = grids[seed % 4]
         f = random_grid_function(np.random.default_rng(seed), g, inf_frac=0.2)
-        norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
-        for tols in (DEFAULT_TOLS, Tolerances(tau_c=0.01)):
-            monkeypatch.setattr(subdiff, "DEFAULT_TOLS", tols)
-            bic, want = _domain_chain_full_pass(f, d, norm, tols)
-            _assert_same_report(ll.domain_chain_check(f, d, norm), want)
-            k = bic.star.argmax
-            usable = bic.trusted & np.isfinite(bic.function.flat)
-            unscreened = (k < 0) | ~usable[k]
-            rows += d.size
-            left += int(unscreened.sum())
-            for verdict in (True, False):
-                decided[verdict] += int((unscreened
-                                         & (want[2] == verdict)).sum())
-    assert left > 0.1 * rows
+        _, want = _bracket_report(f, d)
+        _assert_same_report(ll.domain_chain_check(f, d), want)
+        for verdict in (True, False):
+            decided[verdict] += int((want[2] == verdict).sum())
     assert decided[True] > 0 and decided[False] > 0
+
+
+@st.composite
+def _random_conjugates(draw):
+    """f* of a rough function with +inf holes on a random 1- or 2-axis box,
+    over a dual box that may be narrower or wider than its slopes."""
+    dim = draw(st.integers(1, 2))
+    primal, dual = [], []
+    for _ in range(dim):
+        lo = draw(st.floats(-3.0, 0.0))
+        primal.append(((lo, lo + draw(st.floats(0.5, 4.0))),
+                       draw(st.integers(3, 40 if dim == 1 else 14))))
+        lo = draw(st.floats(-6.0, 0.0))
+        dual.append(((lo, lo + draw(st.floats(0.5, 10.0))),
+                     draw(st.integers(2, 30 if dim == 1 else 12))))
+    g = ll.Grid(*zip(*primal))
+    d = ll.Grid(*zip(*dual))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = random_grid_function(rng, g,
+                             inf_frac=draw(st.sampled_from([0.0, 0.1, 0.3])))
+    return ll.conjugate_fast(f, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(star=_random_conjugates())
+def test_domain_chain_estimate_holds_every_trusted_dual(star):
+    """A trusted dual's maximizer is an interior subgradient of f*, so it
+    lies in the bracket; the differences f*(s +- h e) - f*(s) reach h times
+    it only up to rounding, which the ``delta0`` slack absorbs."""
+    r = subdiff._domain_chain(star)
+    assert r.dom_sub_conj[star.trusted].all()
+    assert r.inclusion_holds
+
+
+def test_domain_chain_two_point_axis_has_no_interior_bracket():
+    """f* of 0 on {-1, 1} is |s|: its bracket [-1, 1] at s = 0 touches both
+    ends of the primal interval, but no interior coordinate lies between."""
+    for g, d in ((ll.grid_1d(-1.0, 1.0, 2), ll.grid_1d(-2.0, 2.0, 9)),
+                 (ll.Grid(((-1.0, 1.0), (-1.0, 1.0)), (5, 2)),
+                  ll.grid_2d(-2.0, 2.0, 9))):
+        f = ll.GridFunction(g, np.zeros(g.shape))
+        r = ll.domain_chain_check(f, d)
+        assert not r.dom_sub_conj.any() and r.inclusion_holds
+
+
+def test_domain_chain_abs_leaves_out_large_duals():
+    """f* of |x| is the indicator of [-1, 1]; the estimate is that interval
+    on the dual grid, and no dual with |s| >= 1.1 is in it."""
+    e = entry("abs")
+    r = ll.domain_chain_check(e.build(), e.dual_grid)
+    s = e.dual_grid.points[:, 0]
+    assert not r.dom_sub_conj[np.abs(s) >= 1.1].any()
+    assert np.array_equal(r.dom_sub_conj, np.abs(s) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("eid", [e.id for e in entries()
+                                 if e.conjugate_analytic is not None])
+def test_domain_chain_estimate_inside_analytic_domain(eid):
+    e = entry(eid)
+    r = ll.domain_chain_check(e.build(), e.dual_grid)
+    off = np.isposinf(e.conjugate_analytic(e.dual_grid.points))
+    assert not (r.dom_sub_conj & off).any()
+
+
+def test_domain_chain_truncation_undercount():
+    """Interior duals where the analytic f* is finite but outside the
+    estimate: their true subgradient leaves the interior primal box, so no
+    grid point certifies it. Not a failure of the estimate; pinned so that
+    a change in it shows. For the half squares, grad f*(s) = s."""
+    under = {}
+    for e in entries():
+        if e.conjugate_analytic is None:
+            continue
+        d = e.dual_grid
+        r = ll.domain_chain_check(e.build(), d)
+        finite = np.isfinite(e.conjugate_analytic(d.points))
+        missed = d.interior_flat & finite & ~r.dom_sub_conj
+        under[e.id] = int(missed.sum())
+        if e.id in ("halfsq", "halfsq2"):
+            inner = [x[-2] for x in e.primal_grid.axes]
+            beyond = (np.abs(d.points) > inner).any(axis=1)
+            assert np.array_equal(missed, d.interior_flat & beyond)
+    assert {k: v for k, v in under.items() if v} == {
+        "halfsq": 80, "exp": 5, "halfsq2": 7920}
+    assert len(under) == 12
