@@ -41,7 +41,6 @@ class ConjugateResult:
     trusted: np.ndarray   # bool per dual flat index
     argmax: np.ndarray    # primal flat index per dual flat index
     primal_grid: Grid
-    method: str = "fast"
 
     @property
     def dual_grid(self) -> Grid:
@@ -84,7 +83,7 @@ def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
         trusted[lo:hi] = (ties & interior[None, :]).any(axis=1)
     dual_fn = GridFunction(dual_grid, out.reshape(dual_grid.shape),
                            name=f.name + "*")
-    return ConjugateResult(dual_fn, trusted, arg, f.grid, method="brute")
+    return ConjugateResult(dual_fn, trusted, arg, f.grid)
 
 
 def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
@@ -178,7 +177,7 @@ def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
         raise NotImplementedError("conjugate_fast supports dim 1 and 2")
     dual_fn = GridFunction(dual_grid, vals.reshape(dual_grid.shape),
                            name=f.name + "*")
-    return ConjugateResult(dual_fn, trusted, arg, f.grid, method="fast")
+    return ConjugateResult(dual_fn, trusted, arg, f.grid)
 
 
 @dataclass(frozen=True, eq=False)

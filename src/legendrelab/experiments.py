@@ -28,9 +28,6 @@ from .report_io import build_manifest, write_json, write_modulus_csv
 from .subdiff import _domain_chain
 from .tolerances import DEFAULT_TOLS
 
-EXPERIMENT_NAMES = ("ex1", "ex2", "lemma1", "cor3-chain", "cor4", "prop6",
-                    "domain-chain")
-
 _SET_GRID = grid_2d(-2.0, 2.0, 101)
 
 
@@ -273,6 +270,7 @@ _RUNNERS: dict[str, Callable[[Path, int, dict], ExperimentResult]] = {
     "prop6": run_prop6,
     "domain-chain": run_domain_chain,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiments(which: str, out_dir: str | Path,
@@ -293,7 +291,7 @@ def run_experiments(which: str, out_dir: str | Path,
         paths.extend(res.artifacts)
     passed = all(r.passed for r in results)
     config = {"experiment": which, "seed": seed,
-              "set_grid": {"bounds": [[-2.0, 2.0]] * 2, "counts": [101, 101]}}
+              "set_grid": {"bounds": _SET_GRID.bounds, "counts": _SET_GRID.counts}}
     manifest = build_manifest(__version__, config, out, paths)
     write_json(manifest.to_dict(), out / "manifest.json")
     return passed, results

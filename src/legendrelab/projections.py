@@ -8,14 +8,14 @@ the tilt it costs O(|S| log |S|) plus one entry per shell. All three wrap
 one witness-search engine: Halton probes and exact tie tilts from member
 pairs (midpoint-convexity violations or far pairs) in the caller's order,
 then jittered tie tilts and bisection toward the tie, from a budget of
-exactly what those stages can spend. The tilts of a stage go through the
-row core of ``moduli`` as the rows of member-set blocks, read as they are
-computed up to the first tilt that is not strongly posed, whose block is
-the last one computed; each row is the report a one-row
-``solve_relative_projection`` gives, and the budget is spent once per
-tilt up to that one, so the witness and the count are those of probing
-one tilt at a time. The walk and bisection stay one probe at a time:
-each step depends on the last.
+exactly what those stages can spend. Every probe is a row of one stream:
+tilts go through the row core of ``moduli`` as the rows of member-set
+blocks, computed as they are read, and the budget is spent once per row
+read. A stage reads up to its first tilt that is not strongly posed, the
+walk up to its first minimizer jump, and each bisection step is a stream
+of one row; each row is the report a one-row
+``solve_relative_projection`` gives, so the witness and the count are
+those of probing one tilt at a time.
 
 Midpoint convexity screens before it tests pairs: the floor/ceil midpoints
 of a member pair depend only on its index sum, so one FFT self-convolution
@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,14 +93,11 @@ class ProjectionCertificate:
 
 
 def solve_relative_projection(f: GridFunction, S: ConstraintSet,
-                              s: Sequence[float],
-                              norm: NormChoice = NormChoice.L2
-                              ) -> ProjectionCertificate:
+                              s: Sequence[float]) -> ProjectionCertificate:
     """Exact minimization of f - <., s> over the finite set S."""
     if not f.domain_flat[S.members].any():
         raise InfeasibleProblemError("S does not meet dom f")
-    return _certificate(f, S, *wellposedness_modulus(f, s, norm=norm,
-                                                     members=S.members))
+    return _certificate(f, S, *wellposedness_modulus(f, s, members=S.members))
 
 
 def _certificate(f: GridFunction, S: ConstraintSet, mod: Modulus,
@@ -232,12 +229,6 @@ class _Budget:
             raise BudgetExhaustedError(f"probe budget {self.limit} exhausted")
 
 
-def _probe(f: GridFunction, S: ConstraintSet, s: np.ndarray, budget: _Budget,
-           norm: NormChoice) -> ProjectionCertificate:
-    budget.spend()
-    return solve_relative_projection(f, S, s, norm=norm)
-
-
 # Grid points per block of probed tilts (12 rows on a 101^2 grid): each row
 # tilts the whole grid, so this bounds the (rows, grid) tables. Blocks of
 # 12-25 rows ran the prop6 and cor4 searches faster than one row or 51
@@ -245,20 +236,28 @@ def _probe(f: GridFunction, S: ConstraintSet, s: np.ndarray, budget: _Budget,
 _PROBE_BLOCK = 1 << 17
 
 
-def _first_failure(f: GridFunction, S: ConstraintSet,
-                   tilts: Sequence[np.ndarray], budget: _Budget,
-                   norm: NormChoice) -> ProjectionCertificate | None:
-    """The projection on S of the first of ``tilts`` that is not strong
-    (None if all are), probed in row blocks up to the block holding it;
-    one probe is spent per tilt up to and including that one."""
-    for mod, rep in _by_blocks(
+def _probes(f: GridFunction, S: ConstraintSet, tilts: Sequence[np.ndarray],
+            budget: _Budget) -> Iterator[tuple[Modulus, WellposednessReport]]:
+    """The (curve, report) rows of the projections of ``tilts`` on S, from
+    member-set row blocks computed as they are read; one probe is spent per
+    row read."""
+    for row in _by_blocks(
             f.grid, len(tilts),
-            lambda b: _wellposed_rows(f, tilts[b], norm, members=S.members),
+            lambda b: _wellposed_rows(f, tilts[b], NormChoice.L2,
+                                      members=S.members),
             _PROBE_BLOCK):
         budget.spend()
-        if not rep.strong:
-            return _certificate(f, S, mod, rep)
-    return None
+        yield row
+
+
+def _first_failure(f: GridFunction, S: ConstraintSet,
+                   tilts: Sequence[np.ndarray], budget: _Budget
+                   ) -> ProjectionCertificate | None:
+    """The projection on S of the first of ``tilts`` that is not strong
+    (None if all are)."""
+    return next((_certificate(f, S, mod, rep)
+                 for mod, rep in _probes(f, S, tilts, budget)
+                 if not rep.strong), None)
 
 
 _WALK_STEPS = 16       # quarter-extent steps of the walk before bisection
@@ -269,25 +268,23 @@ _REFINE_PROBES = _JITTERS + 1 + _WALK_STEPS + _BISECTIONS
 
 
 def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
-                    budget: _Budget, norm: NormChoice
-                    ) -> ProjectionCertificate | None:
+                    budget: _Budget) -> ProjectionCertificate | None:
     """Walk the tilt away from its minimizer until the argmin jumps, then
-    bisect toward the crossing; at the crossing two branches tie."""
-    cert0 = _probe(f, S, s0, budget, norm)
-    if not cert0.strong:
-        return cert0
-    x0 = np.asarray(cert0.minimizer_point)
+    bisect toward the crossing; at the crossing two branches tie. The
+    walk's tilts depend only on the first probe, so they are one stream."""
+    mod, rep0 = next(_probes(f, S, [s0], budget))
+    if not rep0.strong:
+        return _certificate(f, S, mod, rep0)
+    x0 = f.grid.point(rep0.minimizer)
     direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
     direction = direction / np.linalg.norm(direction)
-    extent = f.grid.corner_extent
-    lam_lo, cert_lo = 0.0, cert0
-    lam_hi = None
-    for k in range(1, _WALK_STEPS + 1):
-        lam = extent * k / 4.0
-        cert = _probe(f, S, x0 + lam * direction, budget, norm)
-        if not cert.strong:
-            return cert
-        if cert.minimizer != cert_lo.minimizer:
+    walk = f.grid.corner_extent * np.arange(1, _WALK_STEPS + 1) / 4.0
+    lam_lo, lam_hi = 0.0, None
+    for lam, (mod, rep) in zip(walk, _probes(
+            f, S, x0 + walk[:, None] * direction, budget)):
+        if not rep.strong:
+            return _certificate(f, S, mod, rep)
+        if rep.minimizer != rep0.minimizer:
             lam_hi = lam
             break
         lam_lo = lam
@@ -295,10 +292,10 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
         return None
     for _ in range(_BISECTIONS):
         lam = (lam_lo + lam_hi) / 2.0
-        cert = _probe(f, S, x0 + lam * direction, budget, norm)
-        if not cert.strong:
-            return cert
-        if cert.minimizer == cert_lo.minimizer:
+        mod, rep = next(_probes(f, S, [x0 + lam * direction], budget))
+        if not rep.strong:
+            return _certificate(f, S, mod, rep)
+        if rep.minimizer == rep0.minimizer:
             lam_lo = lam
         else:
             lam_hi = lam
@@ -314,8 +311,7 @@ def _witness_candidates(f: GridFunction,
 
 def _witness_search(f: GridFunction, S: ConstraintSet,
                     stages: list[Sequence[np.ndarray]],
-                    refine_pairs: list[tuple[int, int]], seed: int,
-                    norm: NormChoice
+                    refine_pairs: list[tuple[int, int]], seed: int
                     ) -> tuple[ProjectionCertificate | None, _Budget]:
     """The first probe whose projection on S is not strong (or None), and
     the budget, sized to exactly what the stages below can spend.
@@ -330,13 +326,13 @@ def _witness_search(f: GridFunction, S: ConstraintSet,
 
     def tries():
         for stage in stages:
-            yield _first_failure(f, S, stage, budget, norm)
+            yield _first_failure(f, S, stage, budget)
         rng = np.random.default_rng(seed)
         for base in bases:
             jitters = rng.normal(scale=S.grid.max_spacing,
                                  size=(_JITTERS, base.size))
-            yield _first_failure(f, S, base + jitters, budget, norm)
-            yield _bisect_for_tie(f, S, base, budget, norm)
+            yield _first_failure(f, S, base + jitters, budget)
+            yield _bisect_for_tie(f, S, base, budget)
 
     return next((c for c in tries() if c is not None), None), budget
 
@@ -394,8 +390,7 @@ def probe_box(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tchebychev_test(f: GridFunction, S: ConstraintSet,
-                    n_probes: int = 200, seed: int = 42,
-                    norm: NormChoice = NormChoice.L2) -> TchebychevReport:
+                    n_probes: int = 200, seed: int = 42) -> TchebychevReport:
     """Probe for a tilt whose relative projection on S is not strong.
 
     Runs low-discrepancy probes plus exact tie tilts built from member
@@ -413,7 +408,7 @@ def tchebychev_test(f: GridFunction, S: ConstraintSet,
     pairs = _violation_pairs_by_depth(S, violations)
     cert, budget = _witness_search(
         f, S, [_halton_probes(*probe_box(f), n_probes, seed),
-               _witness_candidates(f, pairs)], [], seed, norm)
+               _witness_candidates(f, pairs)], [], seed)
     if cert is None:
         return TchebychevReport(True, budget.used, None, None, mp_ok)
     return TchebychevReport(False, budget.used, cert.tilt, cert, mp_ok)
@@ -434,8 +429,7 @@ def _half_sq(grid: Grid, sign: float) -> GridFunction:
 
 
 def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
-                              seed: int = 42,
-                              norm: NormChoice = NormChoice.L2) -> FarthestVerdict:
+                              seed: int = 42) -> FarthestVerdict:
     """Strong-maximum probe of ||.||^2/2 + tilt over S.
 
     Singletons must survive every probe; any larger set must yield a tie
@@ -447,7 +441,7 @@ def farthest_point_experiment(S: ConstraintSet, n_probes: int = 200,
     cert, budget = _witness_search(
         f, S, [_witness_candidates(f, pairs),
                _halton_probes(*probe_box(f), n_probes, seed)],
-        pairs, seed, norm)
+        pairs, seed)
     if cert is not None:
         return FarthestVerdict("WITNESS", cert.tilt, cert, budget.used)
     if S.size == 1:
@@ -475,8 +469,8 @@ class DetectorVerdict:
         return False
 
 
-def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
-                       norm: NormChoice = NormChoice.L2) -> DetectorVerdict:
+def convexity_detector(S: ConstraintSet, n_probes: int = 200,
+                       seed: int = 42) -> DetectorVerdict:
     """Variational convexity test: every nearest-point problem on a convex
     set is strongly posed; a nonconvex set betrays itself by a tie."""
     f = _half_sq(S.grid, 1.0)
@@ -484,7 +478,7 @@ def convexity_detector(S: ConstraintSet, n_probes: int = 200, seed: int = 42,
     pairs = _violation_pairs_by_depth(S, violations)
     cert, budget = _witness_search(
         f, S, [_halton_probes(*probe_box(f), n_probes, seed),
-               _witness_candidates(f, pairs)], pairs, seed, norm)
+               _witness_candidates(f, pairs)], pairs, seed)
     if cert is not None:
         return DetectorVerdict("NONCONVEX", cert.tilt, cert, mp_ok, budget.used)
     return DetectorVerdict("CONVEX-CONSISTENT" if mp_ok else "UNRESOLVED",

@@ -32,7 +32,7 @@ def tau_sub(f: GridFunction, x_flat: int | np.ndarray,
             s: Sequence[float] | np.ndarray,
             norm: NormChoice = NormChoice.L2) -> float | np.ndarray:
     """Gap threshold for accepting s as a subgradient at x. Elementwise
-    over an array of points with one tilt per point (the rows of ``s``)."""
+    over the rows of ``s``, at one point or one point per row."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, norm.dual.length(s),
                                       f.local_slopes[x_flat])
@@ -68,10 +68,7 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
     dg = f_star.dual_grid
     x = f.grid.point(x_flat)
     gaps = fx + f_star.dual.flat - dg.pair(x)
-    s_norms = norm.dual.length(dg.points)
-    taus = DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norms,
-                                      f.local_slope(x_flat))
-    sel = f_star.trusted & (gaps <= taus)
+    sel = f_star.trusted & (gaps <= tau_sub(f, x_flat, dg.points, norm))
     idx = np.flatnonzero(sel)
     order = np.argsort(gaps[idx], kind="stable")
     members = idx[order]

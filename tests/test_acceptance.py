@@ -224,13 +224,40 @@ def test_criterion_07_hierarchy_chain():
     _ok("criterion 7: implication chain", f"{n} classification reports")
 
 
-def test_criterion_08_domain_chain():
+def _domain_chain_failures(check):
+    """Entries whose ``check(f, dual_grid)`` report breaks the inclusion or
+    puts a dual of its dom d(f*) estimate where the analytic conjugate is
+    +inf, and the number of entries with an analytic conjugate."""
+    failed, n_analytic = [], 0
     for e in entries():
-        r = ll.domain_chain_check(e.build(), e.dual_grid)
-        assert r.inclusion_holds, e.id
-        assert r.violations.size == 0, e.id
+        r = check(e.build(), e.dual_grid)
+        outside = 0
+        if e.conjugate_analytic is not None:
+            n_analytic += 1
+            off = np.isposinf(e.conjugate_analytic(e.dual_grid.points))
+            outside = int((r.dom_sub_conj & off).sum())
+        if not r.inclusion_holds or r.violations.size or outside:
+            failed.append(e.id)
+    return failed, n_analytic
+
+
+def test_criterion_08_domain_chain():
+    assert _domain_chain_failures(ll.domain_chain_check) == ([], 12)
     _ok("criterion 8: domain chain inclusion",
-        f"{len(entries())} entries, zero violations")
+        f"{len(entries())} entries, zero violations, no dual of the "
+        "dom d(f*) estimate outside 12 analytic conjugate domains")
+
+
+def test_criterion_08_fails_on_an_every_dual_estimate():
+    """An estimate holding every dual keeps the inclusion but fails the
+    criterion on the entries whose analytic conjugate is +inf somewhere."""
+    def everything(f, dual_grid):
+        r = ll.domain_chain_check(f, dual_grid)
+        r.dom_sub_conj[:] = True
+        return r
+
+    failed, _ = _domain_chain_failures(everything)
+    assert failed == ["abs", "exp", "affine", "double_well", "l1norm2"]
 
 
 def test_criterion_09_farthest_point_experiment():

@@ -338,8 +338,7 @@ def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
     f = projections._half_sq(grid, 1.0)
     pairs = [(int(S.members[0]), int(S.members[-1])),
              (int(S.members[1]), int(S.members[-2]))]
-    cert, budget = projections._witness_search(f, S, [], pairs, 11,
-                                               ll.NormChoice.L2)
+    cert, budget = projections._witness_search(f, S, [], pairs, 11)
     assert cert is None
     assert (budget.used, budget.limit) == (16, 2 * 85)
     rng = np.random.default_rng(11)
@@ -349,10 +348,49 @@ def test_refine_jitters_draw_from_one_generator(grid, monkeypatch):
     assert np.array_equal(np.array(tilts), np.array(want))
 
 
-def witness_search_one_at_a_time(f, S, stages, refine_pairs, seed, norm):
-    """The probe-by-probe ``_witness_search`` that the row-block search
-    replaced, kept as its oracle: one ``solve_relative_projection`` per
-    tilt, the jitters drawn one tilt at a time."""
+def probe_one(f, S, s, budget):
+    """One probe: one budget unit and one public projection."""
+    budget.spend()
+    return ll.solve_relative_projection(f, S, s)
+
+
+def bisect_one_at_a_time(f, S, s0, budget):
+    """The walk and bisection of ``_bisect_for_tie``, one tilt a probe."""
+    cert0 = probe_one(f, S, s0, budget)
+    if not cert0.strong:
+        return cert0
+    x0 = np.asarray(cert0.minimizer_point)
+    direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
+    direction = direction / np.linalg.norm(direction)
+    extent = f.grid.corner_extent
+    lam_lo, lam_hi = 0.0, None
+    for k in range(1, projections._WALK_STEPS + 1):
+        lam = extent * k / 4.0
+        cert = probe_one(f, S, x0 + lam * direction, budget)
+        if not cert.strong:
+            return cert
+        if cert.minimizer != cert0.minimizer:
+            lam_hi = lam
+            break
+        lam_lo = lam
+    if lam_hi is None:
+        return None
+    for _ in range(projections._BISECTIONS):
+        lam = (lam_lo + lam_hi) / 2.0
+        cert = probe_one(f, S, x0 + lam * direction, budget)
+        if not cert.strong:
+            return cert
+        if cert.minimizer == cert0.minimizer:
+            lam_lo = lam
+        else:
+            lam_hi = lam
+    return None
+
+
+def witness_search_one_at_a_time(f, S, stages, refine_pairs, seed):
+    """The probe-by-probe ``_witness_search``, kept as its oracle: one
+    public ``solve_relative_projection`` per tilt, the jitters drawn one
+    tilt at a time and the walk and bisection probed one tilt at a time."""
     bases = projections._witness_candidates(
         f, refine_pairs[:projections._REFINED_PAIRS])
     budget = projections._Budget(sum(map(len, stages))
@@ -360,13 +398,13 @@ def witness_search_one_at_a_time(f, S, stages, refine_pairs, seed, norm):
 
     def tries():
         for s in itertools.chain(*stages):
-            yield projections._probe(f, S, s, budget, norm)
+            yield probe_one(f, S, s, budget)
         rng = np.random.default_rng(seed)
         for base in bases:
             for _ in range(projections._JITTERS):
                 jitter = rng.normal(scale=S.grid.max_spacing, size=base.shape)
-                yield projections._probe(f, S, base + jitter, budget, norm)
-            yield projections._bisect_for_tie(f, S, base, budget, norm)
+                yield probe_one(f, S, base + jitter, budget)
+            yield bisect_one_at_a_time(f, S, base, budget)
 
     return next((c for c in tries() if c is not None and not c.strong),
                 None), budget
