@@ -9,7 +9,8 @@ relative-projection experiments on grid sets.
 ``LL_THREADS=<n>`` caps the BLAS and OpenMP thread pools. The cap is set
 here, before any submodule imports numpy, because the pools are sized when
 numpy loads; it has no effect if numpy was imported first, and it never
-overrides a thread variable that is already set.
+overrides a thread variable that is already set. ``LL_THREADS=1`` also
+keeps ``verify-paper`` in one process (read when each run starts).
 """
 
 import os as _os

@@ -7,6 +7,8 @@ timestamp-free, so identical flags reproduce identical bytes.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -19,7 +21,7 @@ from .catalog import (CONVEX_SET_NAMES, NONCONVEX_SET_NAMES, CatalogEntry,
                       fourth_root_well, fourth_root_well_hessian,
                       fourth_root_well_hessian_det, make_set)
 from .classify import _agreement, _Session, classify
-from .errors import BudgetExhaustedError, IoFailureError
+from .errors import BudgetExhaustedError, IoFailureError, LegendreLabError
 from .generators import random_convex_1d
 from .grids import NormChoice, grid_1d, grid_2d
 from .moduli import certification_verdict, firm_modulus, total_convexity_modulus
@@ -273,22 +275,55 @@ _RUNNERS: dict[str, Callable[[Path, int, dict], ExperimentResult]] = {
 EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
+# The session-free experiments, run in a forked child beside the sessions.
+_LANE = ("cor4", "prop6")
+
+
+def _run_lane(names, out: Path, seed: int, sessions: dict) -> dict | BaseException:
+    """``{name: result}`` of ``names`` run in order, or the error to raise."""
+    try:
+        return {name: _RUNNERS[name](out, seed, sessions) for name in names}
+    except BaseException as err:
+        return err
+
+
 def run_experiments(which: str, out_dir: str | Path,
                     seed: int = 42) -> tuple[bool, list[ExperimentResult]]:
-    """Run one experiment or all of them; writes a manifest either way."""
+    """Run one experiment or all; writes a manifest either way. On two usable
+    CPUs (``LL_THREADS`` caps them) "all" forks a child for ``_LANE``."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise IoFailureError(str(err)) from err
     names = list(EXPERIMENT_NAMES) if which == "all" else [which]
-    results = []
-    paths: list[Path] = []
     sessions: dict[str, _Session] = {}
-    for name in names:
-        res = _RUNNERS[name](out, seed, sessions)
-        results.append(res)
-        paths.extend(res.artifacts)
+    cap = os.environ.get("LL_THREADS", "")    # read per call, not on import
+    if which != "all" or not hasattr(os, "sched_getaffinity") or min(
+            len(os.sched_getaffinity(0)), int(cap) if cap.isdigit() else 2) < 2:
+        lanes = [_run_lane(names, out, seed, sessions)]
+    else:   # platforms with sched_getaffinity have fork
+        r, w = os.pipe()
+        if (pid := os.fork()) == 0:   # leaves by os._exit, flushing no stdio
+            try:
+                with open(w, "wb") as pipe:
+                    pickle.dump(_run_lane(_LANE, out, seed, {}), pipe)
+            finally:
+                os._exit(0)
+        os.close(w)
+        rest = [name for name in names if name not in _LANE]
+        lanes = [_run_lane(rest, out, seed, sessions)]
+        with open(r, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        lanes.append(pickle.loads(data) if data else LegendreLabError(
+            f"the {' and '.join(_LANE)} process ended without a result "
+            f"(wait status {status})"))
+    if err := next((x for x in lanes if isinstance(x, BaseException)), None):
+        raise err
+    done = {name: res for lane in lanes for name, res in lane.items()}
+    results = [done[name] for name in names]
+    paths = [path for res in results for path in res.artifacts]
     passed = all(r.passed for r in results)
     config = {"experiment": which, "seed": seed,
               "set_grid": {"bounds": _SET_GRID.bounds, "counts": _SET_GRID.counts}}

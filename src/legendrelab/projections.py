@@ -229,10 +229,10 @@ class _Budget:
             raise BudgetExhaustedError(f"probe budget {self.limit} exhausted")
 
 
-# Grid points per block of probed tilts (12 rows on a 101^2 grid): each row
-# tilts the whole grid, so this bounds the (rows, grid) tables. Blocks of
-# 12-25 rows ran the prop6 and cor4 searches faster than one row or 51
-# rows a block; classify keeps the smaller ``moduli._ROW_BLOCK``.
+# Grid points per block of probed tilts (12 rows on 101^2, whatever the
+# set): a row tilts only the members of S, so the (rows, |S|) tables stay
+# within it. Blocks of 12-25 rows ran prop6 and cor4 faster than one row
+# or 51 rows a block; classify keeps the smaller ``moduli._ROW_BLOCK``.
 _PROBE_BLOCK = 1 << 17
 
 

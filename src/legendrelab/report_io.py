@@ -70,6 +70,7 @@ def _jsonable(obj: Any) -> Any:
 
 def write_json(payload: dict, path: str | Path) -> None:
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(json.dumps(_jsonable(payload), indent=1,
                                          sort_keys=False) + "\n")
     except OSError as err:
@@ -197,6 +198,7 @@ def write_modulus_csv(m: Modulus, path: str | Path) -> None:
         val = _INF_TOKEN if math.isinf(v) else repr(float(v))
         lines.append(f"{float(t)!r},{val},{int(e)}")
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as err:
         raise IoFailureError(str(err)) from err

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,32 @@ def test_ll_threads_env_accepted(tmp_path):
                         "HOME": "/root", "PYTHONPATH": PACKAGE_ROOT})
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_commands():
+    """The commands of README's CLI block, continued lines joined."""
+    block = README.read_text().split("## CLI\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_commands_run_in_an_empty_directory(tmp_path):
+    """Each command of README's CLI block, verbatim, from an empty working
+    directory: the output directories are made, exit 0, no RuntimeWarning."""
+    commands = readme_cli_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "legendrelab"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "legendrelab", *argv[1:]], cwd=tmp_path,
+                              env=cli_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert (tmp_path / "out" / "verify" / "manifest.json").is_file()
+    assert (tmp_path / "out" / "halfsq.fstar.json").is_file()
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

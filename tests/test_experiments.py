@@ -1,7 +1,11 @@
 import importlib
+import os
 
-from legendrelab import experiments
+import pytest
+
+from legendrelab import cli, experiments
 from legendrelab.catalog import entries
+from legendrelab.errors import IoFailureError, LegendreLabError
 
 # the modules (the package's ``classify`` function shadows its module)
 classify_module = importlib.import_module("legendrelab.classify")
@@ -27,6 +31,32 @@ SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
 # the plan's tilts are clustered once, by their well-posedness rows.
 RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093,
             "cluster": 1186}
+# The same in the parent of a forked run: the 1,874 well-posedness rows of
+# prop6 and cor4 are probed in the child.
+PARENT_ROWS = {**RUN_ROWS, "_wellposed_rows": 1230}
+
+
+def forking(monkeypatch):
+    """Two usable CPUs and no ``LL_THREADS``, whatever the machine has, so a
+    full run forks; returns the pids of the children it forks."""
+    monkeypatch.delenv("LL_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    fork, pids = os.fork, []
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
@@ -36,7 +66,9 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     cor3-chain and domain-chain share the catalog sessions, and each full
     run computes the pinned row-core rows and tie clusterings. A run alone,
     or a second run in the same process, starts from nothing and writes the
-    same bytes."""
+    same bytes. Under ``LL_THREADS=1`` and for one experiment nothing forks;
+    a forked run builds every session in the parent, leaves the probes of
+    prop6 and cor4 to the child and writes the same manifest."""
     calls, sessions, bicons = [], [], []
     classify_body = classify_module._classify
     session_init = classify_module._Session.__init__
@@ -78,6 +110,13 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     monkeypatch.setattr(classify_module._Session, "__init__", building)
     for module in (classify_module, conjugate_module):
         monkeypatch.setattr(module, "biconjugate", conjugating)
+    monkeypatch.setenv("LL_THREADS", "1")    # one process: count every row
+    fork = os.fork
+
+    def no_fork():
+        raise AssertionError("LL_THREADS=1 and one experiment never fork")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     manifests = []
     for run in ("all1", "all2"):
         for counter in (calls, sessions, bicons):
@@ -90,6 +129,24 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         assert sorted(sessions) == sorted(bicons) == sorted(calls)
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
+
+    # two processes: the parent runs every session; prop6 and cor4 probe
+    # in the child, whose counts stay there
+    monkeypatch.setattr(os, "fork", fork)
+    pids = forking(monkeypatch)
+    for counter in (calls, sessions, bicons):
+        counter.clear()
+    rows.update(dict.fromkeys(RUN_ROWS, 0))
+    passed, results = experiments.run_experiments("all", tmp_path / "forked",
+                                                  seed=42)
+    assert passed and len(pids) == 1
+    assert [r.name for r in results] == list(experiments.EXPERIMENT_NAMES)
+    assert rows == PARENT_ROWS
+    assert len(calls) == len(set(calls)) == 36
+    assert sorted(sessions) == sorted(bicons) == sorted(calls)
+    assert (tmp_path / "forked" / "manifest.json").read_bytes() == manifests[0]
+    assert_no_child()
+    monkeypatch.setattr(os, "fork", no_fork)
 
     for name, artifacts in SINGLE_ARTIFACTS.items():
         for counter in (calls, sessions, bicons):
@@ -145,3 +202,61 @@ def test_domain_chain_fails_on_a_dual_outside_the_analytic_domain(
                if r["n_dom_sub_outside_analytic"]}
     assert outside == {"abs": 160, "exp": 120, "affine": 240,
                        "double_well": 160, "l1norm2": 12960}
+
+
+def test_child_lane_error_is_raised_with_its_type(tmp_path, monkeypatch,
+                                                  capsys):
+    """An IoFailureError of prop6 in the forked child is raised in the
+    parent as an IoFailureError, so the CLI exits 1 with an error line and
+    no traceback; the child is reaped either way."""
+    pids = forking(monkeypatch)
+    parent = os.getpid()
+
+    def failing(out, seed, sessions):
+        raise IoFailureError(f"prop6 failed in {os.getpid()}")
+
+    monkeypatch.setitem(experiments._RUNNERS, "prop6", failing)
+    with pytest.raises(IoFailureError, match="prop6 failed in") as err:
+        experiments.run_experiments("all", tmp_path / "a")
+    assert str(err.value) == f"prop6 failed in {pids[0]}" and pids[0] != parent
+    assert_no_child()
+    assert cli.main(["verify-paper", "--out", str(tmp_path / "b")]) == 1
+    assert len(pids) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: prop6 failed in {pids[1]}\n"
+    assert "Traceback" not in out.out + out.err
+    assert_no_child()
+
+
+def test_parent_lane_error_still_reaps_the_child(tmp_path, monkeypatch):
+    """ex1 raising in the parent: the child finishes cor4 and prop6, is
+    reaped, and the parent's error is the one raised."""
+    pids = forking(monkeypatch)
+
+    def failing(out, seed, sessions):
+        raise IoFailureError("ex1 failed")
+
+    monkeypatch.setitem(experiments._RUNNERS, "ex1", failing)
+    with pytest.raises(IoFailureError, match="ex1 failed"):
+        experiments.run_experiments("all", tmp_path)
+    assert len(pids) == 1
+    assert_no_child()
+    assert (tmp_path / "cor4.json").exists() and (tmp_path / "prop6.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_child_ending_without_a_result_is_an_error(tmp_path, monkeypatch):
+    """A child that dies before it sends its results fails the run."""
+    pids = forking(monkeypatch)
+    parent = os.getpid()
+
+    def dying(out, seed, sessions):
+        assert os.getpid() != parent
+        os._exit(3)
+
+    monkeypatch.setitem(experiments._RUNNERS, "cor4", dying)
+    with pytest.raises(LegendreLabError, match="ended without a result"):
+        experiments.run_experiments("all", tmp_path)
+    assert len(pids) == 1
+    assert_no_child()
+    assert not (tmp_path / "manifest.json").exists()

@@ -387,6 +387,42 @@ def bisect_one_at_a_time(f, S, s0, budget):
     return None
 
 
+def walk_and_oracle(points, s0):
+    """``_bisect_for_tie`` of the nearest-point objective on a 41^2 grid from
+    ``s0``, checked against the one-tilt-a-probe oracle: the certificate's
+    fields and the probes used are the oracle's."""
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    f = projections._half_sq(g, 1.0)
+    S = ll.ConstraintSet.from_points(g, points, "walk")
+    got, want = projections._Budget(1000), projections._Budget(1000)
+    cert = projections._bisect_for_tie(f, S, np.array(s0), got)
+    assert fields(cert) == fields(bisect_one_at_a_time(f, S, np.array(s0),
+                                                       want))
+    assert got.used == want.used
+    return cert, got.used
+
+
+def test_walk_jump_then_bisection_equals_one_at_a_time():
+    """From (-2, 0) toward (1.3, 0): the walk's first quarter step keeps
+    the minimizer, the second jumps past the bisector x = -0.35, and 29
+    bisections of [1, 2] end on a tie of the two points."""
+    cert, used = walk_and_oracle([(-2.0, 0.0), (1.3, 0.0)], [-1.7, 0.0])
+    assert used == 1 + 2 + 29
+    assert not cert.strong and cert.report.multiplicity == 2
+    assert cert.tilt[1] == 0.0 and abs(cert.tilt[0] + 0.35) < 1e-8
+
+
+def test_walk_exit_on_a_non_strong_step_equals_one_at_a_time():
+    """From (-1, 0) along the x axis: the first step keeps the minimizer,
+    the second lands on (1, 0), equidistant from (0.5, 1) and (0.5, -1)
+    and nearer than (-1, 0), and the walk returns that tie unbisected."""
+    cert, used = walk_and_oracle([(-1.0, 0.0), (0.5, 1.0), (0.5, -1.0)],
+                                 [-0.7, 0.0])
+    assert used == 1 + 2
+    assert cert.tilt == (1.0, 0.0)
+    assert not cert.strong and cert.report.multiplicity == 2
+
+
 def witness_search_one_at_a_time(f, S, stages, refine_pairs, seed):
     """The probe-by-probe ``_witness_search``, kept as its oracle: one
     public ``solve_relative_projection`` per tilt, the jitters drawn one

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import legendrelab as ll
 from legendrelab import report_io as rio
-from legendrelab.errors import SchemaViolationError
+from legendrelab.errors import IoFailureError, SchemaViolationError
 from legendrelab.generators import random_grid_function
 from legendrelab.moduli import Modulus
 
@@ -264,3 +264,21 @@ def test_header_edge_cases_rejected(tmp_path, change):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaViolationError):
         rio.read_grid_function(path)
+
+
+def test_writers_make_missing_directories_and_fail_on_unwritable(tmp_path):
+    """A missing parent directory is made; a parent that is a file is an
+    IoFailureError, and nothing is written."""
+    m = Modulus("total", 0, np.array([0.1, 0.2]), np.array([0.0, 0.5]),
+                np.array([False, False]), np.array([1, 2]), ll.NormChoice.L2)
+    rio.write_json({"kind": "x"}, tmp_path / "a" / "b" / "doc.json")
+    rio.write_modulus_csv(m, tmp_path / "c" / "m.csv")
+    assert rio.read_json(tmp_path / "a" / "b" / "doc.json") == {"kind": "x"}
+    assert rio.read_modulus_csv(tmp_path / "c" / "m.csv")[1].tolist() == [0.0, 0.5]
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    with pytest.raises(IoFailureError):
+        rio.write_json({"kind": "x"}, blocker / "doc.json")
+    with pytest.raises(IoFailureError):
+        rio.write_modulus_csv(m, blocker / "sub" / "m.csv")
+    assert blocker.read_text() == "kept\n"
