@@ -28,7 +28,7 @@ from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
 from .moduli import (_tie_cluster, firm_moduli, total_convexity_moduli,
                      wellposedness_moduli)
-from .subdiff import subgradients
+from .subdiff import _one_sided, subgradients
 from .tolerances import DEFAULT_TOLS
 
 
@@ -278,7 +278,7 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     # witness comes at or before the adequacy witness; the loop ends once
     # the adequacy and preimage witnesses are both found.
     trusted_any = bool(ses.conj.trusted.any())
-    bound = 0.25 * grid.corner_extent
+    bound = DEFAULT_TOLS.preimage_bound(grid)
     multi_wit = sa_witness = unbounded_wit = None
     for s_flat, (_, rep) in zip(plan.dual, wellposedness_moduli(
             f, [dual_grid.point(s) for s in plan.dual], norm)):
@@ -403,7 +403,7 @@ def grid_point_dict(grid: Grid, flat: int) -> dict:
 class AgreementProbe:
     dual: dict
     strong_minimum: bool              # (a)
-    conjugate_differentiable: bool    # (b) proxy
+    conjugate_differentiable: bool    # (b)
     firm_certificate: bool            # (c)
 
     @property
@@ -446,11 +446,12 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
     """Three-way check at trusted interior tilts.
 
     (a) the tilted problem attains a strong minimum; (b) the conjugate is
-    differentiable at the tilt, operationalized as a one-cell tie cluster
-    with bounded minimizer-jump ratios toward neighbor tilts; (c) the firm
-    modulus at (minimizer, tilt) has a positive envelope certificate. That
-    modulus is the well-posedness curve of (a), f(u) - f(x) - <u - x, s> =
-    (f - s)(u) - (f - s)(x), so (c) is its certificate and (a) implies (c).
+    differentiable at the tilt: on every axis the domain chain's bracket
+    D+(s) - D-(s) of f*, less its slacks, is within the preimage bound (it
+    is +inf without both neighbors); (c) the firm modulus at (minimizer,
+    tilt) has a positive envelope certificate. That modulus is the
+    well-posedness curve of (a), f(u) - f(x) - <u - x, s> = (f - s)(u) -
+    (f - s)(x), so (c) is its certificate and (a) implies (c).
     """
     return _agreement(_Session(f, dual_grid, norm), duals, n_probes)
 
@@ -461,24 +462,15 @@ def _agreement(ses: _Session, duals: Sequence[int] | None = None,
     ti = np.flatnonzero(ses.conj.trusted_interior())
     if duals is None:
         duals = [int(i) for i in _evenly(ti, n_probes)]
-    diam_limit = 2.0 * max(f.grid.max_spacing, dual_grid.max_spacing)
-    ratio_limit = 0.25 * f.grid.corner_extent / dual_grid.max_spacing
+    # (up + down - slacks) / h = D+ - D-; a missing side stays +inf
+    up, down = np.full((2, dual_grid.dim, dual_grid.size), np.inf)
+    for ax, k, j, diff, slack in _one_sided(ses.conj):
+        (up if k > 0 else down)[ax, j] = diff - slack
+    width = (up + down) / np.array(dual_grid.spacing)[:, None]
+    smooth = (width <= DEFAULT_TOLS.preimage_bound(f.grid)).all(axis=0)
 
-    probes = []
-    for s_flat, (_, rep) in zip(duals, wellposedness_moduli(
-            f, [dual_grid.point(s) for s in duals], norm)):
-        s = dual_grid.point(s_flat)
-        ratio_ok = True
-        x_hat_pt = f.grid.point(rep.minimizer)
-        for nb in dual_grid.neighbors(s_flat):
-            if not ses.conj.trusted[nb]:
-                continue
-            nb_pts = f.grid.points[ses.cluster(nb)]
-            ds = float(norm.dual.length(dual_grid.point(nb) - s))
-            jump = float(norm.length(nb_pts - x_hat_pt[None, :]).min())
-            if jump / ds > ratio_limit:
-                ratio_ok = False
-        b = (rep.cluster_diameter <= diam_limit) and ratio_ok
-        probes.append(AgreementProbe(grid_point_dict(dual_grid, s_flat),
-                                     rep.strong, b, rep.certificate_positive))
-    return AgreementReport(f.name, tuple(probes), ses.bic.consistent)
+    reps = wellposedness_moduli(f, [dual_grid.point(s) for s in duals], norm)
+    probes = tuple(AgreementProbe(grid_point_dict(dual_grid, s), rep.strong,
+                                  bool(smooth[s]), rep.certificate_positive)
+                   for s, (_, rep) in zip(duals, reps))
+    return AgreementReport(f.name, probes, ses.bic.consistent)

@@ -162,11 +162,6 @@ class Grid:
             multi.append(min(max(k, 0), n - 1))
         return self.ravel_index(multi)
 
-    def neighbors(self, flat: int) -> list[int]:
-        """Flat indices one step away along each axis."""
-        return [int(j) for ax in range(self.dim) for k in (-1, 1)
-                if (j := self.shift(flat, ax, k)) >= 0]
-
     @property
     def corner_extent(self) -> float:
         """Half-diagonal style bound: largest axis extent."""

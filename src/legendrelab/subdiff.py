@@ -13,12 +13,13 @@ primal interval shrunk by one cell. A trusted dual's own maximizer is an
 interior primal point and a subgradient of the max-affine f*, so it lies in
 the bracket: dom MJ | int(dom f*) is inside the estimate by construction,
 and what can be tested is the estimate itself, against analytic conjugates.
+lemma1 reads differentiability of f* off the same bracket (``_one_sided``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -100,27 +101,34 @@ def domain_chain_check(f: GridFunction, dual_grid: Grid) -> DomainChainReport:
     return _domain_chain(conjugate_fast(f, dual_grid))
 
 
+def _one_sided(star: ConjugateResult) -> Iterator[tuple]:
+    """Per axis ``ax`` and side ``k`` = 1, -1: the duals ``j`` with a neighbor
+    nb = j + k h e_ax, f*(nb) - f*(j) (k h D+ or k h D- at j) and its
+    ``delta0`` slack at the larger |f*| of the two."""
+    fs, flat = star.dual.flat, np.arange(star.dual_grid.size)
+    for ax in range(star.dual_grid.dim):
+        for k in (1, -1):
+            nb = star.dual_grid.shift(flat, ax, k)
+            j = flat[nb >= 0]
+            here, there = fs[j], fs[nb[j]]
+            yield ax, k, j, there - here, DEFAULT_TOLS.delta0(
+                np.maximum(np.abs(here), np.abs(there)))
+
+
 def _domain_chain(star: ConjugateResult) -> DomainChainReport:
     """The check on f* already computed (``star`` of f).
 
     A dual s is in dom of d(f*) when on every axis the one-sided quotients
     [D-(s), D+(s)] of f* meet the interior primal coordinates [x_1, x_{n-2}];
     a missing neighbor leaves its side open, and an axis of two points has
-    no interior coordinate, so then no dual counts. The differences
-    f*(s +- h e) - f*(s) are held to h times the bound with the ``delta0``
-    slack of the larger |f*| of the two.
+    no interior coordinate, so then no dual counts. Each difference of
+    ``_one_sided`` is held to h times its bound, less its slack.
     """
     dual_grid = star.dual_grid
-    fs = star.dual.flat
-    flat = np.arange(dual_grid.size)
     dom_sub = np.full(dual_grid.size, min(star.primal_grid.counts) > 2)
-    for ax, (x, h) in enumerate(zip(star.primal_grid.axes, dual_grid.spacing)):
-        for k, edge in ((1, x[1]), (-1, x[-2])):   # D+ >= x_1, D- <= x_{n-2}
-            nb = dual_grid.shift(flat, ax, k)
-            j = flat[nb >= 0]
-            here, there = fs[j], fs[nb[j]]
-            slack = DEFAULT_TOLS.delta0(np.maximum(np.abs(here), np.abs(there)))
-            dom_sub[j] &= there - here >= k * h * edge - slack
+    for ax, k, j, diff, slack in _one_sided(star):   # D+ >= x_1, D- <= x_{n-2}
+        edge = star.primal_grid.axes[ax][1 if k > 0 else -2]
+        dom_sub[j] &= diff >= k * dual_grid.spacing[ax] * edge - slack
     dom_mj = star.trusted.copy()
     int_dom = star.trusted_interior()
     violations = np.flatnonzero((dom_mj | int_dom) & ~dom_sub)

@@ -49,6 +49,10 @@ class Tolerances:
         resolution: ``cell_diag_factor`` grid cell diagonals in ``norm``."""
         return grid.cell_diagonal(norm) * self.cell_diag_factor
 
+    def preimage_bound(self, grid) -> float:
+        """Widest bounded tilted preimage, and differentiable bracket of f*."""
+        return 0.25 * grid.corner_extent
+
     def cert_min_radius(self, h: float) -> float:
         """Smallest shell radius certification uses on a grid of step ``h``.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -101,7 +102,9 @@ def test_rint_total_matches_firm_verdict():
         ses = _Session(f, e.dual_grid, ll.NormChoice.L2)
         for p in probes:
             x = f.grid.index_of_nearest(p)
-            if not all(f.domain_flat[nb] for nb in f.grid.neighbors(x)):
+            nbs = [int(f.grid.shift(x, ax, k)) for ax in range(f.grid.dim)
+                   for k in (-1, 1)]
+            if not all(f.domain_flat[nb] for nb in nbs if nb >= 0):
                 continue
             duals = ses.witness_duals(x, 8)
             if not duals:
@@ -171,6 +174,34 @@ def test_lemma1_kink_tilt_three_way_false(absval_1d, dual_fine_1d):
     assert not p.strong_minimum
     assert not p.conjugate_differentiable
     assert not p.firm_certificate
+
+
+def test_lemma1_b_reads_a_kink_of_the_conjugate():
+    """Leg (b) reads f* alone: a convex kink of slope ``corner_extent`` added
+    to f* at a trusted interior dual s, with f unchanged, leaves the strong
+    minimum (a) and turns (b) false, so the probe disagrees."""
+    e = entry("halfsq")
+    ses = _Session(e.build(), e.dual_grid, ll.NormChoice.L2)
+    ti = np.flatnonzero(ses.conj.trusted_interior())
+    s_flat = int(ti[ti.size // 2])
+    t = e.dual_grid.points[:, 0]
+    kink = ses.f.grid.corner_extent * np.maximum(0.0, t - t[s_flat])
+    ses.conj = dataclasses.replace(ses.conj, dual=ll.GridFunction(
+        e.dual_grid, ses.conj.dual.flat + kink, name="kinked"))
+    p = _agreement(ses, duals=[s_flat]).probes[0]
+    assert p.strong_minimum
+    assert not p.conjugate_differentiable
+    assert not p.agree
+
+
+def test_lemma1_b_false_without_a_dual_neighbor(halfsq_1d):
+    """A tilt on the edge of the dual grid misses one side of its bracket,
+    which is then +inf wide: (b) reads false though the tilted problem has
+    a strong interior minimum there."""
+    d = ll.grid_1d(-1.0, 1.0, 81)
+    for p in ll.lemma1_agreement(halfsq_1d, d, duals=[0, d.size - 1]).probes:
+        assert p.strong_minimum
+        assert not p.conjugate_differentiable
 
 
 def test_lemma1_agreement_across_catalog():

@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,24 @@ def test_readme_cli_commands_run_in_an_empty_directory(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
     assert (tmp_path / "out" / "verify" / "manifest.json").is_file()
     assert (tmp_path / "out" / "halfsq.fstar.json").is_file()
+
+
+def readme_library_tour():
+    """The code of README's library tour block."""
+    block = README.read_text().split("## Library tour\n", 1)[1]
+    return block.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_tour_runs_in_an_empty_directory(tmp_path, monkeypatch):
+    """README's library tour, verbatim under ``exec``, from an empty working
+    directory with RuntimeWarning raised as an error."""
+    monkeypatch.chdir(tmp_path)
+    tour = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        exec(readme_library_tour(), tour)
+    assert not tour["sub"].empty and tour["rep"].strong
+    assert tour["report"].function == "abs" and tour["report"].chain_ok
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

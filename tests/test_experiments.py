@@ -30,7 +30,7 @@ SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
 # clusterings its sessions compute (memo misses of ``_Session.cluster``):
 # the plan's tilts are clustered once, by their well-posedness rows.
 RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093,
-            "cluster": 1186}
+            "cluster": 938}
 # The same in the parent of a forked run: the 1,874 well-posedness rows of
 # prop6 and cor4 are probed in the child.
 PARENT_ROWS = {**RUN_ROWS, "_wellposed_rows": 1230}

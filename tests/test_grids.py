@@ -232,11 +232,13 @@ def local_slope_loop(f, flat):
         return 0.0
     best = 0.0
     x = f.grid.point(flat)
-    for nb in f.grid.neighbors(flat):
-        fn = f.value_at(nb)
-        if np.isfinite(fn):
-            step = float(ll.NormChoice.LINF.length(f.grid.point(nb) - x))
-            best = max(best, abs(fn - fx) / step)
+    for ax in range(f.grid.dim):
+        for k in (-1, 1):
+            nb = int(f.grid.shift(flat, ax, k))
+            fn = f.value_at(nb) if nb >= 0 else math.inf
+            if np.isfinite(fn):
+                step = float(ll.NormChoice.LINF.length(f.grid.point(nb) - x))
+                best = max(best, abs(fn - fx) / step)
     return best
 
 
