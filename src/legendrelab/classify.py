@@ -445,13 +445,13 @@ def lemma1_agreement(f: GridFunction, dual_grid: Grid,
                      norm: NormChoice = NormChoice.L2) -> AgreementReport:
     """Three-way check at trusted interior tilts.
 
-    (a) the tilted problem attains a strong minimum; (b) the conjugate is
-    differentiable at the tilt: on every axis the domain chain's bracket
-    D+(s) - D-(s) of f*, less its slacks, is within the preimage bound (it
-    is +inf without both neighbors); (c) the firm modulus at (minimizer,
-    tilt) has a positive envelope certificate. That modulus is the
-    well-posedness curve of (a), f(u) - f(x) - <u - x, s> = (f - s)(u) -
-    (f - s)(x), so (c) is its certificate and (a) implies (c).
+    (a) the tilted problem attains a strong minimum; (b) f* is
+    differentiable at the tilt: d f*(s), the tilted tie cluster, fits one
+    cell and, on every axis, the domain chain's bracket D+(s) - D-(s) of
+    f*, less its slacks, is within the preimage bound (+inf without both
+    neighbors); (c) the firm modulus at (minimizer, tilt) has a positive
+    envelope certificate. That modulus is the well-posedness curve of (a),
+    f(u) - f(x) - <u - x, s> = (f - s)(u) - (f - s)(x), so (a) implies (c).
     """
     return _agreement(_Session(f, dual_grid, norm), duals, n_probes)
 
@@ -462,15 +462,15 @@ def _agreement(ses: _Session, duals: Sequence[int] | None = None,
     ti = np.flatnonzero(ses.conj.trusted_interior())
     if duals is None:
         duals = [int(i) for i in _evenly(ti, n_probes)]
-    # (up + down - slacks) / h = D+ - D-; a missing side stays +inf
+    # up + down = D+ - D- less the slacks; a missing side stays +inf
     up, down = np.full((2, dual_grid.dim, dual_grid.size), np.inf)
     for ax, k, j, diff, slack in _one_sided(ses.conj):
-        (up if k > 0 else down)[ax, j] = diff - slack
-    width = (up + down) / np.array(dual_grid.spacing)[:, None]
-    smooth = (width <= DEFAULT_TOLS.preimage_bound(f.grid)).all(axis=0)
+        (up if k > 0 else down)[ax, j] = (diff - slack) / dual_grid.spacing[ax]
+    smooth = (up + down <= DEFAULT_TOLS.preimage_bound(f.grid)).all(axis=0)
 
     reps = wellposedness_moduli(f, [dual_grid.point(s) for s in duals], norm)
     probes = tuple(AgreementProbe(grid_point_dict(dual_grid, s), rep.strong,
-                                  bool(smooth[s]), rep.certificate_positive)
+                                  bool(smooth[s]) and rep.unique_at_resolution,
+                                  rep.certificate_positive)
                    for s, (_, rep) in zip(duals, reps))
     return AgreementReport(f.name, probes, ses.bic.consistent)

@@ -13,7 +13,7 @@ primal interval shrunk by one cell. A trusted dual's own maximizer is an
 interior primal point and a subgradient of the max-affine f*, so it lies in
 the bracket: dom MJ | int(dom f*) is inside the estimate by construction,
 and what can be tested is the estimate itself, against analytic conjugates.
-lemma1 reads differentiability of f* off the same bracket (``_one_sided``).
+lemma1's leg (b) reads the same bracket (``_one_sided``) beside a cell cut.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from legendrelab.classify import (CHAIN, _agreement, _Session,
                                   default_sample_plan)
 from legendrelab.generators import random_convex_1d, random_grid_function
 from legendrelab.subdiff import _domain_chain
+from legendrelab.tolerances import DEFAULT_TOLS
 
 from conftest import random_convex_2d
 from test_subdiff import _assert_same_report
@@ -176,22 +177,41 @@ def test_lemma1_kink_tilt_three_way_false(absval_1d, dual_fine_1d):
     assert not p.firm_certificate
 
 
-def test_lemma1_b_reads_a_kink_of_the_conjugate():
-    """Leg (b) reads f* alone: a convex kink of slope ``corner_extent`` added
-    to f* at a trusted interior dual s, with f unchanged, leaves the strong
-    minimum (a) and turns (b) false, so the probe disagrees."""
+@pytest.mark.parametrize("share", [0.9, 1.1, 4.0])
+def test_lemma1_b_reads_a_kink_of_the_conjugate(share):
+    """Leg (b) reads f*'s bracket: a convex kink of slope ``share`` times the
+    preimage bound added to f* at a trusted interior dual s, with f
+    unchanged, leaves the strong minimum (a) and turns (b) false exactly
+    when the bracket, halfsq's own 0.024 plus the kink, passes the bound."""
     e = entry("halfsq")
     ses = _Session(e.build(), e.dual_grid, ll.NormChoice.L2)
     ti = np.flatnonzero(ses.conj.trusted_interior())
     s_flat = int(ti[ti.size // 2])
     t = e.dual_grid.points[:, 0]
-    kink = ses.f.grid.corner_extent * np.maximum(0.0, t - t[s_flat])
+    slope = share * DEFAULT_TOLS.preimage_bound(ses.f.grid)
+    kink = slope * np.maximum(0.0, t - t[s_flat])
     ses.conj = dataclasses.replace(ses.conj, dual=ll.GridFunction(
         e.dual_grid, ses.conj.dual.flat + kink, name="kinked"))
     p = _agreement(ses, duals=[s_flat]).probes[0]
     assert p.strong_minimum
+    assert p.conjugate_differentiable == (share < 1.0)
+    assert p.agree == (share < 1.0)
+
+
+@pytest.mark.parametrize("half_width", [0.02, 0.1, 0.3])
+def test_lemma1_b_reads_a_plateau_narrower_than_the_bound(half_width):
+    """f = max(|x| - w, 0) has argmin [-w, w] at s = 0, so f* = w |s| there
+    has a kink of width 2w, below the preimage bound of 1.0: the bracket
+    passes it, the one-cell cut on d f*(s) does not, and all legs agree."""
+    g = ll.grid_1d(-2.0, 2.0, 201)
+    f = ll.GridFunction(g, np.maximum(np.abs(g.points[:, 0]) - half_width,
+                                      0.0), name="plateau")
+    d = ll.grid_1d(-3.0, 3.0, 241)
+    s0 = d.index_of_nearest([0.0])
+    p = ll.lemma1_agreement(f, d, duals=[s0]).probes[0]
+    assert not p.strong_minimum
     assert not p.conjugate_differentiable
-    assert not p.agree
+    assert p.agree
 
 
 def test_lemma1_b_false_without_a_dual_neighbor(halfsq_1d):

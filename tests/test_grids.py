@@ -235,7 +235,9 @@ def local_slope_loop(f, flat):
     for ax in range(f.grid.dim):
         for k in (-1, 1):
             nb = int(f.grid.shift(flat, ax, k))
-            fn = f.value_at(nb) if nb >= 0 else math.inf
+            if nb < 0:
+                continue
+            fn = f.value_at(nb)
             if np.isfinite(fn):
                 step = float(ll.NormChoice.LINF.length(f.grid.point(nb) - x))
                 best = max(best, abs(fn - fx) / step)
