@@ -3,10 +3,10 @@ agreement diagnostics.
 
 Universal statements are sampled, never proven: every verdict records the
 sample counts and, on failure, a concrete witness. Subgradient pairs for
-the universal tests use the inverse-map characterization (x belongs to the
-tie cluster of the tilted problem at s); gap-threshold sets over-include at
-a sqrt(h) rate and would falsify the pointwise definitions on smooth
-functions.
+the universal tests use the inverse-map characterization (x minimizes the
+tilted problem at s), read off the Fenchel-Young gap f(x) + f*(s) - <x, s>
+within the tie slack; gap-threshold sets over-include at a sqrt(h) rate and
+would falsify the pointwise definitions on smooth functions.
 
 The moduli of a classification are computed in row blocks, in the order
 of the loop that reads them: a loop reads rows as they are computed; its
@@ -26,8 +26,7 @@ import numpy as np
 
 from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
-from .moduli import (_tie_cluster, firm_moduli, total_convexity_moduli,
-                     wellposedness_moduli)
+from .moduli import firm_moduli, total_convexity_moduli, wellposedness_moduli
 from .subdiff import _one_sided, subgradients
 from .tolerances import DEFAULT_TOLS
 
@@ -61,7 +60,7 @@ def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult) -> list[int]:
     there, so these tilts must enter the sample.
     """
     dg = conj.dual_grid
-    threshold = 4.0 * max(f.grid.max_spacing, dg.max_spacing)
+    threshold = DEFAULT_TOLS.jump_limit(f.grid, dg)
     pts = f.grid.points
     lo = np.arange(dg.size)
     out: list[tuple[float, int, int]] = []
@@ -151,18 +150,10 @@ class ClassificationReport:
         }
 
 
-# Candidates with a gap above this many tie slacks are outside their
-# cluster. The gap and the cluster test round f(x) - <x, s> and the conjugate
-# differently, but only by ulps of terms bounded by the slack's own scale
-# (|f*(s)| and |s|_1 times the grid extent), far below its eps_fp floor, so
-# a doubled slack cannot be crossed by rounding.
-_TIE_SCREEN = 2.0
-
-
 class _Session:
-    """Shared state of one (function, dual grid, norm): f** and f*, tilted
-    clusters, moduli, verdict bits and the default-plan report. Tie clusters
-    and total-convexity verdicts are memoized per dual and per primal point."""
+    """Shared state of one (function, dual grid, norm): f* and f**, the
+    total-convexity verdicts memoized per primal point, the disclaimers and
+    the default-plan report."""
 
     def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice):
         self.f = f
@@ -170,42 +161,29 @@ class _Session:
         self.norm = norm
         self.bic = biconjugate(f, dual_grid)
         self.conj = self.bic.star
-        self._clusters: dict[int, np.ndarray] = {}
         self._totals: dict[int, tuple[bool, str]] = {}
         self.disclaimers: set[str] = set()
 
-    def cluster(self, dual_flat: int) -> np.ndarray:
-        got = self._clusters.get(dual_flat)
-        if got is not None:
-            return got
-        s = self.dual_grid.point(dual_flat)
-        _, _, cl = _tie_cluster(self.f, self.f.tilted(s)[None], s[None])
-        self._clusters[dual_flat] = cl
-        return cl
-
     def witness_duals(self, x_flat: int, cap: int) -> list[int]:
-        """Trusted duals whose tilted tie cluster contains x (a domain
-        point), by gap order.
+        """The first ``cap`` trusted duals s, by gap order, at which x (a
+        domain point) minimizes the tilted problem.
 
-        The Fenchel-Young gap of a candidate s is ``tilted_s(x) + f*(s)``,
-        and f*(s) is minus the tilted minimum, so x ties that minimum only
-        if its gap is within the tie slack; the cluster test runs only on
-        candidates within ``_TIE_SCREEN`` slacks.
+        By Fenchel-Young, x minimizes f - <., s> exactly when its gap
+        f(x) + f*(s) - <x, s> is zero, and -f*(s) is the tilted minimum, so
+        x ties that minimum when its gap is within the tie slack of
+        ``_tie_cluster``. The gap rounds through f* and the tilted value
+        through the exact tilt, but they differ only by ulps of terms
+        bounded by the slack's own scale (|f*(s)| and |s|_1 times the grid
+        extent), far below its eps_fp floor. The gap test of
+        ``subgradients`` stays in front: on a function with a large offset
+        the tie slack can exceed it, and ``firm_moduli`` rejects a pair
+        above it.
         """
         sub = subgradients(self.f, self.conj, x_flat, self.norm)
-        duals = self.dual_grid.points[sub.members]
         slack = DEFAULT_TOLS.tie_slack(-self.conj.dual.flat[sub.members],
-                                       np.abs(duals).sum(axis=1),
+                                       np.abs(sub.points()).sum(axis=1),
                                        self.f.grid.bounds)
-        out = []
-        for s_flat in sub.members[sub.gaps <= _TIE_SCREEN * slack]:
-            cl = self.cluster(int(s_flat))
-            at = int(np.searchsorted(cl, x_flat))
-            if at < cl.size and cl[at] == x_flat:
-                out.append(int(s_flat))
-                if len(out) >= cap:
-                    break
-        return out
+        return sub.members[sub.gaps <= slack][:cap].tolist()
 
     def firm(self, pairs: list[tuple[int, int]]) -> list[tuple[bool, str]]:
         """Firm verdicts of (point, dual) pairs; a certificate note becomes

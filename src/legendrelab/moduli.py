@@ -558,7 +558,7 @@ def coercivity_check(f: GridFunction, norm: NormChoice = NormChoice.L2
     (m,), _ = _curve_rows("wellposed", grid, cluster[:1], norm, None, None,
                           f.flat[None], mval)
     radii, values, empty = m.radii, m.values, m.empty
-    outer = (~empty) & (radii > radii[-1] / 2.0)
+    outer = (~empty) & (radii > DEFAULT_TOLS.outer_radius(radii[-1]))
     if not outer.any():
         return CoercivityReport(False, x_hat, "no usable outer shells")
     vals = values[outer]

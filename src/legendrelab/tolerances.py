@@ -53,6 +53,16 @@ class Tolerances:
         """Widest bounded tilted preimage, and differentiable bracket of f*."""
         return 0.25 * grid.corner_extent
 
+    def jump_limit(self, grid, dual_grid) -> float:
+        """Widest move of the tilted minimizer between neighbor duals that
+        is no jump: four steps of the coarser of the two grids."""
+        return 4.0 * max(grid.max_spacing, dual_grid.max_spacing)
+
+    def outer_radius(self, r_max: float) -> float:
+        """Radius beyond which a shell about the minimum is outer, for the
+        coercivity growth test: half the largest radius ``r_max``."""
+        return r_max / 2.0
+
     def cert_min_radius(self, h: float) -> float:
         """Smallest shell radius certification uses on a grid of step ``h``.
 

@@ -271,12 +271,15 @@ def test_report_serialization_round_trip(tmp_path):
 
 def _witness_duals_per_candidate(ses, x_flat, cap):
     """The per-candidate loop that ``witness_duals`` replaced, kept as its
-    oracle: every gap-sorted subgradient candidate is tested against its
-    full tie cluster."""
-    cand = ll.subgradients(ses.f, ses.conj, x_flat, ses.norm).members
+    oracle: every gap-sorted subgradient candidate s is tested against the
+    full tie cluster of the problem tilted at s."""
+    f = ses.f
+    cand = ll.subgradients(f, ses.conj, x_flat, ses.norm).members
     out = []
     for s_flat in cand:
-        if np.isin(x_flat, ses.cluster(int(s_flat))):
+        s = ses.dual_grid.point(int(s_flat))
+        _, _, cl = moduli._tie_cluster(f, f.tilted(s)[None], s[None])
+        if np.isin(x_flat, cl):
             out.append(int(s_flat))
             if len(out) >= cap:
                 break
@@ -299,17 +302,40 @@ def test_witness_duals_equal_per_candidate_loop_on_catalog(eid):
         assert ses.witness_duals(x, 8) == _witness_duals_per_candidate(ses, x, 8)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("seed", range(4))
-def test_witness_duals_equal_per_candidate_loop_on_random(dim, seed):
-    """Rough functions with +inf holes, every candidate compared (no cap)."""
+NORMS = (ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF)
+# (seed, dim, offset, kind, norm): rough functions with +inf holes; the
+# same with an additive offset, whose tie slack grows with |f*|; and
+# |x|_1 + round(x_0), a piecewise-linear function with exact ties, alone
+# and jittered by up to a few tie slacks, so that gaps straddle the slack.
+RANDOM_CASES = (
+    [pytest.param(seed, dim, 0.0, "rough", NORMS[seed % 3], id=f"{seed}-{dim}")
+     for dim in (1, 2) for seed in range(4)]
+    + [pytest.param(0, dim, offset, "rough", norm,
+                    id=f"offset{offset:g}-{dim}-{norm.value}")
+       for offset in (3.7, -250.0, 1e5) for dim in (1, 2) for norm in NORMS]
+    + [pytest.param(0, dim, 0.0, kind, norm, id=f"{kind}-{dim}-{norm.value}")
+       for kind in ("ties", "jitter") for dim in (1, 2) for norm in NORMS])
+
+
+@pytest.mark.parametrize("seed,dim,offset,kind,norm", RANDOM_CASES)
+def test_witness_duals_equal_per_candidate_loop_on_random(seed, dim, offset,
+                                                          kind, norm):
+    """Every candidate compared (no cap), on functions whose gaps sit near
+    the tie slack."""
     rng = np.random.default_rng(100 + seed)
     if dim == 1:
         g, d = ll.grid_1d(-2, 2, 61), ll.grid_1d(-4, 4, 81)
     else:
         g, d = ll.grid_2d(-2, 2, 15), ll.grid_2d(-3, 3, 19)
-    f = random_grid_function(rng, g, inf_frac=0.15)
-    norm = [ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF][seed % 3]
+    if kind == "rough":
+        f = random_grid_function(rng, g, inf_frac=0.15)
+        f = ll.GridFunction(g, f.values + offset)
+    else:
+        pts = g.points
+        vals = np.abs(pts).sum(axis=1) + np.round(pts[:, 0])
+        if kind == "jitter":
+            vals += rng.uniform(0.0, 3e-8, size=vals.size)
+        f = ll.GridFunction(g, vals.reshape(g.shape))
     ses = _Session(f, d, norm)
     found = 0
     for x in np.flatnonzero(f.domain_flat):

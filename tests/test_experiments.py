@@ -26,14 +26,15 @@ SINGLE_ARTIFACTS = {
 SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
                  "domain-chain": (0, 16)}
 
-# Rows a full seed-42 run passes to each row-core function, and the tie
-# clusterings its sessions compute (memo misses of ``_Session.cluster``):
-# the plan's tilts are clustered once, by their well-posedness rows.
-RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093,
-            "cluster": 938}
+# Rows a full seed-42 run passes to each row-core function.
+RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093}
 # The same in the parent of a forked run: the 1,874 well-posedness rows of
 # prop6 and cor4 are probed in the child.
 PARENT_ROWS = {**RUN_ROWS, "_wellposed_rows": 1230}
+# Calls a one-process full run makes to ``_wellposed_rows`` and to
+# ``moduli._tie_cluster``: no tilt is clustered outside a block of
+# well-posedness rows, which clusters its tilts in one call.
+RUN_CALLS = {"_wellposed_rows": 287, "_tie_cluster": 287}
 
 
 def forking(monkeypatch):
@@ -61,14 +62,15 @@ def assert_no_child():
 
 def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
                                                                 monkeypatch):
-    """A full run builds one session (f*, f**, tie clusters) per catalog
-    entry and random function and classifies each once: ex1, ex2, lemma1,
-    cor3-chain and domain-chain share the catalog sessions, and each full
-    run computes the pinned row-core rows and tie clusterings. A run alone,
-    or a second run in the same process, starts from nothing and writes the
-    same bytes. Under ``LL_THREADS=1`` and for one experiment nothing forks;
-    a forked run builds every session in the parent, leaves the probes of
-    prop6 and cor4 to the child and writes the same manifest."""
+    """A full run builds one session (f*, f**) per catalog entry and random
+    function and classifies each once: ex1, ex2, lemma1, cor3-chain and
+    domain-chain share the catalog sessions, and each full run computes the
+    pinned row-core rows and clusters tilts only in well-posedness blocks.
+    A run alone, or a second run in the same process, starts from nothing
+    and writes the same bytes. Under ``LL_THREADS=1`` and for one
+    experiment nothing forks; a forked run builds every session in the
+    parent, leaves the probes of prop6 and cor4 to the child and writes the
+    same manifest."""
     calls, sessions, bicons = [], [], []
     classify_body = classify_module._classify
     session_init = classify_module._Session.__init__
@@ -87,10 +89,13 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         return biconjugate(f, *args, **kwargs)
 
     rows = dict.fromkeys(RUN_ROWS, 0)
+    ncalls = dict.fromkeys(RUN_CALLS, 0)
 
     def counting(name, body):
         def count(f, batch, *args, **kwargs):
             rows[name] += len(batch)
+            if name in ncalls:
+                ncalls[name] += 1
             return body(f, batch, *args, **kwargs)
         return count
 
@@ -99,13 +104,15 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         for module in (moduli_module, projections_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, count)
-    cluster = classify_module._Session.cluster
+    tie_cluster = moduli_module._tie_cluster
 
-    def clustering(ses, dual_flat):
-        rows["cluster"] += dual_flat not in ses._clusters
-        return cluster(ses, dual_flat)
+    def clustering(*args):
+        ncalls["_tie_cluster"] += 1
+        return tie_cluster(*args)
 
-    monkeypatch.setattr(classify_module._Session, "cluster", clustering)
+    for module in (moduli_module, projections_module, classify_module):
+        if hasattr(module, "_tie_cluster"):
+            monkeypatch.setattr(module, "_tie_cluster", clustering)
     monkeypatch.setattr(classify_module, "_classify", classifying)
     monkeypatch.setattr(classify_module._Session, "__init__", building)
     for module in (classify_module, conjugate_module):
@@ -122,9 +129,11 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         for counter in (calls, sessions, bicons):
             counter.clear()
         rows.update(dict.fromkeys(RUN_ROWS, 0))
+        ncalls.update(dict.fromkeys(RUN_CALLS, 0))
         passed, _ = experiments.run_experiments("all", tmp_path / run, seed=42)
         assert passed
         assert rows == RUN_ROWS
+        assert ncalls == RUN_CALLS
         assert len(calls) == len(set(calls)) == len(entries()) + 20 == 36
         assert sorted(sessions) == sorted(bicons) == sorted(calls)
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
@@ -137,11 +146,13 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     for counter in (calls, sessions, bicons):
         counter.clear()
     rows.update(dict.fromkeys(RUN_ROWS, 0))
+    ncalls.update(dict.fromkeys(RUN_CALLS, 0))
     passed, results = experiments.run_experiments("all", tmp_path / "forked",
                                                   seed=42)
     assert passed and len(pids) == 1
     assert [r.name for r in results] == list(experiments.EXPERIMENT_NAMES)
     assert rows == PARENT_ROWS
+    assert ncalls["_tie_cluster"] == ncalls["_wellposed_rows"]
     assert len(calls) == len(set(calls)) == 36
     assert sorted(sessions) == sorted(bicons) == sorted(calls)
     assert (tmp_path / "forked" / "manifest.json").read_bytes() == manifests[0]
