@@ -390,10 +390,6 @@ def entry(entry_id: str) -> CatalogEntry:
                        f"known: {sorted(_REGISTRY)}") from None
 
 
-def convex_entries() -> list[CatalogEntry]:
-    return [e for e in _ENTRIES if e.convex]
-
-
 # ---------------------------------------------------------------------------
 # named constraint sets (2D masks and point clouds)
 

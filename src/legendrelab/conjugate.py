@@ -3,11 +3,23 @@
 Two routes compute ``f*(s) = max_x (<x, s> - f(x))`` over the primal grid:
 
 * ``conjugate_brute`` evaluates the maximum directly (the reference oracle);
-* ``conjugate_fast`` runs a separable max-plus transform: one broadcast
-  maximum per axis, O(n*m) for n primal and m dual points on that axis,
-  composing two passes in 2D with a sign flip in between. Values agree
-  with brute force to floating-point reassociation; the argmax takes the
-  first maximizing index along each axis, as brute force does.
+* ``conjugate_fast`` runs a separable max-plus transform, one pass per
+  axis, composing two passes in 2D with a sign flip in between. Values
+  agree with brute force to floating-point reassociation; the argmax takes
+  the first maximizing index along each axis, as brute force does.
+
+A small pass takes one broadcast maximum, O(n*m) for n primal and m dual
+points on its axis. A large one finds the first maximizers that way only at
+every 8th dual point and the last; each dual in between searches just the
+primal window between its two coarse neighbours' first maximizers (the
+first maximizer never decreases as s grows: the totally monotone matrices
+of Aggarwal, Klawe, Moran, Shor and Wilber, 1987). A separation lemma makes
+that exact in floating point: with e the rounding bound of one multiply and
+one subtract, if the smallest primal step times the smallest dual step
+exceeds 8e, every primal point outside a dual's window is strictly below a
+window endpoint, so the window's first maximizer, value and trust bits are
+those of the dense pass. The condition is checked on every pass, and a pass
+failing it runs dense.
 
 A dual point is *trusted* when some maximizer lies strictly inside the
 primal grid; untrusted values are boundary-clamped truncation artifacts and
@@ -31,6 +43,13 @@ _BRUTE_CHUNK = 256
 # temporaries are recycled by malloc: steady-state 1D calls on a 201-point
 # primal take no page faults, against about 300 at 1 << 16.
 _MAXPLUS_BLOCK = 1 << 14
+# The windowed max-plus search finds first maximizers densely at every
+# _MAXPLUS_STRIDE-th dual point; passes of fewer than _MAXPLUS_WINDOWED_MIN
+# rows * primal * dual elements stay on the dense loop.
+_MAXPLUS_STRIDE = 8
+_MAXPLUS_WINDOWED_MIN = 1 << 18
+_U = 2.0 ** -53             # unit roundoff of float64
+_ETA = 2.0 ** -1074         # bounds a product's absolute underflow error
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,23 +105,108 @@ def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     return ConjugateResult(dual_fn, trusted, arg, f.grid)
 
 
+def _dense_argmax(xs: np.ndarray, F: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """First-index argmax of ``ss[j] * xs[k] - F[r, k]`` over every k, in
+    blocks of about ``_MAXPLUS_BLOCK`` scratch elements (at least one dual
+    point per block); shaped (rows, len(ss))."""
+    step = max(1, _MAXPLUS_BLOCK // F.size)
+    return np.concatenate(
+        [(np.multiply.outer(ss[lo:lo + step], xs) - F[:, None, :]).argmax(axis=2)
+         for lo in range(0, ss.size, step)], axis=1)
+
+
+def _separated(xs: np.ndarray, F: np.ndarray, ss: np.ndarray) -> bool:
+    """Whether min dx * min ds > 8e, the separation lemma's condition (see
+    ``_maxplus``), reckoned in Python floats. False for unsorted or repeated
+    points, a -inf or nan in F, and whenever e overflows."""
+    lo, hi = F.min(), F.max()
+    if not lo > -np.inf:
+        return False
+    if hi == np.inf:
+        hi = F.max(initial=lo, where=F < np.inf)
+    f_max = max(abs(float(lo)), abs(float(hi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = float(np.diff(ss).min(initial=np.inf))
+        dx = float(np.diff(xs).min(initial=np.inf))
+    s_max = float(np.abs(ss).max())
+    x_max = float(np.abs(xs).max())
+    e = _U * (2.0 * s_max * x_max + f_max) * (1.0 + 4.0 * _U) + _ETA
+    return ds * dx > 8.0 * e
+
+
+def _windowed_argmax(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
+                     ) -> np.ndarray:
+    """``_dense_argmax`` at every ``_MAXPLUS_STRIDE``-th dual and the last;
+    the duals between two of these coarse neighbours search only the primal
+    window between the neighbours' first maximizers. Each window is read
+    once for the duals it serves, padded to a power-of-two width w (shifted
+    left where it would pass the last primal point); windows are grouped by
+    w and run in blocks of about ``_MAXPLUS_BLOCK`` elements."""
+    rows, n = F.shape
+    m = ss.size
+    coarse = np.append(np.arange(0, m - 1, _MAXPLUS_STRIDE), m - 1)
+    known = _dense_argmax(xs, F, ss[coarse])
+    fine = coarse[:-1, None] + np.arange(1, _MAXPLUS_STRIDE)  # per segment
+    kept = fine < coarse[1:, None]       # the last segment may be shorter
+    s_fine = ss[np.minimum(fine, m - 1)]
+    seg = np.tile(np.arange(coarse.size - 1), rows)
+    left = known[:, :-1].ravel()
+    width = known[:, 1:].ravel() - left + 1
+    base = np.repeat(np.arange(rows) * n, coarse.size - 1)
+    Fflat = F.ravel()
+    out = np.repeat(left[:, None], _MAXPLUS_STRIDE - 1, axis=1)
+    exps = np.frexp(width - 1)[1]        # 2**exp >= width
+    for e in np.unique(exps[width > 1]):
+        sel = np.flatnonzero(exps == e)
+        w = min(1 << int(e), n)
+        start = np.minimum(left[sel], n - w)
+        step = max(1, _MAXPLUS_BLOCK // (w * (_MAXPLUS_STRIDE - 1)))
+        for lo in range(0, sel.size, step):
+            blk = sel[lo:lo + step]
+            st = start[lo:lo + step]
+            idx = st[:, None] + np.arange(w)
+            vals = (s_fine[seg[blk], :, None] * xs.take(idx)[:, None, :]
+                    - Fflat.take(base[blk, None] + idx)[:, None, :])
+            out[blk] = st[:, None] + vals.argmax(axis=2)
+    arg = np.empty((rows, m), dtype=np.int64)
+    arg[:, coarse] = known
+    arg[:, fine[kept]] = out.reshape(rows, -1)[:, kept.ravel()]
+    return arg
+
+
 def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise max-plus product ``max_k (ss[j] * xs[k] - F[r, k])``.
 
-    Returns (values, first-index argmax into xs), both shaped (rows, len(ss)).
-    Dual points are processed in blocks of about ``_MAXPLUS_BLOCK`` scratch
-    elements (at least one dual point per block). An empty primal slice
-    gives values -inf and argmax -1.
+    Returns (values, first-index argmax into xs), both shaped (rows, len(ss));
+    the values are recomputed at the argmax. An empty primal slice gives
+    values -inf and argmax -1. Passes of fewer than ``_MAXPLUS_WINDOWED_MIN``
+    scratch elements, or failing the lemma below, run ``_dense_argmax``;
+    the rest run ``_windowed_argmax``, which gives the same bits.
+
+    Separation lemma. Let xs and ss be strictly increasing, v(s, k) =
+    fl(fl(s * x_k) - F_k), u the unit roundoff and e = u (2 max|s| max|x| +
+    max finite |F|)(1 + 4u), plus the multiply's underflow; every finite
+    v(s, k) is within e of s x_k - F_k. Let a and b be the first maximizers
+    at duals s_a < s < s_b. For k < a, v(s_a, k) < v(s_a, a), so the exact
+    gap at s_a exceeds -2e and at s it exceeds -2e + (s - s_a)(x_a - x_k)
+    >= -2e + min ds min dx; for k > b, v(s_b, k) <= v(s_b, b) likewise
+    gives an exact gap at s above -2e + min ds min dx. When min dx min ds
+    > 4e both exceed 2e, so v(s, k) < v(s, a) or < v(s, b) in floating
+    point: a +inf F_k is -inf, below a finite endpoint, and a row of +inf
+    has a = b = 0. The first maximizer at s lies in [a, b] and equals the
+    first maximizer of that window, and of any window holding it; the
+    values are recomputed there, so they match too. ``_separated`` checks
+    8e, the factor 2 covering the roundings of the check itself.
     """
     rows = F.shape[0]
     if F.size == 0:
         return (np.full((rows, ss.size), -np.inf),
                 np.full((rows, ss.size), -1, dtype=np.int64))
-    step = max(1, _MAXPLUS_BLOCK // F.size)
-    arg = np.concatenate(
-        [(np.multiply.outer(ss[lo:lo + step], xs) - F[:, None, :]).argmax(axis=2)
-         for lo in range(0, ss.size, step)], axis=1)
+    if F.size * ss.size >= _MAXPLUS_WINDOWED_MIN and _separated(xs, F, ss):
+        arg = _windowed_argmax(xs, F, ss)
+    else:
+        arg = _dense_argmax(xs, F, ss)
     return ss * xs[arg] - np.take_along_axis(F, arg, axis=1), arg
 
 

@@ -174,6 +174,18 @@ class Grid:
     def _cell_diagonals(self) -> dict[NormChoice, float]:
         return {n: float(n.length(np.array(self.spacing))) for n in NormChoice}
 
+    def lengths(self, norm: NormChoice) -> np.ndarray:
+        """Norm of every grid point, in flat order; computed once per norm."""
+        if norm not in self._lengths:
+            out = norm.length(self.points)
+            out.flags.writeable = False
+            self._lengths[norm] = out
+        return self._lengths[norm]
+
+    @cached_property
+    def _lengths(self) -> dict[NormChoice, np.ndarray]:
+        return {}
+
 
 def grid_1d(lo: float, hi: float, n: int) -> Grid:
     return Grid(bounds=((lo, hi),), counts=(n,))

@@ -55,16 +55,6 @@ class Modulus:
     tilt: tuple[float, ...] | None = None
     spacing: float = 0.0           # grid step of the samples; 0 if unknown
 
-    def finite_mask(self) -> np.ndarray:
-        return (~self.empty) & np.isfinite(self.values)
-
-    def restricted(self, min_radius: float) -> "Modulus":
-        keep = self.radii >= min_radius
-        return Modulus(self.kind, self.center, self.radii[keep],
-                       self.values[keep], self.empty[keep],
-                       self.witnesses[keep], self.norm, self.tilt,
-                       self.spacing)
-
 
 @dataclass(frozen=True)
 class Gamma0Certificate:

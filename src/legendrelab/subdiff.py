@@ -30,12 +30,16 @@ from .tolerances import DEFAULT_TOLS
 
 
 def tau_sub(f: GridFunction, x_flat: int | np.ndarray,
-            s: Sequence[float] | np.ndarray,
+            s: Sequence[float] | np.ndarray | Grid,
             norm: NormChoice = NormChoice.L2) -> float | np.ndarray:
     """Gap threshold for accepting s as a subgradient at x. Elementwise
-    over the rows of ``s``, at one point or one point per row."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, norm.dual.length(s),
+    over the rows of ``s``, at one point or one point per row; a grid
+    ``s`` stands for all its points, whose dual norms it caches."""
+    if isinstance(s, Grid):
+        s_norm = s.lengths(norm.dual)
+    else:
+        s_norm = norm.dual.length(np.atleast_1d(np.asarray(s, dtype=float)))
+    return DEFAULT_TOLS.gap_threshold(f.grid.max_spacing, s_norm,
                                       f.local_slopes[x_flat])
 
 
@@ -69,7 +73,7 @@ def subgradients(f: GridFunction, f_star: ConjugateResult, x_flat: int,
     dg = f_star.dual_grid
     x = f.grid.point(x_flat)
     gaps = fx + f_star.dual.flat - dg.pair(x)
-    sel = f_star.trusted & (gaps <= tau_sub(f, x_flat, dg.points, norm))
+    sel = f_star.trusted & (gaps <= tau_sub(f, x_flat, dg, norm))
     idx = np.flatnonzero(sel)
     order = np.argsort(gaps[idx], kind="stable")
     members = idx[order]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import legendrelab as ll
+from legendrelab.catalog import entries
+from legendrelab.moduli import Modulus
 
 PACKAGE_ROOT = str(Path(ll.__file__).resolve().parent.parent)
 
@@ -65,3 +67,20 @@ def brute_conjugate_values(f, dual_grid):
     for j in range(dual_grid.size):
         out[j] = np.max(f.grid.points @ dual_grid.point(j) - f.flat)
     return out
+
+
+def convex_entries():
+    """The catalog entries marked convex."""
+    return [e for e in entries() if e.convex]
+
+
+def finite_mask(m: Modulus) -> np.ndarray:
+    """Radii of a modulus curve whose shell has a member and a finite value."""
+    return (~m.empty) & np.isfinite(m.values)
+
+
+def restricted(m: Modulus, min_radius: float) -> Modulus:
+    """The curve ``m`` kept at radii of at least ``min_radius``."""
+    keep = m.radii >= min_radius
+    return Modulus(m.kind, m.center, m.radii[keep], m.values[keep],
+                   m.empty[keep], m.witnesses[keep], m.norm, m.tilt, m.spacing)

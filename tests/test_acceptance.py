@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 import legendrelab as ll
-from legendrelab.catalog import (convex_entries, entries, entry,
-                                 finite_difference_hessian, fourth_root_well,
-                                 fourth_root_well_hessian,
+from legendrelab.catalog import (entries, entry, finite_difference_hessian,
+                                 fourth_root_well, fourth_root_well_hessian,
                                  fourth_root_well_hessian_det, make_set)
 from legendrelab.generators import (random_convex_1d, random_grid_function)
 from legendrelab.report_io import read_json
 from legendrelab.tolerances import DEFAULT_TOLS
 
-from conftest import cli_env
+from conftest import cli_env, convex_entries
 
 REL_TOL = 1e-12       # fast-vs-brute relative equality
 FY_FLOOR = -1e-9      # Fenchel-Young gap floor

@@ -269,17 +269,20 @@ def test_report_serialization_round_trip(tmp_path):
     assert list(CHAIN)[0] in doc["verdicts"]
 
 
-def _witness_duals_per_candidate(ses, x_flat, cap):
+def _witness_duals_per_candidate(ses, x_flat, cap, clusters):
     """The per-candidate loop that ``witness_duals`` replaced, kept as its
     oracle: every gap-sorted subgradient candidate s is tested against the
-    full tie cluster of the problem tilted at s."""
+    full tie cluster of the problem tilted at s. ``clusters`` holds each
+    dual's tie cluster, keyed by dual flat index, for one test's calls."""
     f = ses.f
     cand = ll.subgradients(f, ses.conj, x_flat, ses.norm).members
     out = []
-    for s_flat in cand:
-        s = ses.dual_grid.point(int(s_flat))
-        _, _, cl = moduli._tie_cluster(f, f.tilted(s)[None], s[None])
-        if np.isin(x_flat, cl):
+    for s_flat in cand.tolist():
+        if s_flat not in clusters:
+            s = ses.dual_grid.point(s_flat)
+            clusters[s_flat] = moduli._tie_cluster(f, f.tilted(s)[None],
+                                                   s[None])[2]
+        if np.isin(x_flat, clusters[s_flat]):
             out.append(int(s_flat))
             if len(out) >= cap:
                 break
@@ -298,8 +301,10 @@ def test_witness_duals_equal_per_candidate_loop_on_catalog(eid):
     e = entry(eid)
     f = e.build()
     ses = _Session(f, e.dual_grid, ll.NormChoice.L2)
+    clusters = {}
     for x in _domain_probes(f, ses, 12):
-        assert ses.witness_duals(x, 8) == _witness_duals_per_candidate(ses, x, 8)
+        assert (ses.witness_duals(x, 8)
+                == _witness_duals_per_candidate(ses, x, 8, clusters))
 
 
 NORMS = (ll.NormChoice.L2, ll.NormChoice.L1, ll.NormChoice.LINF)
@@ -338,9 +343,10 @@ def test_witness_duals_equal_per_candidate_loop_on_random(seed, dim, offset,
         f = ll.GridFunction(g, vals.reshape(g.shape))
     ses = _Session(f, d, norm)
     found = 0
+    clusters = {}
     for x in np.flatnonzero(f.domain_flat):
         got = ses.witness_duals(int(x), 10**6)
-        assert got == _witness_duals_per_candidate(ses, int(x), 10**6)
+        assert got == _witness_duals_per_candidate(ses, int(x), 10**6, clusters)
         found += len(got)
     assert found > 0
 

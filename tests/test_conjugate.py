@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,23 +309,34 @@ def test_bicon_tolerance_matches_per_axis_slope_loop():
         assert bic.consistent == (bic.max_gap <= want), name
 
 
+def dense_maxplus(xs, F, ss):
+    """Whole-array reference for ``_maxplus``: the first-index argmax of
+    ``ss[j] * xs[k] - F[r, k]`` over one (rows, duals, primal) broadcast,
+    with values recomputed at that index; -inf and -1 on an empty slice."""
+    if xs.size == 0:
+        return (np.full((F.shape[0], ss.size), -np.inf),
+                np.full((F.shape[0], ss.size), -1))
+    arg = (ss[:, None] * xs - F[:, None, :]).argmax(-1)
+    return ss * xs[arg] - np.take_along_axis(F, arg, axis=1), arg
+
+
 def conjugate_fast_rerun_all(f, dual_grid):
-    """The earlier ``conjugate_fast``: trust from re-running the passes on
-    interior primal points for every dual point."""
+    """The earlier ``conjugate_fast``, on the dense reference: trust from
+    re-running the passes on interior primal points for every dual point."""
     if f.grid.dim == 1:
         xs = f.grid.axes[0]
         ss = dual_grid.axes[0]
         fv = f.flat[None, :]
-        vals, arg = _maxplus(xs, fv, ss)
-        iv, _ = _maxplus(xs[1:-1], fv[:, 1:-1], ss)
+        vals, arg = dense_maxplus(xs, fv, ss)
+        iv, _ = dense_maxplus(xs[1:-1], fv[:, 1:-1], ss)
         return vals[0], arg[0], (iv >= vals)[0]
     x1, x2 = f.grid.axes
     s1, s2 = dual_grid.axes
     fv = f.values
-    g, a2 = _maxplus(x2, fv, s2)
-    v, a1 = _maxplus(x1, -g.T, s1)
-    g_int, _ = _maxplus(x2[1:-1], fv[1:-1, 1:-1], s2)
-    iv, _ = _maxplus(x1[1:-1], -g_int.T, s1)
+    g, a2 = dense_maxplus(x2, fv, s2)
+    v, a1 = dense_maxplus(x1, -g.T, s1)
+    g_int, _ = dense_maxplus(x2[1:-1], fv[1:-1, 1:-1], s2)
+    iv, _ = dense_maxplus(x1[1:-1], -g_int.T, s1)
     cols = np.arange(s2.size)[:, None]
     arg = (a1 * f.grid.counts[1] + a2[a1, cols]).T.ravel()
     return v.T.ravel(), arg, (iv >= v).T.ravel()
@@ -372,11 +384,19 @@ def oracle_case(draw):
     return f, d
 
 
+def windowed_from(floor):
+    """Run ``_maxplus`` passes of at least ``floor`` scratch elements on the
+    windowed search (where the separation lemma holds)."""
+    return mock.patch.object(C, "_MAXPLUS_WINDOWED_MIN", floor)
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=oracle_case())
-def test_fast_trust_equals_rerun_all_oracle(case):
+@given(case=oracle_case(), windowed=st.booleans())
+def test_fast_trust_equals_rerun_all_oracle(case, windowed):
+    """Also with every pass windowed (where the separation lemma holds)."""
     f, d = case
-    assert_matches_rerun_all(f, d)
+    with windowed_from(0 if windowed else C._MAXPLUS_WINDOWED_MIN):
+        assert_matches_rerun_all(f, d)
 
 
 @pytest.mark.parametrize("eid", [e.id for e in entries()])
@@ -449,23 +469,107 @@ def test_fast_matches_oracle_past_one_block():
 
 @pytest.mark.parametrize("block", [1, 1 << 16])
 def test_maxplus_independent_of_block_size(monkeypatch, block):
+    """Dense rows (3 of them) and windowed rows (8, past the crossover), and
+    2D conjugates dense and windowed, all equal the dense reference."""
     rng = np.random.default_rng(5)
     xs = np.linspace(-2.0, 2.0, 201)
-    F = rng.normal(size=(3, 201))
-    F[rng.random(F.shape) < 0.1] = math.inf
     ss = np.linspace(-3.0, 3.0, 241)
-    want = _maxplus(xs, F, ss)
+    F = rng.normal(size=(8, 201))
+    F[rng.random(F.shape) < 0.1] = math.inf
+    assert 3 * xs.size * ss.size < C._MAXPLUS_WINDOWED_MIN <= F.size * ss.size
     g = ll.grid_2d(-1.5, 1.5, 21)
     d = ll.grid_2d(-3.0, 3.0, 17)
     f = random_grid_function(rng, g, inf_frac=0.1)
-    star = ll.conjugate_fast(f, d)
-    want_2d = [(f, d, star), (star.dual, g, ll.conjugate_fast(star.dual, g))]
     monkeypatch.setattr(C, "_MAXPLUS_BLOCK", block)
-    got = _maxplus(xs, F, ss)
-    for a, b in zip(got, want):
+    for rows in (F[:3], F):
+        for a, b in zip(_maxplus(xs, rows, ss), dense_maxplus(xs, rows, ss)):
+            np.testing.assert_array_equal(a, b)
+    for floor in (C._MAXPLUS_WINDOWED_MIN, 0):
+        with windowed_from(floor):
+            assert_matches_rerun_all(f, d)
+
+
+@st.composite
+def maxplus_case(draw):
+    """(xs, F, ss) for ``_maxplus``: rough, convex or quantized (tied) rows
+    with 0-60 % +inf holes and maybe an all-+inf row, offsets up to +-1e6,
+    or 1e200 where the separation lemma fails, against a uniform dual axis
+    or a non-uniform subset of it, either side of the crossover."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 8))
+    xs = ll.grid_1d(-1.5, 2.0, draw(st.integers(2, 400))).axes[0]
+    ss = ll.grid_1d(-float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)),
+                    draw(st.integers(2, 400))).axes[0]
+    kind = draw(st.sampled_from(["rough", "convex", "quantized"]))
+    h = float(xs[1] - xs[0])
+    if kind == "convex":      # piecewise linear: collinear runs tie exactly
+        slopes = np.sort(rng.uniform(-4.0, 4.0, size=(rows, xs.size - 1)))
+        F = np.concatenate([np.zeros((rows, 1)), np.cumsum(slopes, 1) * h], 1)
+    else:
+        F = (np.cumsum(rng.normal(size=(rows, xs.size)), 1) * math.sqrt(h)
+             + rng.normal(scale=0.5, size=(rows, xs.size)))
+        if kind == "quantized":
+            F = np.round(4.0 * F) / 4.0
+    F = F + draw(st.sampled_from([0.0, 3.7, -250.0, 1e6, -1e6, 1e200]))
+    F[rng.random(F.shape) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = math.inf
+    if draw(st.booleans()):
+        F[rng.integers(rows)] = math.inf
+    if draw(st.booleans()):   # a sorted subset, as the 1D index-0 redo takes
+        keep = rng.random(ss.size) < rng.uniform(0.2, 0.9)
+        keep[rng.integers(ss.size)] = True
+        ss = ss[keep]
+    return xs, F, ss
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=maxplus_case(), windowed=st.booleans())
+def test_windowed_maxplus_equals_dense_reference(case, windowed):
+    """Values and first-index argmax bit for bit, at the crossover or with
+    every pass windowed (where the separation lemma holds)."""
+    xs, F, ss = case
+    with windowed_from(0 if windowed else C._MAXPLUS_WINDOWED_MIN):
+        got = _maxplus(xs, F, ss)
+    for a, b in zip(got, dense_maxplus(xs, F, ss)):
         np.testing.assert_array_equal(a, b)
-    for fn, onto, res in want_2d:
-        got = ll.conjugate_fast(fn, onto)
-        np.testing.assert_array_equal(got.dual.flat, res.dual.flat)
-        np.testing.assert_array_equal(got.argmax, res.argmax)
-        np.testing.assert_array_equal(got.trusted, res.trusted)
+
+
+def calls_to_windowed(monkeypatch):
+    calls = []
+    windowed = C._windowed_argmax
+
+    def spy(xs, F, ss):
+        calls.append(F.shape[0] * xs.size * ss.size)
+        return windowed(xs, F, ss)
+
+    monkeypatch.setattr(C, "_windowed_argmax", spy)
+    return calls
+
+
+def test_windowed_search_only_past_the_crossover(monkeypatch):
+    """A 1D 201 -> 241 biconjugate stays dense; a 2D 81^2 -> 121^2 one
+    windows its passes past the crossover, and both equal the reference."""
+    calls = calls_to_windowed(monkeypatch)
+    rng = np.random.default_rng(6)
+    for make, n, m in ((ll.grid_1d, 201, 241), (ll.grid_2d, 81, 121)):
+        calls.clear()
+        f = random_grid_function(rng, make(-2.0, 2.0, n), inf_frac=0.1)
+        assert_matches_rerun_all(f, make(-3.0, 3.0, m))
+        assert all(c >= C._MAXPLUS_WINDOWED_MIN for c in calls)
+        assert (len(calls) > 0) == (make is ll.grid_2d)
+
+
+def test_separation_failure_runs_the_dense_pass(monkeypatch):
+    """Values near 1e200 put e far above min dx * min ds: the pass runs
+    dense, with no warning, and equals the reference."""
+    calls = calls_to_windowed(monkeypatch)
+    rng = np.random.default_rng(7)
+    g = ll.grid_2d(-2.0, 2.0, 81)
+    f = random_grid_function(rng, g, inf_frac=0.1)
+    huge = ll.GridFunction(g, 1e200 * (1.0 + 0.01 * f.values))
+    d = ll.grid_2d(-3.0, 3.0, 121)
+    xs, ss = g.axes[1], d.axes[1]
+    assert not C._separated(xs, huge.values, ss)
+    assert C._separated(xs, f.values, ss)
+    with np.errstate(all="raise"):
+        assert_matches_rerun_all(huge, d)
+    assert calls == []

@@ -17,6 +17,8 @@ from legendrelab.projections import probe_box
 from legendrelab.report_io import write_modulus_csv
 from legendrelab.tolerances import DEFAULT_TOLS
 
+from conftest import finite_mask, restricted
+
 
 def cert_start(grid):
     return DEFAULT_TOLS.cert_min_radius(grid.max_spacing)
@@ -225,7 +227,7 @@ def test_certify_gamma0_equals_envelope_oracle(curve):
     ts, vs, empty = curve
     m = Modulus("firm", 0, ts, vs, empty, np.full(ts.size, -1),
                 ll.NormChoice.L2)
-    sel = m.finite_mask()
+    sel = finite_mask(m)
     if sel.sum() == 0:
         with pytest.raises(InsufficientDataError):
             ll.certify_gamma0(m)
@@ -300,8 +302,8 @@ def test_firm_modulus_well_certificate_positive_on_unit_interval():
     m = ll.firm_modulus(f, f.grid.index_of_nearest([0.0, 0.0]), [0.0, 0.0])
     pos, cert, _ = ll.certification_verdict(m)
     assert pos and cert.positive
-    mm = m.restricted(cert_start(f.grid))
-    sel = mm.finite_mask()
+    mm = restricted(m, cert_start(f.grid))
+    sel = finite_mask(mm)
     positive, env, _ = envelope_oracle(mm.radii[sel], mm.values[sel])
     assert positive and (env > 0).all()
 
@@ -954,8 +956,8 @@ def test_ray_stencil_is_cached_and_read_only():
 def verdict_cut_by_caller(m, min_radius):
     """``certification_verdict`` as it was when each caller passed
     ``min_radius = cert_min_radius(h)`` for its grid step h."""
-    mm = m.restricted(min_radius) if min_radius > 0 else m
-    n_finite = int(mm.finite_mask().sum())
+    mm = restricted(m, min_radius) if min_radius > 0 else m
+    n_finite = int(finite_mask(mm).sum())
     if n_finite == 0:
         return True, None, "vacuous: no domain point in any usable shell"
     cert = ll.certify_gamma0(mm)
@@ -987,7 +989,7 @@ def test_certification_cut_from_recorded_spacing(eid, explicit_radii):
         if explicit_radii else None
     for m in catalog_curves(f, e.dual_grid, radii):
         assert m.spacing == h
-        assert m.restricted(cert_start(f.grid)).spacing == h
+        assert restricted(m, cert_start(f.grid)).spacing == h
         got = ll.certification_verdict(m)
         assert got == verdict_cut_by_caller(m, cert_start(f.grid)), m.kind
 
@@ -1064,7 +1066,7 @@ def shell_minima_per_call(vals, ladder):
 
 
 def certify_gamma0_per_call(m):
-    sel = m.finite_mask()
+    sel = finite_mask(m)
     ts = m.radii[sel]
     vs = m.values[sel]
     if ts.size == 0:
@@ -1082,9 +1084,9 @@ def certify_gamma0_per_call(m):
 
 
 def certification_verdict_per_call(m):
-    mm = (m.restricted(DEFAULT_TOLS.cert_min_radius(m.spacing))
+    mm = (restricted(m, DEFAULT_TOLS.cert_min_radius(m.spacing))
           if m.spacing > 0 else m)
-    if int(mm.finite_mask().sum()) == 0:
+    if int(finite_mask(mm).sum()) == 0:
         return True, None, "vacuous: no domain point in any usable shell"
     cert = certify_gamma0_per_call(mm)
     return cert.positive, cert, ""

@@ -57,6 +57,18 @@ def test_subgradient_interval_closed_under_midpoints(absval_1d, dual_fine_1d):
     assert np.array_equal(m, np.arange(m[0], m[-1] + 1))
 
 
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.value)
+def test_tau_sub_on_a_grid_reads_its_cached_dual_norms(norm):
+    """A dual grid passed whole gives the thresholds of its points, bit for
+    bit, from dual norms it computes once."""
+    e = entry("halfsq2")
+    f, d = e.build(), e.dual_grid
+    x = f.grid.index_of_nearest([0.3, -0.2])
+    np.testing.assert_array_equal(ll.tau_sub(f, x, d, norm),
+                                  ll.tau_sub(f, x, d.points, norm))
+    assert d.lengths(norm.dual) is d.lengths(norm.dual)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 5_000))
 def test_subgradient_monotonicity(seed):
