@@ -151,9 +151,8 @@ class ClassificationReport:
 
 
 class _Session:
-    """Shared state of one (function, dual grid, norm): f* and f**, the
-    total-convexity verdicts memoized per primal point, the disclaimers and
-    the default-plan report."""
+    """Shared state of one (function, dual grid, norm): f* and f** and the
+    default-plan report."""
 
     def __init__(self, f: GridFunction, dual_grid: Grid, norm: NormChoice):
         self.f = f
@@ -161,8 +160,6 @@ class _Session:
         self.norm = norm
         self.bic = biconjugate(f, dual_grid)
         self.conj = self.bic.star
-        self._totals: dict[int, tuple[bool, str]] = {}
-        self.disclaimers: set[str] = set()
 
     def witness_duals(self, x_flat: int, cap: int) -> list[int]:
         """The first ``cap`` trusted duals s, by gap order, at which x (a
@@ -185,42 +182,6 @@ class _Session:
                                        self.f.grid.bounds)
         return sub.members[sub.gaps <= slack][:cap].tolist()
 
-    def firm(self, pairs: list[tuple[int, int]]) -> list[tuple[bool, str]]:
-        """Firm verdicts of (point, dual) pairs; a certificate note becomes
-        a disclaimer."""
-        rows = firm_moduli(self.f, [x for x, _ in pairs],
-                           [self.dual_grid.point(s) for _, s in pairs], self.norm)
-        out = []
-        for (x, _), (_, (pos, _, note)) in zip(pairs, rows):
-            if note:
-                self.disclaimers.add(f"firm certificate at {x}: {note}")
-            out.append((pos, note))
-        return out
-
-    def first_total_failure(self, points: list[int]) -> int | None:
-        """The first of ``points`` whose total-convexity verdict is negative
-        (None if none is), memoized; the certificate note of each point
-        visited becomes a disclaimer. Rows are computed only for points
-        that precede the first memoized failure."""
-        todo = []
-        for x in points:
-            got = self._totals.get(x)
-            if got is None:
-                todo.append(x)
-            elif not got[0]:
-                break
-        fresh = zip(todo, total_convexity_moduli(self.f, todo, self.norm))
-        for x in points:
-            while x not in self._totals:
-                y, (_, (pos, _, note)) = next(fresh)
-                self._totals[y] = pos, note
-            pos, note = self._totals[x]
-            if note:
-                self.disclaimers.add(f"total-convexity certificate at {x}: {note}")
-            if not pos:
-                return x
-        return None
-
     @cached_property
     def report(self) -> ClassificationReport:
         """The classification with the default sample plan, made once."""
@@ -237,11 +198,26 @@ def classify(f: GridFunction, dual_grid: Grid, samples: int = 36,
     return _classify(_Session(f, dual_grid, norm), samples)
 
 
+def _first_total_failure(f: GridFunction, points: list[int], norm: NormChoice,
+                         disclaimers: set[str]) -> int | None:
+    """The first of ``points`` whose total-convexity verdict is negative
+    (None if none is); the certificate note of each point visited becomes
+    a disclaimer."""
+    for x, (_, (pos, _, note)) in zip(
+            points, total_convexity_moduli(f, points, norm)):
+        if note:
+            disclaimers.add(f"total-convexity certificate at {x}: {note}")
+        if not pos:
+            return x
+    return None
+
+
 def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     f, dual_grid, norm = ses.f, ses.dual_grid, ses.norm
     plan = default_sample_plan(f, ses.conj, samples)
     grid = f.grid
     verdicts: dict[str, Verdict] = {}
+    disclaimers: set[str] = set()
 
     bic = ses.bic
     verdicts["convex_lsc"] = Verdict(
@@ -262,7 +238,7 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
             f, [dual_grid.point(s) for s in plan.dual], norm)):
         if sa_witness is None:
             if rep.note:
-                ses.disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
+                disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
             if not rep.strong:
                 sa_witness = {"dual": grid_point_dict(dual_grid, s_flat),
                               "multiplicity": rep.multiplicity,
@@ -294,31 +270,30 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     subdiff_points = [x for x in dom_points if witness_map[x]]
 
     fsd_wit = None
-    strong_wit = None
-    n_pairs = 0
-    firm = iter(ses.firm([(x, s) for x in subdiff_points for s in witness_map[x]]))
-    for x in subdiff_points:
-        any_pos = False
-        for s_flat in witness_map[x]:
-            n_pairs += 1
-            pos, _ = next(firm)
-            any_pos = any_pos or pos
-            if not pos and fsd_wit is None:
-                fsd_wit = {"point": grid_point_dict(grid, x),
-                           "dual": grid_point_dict(ses.dual_grid, s_flat)}
-        if not any_pos and strong_wit is None:
-            strong_wit = {"point": grid_point_dict(grid, x)}
+    any_pos = dict.fromkeys(subdiff_points, False)
+    pairs = [(x, s) for x in subdiff_points for s in witness_map[x]]
+    for (x, s_flat), (_, (pos, _, note)) in zip(pairs, firm_moduli(
+            f, [x for x, _ in pairs], [dual_grid.point(s) for _, s in pairs],
+            norm)):
+        if note:
+            disclaimers.add(f"firm certificate at {x}: {note}")
+        any_pos[x] = any_pos[x] or pos
+        if not pos and fsd_wit is None:
+            fsd_wit = {"point": grid_point_dict(grid, x),
+                       "dual": grid_point_dict(dual_grid, s_flat)}
+    strong_wit = next(({"point": grid_point_dict(grid, x)}
+                       for x in subdiff_points if not any_pos[x]), None)
     verdicts["essentially_firmly_subdifferentiable"] = Verdict(
         fsd_wit is None,
-        f"{n_pairs} (point, subgradient) pairs over "
+        f"{len(pairs)} (point, subgradient) pairs over "
         f"{len(subdiff_points)} subdifferentiable points",
-        fsd_wit, n_pairs)
+        fsd_wit, len(pairs))
     verdicts["essentially_strongly_convex"] = Verdict(
         strong_wit is None,
         f"some certified subgradient at each of {len(subdiff_points)} points",
         strong_wit, len(subdiff_points))
 
-    tot_sub = ses.first_total_failure(subdiff_points)
+    tot_sub = _first_total_failure(f, subdiff_points, norm, disclaimers)
     verdicts["totally_convex_on_dom_subdiff"] = Verdict(
         tot_sub is None,
         f"total-convexity certificate at {len(subdiff_points)} "
@@ -326,7 +301,13 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
         None if tot_sub is None else {"point": grid_point_dict(grid, tot_sub)},
         len(subdiff_points))
 
-    tot_dom = ses.first_total_failure(dom_points)
+    # a subdifferentiable failure is a domain failure, so only the other
+    # domain points before it are left to test
+    head = dom_points if tot_sub is None else dom_points[:dom_points.index(tot_sub)]
+    tot_dom = _first_total_failure(
+        f, [x for x in head if not witness_map[x]], norm, disclaimers)
+    if tot_dom is None:
+        tot_dom = tot_sub
     verdicts["totally_convex_on_dom"] = Verdict(
         tot_dom is None,
         f"total-convexity certificate at {len(dom_points)} domain points",
@@ -358,13 +339,13 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
         f"bounded by {bound:g} on {len(plan.dual)} tilts (proxy definition)",
         strict_wit or unbounded_wit, n_segments)
 
-    ses.disclaimers.add(
+    disclaimers.add(
         "essential strict convexity is a finite-sample proxy: segment "
         "strictness plus locally bounded subdifferential inverse")
     if not subdiff_points:
-        ses.disclaimers.add("no subdifferentiable points at grid resolution; "
-                            "pointwise hierarchy verdicts are vacuous")
-    return ClassificationReport(f.name, verdicts, tuple(sorted(ses.disclaimers)))
+        disclaimers.add("no subdifferentiable points at grid resolution; "
+                        "pointwise hierarchy verdicts are vacuous")
+    return ClassificationReport(f.name, verdicts, tuple(sorted(disclaimers)))
 
 
 def grid_point_dict(grid: Grid, flat: int) -> dict:

@@ -1,8 +1,9 @@
 """Reproduction experiments driven by the ``verify-paper`` CLI subcommand.
 
-Each experiment returns a pass/fail flag plus a JSON-ready summary and
-writes its artifacts under the output directory. Everything is seeded and
-timestamp-free, so identical flags reproduce identical bytes.
+Each experiment returns a pass/fail flag, a JSON-ready body and its named
+modulus curves; one writer turns them into the experiment's artifacts under
+the output directory. Everything is seeded and timestamp-free, so identical
+flags reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,13 +25,18 @@ from .classify import _agreement, _Session, classify
 from .errors import BudgetExhaustedError, IoFailureError, LegendreLabError
 from .generators import random_convex_1d
 from .grids import NormChoice, grid_1d, grid_2d
-from .moduli import certification_verdict, firm_modulus, total_convexity_modulus
+from .moduli import (Modulus, certification_verdict, firm_modulus,
+                     total_convexity_modulus)
 from .projections import convexity_detector, farthest_point_experiment
 from .report_io import build_manifest, write_json, write_modulus_csv
 from .subdiff import _domain_chain
 from .tolerances import DEFAULT_TOLS
 
 _SET_GRID = grid_2d(-2.0, 2.0, 101)
+
+# What a runner returns: passed, the summary's body past its header, and
+# the modulus curves by CSV key.
+_Outcome = tuple[bool, dict, dict[str, Modulus]]
 
 
 @dataclass
@@ -42,14 +48,14 @@ class ExperimentResult:
 
 
 def _session(e: CatalogEntry, sessions: dict) -> _Session:
-    """The session (f*, f**, clusters, report) of a catalog entry, built once
-    per run: ``sessions`` (entry id -> session) is created by each run."""
+    """The session (f*, f**, report) of a catalog entry, built once per run:
+    ``sessions`` (entry id -> session) is created by each run."""
     if e.id not in sessions:
         sessions[e.id] = _Session(e.build(), e.dual_grid, NormChoice.L2)
     return sessions[e.id]
 
 
-def run_ex1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_ex1(seed: int, sessions: dict) -> _Outcome:
     """Fourth-root well: Hessian formulas, the zero modulus along the edge,
     and the hierarchy verdicts (firmly subdifferentiable but not totally
     convex on its whole domain)."""
@@ -88,8 +94,7 @@ def run_ex1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
                 and not truth["totally_convex_on_dom"] and wit_on_edge)
 
     passed = hessian_ok and edge_zero and bool(center_pos) and class_ok
-    summary = {
-        "kind": "experiment", "name": "ex1", "passed": passed,
+    body = {
         "hessian": {"ok": hessian_ok, "max_entry_err": max(hess_errs),
                     "max_det_err": max(det_errs), "tol": 1e-6},
         "edge_total_modulus_zero_on_unit_interval": edge_zero,
@@ -97,15 +102,11 @@ def run_ex1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
         "classification": report.to_dict(),
         "edge_witness_on_y_equals_1": wit_on_edge,
     }
-    arts = [out_dir / "ex1.json", out_dir / "ex1_edge_total_modulus.csv",
-            out_dir / "ex1_center_firm_modulus.csv"]
-    write_json(summary, arts[0])
-    write_modulus_csv(m_edge, arts[1])
-    write_modulus_csv(m_center, arts[2])
-    return ExperimentResult("ex1", passed, summary, arts)
+    return passed, body, {"edge_total_modulus": m_edge,
+                          "center_firm_modulus": m_center}
 
 
-def run_ex2(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_ex2(seed: int, sessions: dict) -> _Outcome:
     """Square-root well: not totally convex at the corner of its
     subdifferential domain, yet firmly subdifferentiable there."""
     e = entry("sqrt_well")
@@ -127,22 +128,17 @@ def run_ex2(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
               and not truth["totally_convex_on_dom_subdiff"] and wit_corner
               and truth["essentially_firmly_subdifferentiable"]
               and truth["essentially_strictly_convex"])
-    summary = {
-        "kind": "experiment", "name": "ex2", "passed": passed,
+    body = {
         "corner_total_certificate_positive": bool(corner_pos),
         "corner_firm_certificate_positive": bool(firm_pos),
         "corner_witness": wit,
         "classification": report.to_dict(),
     }
-    arts = [out_dir / "ex2.json", out_dir / "ex2_corner_total_modulus.csv",
-            out_dir / "ex2_corner_firm_modulus.csv"]
-    write_json(summary, arts[0])
-    write_modulus_csv(m_corner, arts[1])
-    write_modulus_csv(m_firm, arts[2])
-    return ExperimentResult("ex2", passed, summary, arts)
+    return passed, body, {"corner_total_modulus": m_corner,
+                          "corner_firm_modulus": m_firm}
 
 
-def run_lemma1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_lemma1(seed: int, sessions: dict) -> _Outcome:
     """Strong minimum / conjugate differentiability / firm certificate:
     three-way agreement over catalog entries, all-false on the flat case."""
     ids = ["halfsq", "abs", "quartic", "exp", "neg_entropy", "box_indicator"]
@@ -158,15 +154,11 @@ def run_lemma1(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
     flat = _agreement(_session(e, sessions), duals=[s0]).probes[0]
     flat_ok = not (flat.strong_minimum or flat.conjugate_differentiable
                    or flat.firm_certificate)
-    passed = ok and flat_ok
-    summary = {"kind": "experiment", "name": "lemma1", "passed": passed,
-               "flat_case_all_false": flat_ok, "entries": per_entry}
-    arts = [out_dir / "lemma1.json"]
-    write_json(summary, arts[0])
-    return ExperimentResult("lemma1", passed, summary, arts)
+    return ok and flat_ok, {"flat_case_all_false": flat_ok,
+                            "entries": per_entry}, {}
 
 
-def run_cor3_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_cor3_chain(seed: int, sessions: dict) -> _Outcome:
     """Implication chain across the catalog and random convex functions."""
     rows = []
     ok = True
@@ -186,14 +178,10 @@ def run_cor3_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult
         rows.append({"function": f.name, "chain_ok": rep.chain_ok,
                      "verdicts": rep.truth()})
         ok = ok and rep.chain_ok
-    summary = {"kind": "experiment", "name": "cor3-chain", "passed": ok,
-               "n_functions": len(rows), "rows": rows}
-    arts = [out_dir / "cor3_chain.json"]
-    write_json(summary, arts[0])
-    return ExperimentResult("cor3-chain", ok, summary, arts)
+    return ok, {"n_functions": len(rows), "rows": rows}, {}
 
 
-def run_cor4(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_cor4(seed: int, sessions: dict) -> _Outcome:
     """Farthest points: only singletons give a strong maximum at every tilt."""
     rows = {}
     ok = True
@@ -212,14 +200,10 @@ def run_cor4(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
         except BudgetExhaustedError as err:
             rows[name] = {"kind": "BUDGET-EXHAUSTED", "error": str(err)}
             ok = False
-    summary = {"kind": "experiment", "name": "cor4", "passed": ok,
-               "sets": rows}
-    arts = [out_dir / "cor4.json"]
-    write_json(summary, arts[0])
-    return ExperimentResult("cor4", ok, summary, arts)
+    return ok, {"sets": rows}, {}
 
 
-def run_prop6(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_prop6(seed: int, sessions: dict) -> _Outcome:
     """Variational convexity detector against direct midpoint convexity."""
     rows = {}
     ok = True
@@ -231,14 +215,10 @@ def run_prop6(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
                       "midpoint_convex": v.midpoint_convex,
                       "agreement": v.agreement}
         ok = ok and v.kind == kind and v.agreement
-    summary = {"kind": "experiment", "name": "prop6", "passed": ok,
-               "sets": rows}
-    arts = [out_dir / "prop6.json"]
-    write_json(summary, arts[0])
-    return ExperimentResult("prop6", ok, summary, arts)
+    return ok, {"sets": rows}, {}
 
 
-def run_domain_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResult:
+def run_domain_chain(seed: int, sessions: dict) -> _Outcome:
     """Inclusion of attained-tilt and interior sets inside dom of d(f*), and
     no dual of that estimate where the analytic conjugate is +inf."""
     rows = {}
@@ -256,14 +236,10 @@ def run_domain_chain(out_dir: Path, seed: int, sessions: dict) -> ExperimentResu
                       "n_dom_sub_outside_analytic": outside,
                       "n_violations": int(r.violations.size)}
         ok = ok and r.inclusion_holds and not outside
-    summary = {"kind": "experiment", "name": "domain-chain", "passed": ok,
-               "entries": rows}
-    arts = [out_dir / "domain_chain.json"]
-    write_json(summary, arts[0])
-    return ExperimentResult("domain-chain", ok, summary, arts)
+    return ok, {"entries": rows}, {}
 
 
-_RUNNERS: dict[str, Callable[[Path, int, dict], ExperimentResult]] = {
+_RUNNERS: dict[str, Callable[[int, dict], _Outcome]] = {
     "ex1": run_ex1,
     "ex2": run_ex2,
     "lemma1": run_lemma1,
@@ -279,10 +255,27 @@ EXPERIMENT_NAMES = tuple(_RUNNERS)
 _LANE = ("cor4", "prop6")
 
 
+def _run(name: str, out: Path, seed: int, sessions: dict) -> ExperimentResult:
+    """Run one experiment and write its artifacts: ``<stem>.json``, the
+    header (kind, name, passed) and the runner's body, then one
+    ``<stem>_<key>.csv`` per curve, where the stem is the name with dashes
+    as underscores."""
+    passed, body, curves = _RUNNERS[name](seed, sessions)
+    stem = name.replace("-", "_")
+    summary = {"kind": "experiment", "name": name, "passed": passed, **body}
+    arts = [out / f"{stem}.json"]
+    write_json(summary, arts[0])
+    for key, curve in curves.items():
+        arts.append(out / f"{stem}_{key}.csv")
+        write_modulus_csv(curve, arts[-1])
+    return ExperimentResult(name, passed, summary, arts)
+
+
 def _run_lane(names, out: Path, seed: int, sessions: dict) -> dict | BaseException:
-    """``{name: result}`` of ``names`` run in order, or the error to raise."""
+    """``{name: result}`` of ``names`` run and written in order, or the
+    error to raise."""
     try:
-        return {name: _RUNNERS[name](out, seed, sessions) for name in names}
+        return {name: _run(name, out, seed, sessions) for name in names}
     except BaseException as err:
         return err
 

@@ -26,8 +26,10 @@ the violating pairs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -189,6 +191,12 @@ def _halton_probes(box_lo: np.ndarray, box_hi: np.ndarray, n: int,
     return box_lo[None, :] + u * (box_hi - box_lo)[None, :]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a_0 b_0 + a_1 b_1 + ... in axis order in Python floats, never BLAS,
+    whose kernel may fuse or reorder them."""
+    return functools.reduce(operator.add, map(operator.mul, a.tolist(), b.tolist()))
+
+
 def _tie_tilt(u: np.ndarray, v: np.ndarray, fu: float, fv: float) -> np.ndarray:
     """Tilt making u and v share the tilted value exactly (l2 construction).
 
@@ -197,10 +205,10 @@ def _tie_tilt(u: np.ndarray, v: np.ndarray, fu: float, fv: float) -> np.ndarray:
     exactly the midpoint of u and v.
     """
     d = u - v
-    dd = float(d @ d)
+    dd = _dot(d, d)
     mid = (u + v) / 2.0
     base = ((fu - fv) / dd) * d
-    perp = mid - (float(mid @ d) / dd) * d
+    perp = mid - (_dot(mid, d) / dd) * d
     return base + perp
 
 
@@ -277,7 +285,7 @@ def _bisect_for_tie(f: GridFunction, S: ConstraintSet, s0: np.ndarray,
         return _certificate(f, S, mod, rep0)
     x0 = f.grid.point(rep0.minimizer)
     direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / math.sqrt(_dot(direction, direction))
     walk = f.grid.corner_extent * np.arange(1, _WALK_STEPS + 1) / 4.0
     lam_lo, lam_hi = 0.0, None
     for lam, (mod, rep) in zip(walk, _probes(

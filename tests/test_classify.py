@@ -110,8 +110,9 @@ def test_rint_total_matches_firm_verdict():
             duals = ses.witness_duals(x, 8)
             if not duals:
                 continue
-            firm_at_x = all(pos for pos, _ in ses.firm([(x, s) for s in duals]))
-            total_at_x = ses.first_total_failure([x]) is None
+            firm_at_x = all(pos for _, (pos, _, _) in moduli.firm_moduli(
+                f, [x] * len(duals), [e.dual_grid.point(s) for s in duals]))
+            total_at_x = next(moduli.total_convexity_moduli(f, [x]))[1][0]
             assert firm_at_x == total_at_x, (eid, p)
 
 

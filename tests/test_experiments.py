@@ -21,9 +21,13 @@ SINGLE_ARTIFACTS = {
     "ex2": ("ex2.json", "ex2_corner_total_modulus.csv",
             "ex2_corner_firm_modulus.csv"),
     "lemma1": ("lemma1.json",),
+    "cor3-chain": ("cor3_chain.json",),
+    "cor4": ("cor4.json",),
+    "prop6": ("prop6.json",),
     "domain-chain": ("domain_chain.json",),
 }
 SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
+                 "cor3-chain": (36, 36), "cor4": (0, 0), "prop6": (0, 0),
                  "domain-chain": (0, 16)}
 
 # Rows a full seed-42 run passes to each row-core function.
@@ -223,7 +227,7 @@ def test_child_lane_error_is_raised_with_its_type(tmp_path, monkeypatch,
     pids = forking(monkeypatch)
     parent = os.getpid()
 
-    def failing(out, seed, sessions):
+    def failing(seed, sessions):
         raise IoFailureError(f"prop6 failed in {os.getpid()}")
 
     monkeypatch.setitem(experiments._RUNNERS, "prop6", failing)
@@ -244,7 +248,7 @@ def test_parent_lane_error_still_reaps_the_child(tmp_path, monkeypatch):
     reaped, and the parent's error is the one raised."""
     pids = forking(monkeypatch)
 
-    def failing(out, seed, sessions):
+    def failing(seed, sessions):
         raise IoFailureError("ex1 failed")
 
     monkeypatch.setitem(experiments._RUNNERS, "ex1", failing)
@@ -261,7 +265,7 @@ def test_child_ending_without_a_result_is_an_error(tmp_path, monkeypatch):
     pids = forking(monkeypatch)
     parent = os.getpid()
 
-    def dying(out, seed, sessions):
+    def dying(seed, sessions):
         assert os.getpid() != parent
         os._exit(3)
 

@@ -285,6 +285,27 @@ def test_far_pairs_equal_loop(data):
     assert projections._far_pairs(S, limit) == far_pairs_loop(S, limit)
 
 
+def test_tie_tilt_is_a_python_float_evaluation(grid):
+    """Tie tilts of 101^2 grid point pairs, 1D and 2D, have the bits of the
+    same formula in Python floats, whatever BLAS kernel numpy loads: the
+    products are summed in axis order, never fused or reordered."""
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 2, 2):
+        pts = rng.integers(0, 101, size=(500, 2, dim)) * 0.04 - 2.0
+        for (u, v), (fu, fv) in zip(pts, rng.normal(scale=3.0, size=(500, 2))):
+            if (u == v).all():
+                continue
+            d = [a - b for a, b in zip(u.tolist(), v.tolist())]
+            mid = [(a + b) / 2.0 for a, b in zip(u.tolist(), v.tolist())]
+            dd = md = 0.0
+            for i in range(dim):
+                dd, md = dd + d[i] * d[i], md + mid[i] * d[i]
+            want = [(fu - fv) / dd * d[i] + (mid[i] - md / dd * d[i])
+                    for i in range(dim)]
+            got = projections._tie_tilt(u, v, float(fu), float(fv))
+            assert got.tobytes() == np.array(want).tobytes()
+
+
 @pytest.fixture
 def budgets(monkeypatch):
     """Every probe budget the searches create, wrapped the way the
