@@ -26,15 +26,15 @@ from .classify import (ClassificationReport, SamplePlan, classify,
 from .conjugate import (BiconjugateResult, ConjugateResult, biconjugate,
                         conjugate_brute, conjugate_fast, conjugate_value)
 from .errors import (BudgetExhaustedError, EmptyDomainError,
-                     InfeasibleProblemError, InsufficientDataError,
-                     IoFailureError, LegendreLabError, NotASubgradientError,
-                     PointOutsideDomainError, SchemaViolationError)
+                     InfeasibleProblemError, IoFailureError, LegendreLabError,
+                     NotASubgradientError, PointOutsideDomainError,
+                     SchemaViolationError)
 from .grids import (Grid, GridFunction, NormChoice, build_grid_function,
                     grid_1d, grid_2d, shell_ladder)
 from .moduli import (CoercivityReport, Gamma0Certificate, Modulus,
                      WellposednessReport, certification_verdict,
-                     certify_gamma0, coercivity_check, firm_modulus,
-                     total_convexity_modulus, wellposedness_modulus)
+                     coercivity_check, firm_modulus, total_convexity_modulus,
+                     wellposedness_modulus)
 from .projections import (ConstraintSet, DetectorVerdict, FarthestVerdict,
                           ProjectionCertificate, TchebychevReport,
                           convexity_detector, farthest_point_experiment,

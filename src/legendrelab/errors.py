@@ -17,10 +17,6 @@ class NotASubgradientError(LegendreLabError):
     """The supplied dual point fails the Fenchel-Young gap test at the base point."""
 
 
-class InsufficientDataError(LegendreLabError):
-    """No finite modulus sample; no envelope can be certified."""
-
-
 class InfeasibleProblemError(LegendreLabError):
     """The constraint set does not meet the effective domain."""
 

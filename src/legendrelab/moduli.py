@@ -33,8 +33,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (InfeasibleProblemError, InsufficientDataError,
-                     NotASubgradientError, PointOutsideDomainError)
+from .errors import (InfeasibleProblemError, NotASubgradientError,
+                     PointOutsideDomainError)
 from .grids import (Grid, GridFunction, NormChoice, ShellLadders, _origins,
                     _ray_stencil, _windows, shell_ladder)
 from .subdiff import tau_sub
@@ -59,12 +59,12 @@ class Modulus:
 @dataclass(frozen=True)
 class Gamma0Certificate:
     """Positivity verdict of the lower convex envelope through (0, 0),
-    with a sampled radius at which the envelope fails (None if positive)."""
+    with a sampled radius at which the envelope fails (None if positive)
+    and the number of usable samples it was read from."""
 
     positive: bool
     failure_radius: float | None
     n_finite: int
-    eps: float
 
 
 def _tie_cluster(f: GridFunction, values: np.ndarray, tilts: np.ndarray
@@ -159,42 +159,43 @@ def _explicit_ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
                         np.full(centers.size, ts.size))
 
 
-def _certify_rows(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
-                  min_radius: float) -> list[tuple[int, bool, float]]:
-    """``certify_gamma0`` of every row of (R, W) samples at ``radii``, over
-    the finite ones at radii of at least ``min_radius``: per row the sample
-    count, the verdict and the failure radius (meaningless where positive
-    or without samples)."""
-    sel = ~empty & np.isfinite(values) & (radii >= min_radius)
-    if not sel.any():
-        return [(0, False, math.nan)] * len(values)
-    low = sel & ~(values > DEFAULT_TOLS.delta0(radii))
-    first = sel.argmax(axis=1)
-    # see certify_gamma0: with no sample at or below the floor (so also the
-    # first, at t0), the least chord from the origin at t0 decides; the
-    # sample at t0 stays out of the chords
-    ratio = np.where(sel, values / radii, math.inf)
-    ratio[np.arange(len(values)), first] = math.inf
-    t0 = radii[first]
-    out = []
-    for n, fails, t, chord, fail in zip(
-            sel.sum(axis=1).tolist(), low.any(axis=1).tolist(), t0.tolist(),
-            (t0 * ratio.min(axis=1)).tolist(), radii[low.argmax(axis=1)].tolist()):
-        positive = not fails and chord > DEFAULT_TOLS.delta0(t)
-        out.append((n, positive, fail if fails else t))
-    return out
-
-
 def _verdicts(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
               spacing: float) -> list[tuple[bool, Gamma0Certificate | None, str]]:
     """``certification_verdict`` of every row of (R, W) samples at
-    ``radii`` taken at grid step ``spacing`` (0 if unknown)."""
+    ``radii`` taken at grid step ``spacing`` (0 if unknown): whether the
+    lower convex envelope of a row's usable samples, anchored at (0, 0),
+    clears ``delta0(t)`` at every sampled radius.
+
+    The failure radius is the first sample at or below ``delta0``, or, when
+    every sample clears it, the smallest usable radius; the envelope is at
+    or below the floor there in both cases.
+    """
+    # The envelope lies below every sample, so each sample must clear the
+    # floor. Its first piece is the chord from the origin of least slope
+    # min(v/t), and every later piece is a chord between two samples. The
+    # floor is affine, so on a chord the envelope clears it at every radius
+    # once it clears it at both ends: at the samples, and, on the first
+    # piece, at the smallest usable radius t0 (the origin sits below it).
+    # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
+    # cannot move it across the floor. A single sample has no chord tail:
+    # it decides alone, positive iff v0 > delta0(t0).
+    vacuous = (True, None, "vacuous: no domain point in any usable shell")
     cut = DEFAULT_TOLS.cert_min_radius(spacing) if spacing > 0 else -math.inf
-    return [(True, None, "vacuous: no domain point in any usable shell")
-            if n == 0 else
-            (pos, Gamma0Certificate(pos, None if pos else fail, n,
-                                    DEFAULT_TOLS.eps_fp), "")
-            for n, pos, fail in _certify_rows(radii, values, empty, cut)]
+    sel = ~empty & np.isfinite(values) & (radii >= cut)
+    if not sel.any():
+        return [vacuous] * len(values)
+    first = sel.argmax(axis=1)
+    t0 = radii[first]
+    ratio = np.where(sel, values / radii, math.inf)
+    ratio[np.arange(len(values)), first] = math.inf
+    low = sel & ~(values > DEFAULT_TOLS.delta0(radii))
+    fails = low.any(axis=1)
+    positive = ~fails & (t0 * ratio.min(axis=1) > DEFAULT_TOLS.delta0(t0))
+    failure = np.where(fails, radii[low.argmax(axis=1)], t0)
+    return [vacuous if n == 0 else
+            (pos, Gamma0Certificate(pos, None if pos else t, n), "")
+            for n, pos, t in zip(sel.sum(axis=1).tolist(), positive.tolist(),
+                                 failure.tolist())]
 
 
 def _curve_rows(kind: str, grid: Grid, centers: np.ndarray, norm: NormChoice,
@@ -392,30 +393,6 @@ def total_convexity_moduli(f: GridFunction, points: Sequence[int],
     each of ``points`` in order, computed in row blocks as they are read."""
     return _by_blocks(f.grid, len(points),
                       lambda b: _total_rows(f, points[b], norm), _ROW_BLOCK)
-
-
-def certify_gamma0(m: Modulus) -> Gamma0Certificate:
-    """Whether the lower convex envelope of the finite samples, anchored at
-    (0, 0), clears ``delta0(t)`` at every sampled radius.
-
-    The failure radius is the first sample at or below ``delta0``, or, when
-    every sample clears it, the smallest sampled radius; the envelope is at
-    or below the floor there in both cases.
-    """
-    # The envelope lies below every sample, so each sample must clear the
-    # floor. Its first piece is the chord from the origin of least slope
-    # min(v/t), and every later piece is a chord between two samples. The
-    # floor is affine, so on a chord the envelope clears it at every radius
-    # once it clears it at both ends: at the samples, and, on the first
-    # piece, at the smallest sampled radius t0 (the origin sits below it).
-    # The sample at t0 enters as it is, not as t0 * (v0 / t0), so rounding
-    # cannot move it across the floor. A single sample has no chord tail:
-    # it decides alone, positive iff v0 > delta0(t0).
-    (n, pos, fail), = _certify_rows(m.radii, m.values[None], m.empty[None],
-                                    -math.inf)
-    if n == 0:
-        raise InsufficientDataError("need at least 1 finite sample, have 0")
-    return Gamma0Certificate(pos, None if pos else fail, n, DEFAULT_TOLS.eps_fp)
 
 
 def certification_verdict(m: Modulus

@@ -52,10 +52,6 @@ class SubgradientSet:
     members: np.ndarray       # dual flat indices, sorted by gap ascending
     gaps: np.ndarray          # matching gap values
 
-    @property
-    def empty(self) -> bool:
-        return self.members.size == 0
-
     def points(self) -> np.ndarray:
         return self.dual_grid.points[self.members]
 

@@ -478,7 +478,7 @@ def test_readme_library_tour_runs_in_an_empty_directory(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exec(readme_library_tour(), tour)
-    assert not tour["sub"].empty and tour["rep"].strong
+    assert tour["sub"].members.size and tour["rep"].strong
     assert tour["report"].function == "abs" and tour["report"].chain_ok
 
 

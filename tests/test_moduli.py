@@ -10,14 +10,17 @@ import legendrelab as ll
 from legendrelab import grids, moduli
 from legendrelab.catalog import SET_NAMES, entry, make_set
 from legendrelab.cli import main
-from legendrelab.errors import (InfeasibleProblemError, InsufficientDataError,
-                                NotASubgradientError, PointOutsideDomainError)
+from legendrelab.errors import (InfeasibleProblemError, NotASubgradientError,
+                                PointOutsideDomainError)
 from legendrelab.moduli import Modulus
 from legendrelab.projections import probe_box
 from legendrelab.report_io import write_modulus_csv
 from legendrelab.tolerances import DEFAULT_TOLS
 
 from conftest import finite_mask, restricted
+
+
+VACUOUS = (True, None, "vacuous: no domain point in any usable shell")
 
 
 def cert_start(grid):
@@ -228,11 +231,11 @@ def test_certify_gamma0_equals_envelope_oracle(curve):
     m = Modulus("firm", 0, ts, vs, empty, np.full(ts.size, -1),
                 ll.NormChoice.L2)
     sel = finite_mask(m)
+    pos, cert, note = ll.certification_verdict(m)
     if sel.sum() == 0:
-        with pytest.raises(InsufficientDataError):
-            ll.certify_gamma0(m)
+        assert (pos, cert, note) == VACUOUS
         return
-    cert = ll.certify_gamma0(m)
+    assert pos is cert.positive and note == ""
     t, v = ts[sel], vs[sel]
     positive, env, floor = envelope_oracle(t, v)
     assert cert.positive is positive
@@ -252,8 +255,8 @@ def test_certify_gamma0_quadratic_samples():
     ts = np.linspace(0.1, 1.0, 10)
     m = Modulus("firm", 0, ts, 0.5 * ts * ts, np.zeros(10, bool),
                 np.full(10, -1), ll.NormChoice.L2)
-    cert = ll.certify_gamma0(m)
-    assert cert.positive and cert.failure_radius is None
+    pos, cert, _ = ll.certification_verdict(m)
+    assert pos and cert.positive and cert.failure_radius is None
 
 
 def test_certify_gamma0_zero_sample_fails_at_vertex():
@@ -261,18 +264,18 @@ def test_certify_gamma0_zero_sample_fails_at_vertex():
     vs = np.array([0.5, 0.0, 0.7])
     m = Modulus("firm", 0, ts, vs, np.zeros(3, bool), np.full(3, -1),
                 ll.NormChoice.L2)
-    cert = ll.certify_gamma0(m)
-    assert not cert.positive
+    pos, cert, _ = ll.certification_verdict(m)
+    assert not pos and not cert.positive
     assert cert.failure_radius == 1.0
 
 
 def test_certify_gamma0_insufficient_data():
+    """A curve with no finite sample is vacuously positive."""
     ts = np.array([0.5, 1.0])
     vs = np.array([math.inf, math.inf])
     m = Modulus("firm", 0, ts, vs, np.array([False, True]), np.full(2, -1),
                 ll.NormChoice.L2)
-    with pytest.raises(InsufficientDataError):
-        ll.certify_gamma0(m)
+    assert ll.certification_verdict(m) == VACUOUS
 
 
 def test_certify_gamma0_single_sample_decides():
@@ -281,10 +284,9 @@ def test_certify_gamma0_single_sample_decides():
     for v0, positive in ((0.3, True), (DEFAULT_TOLS.delta0(0.5), False)):
         m = Modulus("firm", 0, ts, np.array([v0, math.inf]),
                     np.zeros(2, bool), np.full(2, -1), ll.NormChoice.L2)
-        cert = ll.certify_gamma0(m)
-        assert cert.positive is positive and cert.n_finite == 1
+        pos, cert, _ = ll.certification_verdict(m)
+        assert pos is cert.positive is positive and cert.n_finite == 1
         assert cert.failure_radius == (None if positive else 0.5)
-        assert ll.certification_verdict(m)[0] is positive
 
 
 def test_certification_vacuous_for_isolated_domain():
@@ -330,7 +332,7 @@ def test_firm_at_least_total_minus_slack():
         for p in pts:
             x = f.grid.index_of_nearest(p)
             sub = ll.subgradients(f, res, x)
-            if sub.empty:
+            if not sub.members.size:
                 continue
             total = ll.total_convexity_modulus(f, x)
             firm = ll.firm_modulus(f, x, sub.points()[0])
@@ -957,11 +959,7 @@ def verdict_cut_by_caller(m, min_radius):
     """``certification_verdict`` as it was when each caller passed
     ``min_radius = cert_min_radius(h)`` for its grid step h."""
     mm = restricted(m, min_radius) if min_radius > 0 else m
-    n_finite = int(finite_mask(mm).sum())
-    if n_finite == 0:
-        return True, None, "vacuous: no domain point in any usable shell"
-    cert = ll.certify_gamma0(mm)
-    return cert.positive, cert, ""
+    return ll.certification_verdict(dataclasses.replace(mm, spacing=0.0))
 
 
 def catalog_curves(f, dual_grid, radii):
@@ -1069,25 +1067,22 @@ def certify_gamma0_per_call(m):
     sel = finite_mask(m)
     ts = m.radii[sel]
     vs = m.values[sel]
-    if ts.size == 0:
-        raise InsufficientDataError("need at least 1 finite sample, have 0")
     low = np.flatnonzero(~(vs > DEFAULT_TOLS.delta0(ts)))
     if low.size:
-        return moduli.Gamma0Certificate(False, float(ts[low[0]]), int(ts.size),
-                                        DEFAULT_TOLS.eps_fp)
+        return moduli.Gamma0Certificate(False, float(ts[low[0]]), int(ts.size))
     t0 = float(ts[0])
     chord = t0 * float((vs[1:] / ts[1:]).min(initial=math.inf))
     first = min(float(vs[0]), chord)
     positive = bool(first > DEFAULT_TOLS.delta0(t0))
     return moduli.Gamma0Certificate(positive, None if positive else t0,
-                                    int(ts.size), DEFAULT_TOLS.eps_fp)
+                                    int(ts.size))
 
 
 def certification_verdict_per_call(m):
     mm = (restricted(m, DEFAULT_TOLS.cert_min_radius(m.spacing))
           if m.spacing > 0 else m)
     if int(finite_mask(mm).sum()) == 0:
-        return True, None, "vacuous: no domain point in any usable shell"
+        return VACUOUS
     cert = certify_gamma0_per_call(mm)
     return cert.positive, cert, ""
 
@@ -1290,13 +1285,10 @@ def test_certificate_rows_equal_per_call(curves, spacing):
                     ll.NormChoice.L2, spacing=spacing)
         assert_same_fields(verdict, certification_verdict_per_call(m))
         assert_same_fields(ll.certification_verdict(m), verdict)
-        try:
-            want = certify_gamma0_per_call(m)
-        except InsufficientDataError:
-            with pytest.raises(InsufficientDataError):
-                ll.certify_gamma0(m)
-            continue
-        assert_same_fields(ll.certify_gamma0(m), want)
+        # without a recorded step nothing is cut
+        uncut = dataclasses.replace(m, spacing=0.0)
+        assert_same_fields(ll.certification_verdict(uncut),
+                           certification_verdict_per_call(uncut))
 
 
 @pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)

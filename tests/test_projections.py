@@ -382,7 +382,12 @@ def bisect_one_at_a_time(f, S, s0, budget):
         return cert0
     x0 = np.asarray(cert0.minimizer_point)
     direction = s0 - x0 if (s0 != x0).any() else np.ones_like(s0)
-    direction = direction / np.linalg.norm(direction)
+    # an axis-order sum in Python floats: a BLAS norm may fuse or reorder
+    # the squares, and the walk's tilts must match to the last bit
+    square = 0.0
+    for d in direction.tolist():
+        square += d * d
+    direction = direction / math.sqrt(square)
     extent = f.grid.corner_extent
     lam_lo, lam_hi = 0.0, None
     for k in range(1, projections._WALK_STEPS + 1):
@@ -547,6 +552,21 @@ def test_witness_search_equals_one_at_a_time(data):
         if rows is not None:
             mp.setattr(projections, "_PROBE_BLOCK", rows * g.size)
         assert_same_search(lambda: search(S, n_probes, seed))
+
+
+def test_walk_witness_equals_one_at_a_time():
+    """A farthest-point search whose witness comes from the walk and
+    bisection of a refined pair, one tilt a block: its tilt has the
+    oracle's bits, which a BLAS-normalized walk direction misses in the
+    last place."""
+    g = ll.grid_2d(-2.0, 2.0, 41)
+    rng = np.random.default_rng(778578)
+    mask = rng.random(g.size) < 0.1875
+    mask[rng.integers(g.size)] = True
+    S = ll.ConstraintSet(g, mask, "random")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projections, "_PROBE_BLOCK", g.size)
+        assert_same_search(lambda: SEARCHES["farthest"](S, 1, 0))
 
 
 @pytest.mark.parametrize("name", SET_NAMES)

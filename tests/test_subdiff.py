@@ -82,7 +82,7 @@ def test_subgradient_monotonicity(seed):
     pairs = []
     for x in pts:
         sub = ll.subgradients(f, res, x)
-        if not sub.empty:
+        if sub.members.size:
             pairs.append((g.point(x)[0], sub.points()[0, 0],
                           ll.tau_sub(f, x, sub.points()[0])))
     for i in range(len(pairs)):
