@@ -67,7 +67,7 @@ def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult) -> list[int]:
     for ax in range(dg.dim):
         hi = dg.shift(lo, ax, 1)
         a, b = lo[hi >= 0], hi[hi >= 0]
-        jump = np.linalg.norm(pts[conj.argmax[a]] - pts[conj.argmax[b]], axis=-1)
+        jump = NormChoice.L2.length(pts[conj.argmax[a]] - pts[conj.argmax[b]])
         for i in np.flatnonzero((jump > threshold) & conj.trusted[a] & conj.trusted[b]):
             out.append((float(jump[i]), int(a[i]), int(b[i])))
     out.sort(key=lambda r: -r[0])

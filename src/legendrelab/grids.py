@@ -7,10 +7,10 @@ A shell ladder is a window of a band stencil: the band of a grid point
 about a center depends only on their index offset, so one stencil over the
 doubled index lattice, built once per (grid, norm), holds the band
 of every offset, and the ladder about any center is the slice of it that
-covers the grid, sorted once by band; a member-windowed ladder ranks only
-given points (say the members of a set) under the same radii. There is one
-layout, ``ShellLadders``: the ladders of one or more centers ranked
-together, one row each.
+covers the grid, each point's band its shell id; a member-windowed ladder
+reads only given points (say the members of a set) under the same radii.
+There is one layout, ``ShellLadders``: the band ids of one or more
+centers, one row each.
 """
 
 from __future__ import annotations
@@ -356,9 +356,10 @@ def _band_stencil(grid: Grid, norm: NormChoice) -> BandStencil:
     """Band ``floor(|offset * spacing| / max_spacing + 1/2)`` of every offset.
 
     Axis i runs over offsets -(n_i - 1) .. n_i - 1, so offset 0 sits at
-    index n_i - 1. ``int16`` (for numpy's radix argsort) unless the largest
-    band does not fit. The ladder about a center has a shell for each band
-    up to the largest band in its window (at least one).
+    index n_i - 1. ``int16`` (half the bytes of ``int32`` to cache and to
+    gather) unless the largest band does not fit. The ladder about a center
+    has a shell for each band up to the largest band in its window (at
+    least one).
     """
     offsets = np.meshgrid(*(np.arange(1 - n, n) * h
                             for n, h in zip(grid.counts, grid.spacing)),
@@ -414,17 +415,14 @@ def _ray_stencil(grid: Grid, norm: NormChoice, k_dd: int) -> RayStencil:
 
 
 class ShellLadders(NamedTuple):
-    """Shell ladders about R centers, each ranking the same m grid points
-    (``within``, or all of them), in one flat layout of W + 1 segments per
-    row: the points closer than half the first radius, the center among
-    them (none at explicit radii), then shells 1..W at ``radii``. Segment k
-    holds the entries ``members[starts[k]:starts[k + 1]]`` of an (R, m)
-    table, flattened, in ascending column order; row r's own ladder is its
-    first ``shells[r]`` shells."""
+    """Shell ladders about R centers, each over the same m grid points
+    (``within``, or all of them): ``bands[r, j]`` is the shell of point j
+    about center r, band 0 holding the center and the points closer than
+    half the first radius, band k >= 1 the shell at ``radii[k - 1]``. Row
+    r's own ladder is its first ``shells[r]`` shells; the rest are empty."""
 
     radii: np.ndarray
-    members: np.ndarray
-    starts: np.ndarray
+    bands: np.ndarray
     shells: np.ndarray
 
 
@@ -432,25 +430,18 @@ def shell_ladder(grid: Grid, centers: int | np.ndarray,
                  norm: NormChoice = NormChoice.L2,
                  within: np.ndarray | None = None) -> ShellLadders:
     """Disjoint shells at radii h, 2*h, ... about each of ``centers`` (a
-    scalar center is one row), ranked together from one gather of the band
-    stencil and one row-wise stable argsort, with as many shells as the
-    grid's largest ladder.
+    scalar center is one row), read with one gather of the band stencil,
+    with as many shells as the grid's largest ladder.
 
     With h the largest axis spacing, every grid point lands in exactly one
     band of each center (the nearest multiple of h): the center and the
-    points closer than h/2 to it in the first segment, the rest in its
-    shells. With ``within`` (ascending flat indices) only those points are
-    ranked, under the whole grid's radii.
+    points closer than h/2 to it in band 0, the rest in its shells. With
+    ``within`` (ascending flat indices) only those points are read, under
+    the whole grid's radii.
     """
     centers = np.atleast_1d(centers)
     st = _band_stencil(grid, norm)
     bands = (st.windows[_origins(grid, centers)].reshape(centers.size, -1)
              if within is None else
              st.band[st.local[grid.size - 1 - centers][:, None] + st.local[within]])
-    rows = np.arange(centers.size)[:, None]
-    starts = np.zeros((st.radii.size + 1) * centers.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount((bands + (st.radii.size + 1) * rows).ravel(),
-                          minlength=starts.size - 1), out=starts[1:])
-    order = bands.argsort(axis=1, kind="stable")
-    return ShellLadders(st.radii, (order + bands.shape[1] * rows).ravel(),
-                        starts, st.shells[centers])
+    return ShellLadders(st.radii, bands, st.shells[centers])

@@ -11,9 +11,9 @@ origin, without building the envelope.
 
 One row core serves every kind: it takes R rows (base points for total
 convexity, (x, s) pairs for firm, tilts for well-posedness), computes
-their gaps, ranks the ladders of all rows with one gather of the band
-stencil and one row-wise stable argsort, takes every shell minimum with
-one ``reduceat`` and decides every certificate in one vectorized pass.
+their gaps, reads the band ids of all rows with one gather of the band
+stencil, takes every shell minimum with one scatter-min by band id and
+decides every certificate in one vectorized pass.
 The one-curve functions are one-row calls of it; ``firm_moduli``,
 ``total_convexity_moduli`` and ``wellposedness_moduli`` take many rows
 (``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points: a loop
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import (InfeasibleProblemError, NotASubgradientError,
                      PointOutsideDomainError)
-from .grids import (Grid, GridFunction, NormChoice, ShellLadders, _origins,
-                    _ray_stencil, _windows, shell_ladder)
+from .grids import (Grid, GridFunction, NormChoice, _origins, _ray_stencil,
+                    _windows, shell_ladder)
 from .subdiff import tau_sub
 from .tolerances import DEFAULT_TOLS
 
@@ -108,41 +108,36 @@ def _by_blocks(grid: Grid, n_rows: int,
         yield from zip(*evaluate(slice(lo, lo + size)))
 
 
-_PAD = np.array([math.inf])
-
-
-def _shell_minima(vals: np.ndarray, ladder: ShellLadders
+def _shell_minima(vals: np.ndarray, seg: np.ndarray, n: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per segment of the ladders (every row's first segment included): the
-    least gap over its members, whether it has none, and the first member
-    attaining a finite least gap (-1 if none), as one grouped pass over the
-    members; ``vals[i]`` is the gap of the table entry ``ladder.members[i]``."""
-    starts = ladder.starts[:-1]
-    sizes = ladder.starts[1:] - starts
-    empty = sizes == 0
-    if empty.all():
-        return (np.full(starts.size, math.inf), empty,
-                np.full(starts.size, -1, dtype=np.int64))
-    # reduceat needs every start to name an element, so the members get
-    # one neutral pad for empty shells at the end of the ladder
-    seg_min = np.minimum.reduceat(np.concatenate((vals, _PAD)), starts)
-    hits = (vals == seg_min.repeat(sizes)).nonzero()[0]
-    # the first hit at or past each start: inside the shell unless it is empty
-    first = hits[np.minimum(hits.searchsorted(starts), hits.size - 1)]
-    values = np.where(empty, math.inf, vals[first])
-    witnesses = np.where(np.isfinite(values), ladder.members[first], np.int64(-1))
-    return values, empty, witnesses
+    """Per segment 0..n-1 (every row's first segment included): the least
+    of the entries ``vals`` whose segment id ``seg`` is it, whether it has
+    none, and the position in ``vals`` of its first entry attaining a
+    finite least value (-1 if none)."""
+    least = np.full(n, math.inf)
+    np.minimum.at(least, seg, vals)
+    hits = (vals == least[seg]).nonzero()[0]
+    first = np.full(n, vals.size)
+    np.minimum.at(first, seg[hits], hits)
+    empty = np.bincount(seg, minlength=n) == 0
+    # the value is that first entry's, not ``least``: np.minimum keeps the
+    # later of two equal zeros, so ``least`` reads -0.0 for 0.0 then -0.0
+    values = np.full(n, math.inf)
+    values[~empty] = vals[first[~empty]]
+    return values, empty, np.where(np.isfinite(values), first, -1)
 
 
 def _explicit_ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
-                      radii: Sequence[float],
-                      within: np.ndarray | None = None) -> ShellLadders:
+                      radii: Sequence[float], within: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed shells ``|d - t| <= h/2, d > 0`` at the given radii about each
-    center, with h the largest axis spacing, in the layout of
-    ``ShellLadders`` (the first segment of a row is empty). The radii must
-    be finite, positive and strictly increasing (ValueError otherwise): a
-    curve's first sample is its smallest radius. An empty shell is a
-    reported state, not an error."""
+    center, with h the largest axis spacing: the radii and, for each (row,
+    shell, column) membership in that order, its segment id (shell k of row
+    r is segment ``r * (len(radii) + 1) + k + 1``, so a row's first segment
+    is empty) and its entry of the (R, m) table. Shells may overlap. The
+    radii must be finite, positive and strictly increasing (ValueError
+    otherwise): a curve's first sample is its smallest radius. An empty
+    shell is a reported state, not an error."""
     ts = np.array(radii, dtype=float)
     if not (((0.0 < ts) & (ts < math.inf)).all() and (np.diff(ts) > 0).all()):
         raise ValueError("radii must be finite, positive and strictly "
@@ -152,11 +147,7 @@ def _explicit_ladders(grid: Grid, centers: np.ndarray, norm: NormChoice,
     d = norm.length(points - grid.points[centers][:, None, :])[:, None, :]
     rows, k, col = ((np.abs(d - ts[:, None]) <= grid.max_spacing / 2.0)
                     & (d > 0)).nonzero()
-    starts = np.zeros((ts.size + 1) * centers.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows * (ts.size + 1) + k + 1,
-                          minlength=starts.size - 1), out=starts[1:])
-    return ShellLadders(ts, col + points.shape[0] * rows, starts,
-                        np.full(centers.size, ts.size))
+    return ts, rows * (ts.size + 1) + k + 1, col + points.shape[0] * rows
 
 
 def _verdicts(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
@@ -208,11 +199,19 @@ def _curve_rows(kind: str, grid: Grid, centers: np.ndarray, norm: NormChoice,
     over the shells about ``centers[r]``; the columns of ``table`` are
     ``within`` (every grid point if None). Returns each row's curve and its
     ``certification_verdict``."""
-    lad = (shell_ladder(grid, centers, norm, within) if radii is None else
-           _explicit_ladders(grid, centers, norm, radii, within))
     if level is not None:
         table = table - level[:, None]
-    values, empty, wit = _shell_minima(table.ravel()[lad.members], lad)
+    if radii is None:
+        ts, bands, shells = shell_ladder(grid, centers, norm, within)
+        seg = bands + (ts.size + 1) * np.arange(centers.size)[:, None]
+        values, empty, wit = _shell_minima(table.ravel(), seg.ravel(),
+                                           (ts.size + 1) * centers.size)
+    else:
+        ts, seg, entry = _explicit_ladders(grid, centers, norm, radii, within)
+        shells = np.full(centers.size, ts.size)
+        values, empty, wit = _shell_minima(table.ravel()[entry], seg,
+                                           (ts.size + 1) * centers.size)
+        wit = np.append(entry, -1)[wit]         # -1 reads the appended -1
     # the witnesses are table entries: back to grid points
     col = wit % table.shape[1]
     wit = np.where(wit >= 0, col if within is None else within[col], wit)
@@ -222,10 +221,10 @@ def _curve_rows(kind: str, grid: Grid, centers: np.ndarray, norm: NormChoice,
     wit = wit.reshape(centers.size, -1)[:, 1:]
     h = grid.max_spacing
     tilts = tilts or [None] * centers.size
-    mods = [Modulus(kind, c, lad.radii[:k], values[r, :k], empty[r, :k],
+    mods = [Modulus(kind, c, ts[:k], values[r, :k], empty[r, :k],
                     wit[r, :k], norm, tilts[r], h)
-            for r, (c, k) in enumerate(zip(centers.tolist(), lad.shells.tolist()))]
-    return mods, _verdicts(lad.radii, values, empty, h)
+            for r, (c, k) in enumerate(zip(centers.tolist(), shells.tolist()))]
+    return mods, _verdicts(ts, values, empty, h)
 
 
 def _tilts(tilts: Sequence[Sequence[float]]) -> np.ndarray:

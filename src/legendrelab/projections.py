@@ -3,8 +3,8 @@
 Includes the strong-Tchebychev probe test, the farthest-point experiment
 (f = -||.||^2/2), and the convexity detector (f = ||.||^2/2). Universal
 "for every tilt" claims are always reported as "no failure over N probes".
-A projection tilts the grid once, then ranks only the members of S: past
-the tilt it costs O(|S| log |S|) plus one entry per shell. All three wrap
+A projection tilts the grid once, then reads the shells of the members of
+S only: past the tilt it costs O(|S|) plus one entry per shell. All three wrap
 one witness-search engine: Halton probes and exact tie tilts from member
 pairs (midpoint-convexity violations or far pairs) in the caller's order,
 then jittered tie tilts and bisection toward the tie, from a budget of

@@ -65,15 +65,17 @@ def test_extreal_arithmetic():
 
 
 def segments(lad):
-    """Every segment of a ladder layout, in order."""
-    return [lad.members[a:b] for a, b in zip(lad.starts[:-1], lad.starts[1:])]
+    """Every segment of a one-row band ladder, in order: the ascending
+    columns of band 0, then those of each shell."""
+    return [np.flatnonzero(lad.bands[0] == b) for b in range(lad.radii.size + 1)]
 
 
 def explicit_shells(grid, center, radii, norm=ll.NormChoice.L2):
     """The closed shells at ``radii`` about one center, as the moduli build
     them for explicit radii: one segment of flat indices per radius."""
-    lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii)
-    first, *shells = segments(lad)
+    ts, seg, entry = moduli._explicit_ladders(grid, np.array([center]), norm,
+                                              radii)
+    first, *shells = [entry[seg == k] for k in range(ts.size + 1)]
     assert first.size == 0 and len(shells) == len(radii)
     return shells
 
@@ -180,7 +182,7 @@ def check_ladder(grid, center, norm):
     # radii up to the band of the corner-to-corner offset
     widest = max(pointwise_band(grid, 0, grid.size - 1, norm, step), 1)
     assert np.array_equal(lad.radii, np.arange(1, widest + 1) * step)
-    assert lad.starts[0] == 0 and lad.starts[-1] == grid.size
+    assert lad.bands.shape == (1, grid.size)
     segs = segments(lad)
     assert len(segs) == widest + 1
     assert center in segs[0]
@@ -189,7 +191,7 @@ def check_ladder(grid, center, norm):
         assert all(bands[int(m)] == band for m in seg)
     assert all(seg.size == 0 for seg in segs[k + 1:])
     # the segments partition the grid
-    assert sorted(lad.members.tolist()) == list(range(grid.size))
+    assert sorted(np.concatenate(segs).tolist()) == list(range(grid.size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,9 +211,10 @@ def test_ladder_on_anisotropic_grid_edges_and_corners(norm, multi):
        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
 def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed):
-    """Same radii and shell count; segment k keeps the full segment's
-    members that are in ``within``, in the same ascending order (as
-    positions in ``within``)."""
+    """Same radii and shell count, and the full ladder's bands at the
+    columns ``within``: segment k keeps the full segment's members that are
+    in ``within``, in the same ascending order (as positions in
+    ``within``)."""
     grid, center = gc
     within = np.flatnonzero(np.random.default_rng(seed).random(grid.size)
                             < density)
@@ -219,10 +222,10 @@ def test_member_ladder_is_full_ladder_filtered(gc, norm, density, seed):
     part = ll.shell_ladder(grid, center, norm=norm, within=within)
     assert part.radii.tobytes() == full.radii.tobytes()
     assert np.array_equal(part.shells, full.shells)
+    assert np.array_equal(part.bands, full.bands[:, within])
     kept = [seg[np.isin(seg, within)] for seg in segments(full)]
-    assert np.array_equal(part.starts, np.cumsum([0, *(k.size for k in kept)]))
-    assert np.array_equal(within[part.members],
-                          np.concatenate([np.empty(0, np.int64), *kept]))
+    for seg, k in zip(segments(part), kept, strict=True):
+        assert np.array_equal(within[seg], k)
 
 
 def local_slope_loop(f, flat):

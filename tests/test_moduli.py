@@ -444,16 +444,24 @@ def ladder_oracle(grid, center, norm, radii, within=None):
 
 
 def library_minima(gaps, lad, within=None):
-    """The library's shell minima over the one-row ladder ``lad``, whose
-    members index ``gaps`` (``gaps[within]`` with ``within``), less the
-    row's first segment, with witnesses as flat indices."""
+    """The library's shell minima over a one-row ladder, a band ladder or
+    the ``(radii, seg, entry)`` memberships of explicit radii, whose columns
+    index ``gaps`` (``gaps[within]`` with ``within``), less the row's first
+    segment, with witnesses as flat indices."""
     table = gaps if within is None else gaps[within]
-    values, empty, wit = moduli._shell_minima(table[lad.members], lad)
-    k = int(lad.shells[0])
+    if isinstance(lad, grids.ShellLadders):
+        radii, seg, entry = lad.radii, lad.bands.ravel(), np.arange(table.size)
+        k = int(lad.shells[0])
+    else:
+        radii, seg, entry = lad
+        k = radii.size
+    values, empty, wit = moduli._shell_minima(table[entry], seg, radii.size + 1)
     wit = wit[1:k + 1].copy()
+    found = wit >= 0
+    wit[found] = entry[wit[found]]
     if within is not None:
-        wit[wit >= 0] = within[wit[wit >= 0]]
-    return lad.radii[:k], values[1:k + 1], empty[1:k + 1], wit
+        wit[found] = within[wit[found]]
+    return radii[:k], values[1:k + 1], empty[1:k + 1], wit
 
 
 def member_indices(feasible):
@@ -507,10 +515,13 @@ def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
     grid, center, gaps, feasible = case
     norm = ll.NormChoice.L2
     oracle = ladder_oracle(grid, center, norm, radii)
-    lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii)
-    assert lad.starts[1] == 0                  # no points inside the radii
-    assert np.array_equal(lad.starts[1:], oracle.starts)
-    assert np.array_equal(lad.members, oracle.members)
+    ts, seg, entry = moduli._explicit_ladders(grid, np.array([center]), norm,
+                                              radii)
+    assert (seg > 0).all()                     # no points inside the radii
+    assert (np.diff(seg) >= 0).all()           # memberships in shell order
+    assert np.array_equal(np.cumsum(np.bincount(seg, minlength=ts.size + 1)),
+                          oracle.starts)
+    assert np.array_equal(entry, oracle.members)
     within = member_indices(feasible)
     lad = moduli._explicit_ladders(grid, np.array([center]), norm, radii, within)
     assert_bitwise_equal(library_minima(gaps, lad, within),
@@ -518,13 +529,15 @@ def test_explicit_radii_minima_equal_per_shell_loop(case, radii):
 
 
 def test_grouped_minima_edge_cases():
-    """Empty shells at the end, all-+inf shells and an all-infeasible grid."""
+    """Empty shells at the end, all-+inf shells, an all-infeasible grid and
+    signed zeros: a shell reads its first least gap, 0.0 before -0.0 as
+    0.0 and -0.0 before 0.0 as -0.0, as ``np.argmin`` does."""
     g = ll.grid_2d(-1.0, 1.0, 9)
     c = 0
     oracle = shell_ladder_per_call(g, c, ll.NormChoice.L2)
     near = ll.NormChoice.L2.length(g.points - g.point(c)) < 1.0
     tail = ll.shell_ladder(g, c, within=member_indices(near))
-    assert np.diff(tail.starts)[-1] == 0               # empty tail shells
+    assert tail.bands.max() < tail.radii.size          # empty tail shells
     gaps = np.where(np.arange(g.size) % 3 == 0, math.inf, 1.0)
     gaps[oracle.shells()[0]] = math.inf                # an all-+inf shell
     for feasible in (None, np.zeros(g.size, dtype=bool),
@@ -534,8 +547,23 @@ def test_grouped_minima_edge_cases():
         assert_bitwise_equal(library_minima(gaps, lad, within),
                              shell_minima_loop(gaps, oracle, feasible))
     lad = ll.shell_ladder(g, c)
-    values, empty, wit = moduli._shell_minima(gaps[lad.members], lad)
+    values, empty, wit = moduli._shell_minima(gaps, lad.bands.ravel(),
+                                              lad.radii.size + 1)
     assert not empty[1] and values[1] == math.inf and wit[1] == -1
+
+    line = ll.grid_1d(-2.0, 2.0, 5)                    # h = 1, shell 1: {1, 3}
+    l2 = ll.NormChoice.L2
+    ladders = ((ll.shell_ladder(line, 2), None),
+               (moduli._explicit_ladders(line, np.array([2]), l2, [1.0]), [1.0]))
+    for first_zero, second_zero in ((0.0, -0.0), (-0.0, 0.0)):
+        gaps = np.array([2.0, first_zero, 3.0, second_zero, 2.0])
+        for lad, radii in ladders:
+            got = library_minima(gaps, lad)
+            _, values, empty, wit = got
+            assert not empty[0] and wit[0] == 1 and values[0] == 0.0
+            assert np.signbit(values[0]) == np.signbit(first_zero)
+            assert_bitwise_equal(got, shell_minima_loop(
+                gaps, ladder_oracle(line, 2, l2, radii)))
 
 
 # -- member-windowed well-posedness against the masked whole-grid body -----
