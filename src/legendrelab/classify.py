@@ -315,24 +315,22 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
         len(dom_points))
 
     # essential strict convexity proxy: strictness on symmetric segments
-    # about subdifferentiable midpoints, plus preimage boundedness (above)
-    strict_wit = None
-    n_segments = 0
+    # about subdifferentiable midpoints, plus preimage boundedness (above),
+    # over (point, segment) pairs in point-major order; an off-grid (-1)
+    # endpoint reads the last value and is masked out
     fv = f.flat
     xs = np.asarray(subdiff_points, dtype=np.int64)
-    ends = [(grid.shift(xs, ax, -k), grid.shift(xs, ax, k))
-            for ax in range(grid.dim) for k in _SEGMENT_STEPS]
-    for i, x in enumerate(subdiff_points):
-        fx = fv[x]
-        for u, v in ((int(lo[i]), int(hi[i])) for lo, hi in ends):
-            if u < 0 or v < 0 or not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
-                continue
-            n_segments += 1
-            eps = DEFAULT_TOLS.delta0(abs(fx))
-            if fx >= 0.5 * (fv[u] + fv[v]) - eps and strict_wit is None:
-                strict_wit = {"midpoint": grid_point_dict(grid, x),
-                              "endpoints": [grid_point_dict(grid, u),
-                                            grid_point_dict(grid, v)]}
+    lo, hi = (np.stack([grid.shift(xs, ax, d * k) for ax in range(grid.dim)
+                        for k in _SEGMENT_STEPS], axis=-1) for d in (-1, 1))
+    seg = (lo >= 0) & (hi >= 0) & np.isfinite(fv[lo]) & np.isfinite(fv[hi])
+    fx = fv[xs][:, None]
+    bad = np.flatnonzero(seg & (fx >= 0.5 * (fv[lo] + fv[hi])
+                                - DEFAULT_TOLS.delta0(np.abs(fx))))
+    n_segments = int(seg.sum())
+    strict_wit = None if not bad.size else {
+        "midpoint": grid_point_dict(grid, xs[bad[0] // lo.shape[1]]),
+        "endpoints": [grid_point_dict(grid, lo.flat[bad[0]]),
+                      grid_point_dict(grid, hi.flat[bad[0]])]}
     verdicts["essentially_strictly_convex"] = Verdict(
         strict_wit is None and unbounded_wit is None,
         f"strict on {n_segments} symmetric segments; inverse-map diameter "

@@ -23,9 +23,12 @@ failing it runs dense.
 
 A dual point is *trusted* when some maximizer lies strictly inside the
 primal grid; untrusted values are boundary-clamped truncation artifacts and
-are excluded from downstream diagnostics. An interior first maximizer
-proves trust and one at the last index of the outer axis (x1 in 2D)
-refutes it, so only the remaining *open* duals take an interior pass.
+are excluded from downstream diagnostics. Trust reads interior maxima, so
+the pass over x (x2 in 2D) runs on the interior primal points and then
+joins the two edge points, one comparison each, bit for bit the whole-axis
+pass. In 2D an interior first maximizer proves trust and one at the last
+x1 index refutes it, so only the remaining *open* duals take an
+interior-x1 pass.
 """
 
 from __future__ import annotations
@@ -210,69 +213,54 @@ def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
     return ss * xs[arg] - np.take_along_axis(F, arg, axis=1), arg
 
 
-def _maxplus_rows(xs: np.ndarray, F: np.ndarray, rows: np.ndarray,
-                  ss: np.ndarray) -> np.ndarray:
-    """Pairwise max-plus ``max_k (ss[i] * xs[k] - F[rows[i], k])``, with the
-    bits ``_maxplus`` gives that (row, dual) pair: the value is recomputed
-    at the first maximizing index. Pairs run in blocks of about
-    ``_MAXPLUS_BLOCK`` scratch elements (at least one pair per block)."""
-    out = np.full(ss.size, -np.inf)
-    if xs.size == 0:
-        return out
-    step = max(1, _MAXPLUS_BLOCK // xs.size)
-    for lo in range(0, ss.size, step):
-        Fb = F[rows[lo:lo + step]]
-        sb = ss[lo:lo + step]
-        arg = (sb[:, None] * xs - Fb).argmax(axis=1)
-        out[lo:lo + step] = sb * xs[arg] - Fb[np.arange(sb.size), arg]
-    return out
+def _maxplus_joined(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_maxplus`` over all of xs, bit for bit, from the interior points
+    xs[1:-1] and the two edge points. The first maximizer is 0 where v(x0)
+    >= max(interior, v(x_last)), else the interior one where interior >=
+    v(x_last), else the last; the value is taken there, zero signs too.
+    Returns the whole-axis (values, first argmax) and the interior values."""
+    iv, ia = _maxplus(xs[1:-1], np.ascontiguousarray(F[:, 1:-1]), ss)
+    edge = ss * xs[-1] - F[:, -1:]
+    win = edge > iv
+    vals = np.where(win, edge, iv)
+    arg = np.where(win, xs.size - 1, ia + 1)
+    edge = ss * xs[0] - F[:, :1]
+    win = edge >= vals
+    np.copyto(vals, edge, where=win)
+    arg[win] = 0
+    return vals, arg, iv
 
 
 def conjugate_fast(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     """Separable max-plus transform; matches conjugate_brute to ~1e-12 relative.
 
     2D runs one pass per axis with a sign flip in between. A dual point is
-    trusted exactly when the interior maximum reaches the full maximum. A
-    first maximizer interior on every axis proves it. One at the last index
-    of the outer axis (x1 in 2D) refutes it: no earlier index ties it, and
-    interior maxima never exceed full ones, so no interior point reaches
-    the maximum. Every other dual is *open*. In 1D the open duals re-run
-    the pass on interior primal points. In 2D only the ``s2`` columns
-    holding an open dual take the interior-x1 pass, which writes trust for
-    the open duals alone; it reads the interior-x2 maxima from the first
-    pass, the same bits wherever that pass's maximizer is interior, and
-    recomputes only the entries whose maximizer sits on an x2 edge.
+    trusted exactly when the interior maximum reaches the full maximum. The
+    pass over x (x2 in 2D) is ``_maxplus_joined``, which also returns the
+    interior maxima, so in 1D trust is one comparison per dual. In 2D a first
+    maximizer interior on both axes proves trust, and one at the last x1
+    index refutes it: no earlier index ties it, and interior maxima never
+    exceed full ones. Every other dual is *open*; only the ``s2`` columns
+    holding one take the interior-x1 pass, over the first pass's interior-x2
+    maxima, which writes trust for the open duals alone.
     """
     n = f.grid.counts
     if f.grid.dim == 1:
-        xs = f.grid.axes[0]
-        ss = dual_grid.axes[0]
-        fv = f.flat[None, :]
-        vals, arg = _maxplus(xs, fv, ss)
-        vals, arg = vals[0], arg[0]
-        trusted = (arg > 0) & (arg < n[0] - 1)
-        redo = np.flatnonzero(arg == 0)
-        if redo.size:
-            iv, _ = _maxplus(xs[1:-1], fv[:, 1:-1], ss[redo])
-            trusted[redo] = iv[0] >= vals[redo]
+        vals, arg, iv = _maxplus_joined(f.grid.axes[0], f.flat[None, :],
+                                        dual_grid.axes[0])
+        vals, arg, trusted = vals[0], arg[0], iv[0] >= vals[0]
     elif f.grid.dim == 2:
         x1, x2 = f.grid.axes
         s1, s2 = dual_grid.axes
-        fv = f.values
-        g, a2p = _maxplus(x2, fv, s2)                 # (n1, m2)
-        v, a1 = _maxplus(x1, -g.T, s1)                # (m2, m1)
-        a2 = a2p[a1, np.arange(s2.size)[:, None]]     # (m2, m1)
+        g, a2p, g_int = _maxplus_joined(x2, f.values, s2)   # (n1, m2)
+        v, a1 = _maxplus(x1, -g.T, s1)                      # (m2, m1)
+        a2 = a2p[a1, np.arange(s2.size)[:, None]]           # (m2, m1)
         trusted = (a1 > 0) & (a1 < n[0] - 1) & (a2 > 0) & (a2 < n[1] - 1)
         open_ = ~trusted & (a1 < n[0] - 1)
         cols = np.flatnonzero(open_.any(axis=1))
         if cols.size:
-            # interior-x2 maxima: the first pass's wherever its maximizer is
-            # interior, recomputed over x2[1:-1] where it sits on an edge
-            g_int = g[1:-1, cols]
-            rows, k = np.nonzero(np.isin(a2p[1:-1, cols], (0, n[1] - 1)))
-            g_int[rows, k] = _maxplus_rows(x2[1:-1], fv[1:-1, 1:-1], rows,
-                                           s2[cols[k]])
-            iv, _ = _maxplus(x1[1:-1], -g_int.T, s1)
+            iv, _ = _maxplus(x1[1:-1], -g_int[1:-1, cols].T, s1)
             trusted[cols] |= open_[cols] & (iv >= v[cols])
         trusted = trusted.T.ravel()
         arg = (a1 * n[1] + a2).T.ravel()

@@ -453,3 +453,70 @@ def test_report_independent_of_row_blocks(eid, draw, monkeypatch):
         assert len(evaluated) <= len(visited) + 2 * (block - 1)
     assert reports[0] == reports[1] == reports[2]
     assert_disclaimers_visited(reports[0], visited, duals)
+
+
+def strictness_loop(f, points):
+    """The per-segment loop the strictness proxy ran before its one array
+    pass: (witness of the first failing segment, segments counted)."""
+    grid, fv = f.grid, f.flat
+    xs = np.asarray(points, dtype=np.int64)
+    ends = [(grid.shift(xs, ax, -k), grid.shift(xs, ax, k))
+            for ax in range(grid.dim) for k in classify_module._SEGMENT_STEPS]
+    wit, n = None, 0
+    for i, x in enumerate(points):
+        fx = fv[x]
+        for u, v in ((int(lo[i]), int(hi[i])) for lo, hi in ends):
+            if u < 0 or v < 0 or not (np.isfinite(fv[u]) and np.isfinite(fv[v])):
+                continue
+            n += 1
+            eps = DEFAULT_TOLS.delta0(abs(fx))
+            if fx >= 0.5 * (fv[u] + fv[v]) - eps and wit is None:
+                wit = {"midpoint": classify_module.grid_point_dict(grid, x),
+                       "endpoints": [classify_module.grid_point_dict(grid, u),
+                                     classify_module.grid_point_dict(grid, v)]}
+    return wit, n
+
+
+def strictness_cases():
+    """The catalog, then 20 seeded 1D and 2D functions, each at offsets 0,
+    3.7 and -250: rough with +inf holes, piecewise-linear convex (boxed in
+    1D), strongly convex, and strongly convex quantized (ties) with holes."""
+    for e in entries():
+        yield e.id, e.build(), e.dual_grid
+    rng = np.random.default_rng(35)
+    for i in range(20):
+        kind = i // 2 % 5
+        if i % 2:
+            g, d = ll.grid_2d(-2.0, 2.0, 31), ll.grid_2d(-3.0, 3.0, 61)
+            convex = random_convex_2d(rng, g, strongly=kind > 2, n_planes=4)
+        else:
+            g, d = ll.grid_1d(-2.0, 2.0, 101), ll.grid_1d(-3.0, 3.0, 121)
+            convex = random_convex_1d(rng, g, strongly=kind > 2,
+                                      boxed=kind == 2)
+        if kind == 0:
+            v = random_grid_function(rng, g, inf_frac=0.2).values
+        elif kind == 4:
+            v = np.round(4.0 * convex.values) / 4.0
+            v[rng.random(g.shape) < 0.1] = np.inf
+        else:
+            v = convex.values
+        for off in (0.0, 3.7, -250.0):
+            yield f"random {i} {off:+}", ll.GridFunction(g, v + off), d
+
+
+def test_strictness_proxy_equals_per_segment_loop():
+    """Verdict, witness and segment count of the strictness proxy equal the
+    per-segment loop over the report's own subdifferentiable points."""
+    for name, f, d in strictness_cases():
+        ses = _Session(f, d, ll.NormChoice.L2)
+        got = ses.report.verdicts["essentially_strictly_convex"]
+        plan = default_sample_plan(f, ses.conj)
+        points = [x for x in plan.primal if f.domain_flat[x]
+                  and ses.witness_duals(x, classify_module._MAX_WITNESS_DUALS)]
+        wit, n = strictness_loop(f, points)
+        assert got.samples == n, name
+        if wit is None:   # only a preimage-boundedness witness can remain
+            assert got.witness is None or "midpoint" not in got.witness, name
+            assert got.verdict == (got.witness is None), name
+        else:
+            assert (got.verdict, got.witness) == (False, wit), name

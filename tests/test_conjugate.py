@@ -429,9 +429,10 @@ def open_columns(res):
 
 def test_2d_trust_reruns_only_open_columns(monkeypatch):
     """A 2D biconjugate never passes the interior-x2 slab to ``_maxplus``
-    (the interior-x2 maxima come from the first pass), and its interior-x1
-    passes take only the columns that hold an open dual, here fewer than
-    the earlier rule re-ran."""
+    (the interior-x2 maxima come from the first pass, which each conjugate
+    runs once, over every x1 row and the interior x2 points), and its
+    interior-x1 passes take only the columns that hold an open dual, here
+    fewer than the earlier rule re-ran."""
     g = ll.grid_2d(-1.5, 1.5, 21)
     d = ll.grid_2d(-3.0, 3.0, 17)
     f = random_grid_function(np.random.default_rng(12), g, inf_frac=0.1)
@@ -450,9 +451,14 @@ def test_2d_trust_reruns_only_open_columns(monkeypatch):
         slab = fn.values[1:-1, 1:-1]
         assert not any(F.shape == slab.shape and np.array_equal(F, slab)
                        for _, F in calls)
+        first = fn.values[:, 1:-1]
+        is_first = [F.shape == first.shape and np.array_equal(F, first)
+                    for _, F in calls]
+        assert sum(is_first) == 1
         x1_inner = fn.grid.axes[0][1:-1]
-        seen = [F.shape[0] for xs, F in calls
-                if xs.shape == x1_inner.shape and np.array_equal(xs, x1_inner)]
+        seen = [F.shape[0] for (xs, F), skip in zip(calls, is_first)
+                if not skip and xs.shape == x1_inner.shape
+                and np.array_equal(xs, x1_inner)]
         assert seen == [open_columns(res)[0].size]
     opened, rerun = open_columns(second)
     assert 0 < opened.size < rerun.size
@@ -514,7 +520,7 @@ def maxplus_case(draw):
     F[rng.random(F.shape) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = math.inf
     if draw(st.booleans()):
         F[rng.integers(rows)] = math.inf
-    if draw(st.booleans()):   # a sorted subset, as the 1D index-0 redo takes
+    if draw(st.booleans()):   # a sorted, non-uniform subset of the dual axis
         keep = rng.random(ss.size) < rng.uniform(0.2, 0.9)
         keep[rng.integers(ss.size)] = True
         ss = ss[keep]
@@ -531,6 +537,23 @@ def test_windowed_maxplus_equals_dense_reference(case, windowed):
         got = _maxplus(xs, F, ss)
     for a, b in zip(got, dense_maxplus(xs, F, ss)):
         np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=maxplus_case(), windowed=st.booleans())
+def test_joined_maxplus_equals_dense_reference(case, windowed):
+    """The interior pass joined with the two edge points equals the dense
+    pass over all of xs (values with their sign bits, first argmax), and
+    its interior values the dense pass over xs[1:-1]."""
+    xs, F, ss = case
+    with windowed_from(0 if windowed else C._MAXPLUS_WINDOWED_MIN):
+        vals, arg, iv = C._maxplus_joined(xs, F, ss)
+    want, want_arg = dense_maxplus(xs, F, ss)
+    want_iv, _ = dense_maxplus(xs[1:-1], F[:, 1:-1], ss)
+    np.testing.assert_array_equal(arg, want_arg)
+    for a, b in ((vals, want), (iv, want_iv)):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 def calls_to_windowed(monkeypatch):
