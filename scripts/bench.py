@@ -13,7 +13,10 @@ bytecode cache and their set-up times compare like with like. The tree
 order flips every round, so drift on a shared machine hits both sides
 alike. The JSON written to ``--out`` holds
 the machine (CPU count and model, Python, numpy and scipy versions, scipy
-null when it is not installed, git HEAD, load averages) and, per tree,
+null when it is not installed, git HEAD, load averages, and whether two
+forked processes run side by side: the wall time of two spin loops of
+about 0.2 s, one per process, over one loop's, unpinned and pinned to
+disjoint CPUs, null on one usable CPU) and, per tree,
 the median, quartiles and raw runs of every timing and metric plus the
 sha256 of the verify-paper manifest.
 
@@ -109,6 +112,53 @@ def _cpu_model() -> str | None:
     return platform.processor() or None
 
 
+def _spin_s(n: int) -> float:
+    """Wall time of an ``n``-step Python loop."""
+    start = time.perf_counter()
+    x = 0
+    for i in range(n):
+        x += i
+    return time.perf_counter() - start
+
+
+def _two_spins_s(n: int, pin: bool) -> float:
+    """Wall time of ``_spin_s(n)`` in this process and a forked child at
+    once; if ``pin``, this process runs on the first usable CPU and the
+    child on the others."""
+    caller = os.sched_getaffinity(0)
+    cpus = sorted(caller)
+    start = time.perf_counter()
+    if (pid := os.fork()) == 0:
+        try:
+            if pin:
+                os.sched_setaffinity(0, cpus[1:])
+            _spin_s(n)
+        finally:
+            os._exit(0)
+    try:
+        if pin:
+            os.sched_setaffinity(0, cpus[:1])
+        _spin_s(n)
+    finally:
+        os.waitpid(pid, 0)
+        os.sched_setaffinity(0, caller)
+    return time.perf_counter() - start
+
+
+def _fork_parallelism() -> dict | None:
+    """Two forked spin loops over one, unpinned and pinned: near 1 when
+    the two processes run side by side, near 2 when they share a CPU."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    n = 1 << 16
+    while (one := _spin_s(n)) < 0.05:
+        n *= 2
+    n = int(n * 0.2 / one)
+    one = _spin_s(n)
+    return {"loop_s": one, "unpinned": _two_spins_s(n, False) / one,
+            "pinned": _two_spins_s(n, True) / one}
+
+
 def _machine() -> dict:
     import numpy
     try:    # scipy is a test-only dependency; the package runs without it
@@ -123,7 +173,8 @@ def _machine() -> dict:
             "scipy": None if scipy is None else scipy.__version__,
             "git_head": _git("rev-parse", "HEAD"),
             "git_dirty": None if status is None else bool(status),
-            "loadavg": list(os.getloadavg())}
+            "loadavg": list(os.getloadavg()),
+            "fork_spin_ratio": _fork_parallelism()}
 
 
 def _parse_tree(arg: str) -> tuple[str, Path]:

@@ -6,19 +6,31 @@ estimation, shell-infimum moduli of firm subdifferentiability / total
 convexity / well-posedness, a convexity-hierarchy classifier, and
 relative-projection experiments on grid sets.
 
-``LL_THREADS=<n>`` caps the BLAS and OpenMP thread pools. The cap is set
-here, before any submodule imports numpy, because the pools are sized when
-numpy loads; it has no effect if numpy was imported first, and it never
-overrides a thread variable that is already set. ``LL_THREADS=1`` also
-keeps ``verify-paper`` in one process (read when each run starts).
+``LL_THREADS=<n>`` caps the BLAS and OpenMP thread pools. Only a positive
+decimal integer caps anything: any other value, such as ``0`` or ``abc``,
+is ignored here and by ``verify-paper``, and is not copied into the thread
+variables. The cap is set here, before any submodule imports numpy,
+because the pools are sized when numpy loads; it has no effect if numpy
+was imported first, and it never overrides a thread variable that is
+already set. ``LL_THREADS`` also caps the CPUs ``verify-paper`` uses
+(read when each run starts): under ``LL_THREADS=1`` it runs in one
+process.
 """
 
 import os as _os
 
-if _os.environ.get("LL_THREADS"):
+
+def _thread_cap() -> int | None:
+    """``LL_THREADS`` as a positive decimal integer, or None for any other
+    value (unset included), which caps nothing."""
+    cap = _os.environ.get("LL_THREADS", "")
+    return int(cap) if cap.isascii() and cap.isdigit() and int(cap) else None
+
+
+if _cap := _thread_cap():
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["LL_THREADS"])
+        _os.environ.setdefault(_var, str(_cap))
 
 from .catalog import CatalogEntry, entries, entry, make_set
 from .classify import (ClassificationReport, SamplePlan, classify,

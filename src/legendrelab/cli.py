@@ -2,9 +2,10 @@
 
 Subcommands: conjugate, classify, modulus, project, tchebychev,
 verify-paper. Exit codes: 0 all checked properties hold, 1 a property
-failed, 2 usage error. Set LL_THREADS to cap BLAS thread pools (applied
-when the package is imported, see ``legendrelab``); LL_THREADS=1 also
-keeps verify-paper in one process.
+failed, 2 usage error. Set LL_THREADS to a positive integer to cap BLAS
+thread pools (applied when the package is imported, see ``legendrelab``;
+any other value is ignored); LL_THREADS=1 also keeps verify-paper in one
+process.
 """
 
 from __future__ import annotations

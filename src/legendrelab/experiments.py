@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _thread_cap
 from .catalog import (CONVEX_SET_NAMES, NONCONVEX_SET_NAMES, CatalogEntry,
                       entries, entry, finite_difference_hessian,
                       fourth_root_well, fourth_root_well_hessian,
@@ -158,26 +158,32 @@ def run_lemma1(seed: int, sessions: dict) -> _Outcome:
                             "entries": per_entry}, {}
 
 
-def run_cor3_chain(seed: int, sessions: dict) -> _Outcome:
-    """Implication chain across the catalog and random convex functions."""
-    rows = []
-    ok = True
-    for e in entries():
-        rep = _session(e, sessions).report
-        rows.append({"function": e.id, "chain_ok": rep.chain_ok,
-                     "verdicts": rep.truth()})
-        ok = ok and rep.chain_ok
+def _chain_row(name: str, report) -> dict:
+    return {"function": name, "chain_ok": report.chain_ok,
+            "verdicts": report.truth()}
 
+
+def _random_chain_rows(seed: int) -> list[dict]:
+    """cor3-chain's rows of 20 random convex functions, which build no
+    catalog session."""
     rng = np.random.default_rng(seed)
     g = grid_1d(-2.0, 2.0, 201)
     d = grid_1d(-3.0, 3.0, 241)
+    rows = []
     for i in range(20):
         f = random_convex_1d(rng, g, strongly=bool(i % 2), boxed=(i % 3 == 0),
                              name=f"random_convex_{i}")
-        rep = classify(f, d)
-        rows.append({"function": f.name, "chain_ok": rep.chain_ok,
-                     "verdicts": rep.truth()})
-        ok = ok and rep.chain_ok
+        rows.append(_chain_row(f.name, classify(f, d)))
+    return rows
+
+
+def run_cor3_chain(seed: int, sessions: dict,
+                   random_rows: list[dict] | None = None) -> _Outcome:
+    """Implication chain across the catalog and random convex functions;
+    ``random_rows`` are ``_random_chain_rows(seed)`` if already made."""
+    rows = [_chain_row(e.id, _session(e, sessions).report) for e in entries()]
+    rows += _random_chain_rows(seed) if random_rows is None else random_rows
+    ok = all(row["chain_ok"] for row in rows)
     return ok, {"n_functions": len(rows), "rows": rows}, {}
 
 
@@ -255,12 +261,13 @@ EXPERIMENT_NAMES = tuple(_RUNNERS)
 _LANE = ("cor4", "prop6")
 
 
-def _run(name: str, out: Path, seed: int, sessions: dict) -> ExperimentResult:
+def _run(name: str, out: Path, seed: int, sessions: dict,
+         *args) -> ExperimentResult:
     """Run one experiment and write its artifacts: ``<stem>.json``, the
     header (kind, name, passed) and the runner's body, then one
     ``<stem>_<key>.csv`` per curve, where the stem is the name with dashes
-    as underscores."""
-    passed, body, curves = _RUNNERS[name](seed, sessions)
+    as underscores. ``args`` go to the runner after the session dict."""
+    passed, body, curves = _RUNNERS[name](seed, sessions, *args)
     stem = name.replace("-", "_")
     summary = {"kind": "experiment", "name": name, "passed": passed, **body}
     arts = [out / f"{stem}.json"]
@@ -271,50 +278,105 @@ def _run(name: str, out: Path, seed: int, sessions: dict) -> ExperimentResult:
     return ExperimentResult(name, passed, summary, arts)
 
 
-def _run_lane(names, out: Path, seed: int, sessions: dict) -> dict | BaseException:
-    """``{name: result}`` of ``names`` run and written in order, or the
-    error to raise."""
+def _attempt(step: Callable, *args):
+    """``step(*args)``, or the error it raised."""
     try:
-        return {name: _run(name, out, seed, sessions) for name in names}
+        return step(*args)
     except BaseException as err:
         return err
 
 
+def _parent_lane(out: Path, seed: int, sessions: dict) -> dict:
+    """The forked run's work in this process: every experiment but
+    ``_LANE`` and cor3-chain, then the catalog reports cor3-chain reads."""
+    done = {name: _run(name, out, seed, sessions) for name in EXPERIMENT_NAMES
+            if name not in (*_LANE, "cor3-chain")}
+    for e in entries():
+        _session(e, sessions).report
+    return done
+
+
+def _child_lane(out: Path, seed: int) -> tuple[dict, list[dict]]:
+    """The forked child's work: ``_LANE`` run and written, and the rows of
+    cor3-chain's random functions."""
+    return ({name: _run(name, out, seed, {}) for name in _LANE},
+            _random_chain_rows(seed))
+
+
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, best effort: where the system
+    refuses, it runs on as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _run_forked(out: Path, seed: int, caller: set[int],
+                usable: list[int]) -> dict:
+    """``{name: result}`` of every experiment, run in two lanes.
+
+    This process, pinned to the first of the ``usable`` CPUs, builds every
+    catalog session; a forked child, pinned to the others, runs ``_LANE``
+    and classifies cor3-chain's random functions, which it sends back
+    through a pipe with its results. cor3-chain is written once the child
+    is reaped. The first error of this process's lane, else the child's,
+    is raised. Where the system refuses a pin, that lane runs unpinned;
+    this process's affinity is reset to ``caller`` on every way out."""
+    sessions: dict[str, _Session] = {}
+    _pin(usable[:1])
+    try:
+        r, w = os.pipe()
+        with open(r, "rb") as reader, open(w, "wb") as writer:
+            if (pid := os.fork()) == 0:   # leaves by os._exit, flushing no stdio
+                try:
+                    _pin(usable[1:])
+                    with writer:
+                        pickle.dump(_attempt(_child_lane, out, seed), writer)
+                finally:
+                    os._exit(0)
+            writer.close()
+            here = _attempt(_parent_lane, out, seed, sessions)
+            data = reader.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        _pin(caller)
+    child = pickle.loads(data) if data else LegendreLabError(
+        f"the {' and '.join(_LANE)} process ended without a result "
+        f"(wait status {status})")
+    for lane in (here, child):
+        if isinstance(lane, BaseException):
+            raise lane
+    done, random_rows = child
+    done.update(here)
+    done["cor3-chain"] = _run("cor3-chain", out, seed, sessions, random_rows)
+    return done
+
+
 def run_experiments(which: str, out_dir: str | Path,
                     seed: int = 42) -> tuple[bool, list[ExperimentResult]]:
-    """Run one experiment or all; writes a manifest either way. On two usable
-    CPUs (``LL_THREADS`` caps them) "all" forks a child for ``_LANE``."""
+    """Run one experiment or all; writes a manifest either way.
+
+    When two CPUs are usable (the process's CPU affinity, the first
+    ``LL_THREADS`` of them if that is a positive integer), "all" runs in
+    two lanes, each pinned to its own usable CPUs (``_run_forked``): a
+    forked child runs prop6 and cor4 and classifies cor3-chain's random
+    functions, and this process does the rest. The caller's affinity is
+    restored however the run ends."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise IoFailureError(str(err)) from err
     names = list(EXPERIMENT_NAMES) if which == "all" else [which]
-    sessions: dict[str, _Session] = {}
-    cap = os.environ.get("LL_THREADS", "")    # read per call, not on import
-    if which != "all" or not hasattr(os, "sched_getaffinity") or min(
-            len(os.sched_getaffinity(0)), int(cap) if cap.isdigit() else 2) < 2:
-        lanes = [_run_lane(names, out, seed, sessions)]
+    caller = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+              else set())
+    usable = sorted(caller)[:_thread_cap()]    # read per call, not on import
+    if which != "all" or len(usable) < 2:
+        sessions: dict[str, _Session] = {}
+        done = {name: _run(name, out, seed, sessions) for name in names}
     else:   # platforms with sched_getaffinity have fork
-        r, w = os.pipe()
-        if (pid := os.fork()) == 0:   # leaves by os._exit, flushing no stdio
-            try:
-                with open(w, "wb") as pipe:
-                    pickle.dump(_run_lane(_LANE, out, seed, {}), pipe)
-            finally:
-                os._exit(0)
-        os.close(w)
-        rest = [name for name in names if name not in _LANE]
-        lanes = [_run_lane(rest, out, seed, sessions)]
-        with open(r, "rb") as pipe:
-            data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        lanes.append(pickle.loads(data) if data else LegendreLabError(
-            f"the {' and '.join(_LANE)} process ended without a result "
-            f"(wait status {status})"))
-    if err := next((x for x in lanes if isinstance(x, BaseException)), None):
-        raise err
-    done = {name: res for lane in lanes for name, res in lane.items()}
+        done = _run_forked(out, seed, caller, usable)
     results = [done[name] for name in names]
     paths = [path for res in results for path in res.artifacts]
     passed = all(r.passed for r in results)

@@ -489,15 +489,29 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from Linux procfs")
 def test_ll_threads_caps_threads_at_import():
-    env = {k: v for k, v in cli_env().items() if k not in THREAD_VARS}
-    env["LL_THREADS"] = "1"
-    code = ("import legendrelab\n"
+    """A positive integer is copied into the thread variables before numpy
+    loads, so the process starts the threads it would start with them set
+    to that value; any other value is ignored: nothing is copied, and it
+    starts the threads it would start without ``LL_THREADS``."""
+    base = {k: v for k, v in cli_env().items()
+            if k not in (*THREAD_VARS, "LL_THREADS")}
+    code = ("import os, legendrelab\n"
+            f"print([os.environ.get(v) for v in {THREAD_VARS!r}])\n"
             "print(next(line.split()[1] for line in open('/proc/self/status')"
             " if line.startswith('Threads:')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
+
+    def run(env):
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split("\n")[:2]
+
+    for value, cap in (("1", "1"), ("2", "2"), ("0", None), ("abc", None)):
+        got = run({**base, "LL_THREADS": value})
+        assert got == run({**base, **dict.fromkeys(THREAD_VARS, cap)} if cap
+                          else base), value
+        assert got[0] == str([cap] * len(THREAD_VARS)), value
+        assert value != "1" or got[1] == "1"
 
 
 def test_import_loads_no_scipy():
