@@ -284,18 +284,12 @@ class BiconjugateResult:
     star: ConjugateResult     # the first conjugate f* on the dual grid
 
 
-def bicon_tolerance(f: GridFunction) -> float:
-    """First-order conjugation error bound: 4 * h_max * Lipschitz estimate."""
-    scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
-    return max(DEFAULT_TOLS.bicon_c * f.grid.max_spacing * f.lipschitz_hat(),
-               DEFAULT_TOLS.delta0(scale))
-
-
 def biconjugate(f: GridFunction, dual_grid: Grid) -> BiconjugateResult:
     """Double conjugation f**; flags whether f was already convex lsc."""
     star = conjugate_fast(f, dual_grid)
     second = conjugate_fast(star.dual, f.grid)
-    tol = bicon_tolerance(f)
+    scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
+    tol = DEFAULT_TOLS.bicon(f.grid.max_spacing, f.lipschitz_hat(), scale)
     compare = second.trusted & f.domain_flat
     if compare.any():
         max_gap = float(np.abs(second.dual.flat[compare] - f.flat[compare]).max())

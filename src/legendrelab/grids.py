@@ -167,13 +167,6 @@ class Grid:
         """Half-diagonal style bound: largest axis extent."""
         return max(hi - lo for lo, hi in self.bounds)
 
-    def cell_diagonal(self, norm: NormChoice = NormChoice.L2) -> float:
-        return self._cell_diagonals[norm]
-
-    @cached_property
-    def _cell_diagonals(self) -> dict[NormChoice, float]:
-        return {n: float(n.length(np.array(self.spacing))) for n in NormChoice}
-
     def lengths(self, norm: NormChoice) -> np.ndarray:
         """Norm of every grid point, in flat order; computed once per norm."""
         if norm not in self._lengths:

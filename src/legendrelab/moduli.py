@@ -95,6 +95,10 @@ def _edge_descent(grid: Grid, values: np.ndarray, cluster: np.ndarray,
 # so a 201-point 1D grid takes 81 rows a block and a 121^2 grid one.
 _ROW_BLOCK = 1 << 14
 
+# Depth of the total-convexity ray quotients: multiples of the primitive
+# step taken along each ray.
+_K_DD = 4
+
 
 def _by_blocks(grid: Grid, n_rows: int,
                evaluate: Callable[[slice], tuple[list, list]],
@@ -171,7 +175,7 @@ def _verdicts(radii: np.ndarray, values: np.ndarray, empty: np.ndarray,
     # cannot move it across the floor. A single sample has no chord tail:
     # it decides alone, positive iff v0 > delta0(t0).
     vacuous = (True, None, "vacuous: no domain point in any usable shell")
-    cut = DEFAULT_TOLS.cert_min_radius(spacing) if spacing > 0 else -math.inf
+    cut = DEFAULT_TOLS.cert_min_radius(spacing)
     sel = ~empty & np.isfinite(values) & (radii >= cut)
     if not sel.any():
         return [vacuous] * len(values)
@@ -268,31 +272,30 @@ def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
     for x, v in zip(xs.tolist(), fx):
         if not np.isfinite(v):
             raise PointOutsideDomainError(f"f is +inf at flat index {x}")
-    k_dd = DEFAULT_TOLS.k_dd
-    st = _ray_stencil(grid, norm, k_dd)
+    st = _ray_stencil(grid, norm, _K_DD)
     origin = _origins(grid, xs)
     rows = np.arange(xs.size)
     g = st.g[origin].reshape(-1, n)
     step_len = st.step_len[origin].reshape(-1, n)
 
-    # ray quotients over the first k_dd multiples of the primitive step, read
+    # ray quotients over the first _K_DD multiples of the primitive step, read
     # from f laid on the lattice about each base point: off the grid and off
     # the lattice (the pad slot) read +inf, so neither is admissible nor a
     # finite quotient
     lattice = np.full((xs.size, st.slots), math.inf)
     lat = lattice[:, :-1].reshape(-1, *(2 * c - 1 for c in grid.counts))
     _windows(lat, grid, writeable=True)[(rows, *origin)] = f.values
-    hops = st.hops[(slice(None), *origin)].reshape(k_dd, -1, n)
+    hops = st.hops[(slice(None), *origin)].reshape(_K_DD, -1, n)
     hops += (st.slots * rows[:, None]).astype(hops.dtype)
     vals = lattice.ravel()[hops]
-    ks = np.arange(1, k_dd + 1)[:, None, None]
+    ks = np.arange(1, _K_DD + 1)[:, None, None]
     adm = np.isfinite(vals)
     quot = (vals - fx[:, None]) / (ks * step_len)
 
     # reduce over k with k leading a 2D array: numpy is slow on (k, R, n)
-    closer_ray = (adm & (ks < np.minimum(g, k_dd + 1))).reshape(k_dd, -1).any(axis=0)
+    closer_ray = (adm & (ks < np.minimum(g, _K_DD + 1))).reshape(_K_DD, -1).any(axis=0)
     ray_ok = (g >= 2) & closer_ray.reshape(-1, n)
-    fprime_ray = quot.reshape(k_dd, -1).min(axis=0).reshape(-1, n)
+    fprime_ray = quot.reshape(_K_DD, -1).min(axis=0).reshape(-1, n)
     with np.errstate(invalid="ignore"):     # inf - inf where a step is not admissible
         fprime_ray = np.where(adm[0] & adm[1],
                               np.minimum(fprime_ray, 2.0 * quot[0] - quot[1]),
@@ -307,7 +310,7 @@ def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
     on_grid = nbrs >= 0
     at = np.maximum(nbrs, 0) + n * rows[:, None, None]
     axis_q = np.where(on_grid, fprime_ray.ravel()[at], math.inf)
-    axis_cnt = np.where(on_grid, adm.reshape(k_dd, -1)[:, at].sum(axis=0), 0)
+    axis_cnt = np.where(on_grid, adm.reshape(_K_DD, -1)[:, at].sum(axis=0), 0)
 
     # axis decomposition: the offset's component along each axis picks that
     # axis's quotient by sign, so every term is a per-axis vector broadcast

@@ -7,8 +7,8 @@ import legendrelab as ll
 from legendrelab.catalog import (entries, entry, finite_difference_hessian,
                                  fourth_root_well, fourth_root_well_hessian,
                                  fourth_root_well_hessian_det, sqrt_well)
-from legendrelab.conjugate import bicon_tolerance
 from legendrelab.errors import PointOutsideDomainError
+from legendrelab.tolerances import DEFAULT_TOLS
 
 from conftest import brute_conjugate_values
 
@@ -94,7 +94,9 @@ def test_analytic_conjugates_match_transform(e):
     f = e.build()
     res = ll.conjugate_fast(f, e.dual_grid)
     expected = e.conjugate_analytic(e.dual_grid.points)
-    tol = max(bicon_tolerance(f), 1e-7)
+    scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
+    tol = max(DEFAULT_TOLS.bicon(f.grid.max_spacing, f.lipschitz_hat(), scale),
+              1e-7)
     sel = res.trusted & np.isfinite(expected)
     assert sel.any()
     assert np.abs(res.dual.flat[sel] - expected[sel]).max() <= tol

@@ -289,8 +289,10 @@ def bicon_cases():
 
 
 def test_bicon_tolerance_matches_per_axis_slope_loop():
-    """``lipschitz_hat`` reads the cached one-step slopes, which divide by
-    coordinate differences rather than the nominal spacing h. A coordinate
+    """``biconjugate`` cuts at ``Tolerances.bicon`` with the largest |f| on
+    the domain as scale. ``lipschitz_hat`` reads the cached one-step
+    slopes, which divide by coordinate differences rather than the nominal
+    spacing h. A coordinate
     lo + k h rounds twice, by at most one ulp of the grid extent in all, so
     a coordinate step is h up to two such ulps: tol_bicon moves by that
     relative amount plus a few roundings, and no consistency verdict
@@ -300,9 +302,10 @@ def test_bicon_tolerance_matches_per_axis_slope_loop():
         assert f.lipschitz_hat() == float(f.local_slopes.max()), name
         bic = ll.biconjugate(f, d)
         scale = float(np.abs(f.flat[f.domain_flat]).max(initial=0.0))
-        want = max(DEFAULT_TOLS.bicon_c * f.grid.max_spacing
-                   * lipschitz_per_axis_loop(f),
-                   DEFAULT_TOLS.eps_fp * (1.0 + scale))
+        assert bic.tol_bicon == DEFAULT_TOLS.bicon(
+            f.grid.max_spacing, f.lipschitz_hat(), scale), name
+        want = DEFAULT_TOLS.bicon(f.grid.max_spacing,
+                                  lipschitz_per_axis_loop(f), scale)
         extent = max(abs(lo) + abs(hi) for lo, hi in f.grid.bounds)
         rel = 2 * np.spacing(extent) / min(f.grid.spacing) + 8 * eps
         assert abs(bic.tol_bicon - want) <= rel * want, name

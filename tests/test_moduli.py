@@ -714,7 +714,7 @@ def test_member_ladder_equals_masked_on_random_masks(problem, norm):
 
 # -- total convexity against the per-axis loop ------------------------------
 
-def total_convexity_per_axis_loop(f, x_flat, norm, tols=DEFAULT_TOLS):
+def total_convexity_per_axis_loop(f, x_flat, norm):
     """Reference: the total-convexity modulus with its per-axis quotients
     gathered by a loop over both directions of every axis (no ray arrays)."""
     fx = f.value_at(x_flat)
@@ -725,7 +725,7 @@ def total_convexity_per_axis_loop(f, x_flat, norm, tols=DEFAULT_TOLS):
     base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
     spacing = np.asarray(grid.spacing)
     fv = f.flat
-    k_dd = tols.k_dd
+    k_dd = moduli._K_DD
 
     def flat_of(pos):
         return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
@@ -850,7 +850,7 @@ def total_convexity_per_call(f, x_flat, norm, radii=None):
     base = np.asarray(grid.unravel_index(x_flat), dtype=np.int64)
     spacing = np.asarray(grid.spacing)
     fv = f.flat
-    k_dd = DEFAULT_TOLS.k_dd
+    k_dd = moduli._K_DD
 
     def flat_of(pos):
         return np.ravel_multi_index(tuple(np.clip(pos, 0, shape - 1).T),
@@ -970,11 +970,11 @@ def test_total_convexity_stencil_equals_per_call_on_random_functions(problem, no
 
 def test_ray_stencil_is_cached_and_read_only():
     grid = ll.grid_2d(-2.0, 2.0, 5, -1.0, 3.0, 3)
-    arrays = grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd)
-    assert grids._ray_stencil(grid, ll.NormChoice.L1, DEFAULT_TOLS.k_dd) is arrays
+    arrays = grids._ray_stencil(grid, ll.NormChoice.L1, moduli._K_DD)
+    assert grids._ray_stencil(grid, ll.NormChoice.L1, moduli._K_DD) is arrays
     # one 5 x 3 window at each of the 5 x 3 origins of the 9 x 5 lattice
     assert arrays.g.shape == arrays.step_len.shape == (5, 3, 5, 3)
-    assert arrays.hops.shape == (DEFAULT_TOLS.k_dd, 5, 3, 5, 3)
+    assert arrays.hops.shape == (moduli._K_DD, 5, 3, 5, 3)
     assert (arrays.g.dtype, arrays.hops.dtype) == (np.int16, np.int32)
     assert arrays.slots == 9 * 5 + 1
     for a in arrays[:3]:
