@@ -198,13 +198,13 @@ def _box_indicator2(p):
     return np.where(inside, 0.0, math.inf)
 
 
-def _product_well(p: np.ndarray, power: float) -> np.ndarray:
+def _product_well(p: np.ndarray, root: Callable) -> np.ndarray:
     x, y = p[:, 0], p[:, 1]
     inside = (np.abs(x) <= 1.0 + _BOX_TOL) & (np.abs(y) <= 1.0 + _BOX_TOL)
     out = np.full(x.shape, math.inf)
     px = np.clip(1.0 - x[inside] ** 2, 0.0, None)
     qy = np.clip(1.0 - y[inside] ** 2, 0.0, None)
-    out[inside] = -((px * qy) ** power)
+    out[inside] = -root(px * qy)
     return out
 
 
@@ -213,14 +213,16 @@ def fourth_root_well(p: np.ndarray) -> np.ndarray:
 
     The product is clamped at 0 from above near the box edge: coordinates
     meant to land on +-1 carry rounding, and fourth roots of tiny negative
-    products would be nan.
+    products would be nan. The fourth root is two square roots: sqrt is
+    correctly rounded on every CPU, while the SIMD kernels of ``** 0.25``
+    (np.power) round differently from one another.
     """
-    return _product_well(np.atleast_2d(p), 0.25)
+    return _product_well(np.atleast_2d(p), lambda v: np.sqrt(np.sqrt(v)))
 
 
 def sqrt_well(p: np.ndarray) -> np.ndarray:
     """-sqrt((1-x^2)(1-y^2)) on [-1,1]^2, +inf outside."""
-    return _product_well(np.atleast_2d(p), 0.5)
+    return _product_well(np.atleast_2d(p), np.sqrt)
 
 
 def fourth_root_well_hessian(point: Sequence[float]) -> np.ndarray:

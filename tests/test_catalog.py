@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,31 @@ from legendrelab.catalog import (entries, entry, finite_difference_hessian,
 from legendrelab.errors import PointOutsideDomainError
 from legendrelab.tolerances import DEFAULT_TOLS
 
-from conftest import brute_conjugate_values
+from conftest import brute_conjugate_values, cli_env
+
+
+# numpy's dispatch names for the AVX512 kernels: with them disabled, every
+# ufunc runs the kernel a CPU without AVX512 would run
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+@pytest.mark.parametrize("name", ["fourth_root_well", "sqrt_well"])
+def test_product_wells_do_not_depend_on_simd_dispatch(name):
+    """The well's values on its catalog grid are the same bytes whichever
+    SIMD kernels numpy dispatches to. On a CPU without AVX512, numpy warns
+    that it cannot disable those features and both runs are alike."""
+    code = ("import sys\nfrom legendrelab.catalog import entry\n"
+            f"sys.stdout.buffer.write(entry({name!r}).build().values.tobytes())")
+    runs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512}):
+        env = {k: v for k, v in cli_env().items()
+               if k != "NPY_DISABLE_CPU_FEATURES"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert len(runs[0]) == 8 * entry(name).primal_grid.size
+    assert runs[0] == runs[1]
 
 
 def test_fourth_root_well_values():
