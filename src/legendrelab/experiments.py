@@ -59,8 +59,8 @@ def run_ex1(seed: int, sessions: dict) -> _Outcome:
     """Fourth-root well: Hessian formulas, the zero modulus along the edge,
     and the hierarchy verdicts (firmly subdifferentiable but not totally
     convex on its whole domain)."""
-    e = entry("fourth_root_well")
-    f = e.build()
+    ses = _session(entry("fourth_root_well"), sessions)
+    f = ses.f
     g = f.grid
 
     hess_errs = []
@@ -84,7 +84,7 @@ def run_ex1(seed: int, sessions: dict) -> _Outcome:
     m_center = firm_modulus(f, center, [0.0, 0.0])
     center_pos, _, _ = certification_verdict(m_center)
 
-    report = _session(e, sessions).report
+    report = ses.report
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom"].witness
     wit_on_edge = (wit is not None
@@ -109,8 +109,8 @@ def run_ex1(seed: int, sessions: dict) -> _Outcome:
 def run_ex2(seed: int, sessions: dict) -> _Outcome:
     """Square-root well: not totally convex at the corner of its
     subdifferential domain, yet firmly subdifferentiable there."""
-    e = entry("sqrt_well")
-    f = e.build()
+    ses = _session(entry("sqrt_well"), sessions)
+    f = ses.f
     g = f.grid
     corner = g.index_of_nearest([1.0, 1.0])
 
@@ -119,7 +119,7 @@ def run_ex2(seed: int, sessions: dict) -> _Outcome:
     m_firm = firm_modulus(f, corner, [1.05, 1.05])
     firm_pos, _, _ = certification_verdict(m_firm)
 
-    report = _session(e, sessions).report
+    report = ses.report
     truth = report.truth()
     wit = report.verdicts["totally_convex_on_dom_subdiff"].witness
     wit_corner = (wit is not None

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from legendrelab import cli, experiments
-from legendrelab.catalog import entries
+from legendrelab.catalog import CatalogEntry, entries
 from legendrelab.errors import IoFailureError, LegendreLabError
 
 # the modules (the package's ``classify`` function shadows its module)
@@ -13,8 +13,8 @@ conjugate_module = importlib.import_module("legendrelab.conjugate")
 moduli_module = importlib.import_module("legendrelab.moduli")
 projections_module = importlib.import_module("legendrelab.projections")
 
-# Artifacts of each run alone, and the classifications and sessions (one
-# per catalog entry it reads) it makes.
+# Artifacts of each run alone, and the classifications, sessions and
+# catalog function builds (one each per catalog entry it reads) it makes.
 SINGLE_ARTIFACTS = {
     "ex1": ("ex1.json", "ex1_edge_total_modulus.csv",
             "ex1_center_firm_modulus.csv"),
@@ -26,9 +26,9 @@ SINGLE_ARTIFACTS = {
     "prop6": ("prop6.json",),
     "domain-chain": ("domain_chain.json",),
 }
-SINGLE_COUNTS = {"ex1": (1, 1), "ex2": (1, 1), "lemma1": (0, 6),
-                 "cor3-chain": (36, 36), "cor4": (0, 0), "prop6": (0, 0),
-                 "domain-chain": (0, 16)}
+SINGLE_COUNTS = {"ex1": (1, 1, 1), "ex2": (1, 1, 1), "lemma1": (0, 6, 6),
+                 "cor3-chain": (36, 36, 16), "cor4": (0, 0, 0),
+                 "prop6": (0, 0, 0), "domain-chain": (0, 16, 16)}
 
 # Rows a full seed-42 run passes to each row-core function.
 RUN_ROWS = {"_wellposed_rows": 3104, "_total_rows": 773, "_firm_rows": 1093}
@@ -100,11 +100,22 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def builds(log) -> list[str]:
+    """The catalog ids ``CatalogEntry.build`` was called on, in every
+    process, since ``log`` was last read; empties ``log``."""
+    if not log.exists():
+        return []
+    ids = [line.split()[1] for line in log.read_text().splitlines()]
+    log.unlink()
+    return ids
+
+
 def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
                                                                 monkeypatch):
     """A full run builds one session (f*, f**) per catalog entry and random
     function and classifies each once: ex1, ex2, lemma1, cor3-chain and
-    domain-chain share the catalog sessions, and each full run computes the
+    domain-chain share the catalog sessions, whose functions are the only
+    catalog functions built, and each full run computes the
     pinned row-core rows and clusters tilts only in well-posedness blocks.
     A run alone, or a second run in the same process, starts from nothing
     and writes the same bytes. Under ``LL_THREADS=1`` and for one
@@ -156,6 +167,14 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
             monkeypatch.setattr(module, "_tie_cluster", clustering)
     monkeypatch.setattr(classify_module, "_classify", classifying)
     monkeypatch.setattr(classify_module._Session, "__init__", building)
+    build, build_log = CatalogEntry.build, tmp_path / "builds.log"
+
+    def logging_build(e):       # appends, so a forked child's builds count
+        with open(build_log, "a") as log:
+            log.write(f"{os.getpid()} {e.id}\n")
+        return build(e)
+
+    monkeypatch.setattr(CatalogEntry, "build", logging_build)
     for module in (classify_module, conjugate_module):
         monkeypatch.setattr(module, "biconjugate", conjugating)
     monkeypatch.setenv("LL_THREADS", "1")    # one process: count every row
@@ -177,6 +196,7 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
         assert ncalls == RUN_CALLS
         assert len(calls) == len(set(calls)) == len(entries()) + 20 == 36
         assert sorted(sessions) == sorted(bicons) == sorted(calls)
+        assert sorted(builds(build_log)) == sorted(e.id for e in entries())
         manifests.append((tmp_path / run / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
 
@@ -197,6 +217,7 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     assert ncalls["_tie_cluster"] == ncalls["_wellposed_rows"]
     assert sorted(calls) == sorted(set(calls)) == sorted(e.id for e in entries())
     assert sorted(sessions) == sorted(bicons) == sorted(calls)
+    assert sorted(builds(build_log)) == sorted(e.id for e in entries())
     assert (tmp_path / "forked" / "manifest.json").read_bytes() == manifests[0]
     assert_pinned(tmp_path / "pins.log", pids[0], {0}, {1}, {0, 1})
     assert_no_child()
@@ -206,6 +227,7 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
     passed, _ = experiments.run_experiments("all", tmp_path / "refused", seed=42)
     assert passed and len(pids) == 1
     assert (tmp_path / "refused" / "manifest.json").read_bytes() == manifests[0]
+    assert sorted(builds(build_log)) == sorted(e.id for e in entries())
     assert pins(tmp_path / "refused.log") == []
     assert os.sched_getaffinity(0) == {0, 1}
     assert_no_child()
@@ -216,7 +238,9 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
             counter.clear()
         passed, _ = experiments.run_experiments(name, tmp_path / name, seed=42)
         assert passed
-        assert (len(calls), len(sessions)) == SINGLE_COUNTS[name], name
+        built = builds(build_log)
+        assert (len(calls), len(sessions), len(built)) == SINGLE_COUNTS[name], name
+        assert len(set(built)) == len(built), name
         assert sessions == bicons and len(set(sessions)) == len(sessions)
         for art in artifacts:
             assert ((tmp_path / name / art).read_bytes()
