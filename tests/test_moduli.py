@@ -1021,8 +1021,9 @@ def test_certification_cut_from_recorded_spacing(eid, explicit_radii):
 
 
 def test_hand_built_curve_keeps_every_shell():
-    """A curve built by hand records no step, so nothing is cut; recording
-    one cuts below cert_min_radius of it."""
+    """A curve built by hand records step 0, and cert_min_radius(0) = 0, so
+    nothing is cut; recording a step cuts below cert_min_radius of it."""
+    assert DEFAULT_TOLS.cert_min_radius(0.0) == 0.0
     ts = np.array([0.01, 0.02, 0.5, 1.0, 1.5])
     vs = np.array([0.0, 0.0, 0.2, 0.5, 0.9])
     m = Modulus("firm", 0, ts, vs, np.zeros(5, bool), np.full(5, -1),

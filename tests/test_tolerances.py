@@ -82,16 +82,6 @@ def test_every_cut_equals_its_old_formula_bit_for_bit():
                          OLD[name](*args)), name
 
 
-def test_cert_min_radius_keeps_every_shell_of_a_curve_without_step():
-    """A curve with no recorded step is cut at cert_min_radius(0) = 0, which
-    keeps every shell, however small its positive radius."""
-    assert DEFAULT_TOLS.cert_min_radius(0.0) == 0.0
-    ts = np.array([1e-300, 1e-12, 0.1, 0.2])
-    m = moduli.Modulus("firm", 0, ts, np.ones(4), np.zeros(4, bool),
-                       np.full(4, -1), ll.NormChoice.L2)
-    assert moduli.certification_verdict(m)[1].n_finite == 4
-
-
 def test_tolerances_hold_no_settable_value():
     """``Tolerances`` takes no constructor argument, its instance takes no
     attribute, and the old fields, the separate biconjugation cut and the
