@@ -26,7 +26,7 @@ import numpy as np
 
 from .conjugate import ConjugateResult, biconjugate
 from .grids import Grid, GridFunction, NormChoice
-from .moduli import firm_moduli, total_convexity_moduli, wellposedness_moduli
+from .moduli import _by_blocks, _firm_rows, _total_rows, _wellposed_rows
 from .subdiff import _one_sided, subgradients
 from .tolerances import DEFAULT_TOLS
 
@@ -173,7 +173,7 @@ class _Session:
         bounded by the slack's own scale (|f*(s)| and |s|_1 times the grid
         extent), far below its eps_fp floor. The gap test of
         ``subgradients`` stays in front: on a function with a large offset
-        the tie slack can exceed it, and ``firm_moduli`` rejects a pair
+        the tie slack can exceed it, and ``_firm_rows`` rejects a pair
         above it.
         """
         sub = subgradients(self.f, self.conj, x_flat, self.norm)
@@ -204,7 +204,7 @@ def _first_total_failure(f: GridFunction, points: list[int], norm: NormChoice,
     (None if none is); the certificate note of each point visited becomes
     a disclaimer."""
     for x, (_, (pos, _, note)) in zip(
-            points, total_convexity_moduli(f, points, norm)):
+            points, _by_blocks(_total_rows, f, points, norm=norm)):
         if note:
             disclaimers.add(f"total-convexity certificate at {x}: {note}")
         if not pos:
@@ -234,8 +234,9 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     trusted_any = bool(ses.conj.trusted.any())
     bound = DEFAULT_TOLS.preimage_bound(grid)
     multi_wit = sa_witness = unbounded_wit = None
-    for s_flat, (_, rep) in zip(plan.dual, wellposedness_moduli(
-            f, [dual_grid.point(s) for s in plan.dual], norm)):
+    for s_flat, (_, rep) in zip(plan.dual, _by_blocks(
+            _wellposed_rows, f, [dual_grid.point(s) for s in plan.dual],
+            norm=norm)):
         if sa_witness is None:
             if rep.note:
                 disclaimers.add(f"wellposedness at dual {s_flat}: {rep.note}")
@@ -272,9 +273,9 @@ def _classify(ses: _Session, samples: int = 36) -> ClassificationReport:
     fsd_wit = None
     any_pos = dict.fromkeys(subdiff_points, False)
     pairs = [(x, s) for x in subdiff_points for s in witness_map[x]]
-    for (x, s_flat), (_, (pos, _, note)) in zip(pairs, firm_moduli(
-            f, [x for x, _ in pairs], [dual_grid.point(s) for _, s in pairs],
-            norm)):
+    for (x, s_flat), (_, (pos, _, note)) in zip(pairs, _by_blocks(
+            _firm_rows, f, [x for x, _ in pairs],
+            [dual_grid.point(s) for _, s in pairs], norm=norm)):
         if note:
             disclaimers.add(f"firm certificate at {x}: {note}")
         any_pos[x] = any_pos[x] or pos
@@ -425,7 +426,8 @@ def _agreement(ses: _Session, duals: Sequence[int] | None = None,
         (up if k > 0 else down)[ax, j] = (diff - slack) / dual_grid.spacing[ax]
     smooth = (up + down <= DEFAULT_TOLS.preimage_bound(f.grid)).all(axis=0)
 
-    reps = wellposedness_moduli(f, [dual_grid.point(s) for s in duals], norm)
+    reps = _by_blocks(_wellposed_rows, f, [dual_grid.point(s) for s in duals],
+                      norm=norm)
     probes = tuple(AgreementProbe(grid_point_dict(dual_grid, s), rep.strong,
                                   bool(smooth[s]) and rep.unique_at_resolution,
                                   rep.certificate_positive)

@@ -14,15 +14,15 @@ convexity, (x, s) pairs for firm, tilts for well-posedness), computes
 their gaps, reads the band ids of all rows with one gather of the band
 stencil, takes every shell minimum with one scatter-min by band id and
 decides every certificate in one vectorized pass.
-The one-curve functions are one-row calls of it; ``firm_moduli``,
-``total_convexity_moduli`` and ``wellposedness_moduli`` take many rows
-(``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid points: a loop
-reads rows as they are computed; its ``break`` ends the computation at
-that block. The witness searches of ``projections`` read the tilts of
-each probe stage the same way, as member-set rows in larger blocks of
-their own. Every pairing is one ``Grid.pair``, which rounds an entry
-alike whatever the batch, and each distance one ``norm.length(points -
-point)``, so a row's values are the bits a call of its own gives.
+The one-curve functions are one-row calls of it; ``_by_blocks`` reads
+many rows of it (``classify``'s samples) in blocks of ``_ROW_BLOCK`` grid
+points: a loop reads rows as they are computed; its ``break`` ends the
+computation at that block. The witness searches of ``projections`` read
+the tilts of each probe stage the same way, as member-set rows in larger
+blocks of their own. Every pairing is one ``Grid.pair``, which rounds an
+entry alike whatever the batch, and each distance one
+``norm.length(points - point)``, so a row's values are the bits a call of
+its own gives.
 """
 
 from __future__ import annotations
@@ -100,16 +100,17 @@ _ROW_BLOCK = 1 << 14
 _K_DD = 4
 
 
-def _by_blocks(grid: Grid, n_rows: int,
-               evaluate: Callable[[slice], tuple[list, list]],
-               block: int) -> Iterator[tuple]:
-    """The (curve, verdict) rows ``evaluate`` returns for consecutive slices
-    of ``n_rows`` rows, ``block`` grid points' worth of rows a slice. A
-    slice is computed when its first row is read, so a loop that breaks
-    ends the computation at the end of that slice."""
-    size = max(1, block // grid.size)
-    for lo in range(0, n_rows, size):
-        yield from zip(*evaluate(slice(lo, lo + size)))
+def _by_blocks(rows: Callable[..., tuple[list, list]], f: GridFunction,
+               *columns: Sequence, block: int | None = None,
+               **options) -> Iterator[tuple]:
+    """The (curve, verdict) rows that ``rows(f, *slices, **options)`` returns
+    for consecutive slices of the ``columns``, ``block`` grid points' worth
+    of rows a slice (``_ROW_BLOCK`` if None). A slice is computed when its
+    first row is read, so a loop that breaks ends the computation at the
+    end of that slice."""
+    size = max(1, (_ROW_BLOCK if block is None else block) // f.grid.size)
+    for lo in range(0, len(columns[0]), size):
+        yield from zip(*rows(f, *(c[lo:lo + size] for c in columns), **options))
 
 
 def _shell_minima(vals: np.ndarray, seg: np.ndarray, n: int
@@ -375,28 +376,6 @@ def total_convexity_modulus(f: GridFunction, x_flat: int,
     return _total_rows(f, [x_flat], norm, radii)[0][0]
 
 
-def firm_moduli(f: GridFunction, points: Sequence[int],
-                tilts: Sequence[Sequence[float]],
-                norm: NormChoice = NormChoice.L2
-                ) -> Iterator[tuple[Modulus, tuple]]:
-    """``firm_modulus`` and its ``certification_verdict`` at every pair
-    (``points[r]``, ``tilts[r]``), computed in row blocks as they are read;
-    reading a block that holds a pair that is not a subgradient pair
-    raises."""
-    return _by_blocks(f.grid, len(points),
-                      lambda b: _firm_rows(f, points[b], tilts[b], norm),
-                      _ROW_BLOCK)
-
-
-def total_convexity_moduli(f: GridFunction, points: Sequence[int],
-                           norm: NormChoice = NormChoice.L2
-                           ) -> Iterator[tuple[Modulus, tuple]]:
-    """``total_convexity_modulus`` and its ``certification_verdict`` about
-    each of ``points`` in order, computed in row blocks as they are read."""
-    return _by_blocks(f.grid, len(points),
-                      lambda b: _total_rows(f, points[b], norm), _ROW_BLOCK)
-
-
 def certification_verdict(m: Modulus
                           ) -> tuple[bool, Gamma0Certificate | None, str]:
     """Positivity verdict with the grid-scale edge cases resolved.
@@ -492,15 +471,6 @@ def wellposedness_modulus(f: GridFunction, s: Sequence[float],
     """
     mods, reports = _wellposed_rows(f, [s], norm, radii, members)
     return mods[0], reports[0]
-
-
-def wellposedness_moduli(f: GridFunction, tilts: Sequence[Sequence[float]],
-                         norm: NormChoice = NormChoice.L2
-                         ) -> Iterator[tuple[Modulus, WellposednessReport]]:
-    """``wellposedness_modulus`` of each of ``tilts`` in order, computed in
-    row blocks as they are read."""
-    return _by_blocks(f.grid, len(tilts),
-                      lambda b: _wellposed_rows(f, tilts[b], norm), _ROW_BLOCK)
 
 
 @dataclass(frozen=True)

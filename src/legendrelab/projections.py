@@ -249,11 +249,8 @@ def _probes(f: GridFunction, S: ConstraintSet, tilts: Sequence[np.ndarray],
     """The (curve, report) rows of the projections of ``tilts`` on S, from
     member-set row blocks computed as they are read; one probe is spent per
     row read."""
-    for row in _by_blocks(
-            f.grid, len(tilts),
-            lambda b: _wellposed_rows(f, tilts[b], NormChoice.L2,
-                                      members=S.members),
-            _PROBE_BLOCK):
+    for row in _by_blocks(_wellposed_rows, f, tilts, norm=NormChoice.L2,
+                          members=S.members, block=_PROBE_BLOCK):
         budget.spend()
         yield row
 

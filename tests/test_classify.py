@@ -110,9 +110,11 @@ def test_rint_total_matches_firm_verdict():
             duals = ses.witness_duals(x, 8)
             if not duals:
                 continue
-            firm_at_x = all(pos for _, (pos, _, _) in moduli.firm_moduli(
-                f, [x] * len(duals), [e.dual_grid.point(s) for s in duals]))
-            total_at_x = next(moduli.total_convexity_moduli(f, [x]))[1][0]
+            firm_at_x = all(pos for _, (pos, _, _) in moduli._by_blocks(
+                moduli._firm_rows, f, [x] * len(duals),
+                [e.dual_grid.point(s) for s in duals], norm=ll.NormChoice.L2))
+            total_at_x = next(moduli._by_blocks(
+                moduli._total_rows, f, [x], norm=ll.NormChoice.L2))[1][0]
             assert firm_at_x == total_at_x, (eid, p)
 
 
@@ -391,6 +393,7 @@ def count_total_rows(monkeypatch):
         return rows(f, points, norm, radii)
 
     monkeypatch.setattr(moduli, "_total_rows", counting)
+    monkeypatch.setattr(classify_module, "_total_rows", counting)
     return evaluated
 
 

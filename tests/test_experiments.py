@@ -153,7 +153,7 @@ def test_each_classification_made_once_per_run_and_nothing_kept(tmp_path,
 
     for name in ("_wellposed_rows", "_total_rows", "_firm_rows"):
         count = counting(name, getattr(moduli_module, name))
-        for module in (moduli_module, projections_module):
+        for module in (moduli_module, projections_module, classify_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, count)
     tie_cluster = moduli_module._tie_cluster

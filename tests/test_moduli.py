@@ -1354,7 +1354,7 @@ def test_row_blocks_equal_per_call_on_catalog(eid, norm):
 @pytest.mark.parametrize("block", [1, 3, 8])
 @pytest.mark.parametrize("eid", [e.id for e in ll.entries() if e.dim == 1])
 def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
-    """The block functions yield the one-row results in input order, each
+    """``_by_blocks`` yields the one-row results in input order, each
     block computed when its first row is read: a loop that breaks at the
     first failure has computed the blocks up to the one holding it and no
     more, and a loop that reads on gets every row."""
@@ -1372,10 +1372,12 @@ def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
                                                (bad[0] // block + 1) * block)
 
     totals = [ll.total_convexity_modulus(f, x) for x in points]
-    cases = [(lambda: moduli.total_convexity_moduli(f, points),
+    L2 = ll.NormChoice.L2
+    cases = [(lambda: moduli._by_blocks(moduli._total_rows, f, points, norm=L2),
               [(m, ll.certification_verdict(m)) for m in totals],
               lambda verdict: not verdict[0]),
-             (lambda: moduli.wellposedness_moduli(f, tilts),
+             (lambda: moduli._by_blocks(moduli._wellposed_rows, f, tilts,
+                                        norm=L2),
               [ll.wellposedness_modulus(f, s) for s in tilts],
               lambda rep: not rep.strong)]
     computed = []
@@ -1407,7 +1409,7 @@ def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
     conj = ll.conjugate_fast(f, e.dual_grid)
     duals = [e.dual_grid.index_of_nearest(s) for s in tilts]
     pairs = [int(conj.argmax[s]) for s in duals]
-    rows = list(moduli.firm_moduli(f, pairs, tilts))
+    rows = list(moduli._by_blocks(moduli._firm_rows, f, pairs, tilts, norm=L2))
     assert len(rows) == len(pairs)
     for x, s, (mod, verdict) in zip(pairs, tilts, rows):
         want = ll.firm_modulus(f, x, s)
