@@ -299,7 +299,6 @@ def build_grid_function(grid: Grid, evaluator: Callable, name: str = "",
             vals = np.array([float(evaluator(float(p[0]))) for p in pts])
         else:
             vals = np.array([float(evaluator(p)) for p in pts])
-    _validate_values(vals)
     f = GridFunction(grid, vals.reshape(grid.shape), name=name)
     if not finite_range(f):
         raise ValueError(f"values of {name!r} break the finite-range rule: "

@@ -294,7 +294,7 @@ def _total_rows(f: GridFunction, points: Sequence[int], norm: NormChoice,
     quot = (vals - fx[:, None]) / (ks * step_len)
 
     # reduce over k with k leading a 2D array: numpy is slow on (k, R, n)
-    closer_ray = (adm & (ks < np.minimum(g, _K_DD + 1))).reshape(_K_DD, -1).any(axis=0)
+    closer_ray = (adm & (ks < g)).reshape(_K_DD, -1).any(axis=0)
     ray_ok = (g >= 2) & closer_ray.reshape(-1, n)
     fprime_ray = quot.reshape(_K_DD, -1).min(axis=0).reshape(-1, n)
     with np.errstate(invalid="ignore"):     # inf - inf where a step is not admissible
