@@ -1417,6 +1417,50 @@ def test_block_functions_stop_after_the_failing_block(eid, block, monkeypatch):
         assert_same_fields(verdict, ll.certification_verdict(want))
 
 
+# -- closed forms read through the row-block reader ---------------------------
+
+def half_squared_distance(grid, x, w):
+    """1/2 |w - x|_2^2 from the coordinates of grid points w and x."""
+    d = grid.points[w] - grid.points[x]
+    return 0.5 * (d * d).sum(axis=-1)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("eid", ["halfsq", "halfsq2"])
+def test_halfsq_moduli_are_half_the_squared_distance(eid, norm):
+    """For f = 1/2 |.|_2^2 the firm gap at (x, s = x) and the total gap
+    about x are the Bregman distance 1/2 |u - x|_2^2, whatever norm draws the
+    shells (the total gap by the extrapolation, exact on quadratics), so
+    every finite shell minimum is that distance at its witness."""
+    f = entry(eid).build()
+    rng = np.random.default_rng(42)
+    xs = rng.choice(np.flatnonzero(f.grid.interior_flat), 25, replace=False)
+    firm = moduli._by_blocks(moduli._firm_rows, f, xs, f.grid.points[xs],
+                             norm=norm)
+    total = moduli._by_blocks(moduli._total_rows, f, xs, norm=norm)
+    for x, (fm, _), (tm, _) in zip(xs, firm, total):
+        for m in (fm, tm):
+            fin = np.isfinite(m.values)
+            assert fin.any()
+            want = half_squared_distance(f.grid, x, m.witnesses[fin])
+            np.testing.assert_allclose(m.values[fin], want, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+def test_affine_total_moduli_are_zero(norm):
+    """An affine function's total gap is 0, so every finite shell minimum
+    is 0 up to rounding and no certificate is positive."""
+    f = entry("affine").build()
+    xs = np.flatnonzero(f.domain_flat)[::7]
+    curves = list(moduli._by_blocks(moduli._total_rows, f, xs, norm=norm))
+    assert len(curves) == xs.size
+    for m, (pos, _, _) in curves:
+        fin = np.isfinite(m.values)
+        assert fin.any()
+        assert np.abs(m.values[fin]).max() <= 1e-12
+        assert not pos
+
+
 # -- coercivity and explicit radii against the one-center bodies -------------
 
 def coercivity_per_call(f, norm):
