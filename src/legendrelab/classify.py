@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .conjugate import ConjugateResult, biconjugate
-from .grids import Grid, GridFunction, NormChoice
+from .grids import Grid, GridFunction, NormChoice, _evenly
 from .moduli import _by_blocks, _firm_rows, _total_rows, _wellposed_rows
 from .subdiff import _one_sided, subgradients
 from .tolerances import DEFAULT_TOLS
@@ -43,13 +43,6 @@ class SamplePlan:
 
     primal: tuple[int, ...]
     dual: tuple[int, ...]
-
-
-def _evenly(idx: np.ndarray, k: int) -> np.ndarray:
-    if idx.size <= k:
-        return idx
-    sel = np.unique(np.linspace(0, idx.size - 1, k).astype(int))
-    return idx[sel]
 
 
 def _argmax_jump_duals(f: GridFunction, conj: ConjugateResult) -> list[int]:

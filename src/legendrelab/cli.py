@@ -248,13 +248,12 @@ def _cmd_project(args) -> int:
     payload = {
         "kind": "projection_certificate",
         "function": cert.function, "constraint": cert.constraint,
-        "tilt": list(cert.tilt), "minimizer_point": list(cert.minimizer_point),
+        "tilt": cert.tilt, "minimizer_point": cert.minimizer_point,
         "value": cert.value, "strong": cert.strong,
         "multiplicity": cert.report.multiplicity,
         "certificate_positive": cert.report.certificate_positive,
-        "modulus": {"t": list(cert.modulus.radii),
-                    "value": list(cert.modulus.values),
-                    "empty": [bool(b) for b in cert.modulus.empty]},
+        "modulus": {"t": cert.modulus.radii, "value": cert.modulus.values,
+                    "empty": cert.modulus.empty},
     }
     if args.out:
         write_json(payload, args.out)
@@ -270,7 +269,7 @@ def _cmd_tchebychev(args) -> int:
     payload = {
         "kind": "tchebychev_report", "function": f.name, "set": S.name,
         "passed": rep.passed, "verdict": rep.verdict, "n_probes": rep.n_probes,
-        "witness_tilt": list(rep.witness_tilt) if rep.witness_tilt else None,
+        "witness_tilt": rep.witness_tilt,
         "midpoint_convex": rep.midpoint_convex,
     }
     if args.out:

@@ -382,6 +382,6 @@ def run_experiments(which: str, out_dir: str | Path,
     passed = all(r.passed for r in results)
     config = {"experiment": which, "seed": seed,
               "set_grid": {"bounds": _SET_GRID.bounds, "counts": _SET_GRID.counts}}
-    manifest = build_manifest(__version__, config, out, paths)
-    write_json(manifest.to_dict(), out / "manifest.json")
+    write_json(build_manifest(__version__, config, out, paths),
+               out / "manifest.json")
     return passed, results

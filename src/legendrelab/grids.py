@@ -328,6 +328,13 @@ def _origins(grid: Grid, centers: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(grid.size - 1 - centers, grid.shape)
 
 
+def _evenly(idx: np.ndarray, k: int) -> np.ndarray:
+    """At most k entries of ``idx``, evenly spaced from its first entry."""
+    if idx.size <= k:
+        return idx
+    return idx[np.unique(np.linspace(0, idx.size - 1, k).astype(int))]
+
+
 class BandStencil(NamedTuple):
     """The band of every offset of the doubled lattice, flat and as
     windows, the flat lattice index of every grid point's offset from the

@@ -37,7 +37,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
-from .grids import Grid, GridFunction, NormChoice, build_grid_function
+from .grids import (Grid, GridFunction, NormChoice, _evenly,
+                    build_grid_function)
 from .moduli import (Modulus, WellposednessReport, _by_blocks,
                      _wellposed_rows, wellposedness_modulus)
 
@@ -215,10 +216,7 @@ def _tie_tilt(u: np.ndarray, v: np.ndarray, fu: float, fv: float) -> np.ndarray:
 def _far_pairs(S: ConstraintSet, limit: int = 24) -> list[tuple[int, int]]:
     """Member pairs of near-maximal separation, from a capped subsample:
     farthest first, equal separations in descending (i, j) order."""
-    mem = S.members
-    if mem.size > 400:
-        sel = np.unique(np.linspace(0, mem.size - 1, 400).astype(int))
-        mem = mem[sel]
+    mem = _evenly(S.members, 400)
     pts = S.grid.points[mem]
     i, j = np.triu_indices(mem.size, k=1)
     d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -63,16 +62,13 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj.tolist()]
     if obj is None or isinstance(obj, str):
         return obj
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
     raise SchemaViolationError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_json(payload: dict, path: str | Path) -> None:
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(json.dumps(_jsonable(payload), indent=1,
-                                         sort_keys=False) + "\n")
+        Path(path).write_text(json.dumps(_jsonable(payload), indent=1) + "\n")
     except OSError as err:
         raise IoFailureError(str(err)) from err
 
@@ -88,12 +84,12 @@ def read_json(path: str | Path) -> dict:
         raise SchemaViolationError(f"not valid JSON: {err}") from err
 
 
-def _grid_header(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "bounds": [[lo, hi] for lo, hi in grid.bounds],
-        "counts": list(grid.counts),
-    }
+def _write_grid_document(kind: str, grid: Grid, name: str, values: np.ndarray,
+                         path: str | Path, **extra: Any) -> None:
+    """Header, ``extra`` keys, name and row-major ``values``, in that order."""
+    write_json({"kind": kind, "dim": grid.dim, "bounds": grid.bounds,
+                "counts": grid.counts, **extra, "name": name,
+                "values": np.asarray(values).reshape(grid.size)}, path)
 
 
 def _is_json_int(v: Any) -> bool:
@@ -136,10 +132,8 @@ def _read_document(path: str | Path, kind: str) -> dict:
 
 
 def write_grid_function(f: GridFunction, path: str | Path) -> None:
-    doc = {"kind": "grid_function", **_grid_header(f.grid),
-           "norm": NormChoice.L2.value, "name": f.name,
-           "values": [_encode_value(float(v)) for v in f.flat]}
-    write_json(doc, path)
+    _write_grid_document("grid_function", f.grid, f.name, f.flat, path,
+                         norm=NormChoice.L2.value)
 
 
 def read_grid_function(path: str | Path) -> GridFunction:
@@ -161,10 +155,8 @@ def read_grid_function(path: str | Path) -> GridFunction:
 
 def write_mask(grid: Grid, mask: np.ndarray, path: str | Path,
                name: str = "") -> None:
-    m = np.asarray(mask, dtype=bool).reshape(grid.size)
-    doc = {"kind": "grid_mask", **_grid_header(grid), "name": name,
-           "values": [bool(b) for b in m]}
-    write_json(doc, path)
+    _write_grid_document("grid_mask", grid, name, np.asarray(mask, dtype=bool),
+                         path)
 
 
 def read_mask(path: str | Path) -> tuple[Grid, np.ndarray, str]:
@@ -187,16 +179,13 @@ def read_constraint_set(path: str | Path) -> ConstraintSet:
 
 def write_indices(grid: Grid, indices: np.ndarray, path: str | Path,
                   name: str = "") -> None:
-    doc = {"kind": "grid_indices", **_grid_header(grid), "name": name,
-           "values": [int(i) for i in np.asarray(indices).reshape(-1)]}
-    write_json(doc, path)
+    _write_grid_document("grid_indices", grid, name, indices, path)
 
 
 def write_modulus_csv(m: Modulus, path: str | Path) -> None:
     lines = ["t,value,empty"]
     for t, v, e in zip(m.radii, m.values, m.empty):
-        val = _INF_TOKEN if math.isinf(v) else repr(float(v))
-        lines.append(f"{float(t)!r},{val},{int(e)}")
+        lines.append(f"{float(t)!r},{_encode_value(float(v))},{int(e)}")
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text("\n".join(lines) + "\n")
@@ -217,9 +206,9 @@ def read_modulus_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
             t, v, e = ln.split(",")
             if e not in ("0", "1"):
                 raise ValueError(f"empty flag {e!r} is not 0 or 1")
-            ts.append(float(t))
-            vs.append(math.inf if v == _INF_TOKEN else float(v))
-        except ValueError as err:
+            ts.append(_decode_value(float(t), "column t"))
+            vs.append(_decode_value(v if v == _INF_TOKEN else float(v), "column value"))
+        except (ValueError, SchemaViolationError) as err:
             raise SchemaViolationError(
                 f"{path}: line {row} is not a 't,value,empty' row: {err}") from None
         es.append(e == "1")
@@ -230,24 +219,12 @@ def sha256_of(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Configuration echo plus content hashes of produced artifacts."""
-
-    version: str
-    config: dict
-    artifacts: tuple[tuple[str, str], ...]   # (relative path, sha256)
-
-    def to_dict(self) -> dict:
-        return {"kind": "run_manifest", "version": self.version,
-                "config": self.config,
-                "artifacts": [{"path": p, "sha256": h} for p, h in self.artifacts]}
-
-
 def build_manifest(version: str, config: dict, out_dir: str | Path,
-                   paths: Sequence[str | Path]) -> RunManifest:
+                   paths: Sequence[str | Path]) -> dict:
+    """The run manifest: configuration echo plus the sha256 of each artifact,
+    in sorted path order."""
     out_dir = Path(out_dir)
-    arts = []
-    for p in sorted(Path(p) for p in paths):
-        arts.append((str(p.relative_to(out_dir)), sha256_of(p)))
-    return RunManifest(version, config, tuple(arts))
+    return {"kind": "run_manifest", "version": version, "config": config,
+            "artifacts": [{"path": str(p.relative_to(out_dir)),
+                           "sha256": sha256_of(p)}
+                          for p in sorted(Path(p) for p in paths)]}

@@ -1461,6 +1461,90 @@ def test_affine_total_moduli_are_zero(norm):
         assert not pos
 
 
+
+def coordinate_distance(grid, x, norm):
+    """|u - x| in ``norm`` for every grid point u, from the coordinates."""
+    d = np.abs(grid.points - grid.points[x])
+    return {ll.NormChoice.L2: np.sqrt((d * d).sum(axis=-1)),
+            ll.NormChoice.L1: d.sum(axis=-1),
+            ll.NormChoice.LINF: d.max(axis=-1)}[norm]
+
+
+def interior_bases(f, seed, n=10):
+    return np.random.default_rng(seed).choice(
+        np.flatnonzero(f.grid.interior_flat), n, replace=False)
+
+
+@pytest.mark.parametrize("radii", [None, [0.05, 0.1, 0.3, 0.7]])
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.9])
+def test_abs_firm_gap_at_zero_is_closed_form(s, norm, radii):
+    """For f = |.| at x = 0 and s in (-1, 1) the firm gap is |u| - s u, so
+    every finite shell minimum is that gap at its witness."""
+    f = entry("abs").build()
+    x = f.grid.index_of_nearest([0.0])
+    assert f.grid.points[x, 0] == 0.0
+    m = ll.firm_modulus(f, x, [s], radii=radii, norm=norm)
+    fin = np.isfinite(m.values)
+    assert fin.any()
+    w = f.grid.points[m.witnesses[fin], 0]
+    np.testing.assert_allclose(m.values[fin], np.abs(w) - s * w,
+                               rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("eid", ["halfsq", "halfsq2"])
+def test_halfsq_wellposedness_at_grid_tilts(eid, norm):
+    """For f = 1/2 |.|_2^2 and a grid-point tilt s, the tilted minimizer is
+    s and the well-posedness gap is 1/2 |u - s|_2^2: the report is strong
+    and every finite shell minimum is that distance at its witness."""
+    f = entry(eid).build()
+    xs = interior_bases(f, 7)
+    rows = moduli._by_blocks(moduli._wellposed_rows, f, f.grid.points[xs],
+                             norm=norm)
+    for x, (m, rep) in zip(xs, rows):
+        assert rep.minimizer == m.center == x
+        assert rep.strong
+        fin = np.isfinite(m.values)
+        assert fin.any()
+        want = half_squared_distance(f.grid, x, m.witnesses[fin])
+        np.testing.assert_allclose(m.values[fin], want, rtol=1e-11, atol=0)
+
+
+RADII = [0.05, 0.1, 0.2, 0.35, 0.6, 1.0]
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice))
+@pytest.mark.parametrize("kind", ["firm", "total"])
+@pytest.mark.parametrize("eid", ["halfsq", "halfsq2"])
+def test_halfsq_explicit_radii_are_closed_form(eid, kind, norm):
+    """At explicit radii the shells are the points with |d - t| <= h/2 and
+    d > 0. For f = 1/2 |.|_2^2 each shell's empty flag is that set's, and
+    each finite shell minimum is 1/2 |w - x|_2^2 at a witness w in it. Every
+    member of a firm shell is usable, so a firm minimum is also the least
+    1/2 |u - x|_2^2 over the members; a total one may skip members."""
+    f = entry(eid).build()
+    g = f.grid
+    xs = interior_bases(f, 11)
+    columns = (xs, g.points[xs]) if kind == "firm" else (xs,)
+    rows = moduli._by_blocks(getattr(moduli, f"_{kind}_rows"), f, *columns,
+                             norm=norm, radii=RADII)
+    for x, (m, _) in zip(xs, rows):
+        assert m.radii.tolist() == RADII
+        d = coordinate_distance(g, x, norm)
+        bregman = half_squared_distance(g, x, np.arange(g.size))
+        for t, v, empty, w in zip(RADII, m.values, m.empty, m.witnesses):
+            shell = (np.abs(d - t) <= g.max_spacing / 2.0) & (d > 0)
+            assert empty == (not shell.any())
+            if not np.isfinite(v):
+                assert kind == "total" or empty
+                continue
+            assert shell[w]
+            np.testing.assert_allclose(v, bregman[w], rtol=1e-11, atol=0)
+            if kind == "firm":
+                np.testing.assert_allclose(v, bregman[shell].min(),
+                                           rtol=1e-11, atol=0)
+
 # -- coercivity and explicit radii against the one-center bodies -------------
 
 def coercivity_per_call(f, norm):

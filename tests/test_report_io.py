@@ -105,6 +105,26 @@ def test_modulus_csv_round_trip(tmp_path):
     assert list(es) == [False, False, True]
 
 
+@pytest.mark.parametrize("row", ["0.1,nan,0", "0.2,-inf,0", "0.3,Infinity,1",
+                                 "0.4,1e999,0", "nan,0.5,0", "inf,0.5,0"])
+def test_modulus_csv_rejects_what_json_rejects(tmp_path, row):
+    """A value is a finite number or the inf token; a radius is finite."""
+    path = tmp_path / "m.csv"
+    path.write_text(f"t,value,empty\n0.05,0.001,0\n{row}\n")
+    with pytest.raises(SchemaViolationError, match="line 3"):
+        rio.read_modulus_csv(path)
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.nan])
+def test_modulus_csv_writer_rejects_what_json_rejects(tmp_path, bad):
+    m = Modulus("firm", 0, np.array([0.1, 0.2]), np.array([0.005, bad]),
+                np.array([False, False]), np.array([3, 4]), ll.NormChoice.L2)
+    with pytest.raises(SchemaViolationError):
+        rio.write_modulus_csv(m, tmp_path / "m.csv")
+    with pytest.raises(SchemaViolationError):
+        rio.write_json({"value": m.values}, tmp_path / "m.json")
+
+
 def test_write_is_deterministic(tmp_path):
     g = ll.grid_1d(-2.0, 2.0, 31)
     f = random_grid_function(np.random.default_rng(5), g, inf_frac=0.1)
@@ -119,9 +139,9 @@ def test_manifest_hashes(tmp_path):
     p1 = tmp_path / "x.json"
     rio.write_json({"kind": "thing", "v": 1.5}, p1)
     man = rio.build_manifest("0.0", {"seed": 1}, tmp_path, [p1])
-    assert man.artifacts[0][0] == "x.json"
-    assert man.artifacts[0][1] == rio.sha256_of(p1)
-    rio.write_json(man.to_dict(), tmp_path / "manifest.json")
+    assert man["artifacts"][0]["path"] == "x.json"
+    assert man["artifacts"][0]["sha256"] == rio.sha256_of(p1)
+    rio.write_json(man, tmp_path / "manifest.json")
     doc = rio.read_json(tmp_path / "manifest.json")
     assert doc["kind"] == "run_manifest"
 
