@@ -9,17 +9,24 @@ Two routes compute ``f*(s) = max_x (<x, s> - f(x))`` over the primal grid:
   the first maximizing index along each axis, as brute force does.
 
 A small pass takes one broadcast maximum, O(n*m) for n primal and m dual
-points on its axis. A large one finds the first maximizers that way only at
-every 8th dual point and the last; each dual in between searches just the
-primal window between its two coarse neighbours' first maximizers (the
-first maximizer never decreases as s grows: the totally monotone matrices
-of Aggarwal, Klawe, Moran, Shor and Wilber, 1987). A separation lemma makes
-that exact in floating point: with e the rounding bound of one multiply and
-one subtract, if the smallest primal step times the smallest dual step
-exceeds 8e, every primal point outside a dual's window is strictly below a
-window endpoint, so the window's first maximizer, value and trust bits are
-those of the dense pass. The condition is checked on every pass, and a pass
-failing it runs dense.
+points on its axis, reading the products s*x, which do not depend on f,
+from a table built once per (primal, dual) axis pair. The tables are read
+only, and a cache keeps at most ``_PRODUCTS_CACHE_SIZE`` of them, each of
+fewer than ``_MAXPLUS_WINDOWED_MIN`` = 2**18 entries, so under 16 MiB in
+all. Each entry is the rounded product a per-block multiply forms, so
+values, zero signs, first argmax and trust do not depend on the cache.
+A large pass finds the first maximizers that way, forming its products
+block by block, only at every 8th dual point and the last; each dual in
+between searches just the primal window between its two coarse
+neighbours' first maximizers (the first maximizer never decreases as s
+grows: the totally monotone matrices of Aggarwal, Klawe, Moran, Shor and
+Wilber, 1987). A separation lemma makes that exact in floating point: with
+e the rounding bound of one multiply and one subtract, if the smallest
+primal step times the smallest dual step exceeds 8e, every primal point
+outside a dual's window is strictly below a window endpoint, so the
+window's first maximizer, value and trust bits are those of the dense
+pass. The condition is checked on every pass, and a pass failing it runs
+dense.
 
 A dual point is *trusted* when some maximizer lies strictly inside the
 primal grid; untrusted values are boundary-clamped truncation artifacts and
@@ -34,6 +41,7 @@ interior-x1 pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +59,9 @@ _MAXPLUS_BLOCK = 1 << 14
 # rows * primal * dual elements stay on the dense loop.
 _MAXPLUS_STRIDE = 8
 _MAXPLUS_WINDOWED_MIN = 1 << 18
+# Product tables of small passes kept at once: one per (primal, dual) axis
+# pair, and a 1D biconjugate reads two.
+_PRODUCTS_CACHE_SIZE = 8
 _U = 2.0 ** -53             # unit roundoff of float64
 _ETA = 2.0 ** -1074         # bounds a product's absolute underflow error
 
@@ -108,14 +119,28 @@ def conjugate_brute(f: GridFunction, dual_grid: Grid) -> ConjugateResult:
     return ConjugateResult(dual_fn, trusted, arg, f.grid)
 
 
-def _dense_argmax(xs: np.ndarray, F: np.ndarray, ss: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=_PRODUCTS_CACHE_SIZE)
+def _products(xs: bytes, ss: bytes) -> np.ndarray:
+    """The read-only table ``ss[j] * xs[k]``, shaped (len(ss), len(xs)), of
+    two float64 axes given by their bytes."""
+    table = np.multiply.outer(np.frombuffer(ss), np.frombuffer(xs))
+    table.flags.writeable = False
+    return table
+
+
+def _dense_argmax(xs: np.ndarray, F: np.ndarray, ss: np.ndarray,
+                  table: np.ndarray | None = None) -> np.ndarray:
     """First-index argmax of ``ss[j] * xs[k] - F[r, k]`` over every k, in
     blocks of about ``_MAXPLUS_BLOCK`` scratch elements (at least one dual
-    point per block); shaped (rows, len(ss))."""
+    point per block); shaped (rows, len(ss)). Each block reads its products
+    from rows of ``table`` (``_products``) if one is given, else forms them."""
     step = max(1, _MAXPLUS_BLOCK // F.size)
-    return np.concatenate(
-        [(np.multiply.outer(ss[lo:lo + step], xs) - F[:, None, :]).argmax(axis=2)
-         for lo in range(0, ss.size, step)], axis=1)
+    blocks = []
+    for lo in range(0, ss.size, step):
+        prod = (np.multiply.outer(ss[lo:lo + step], xs) if table is None
+                else table[lo:lo + step])
+        blocks.append((prod - F[:, None, :]).argmax(axis=2))
+    return np.concatenate(blocks, axis=1)
 
 
 def _separated(xs: np.ndarray, F: np.ndarray, ss: np.ndarray) -> bool:
@@ -184,8 +209,9 @@ def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
     Returns (values, first-index argmax into xs), both shaped (rows, len(ss));
     the values are recomputed at the argmax. An empty primal slice gives
     values -inf and argmax -1. Passes of fewer than ``_MAXPLUS_WINDOWED_MIN``
-    scratch elements, or failing the lemma below, run ``_dense_argmax``;
-    the rest run ``_windowed_argmax``, which gives the same bits.
+    scratch elements run ``_dense_argmax`` on the cached product table of
+    (xs, ss), passes failing the lemma below run it forming their products
+    per block, and the rest run ``_windowed_argmax``; all give the same bits.
 
     Separation lemma. Let xs and ss be strictly increasing, v(s, k) =
     fl(fl(s * x_k) - F_k), u the unit roundoff and e = u (2 max|s| max|x| +
@@ -206,7 +232,9 @@ def _maxplus(xs: np.ndarray, F: np.ndarray, ss: np.ndarray
     if F.size == 0:
         return (np.full((rows, ss.size), -np.inf),
                 np.full((rows, ss.size), -1, dtype=np.int64))
-    if F.size * ss.size >= _MAXPLUS_WINDOWED_MIN and _separated(xs, F, ss):
+    if F.size * ss.size < _MAXPLUS_WINDOWED_MIN:
+        arg = _dense_argmax(xs, F, ss, _products(xs.tobytes(), ss.tobytes()))
+    elif _separated(xs, F, ss):
         arg = _windowed_argmax(xs, F, ss)
     else:
         arg = _dense_argmax(xs, F, ss)

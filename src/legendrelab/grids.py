@@ -42,13 +42,24 @@ class NormChoice(enum.Enum):
                 NormChoice.LINF: NormChoice.L1}[self]
 
     def length(self, offsets: np.ndarray) -> np.ndarray:
-        """Norms of row vectors; ``offsets`` has shape (..., dim)."""
+        """Norms of row vectors; ``offsets`` has shape (..., dim). Squares or
+        absolute values are combined axis by axis, left to right, as numpy
+        reduces a short last axis (from +0.0, in axis order): the bits of
+        ``.sum(axis=-1)`` and ``.max(axis=-1)``, without their per-row cost."""
         a = np.asarray(offsets, dtype=float)
         if self is NormChoice.L2:
-            return np.sqrt((a * a).sum(axis=-1))
-        if self is NormChoice.L1:
-            return np.abs(a).sum(axis=-1)
-        return np.abs(a).max(axis=-1)
+            return np.sqrt(_fold_last_axis(np.add, a * a))
+        return _fold_last_axis(np.add if self is NormChoice.L1 else np.maximum,
+                               np.abs(a))
+
+
+def _fold_last_axis(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op`` over the last axis of ``a``, one component at a time, left to
+    right."""
+    out = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = op(out, a[..., i])
+    return out
 
 
 @dataclass(frozen=True)

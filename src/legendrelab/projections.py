@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExhaustedError, InfeasibleProblemError
-from .grids import (Grid, GridFunction, NormChoice, _evenly,
+from .grids import (Grid, GridFunction, NormChoice, _evenly, _fold_last_axis,
                     build_grid_function)
 from .moduli import (Modulus, WellposednessReport, _by_blocks,
                      _wellposed_rows, wellposedness_modulus)
@@ -219,7 +219,7 @@ def _far_pairs(S: ConstraintSet, limit: int = 24) -> list[tuple[int, int]]:
     mem = _evenly(S.members, 400)
     pts = S.grid.points[mem]
     i, j = np.triu_indices(mem.size, k=1)
-    d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+    d2 = _fold_last_axis(np.add, (pts[i] - pts[j]) ** 2)
     top = np.argsort(d2, kind="stable")[::-1][:limit]
     return list(zip(mem[i[top]].tolist(), mem[j[top]].tolist()))
 

@@ -599,3 +599,151 @@ def test_separation_failure_runs_the_dense_pass(monkeypatch):
     with np.errstate(all="raise"):
         assert_matches_rerun_all(huge, d)
     assert calls == []
+
+
+# -- the cached product tables of small passes --------------------------------
+
+TABLE_LIMIT = 1 << 18      # entries; every small pass has F.size * ss.size below
+
+
+def per_block_products():
+    """Make every pass form its products block by block, as the windowed
+    search's coarse phase and the dense fallback of a large pass do."""
+    dense = C._dense_argmax
+    return mock.patch.object(
+        C, "_dense_argmax", lambda xs, F, ss, table=None: dense(xs, F, ss))
+
+
+def tables_built(monkeypatch):
+    """The (len(ss), len(xs)) shape of every table ``_maxplus`` reads."""
+    shapes = []
+    cached = C._products
+
+    def spy(xs, ss):
+        table = cached(xs, ss)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(C, "_products", spy)
+    return shapes
+
+
+def conjugate_outputs(f, d):
+    """f* (values, argmax, trust), f** and its trust, and the verdict."""
+    star = ll.conjugate_fast(f, d)
+    bic = ll.biconjugate(f, d)
+    return (star.dual.flat, star.argmax, star.trusted, bic.function.flat,
+            bic.trusted, bic.star.dual.flat, np.array([bic.max_gap]),
+            np.array([bic.consistent]))
+
+
+def assert_products_do_not_matter(f, d):
+    """The outputs read from cached tables equal those formed block by
+    block: values with their zero signs, first argmax and trust."""
+    got = conjugate_outputs(f, d)
+    with per_block_products():
+        want = conjugate_outputs(f, d)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        if a.dtype.kind == "f":
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("eid", [e.id for e in entries()])
+def test_cached_products_equal_per_block_products_on_catalog(eid, monkeypatch):
+    e = entry(eid)
+    shapes = tables_built(monkeypatch)
+    assert_products_do_not_matter(e.build(), e.dual_grid)
+    assert all(math.prod(s) < TABLE_LIMIT for s in shapes)
+    # every 1D pass is small: the first conjugate, and f** reads two tables
+    assert (len(shapes) >= 3) == (e.dim == 1)
+
+
+def test_cached_products_equal_per_block_products_on_random_functions(
+        monkeypatch):
+    """1D and 2D rough functions with 0-60 % +inf holes, axes of 2 to 300
+    points; the 2D ones hold open duals, whose interior-x1 passes are
+    small."""
+    rng = np.random.default_rng(40)
+    shapes = tables_built(monkeypatch)
+    for dim, top in ((1, 300), (2, 30)):
+        for inf_frac in (0.0, 0.1, 0.6):
+            for _ in range(4):
+                g = ll.Grid(((-1.5, 2.0),) * dim, rng.integers(2, top, dim))
+                d = ll.Grid(((-3.0, 2.5),) * dim, rng.integers(2, top, dim))
+                f = random_grid_function(rng, g, inf_frac=inf_frac)
+                assert_products_do_not_matter(f, d)
+    assert shapes and all(math.prod(s) < TABLE_LIMIT for s in shapes)
+
+
+def test_dense_fallback_forms_its_products_per_block(monkeypatch):
+    """Values near 1e200 fail the separation check on a 1D 1001 -> 1001
+    pass, past the crossover: it runs dense without a table, with no
+    warning, and equals the reference."""
+    g = ll.grid_1d(-2.0, 2.0, 1001)
+    d = ll.grid_1d(-3.0, 3.0, 1001)
+    f = random_grid_function(np.random.default_rng(8), g, inf_frac=0.1)
+    huge = ll.GridFunction(g, 1e200 * (1.0 + 0.01 * f.values))
+    xs, ss = g.axes[0][1:-1], d.axes[0]
+    assert xs.size * ss.size >= C._MAXPLUS_WINDOWED_MIN
+    assert not C._separated(xs, huge.values[None, 1:-1], ss)
+    shapes = tables_built(monkeypatch)
+    with np.errstate(all="raise"):
+        star = ll.conjugate_fast(huge, d)
+        vals, arg, trusted = conjugate_fast_rerun_all(huge, d)
+    assert shapes == []
+    np.testing.assert_array_equal(star.dual.flat, vals)
+    np.testing.assert_array_equal(star.argmax, arg)
+    np.testing.assert_array_equal(star.trusted, trusted)
+
+
+@pytest.mark.parametrize("n,m,cached", [(513, 513, True), (514, 512, False)])
+def test_tables_only_below_the_crossover(n, m, cached, monkeypatch):
+    """A 1D pass over the n - 2 interior primal points of 511 * 513 =
+    2**18 - 1 elements reads a table; one of 512 * 512 = 2**18 takes the
+    windowed search. Both equal the reference, and the per-block products."""
+    rng = np.random.default_rng(9)
+    g, d = ll.grid_1d(-2.0, 2.0, n), ll.grid_1d(-3.0, 3.0, m)
+    assert ((n - 2) * m < C._MAXPLUS_WINDOWED_MIN) == cached
+    f = random_grid_function(rng, g, inf_frac=0.1)
+    shapes = tables_built(monkeypatch)
+    star = ll.conjugate_fast(f, d)
+    assert ((m, n - 2) in shapes) == cached
+    assert all(math.prod(s) < TABLE_LIMIT for s in shapes)
+    vals, arg, trusted = conjugate_fast_rerun_all(f, d)
+    np.testing.assert_array_equal(star.dual.flat, vals)
+    np.testing.assert_array_equal(star.argmax, arg)
+    np.testing.assert_array_equal(star.trusted, trusted)
+    assert_products_do_not_matter(f, d)
+
+
+def test_product_tables_are_read_only_rounded_products():
+    xs = ll.grid_1d(-2.0, 2.0, 201).axes[0][1:-1]
+    ss = ll.grid_1d(-3.0, 3.0, 241).axes[0]
+    table = C._products(xs.tobytes(), ss.tobytes())
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    want = ss[:, None] * xs[None, :]
+    np.testing.assert_array_equal(table, want)
+    np.testing.assert_array_equal(np.signbit(table), np.signbit(want))
+
+
+def test_repeated_conjugates_hit_the_cache():
+    """A 1D biconjugate builds two tables, and a second call builds none;
+    the cache holds at most ``_PRODUCTS_CACHE_SIZE`` tables."""
+    rng = np.random.default_rng(10)
+    g, d = ll.grid_1d(-2.0, 2.0, 201), ll.grid_1d(-3.0, 3.0, 241)
+    fs = [random_grid_function(rng, g, inf_frac=0.1) for _ in range(3)]
+    C._products.cache_clear()
+    ll.biconjugate(fs[0], d)
+    first = C._products.cache_info()
+    assert (first.misses, first.hits, first.currsize) == (2, 0, 2)
+    for f in fs:
+        ll.biconjugate(f, d)
+    info = C._products.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+    assert info.maxsize == C._PRODUCTS_CACHE_SIZE
+    for k in range(2 * C._PRODUCTS_CACHE_SIZE):
+        ll.conjugate_fast(fs[0], ll.grid_1d(-3.0, 3.0, 20 + k))
+    assert C._products.cache_info().currsize == C._PRODUCTS_CACHE_SIZE

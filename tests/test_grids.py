@@ -138,6 +138,38 @@ def test_norm_dual_pairing():
     assert np.isclose(ll.NormChoice.LINF.length(v)[0], 4.0)
 
 
+def length_by_reduction(norm, a):
+    """The reduction form ``length`` replaced, kept as its oracle."""
+    if norm is ll.NormChoice.L2:
+        return np.sqrt((a * a).sum(axis=-1))
+    if norm is ll.NormChoice.L1:
+        return np.abs(a).sum(axis=-1)
+    return np.abs(a).max(axis=-1)
+
+
+@pytest.mark.parametrize("norm", list(ll.NormChoice), ids=lambda n: n.name)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", [(), (7,)])
+def test_norm_length_equals_reduction_form(norm, dim, rows):
+    """Axis-by-axis lengths have the bits of numpy's reduction over the
+    last axis, for shapes (N, d) and (R, N, d) and one vector (d,):
+    magnitudes 1e-8 to 1e8 of both signs, signed zeros, infinities and
+    coordinate differences of a grid."""
+    rng = np.random.default_rng(dim)
+    shape = (*rows, 5000, dim)
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    flat = a.reshape(-1, dim)
+    flat[:50] = rng.choice([0.0, -0.0, math.inf, -math.inf], size=(50, dim))
+    g = ll.Grid(((-2.0, 2.0),) * dim, (9,) * dim)
+    pts = g.points - g.points[rng.integers(g.size)]
+    for arr in (a, pts, a[..., 0, :], np.ascontiguousarray(a[..., ::-1])):
+        got = norm.length(arr)
+        want = length_by_reduction(norm, arr)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 # -- band-stencil shell ladders ------------------------------------------
 
 ANISO = ll.grid_2d(-2.0, 2.0, 7, -1.0, 3.0, 5)
